@@ -830,8 +830,8 @@ func runPlanar(ctx context.Context, args []string) (retErr error) {
 	o.Resume = *resume
 	// The planar acquisition is fully reproduced by the options (same
 	// generate/voxelize/acquire path as extract), so the chip ID is a
-	// sound checkpoint unit here — a prior extract run of the same chip
-	// at the same options shares its aligned-stack checkpoint.
+	// sound checkpoint unit here: a resumed planar run of the same chip
+	// at the same options loads its views checkpoint and images nothing.
 	o.CkptUnit = c.ID
 	ob, finishObs := obf.build()
 	defer func() {

@@ -10,7 +10,6 @@ import (
 	"repro/internal/img"
 	"repro/internal/netex"
 	"repro/internal/obs"
-	"repro/internal/sem"
 )
 
 // ckptSchema versions the gob artifact encoding on top of the store's
@@ -18,47 +17,21 @@ import (
 // bumping it (after changing an artifact struct) silently retires every
 // old checkpoint instead of mis-decoding it. v2: netexArtifact carries
 // the segmentation Plan so Result.Plan survives a netex-boundary resume.
-const ckptSchema = 2
+// v3: netexArtifact carries the planar views; the acquire and aligned
+// boundaries are gone.
+const ckptSchema = 3
 
-// Checkpointed stage-boundary names, in pipeline order. "views" is
-// produced only by PlanarViews; the others by Run/RunOnDie. Kill a run
-// between any two and resume recomputes only from the last completed
-// boundary.
+// Checkpointed artifact names. Run and RunOnDie checkpoint only the
+// extraction ("netex"); "plan" is written by standalone ReconstructCtx
+// and "views" by PlanarViewsCtx. All three follow reconstruction, so
+// nothing stack-sized is ever persisted.
 const (
-	CkptAcquire = "acquire"
-	CkptAligned = "aligned"
-	CkptPlan    = "plan"
-	CkptNetex   = "netex"
-	CkptViews   = "views"
+	CkptPlan  = "plan"
+	CkptNetex = "netex"
+	CkptViews = "views"
 )
 
-// CkptStages returns the checkpoint boundaries of a standard Run, in
-// execution order — the table the resume-determinism tests and the
-// crash harness iterate over.
-func CkptStages() []string {
-	return []string{CkptAcquire, CkptAligned, CkptPlan, CkptNetex}
-}
-
-// acquireArtifact checkpoints the acquisition boundary: the raw stack
-// after optional fault injection, plus the injection ground truth the
-// Result surfaces.
-type acquireArtifact struct {
-	Acq      *sem.Acquisition
-	Injected *fault.Report
-}
-
-// alignedArtifact checkpoints the end of preprocessing: the screened,
-// denoised, aligned stack and everything the robustness machinery
-// observed producing it.
-type alignedArtifact struct {
-	Slices          []*img.Gray
-	DidAlign        bool
-	Repairs         RepairReport
-	AlignFallbacks  int
-	ResidualDriftPx float64
-}
-
-// planArtifact checkpoints the segmentation boundary: the per-layer
+// planArtifact checkpoints a standalone reconstruction: the per-layer
 // rectangle plan plus the reconstruction report it rode in on.
 type planArtifact struct {
 	Plan *netex.Plan
@@ -75,6 +48,7 @@ type netexArtifact struct {
 	Injected   *fault.Report
 	SliceCount int
 	CostHours  float64
+	Views      map[string]*img.Gray
 }
 
 // viewsArtifact checkpoints PlanarViews' per-layer images.
@@ -124,12 +98,8 @@ func FingerprintOptions(o Options) (string, error) {
 	clean.Denoise.Obs = nil
 	clean.Register.Obs = nil
 	clean.Register.Workers = 0
-	// The streaming/barrier switch, window and pool change scheduling
-	// and allocation only, never artifact bytes — the two paths are
-	// byte-identical by contract — so both modes share checkpoint keys
-	// (and the pool, holding runtime state, must never reach gob).
-	clean.Barrier = false
-	clean.StreamWindow = 0
+	// The pool changes allocation only, never artifact bytes, and holds
+	// runtime state that must never reach the fingerprint encoding.
 	clean.Pool = nil
 	fp, err := ckpt.Fingerprint(fpOptions{Schema: ckptSchema, Opts: clean})
 	if err != nil {

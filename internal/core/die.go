@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/chipgen"
 	"repro/internal/chips"
-	"repro/internal/fault"
 	"repro/internal/par"
 	"repro/internal/sem"
 )
@@ -81,66 +80,25 @@ func RunOnDieCtx(ctx context.Context, chip *chips.Chip, o Options) (*DieResult, 
 		"roi_nm", out.ROI, "overlap", out.ROIOverlap)
 
 	// Die-level ROI discovery and the blind crop are cheap and
-	// deterministic, so they run every time; only the full-cost
-	// acquisition and everything after it checkpoint, keyed under
-	// "<chip>/die" so die runs never collide with plain Runs.
+	// deterministic, so they run every time; only the full-cost imaging
+	// of the cropped volume and everything after it checkpoint, keyed
+	// under "<chip>/die" so die runs never collide with plain Runs.
 	if o.CkptUnit == "" {
 		o.CkptUnit = chip.ID + "/die"
 	}
-	ck, err := newCkptRef(o.CkptUnit, o)
-	if err != nil {
-		return nil, err
-	}
-	var na netexArtifact
-	if ck.load(CkptNetex, &na) {
-		out.Pipeline = finishResult(chip, die.Truth, na.Ext, na.Plan, na.Info, na.Injected,
-			na.SliceCount, na.CostHours, o)
-		ob.Info("die run done", "chip", chip.ID,
-			"topology", na.Ext.Topology.String(), "correct", out.Pipeline.Score.TopologyCorrect,
-			"roi_overlap", out.ROIOverlap)
-		return out, nil
-	}
-
-	// Full-cost acquisition of the ROI only.
 	cropped, err := vol.CropX(roi.X0, roi.X1)
 	if err != nil {
 		return nil, fmt.Errorf("core: crop: %w", err)
 	}
-	var acq *sem.Acquisition
-	var injected *fault.Report
-	var aa acquireArtifact
-	if ck.load(CkptAcquire, &aa) {
-		acq, injected = aa.Acq, aa.Injected
-	} else {
-		sp = ob.StartSpan(StageAcquire)
-		acq, err = sem.AcquireStackCtx(ctx, cropped, o.SEM)
-		sp.End()
-		if err != nil {
-			return nil, fmt.Errorf("core: acquire: %w", err)
-		}
-		ob.Info("acquired", "chip", chip.ID, "slices", len(acq.Slices), "cost_hours", acq.CostHours())
-		injected, err = injectFaults(acq, o)
-		if err != nil {
-			return nil, err
-		}
-		ck.save(CkptAcquire, acquireArtifact{Acq: acq, Injected: injected})
-	}
-	plan, info, err := reconstructCkpt(ctx, acq, cropped.BoundsNM, o, ck)
+	// Full-cost acquisition of the ROI only, streamed from the cropped
+	// volume's planes.
+	res, err := runPlanes(ctx, chip, die.Truth, cropped, cropped.BoundsNM, o)
 	if err != nil {
 		return nil, err
 	}
-	ext, err := extractPlan(plan, o)
-	if err != nil {
-		return nil, err
-	}
-	ck.save(CkptNetex, netexArtifact{
-		Ext: ext, Plan: plan, Info: info, Injected: injected,
-		SliceCount: len(acq.Slices), CostHours: acq.CostHours(),
-	})
-	out.Pipeline = finishResult(chip, die.Truth, ext, plan, info, injected,
-		len(acq.Slices), acq.CostHours(), o)
+	out.Pipeline = res
 	ob.Info("die run done", "chip", chip.ID,
-		"topology", ext.Topology.String(), "correct", out.Pipeline.Score.TopologyCorrect,
+		"topology", res.Extraction.Topology.String(), "correct", res.Score.TopologyCorrect,
 		"roi_overlap", out.ROIOverlap)
 	return out, nil
 }

@@ -11,19 +11,22 @@ import (
 	"repro/internal/sem"
 )
 
-// gateStream is the incremental form of qualityGate: slices are pushed
-// one at a time in stack order and emitted downstream — screened,
-// classified and repaired — as soon as their verdict can no longer
-// change, holding only a bounded window of raw slices instead of the
-// whole stack.
+// gateStream is the slice-quality gate that screens every acquisition
+// before denoising: per-slice outlier detection, fault classification
+// against the fault models, and repair by interpolation from the
+// nearest healthy neighbors. Slices are pushed one at a time in stack
+// order and emitted downstream — screened, classified and repaired — as
+// soon as their verdict can no longer change, holding only a bounded
+// window of raw slices instead of the whole stack. Healthy slices pass
+// through by pointer, so a clean stack leaves the gate bit-identical.
 //
-// The contract is byte-identity with the barrier gate, repair for
-// repair, counter for counter. The barrier detectors are already
-// local — each reads its slice, its neighbors within a fixed horizon,
-// or the unflagged subsequence walked in ascending order — so the
-// incremental gate runs the *same detector bodies* in the same order
-// per slice and differs only in when it is allowed to run them. Four
-// monotone frontiers stage the finality:
+// The contract is byte-identity with the whole-stack reference gate
+// (kept in reference_test.go), repair for repair, counter for
+// counter. The detectors are local — each reads its slice, its
+// neighbors within a fixed horizon, or the unflagged subsequence walked
+// in ascending order — so the incremental gate runs the *same detector
+// bodies* in the same order per slice and differs only in when it is
+// allowed to run them. Four monotone frontiers stage the finality:
 //
 //	walk   — detector 4's unflagged-subsequence walk, advanced while
 //	         its lookahead (next plus next-next healthy slice, or end
@@ -46,11 +49,11 @@ import (
 // slice is retained as the left repair neighbor, everything older is
 // dropped.
 //
-// One subtlety is hidden in flag bookkeeping: the barrier's detector 5
+// One subtlety is hidden in flag bookkeeping: the reference detector 5
 // scans for "nearest unflagged neighbor" *before* detector 6 has
 // flagged anything, while the incremental gate necessarily interleaves
 // the two. flag5 therefore tracks the detector 1-5 view of the stack
-// (what the barrier's detector 5 and MI passes see) separately from
+// (what the reference detector 5 and MI passes see) separately from
 // flagged, the combined view that detector 6, the repairs and the
 // report use.
 type gateStream struct {
@@ -62,7 +65,7 @@ type gateStream struct {
 
 	raw     []*img.Gray // windowed: nil once released
 	feats   []sliceFeatures
-	flag5   []fault.Kind // detector 1-5 flags (the barrier det-5/MI view)
+	flag5   []fault.Kind // detector 1-5 flags (the reference det-5/MI view)
 	flagged []fault.Kind // detector 1-6 flags (the repair/report view)
 	metric  []float64
 
@@ -89,28 +92,26 @@ type gatePairMI struct {
 }
 
 // newGateStream prepares the gate for an n-slice stack. dwellUS is the
-// acquisition dwell time the shot-noise floor derives from (the barrier
-// gate reads it from acq.Options; the streaming producer passes its own
-// SEM options).
+// acquisition dwell time the shot-noise floor derives from.
 func newGateStream(o Options, n int, dwellUS float64, emit func(int, *img.Gray) error) *gateStream {
 	if dwellUS <= 0 {
 		dwellUS = sem.DefaultOptions().DwellUS
 	}
 	s := &gateStream{
-		o:          o,
-		q:          o.Quality.withDefaults(),
-		n:          n,
-		noiseFloor: sem.NoiseSigma(dwellUS),
-		emit:       emit,
-		raw:        make([]*img.Gray, n),
-		feats:      make([]sliceFeatures, n),
-		flag5:      make([]fault.Kind, n),
-		flagged:    make([]fault.Kind, n),
-		metric:     make([]float64, n),
-		cleared:    make([]bool, n),
-		t:          1,
+		o:             o,
+		q:             o.Quality.withDefaults(),
+		n:             n,
+		noiseFloor:    sem.NoiseSigma(dwellUS),
+		emit:          emit,
+		raw:           make([]*img.Gray, n),
+		feats:         make([]sliceFeatures, n),
+		flag5:         make([]fault.Kind, n),
+		flagged:       make([]fault.Kind, n),
+		metric:        make([]float64, n),
+		cleared:       make([]bool, n),
+		t:             1,
 		lastUnflagged: -1,
-		rep:        RepairReport{Checked: n},
+		rep:           RepairReport{Checked: n},
 	}
 	if n >= 2 {
 		s.mis = make([]gatePairMI, n-1)
@@ -119,9 +120,8 @@ func newGateStream(o Options, n int, dwellUS float64, emit func(int, *img.Gray) 
 }
 
 // push feeds slice i (they must arrive in ascending order) and emits
-// every slice whose verdict became final. Stacks below the barrier
-// gate's minimum (n < 3) pass straight through, exactly as the barrier
-// returns them untouched and unvalidated.
+// every slice whose verdict became final. Stacks below the gate's
+// minimum (n < 3) pass straight through, untouched and unvalidated.
 func (s *gateStream) push(i int, g *img.Gray) error {
 	if s.n < 3 {
 		return s.emit(i, g)
@@ -133,14 +133,22 @@ func (s *gateStream) push(i int, g *img.Gray) error {
 	s.raw[i] = g
 	s.feats[i] = features(g, s.q.SatLevel)
 	// Detectors 1-3 are pure per-slice tests; running them at arrival
-	// in the barrier's detector order (first detector wins) reproduces
-	// its classification exactly.
+	// in detector order (first detector wins) reproduces the reference
+	// classification exactly.
+	//
+	// Detector 1: constant rows — detector dropout. Shot noise makes an
+	// exactly-constant row impossible on an acquired slice.
 	if f := s.feats[i]; f.constRows > 0 {
 		s.flag(i, fault.KindDetectorDropout, float64(f.constRows))
 	}
+	// Detector 2: saturated area — charging flare. Nominal material
+	// intensities stay far below the detector ceiling.
 	if f := s.feats[i]; f.satFrac >= s.q.SatFrac {
 		s.flag(i, fault.KindChargingFlare, f.satFrac)
 	}
+	// Detector 3: intensity variation below the shot-noise floor —
+	// dropped slice. Even a featureless oxide slice carries the full
+	// beam noise; a skipped frame does not.
 	if f := s.feats[i]; f.std < s.q.DropNoiseFactor*s.noiseFloor {
 		s.flag(i, fault.KindDroppedSlice, f.std)
 	}
@@ -156,8 +164,8 @@ func (s *gateStream) push(i int, g *img.Gray) error {
 }
 
 // finish drains the gate after the last push and validates that every
-// slice left. The repair counter mirrors the barrier's unconditional
-// Count (it creates the counter key even on a clean stack).
+// slice left. The repair counter is counted unconditionally, so the
+// counter key exists even on a clean stack.
 func (s *gateStream) finish() error {
 	if s.n < 3 {
 		return nil
@@ -173,7 +181,9 @@ func (s *gateStream) finish() error {
 }
 
 // flag records the first verdict for slice i in both flag views, with
-// the barrier's counter and debug line.
+// its counter and debug line. Classification is first-detector-wins and
+// sequential, so the per-kind detection counters are deterministic for
+// every worker count.
 func (s *gateStream) flag(i int, k fault.Kind, m float64) {
 	if s.flagged[i] != fault.KindNone {
 		return
@@ -184,8 +194,8 @@ func (s *gateStream) flag(i int, k fault.Kind, m float64) {
 }
 
 // flag6 records a detector-6 verdict: visible to repairs and the
-// report, invisible to the detector-5 view (flag5), which the barrier
-// froze before its detector 6 ran.
+// report, invisible to the detector-5 view (flag5), which the reference
+// freezes before its detector 6 runs.
 func (s *gateStream) flag6(i int, m float64) {
 	if s.flagged[i] != fault.KindNone {
 		return
@@ -216,8 +226,18 @@ func (s *gateStream) axisShift(ax func(sliceFeatures) []float64, a, b int) (floa
 	return float64(d), c
 }
 
-// displacement is the barrier gate's detector-4 estimator verbatim (see
-// qualityGate for the voting and veto rationale).
+// displacement estimates slice i's offset along one profile axis from
+// both adjacent pairs in the unflagged subsequence (p before i, sn and
+// then ss after it). A pair votes when its correlation clears
+// BurstMinCorr: the inbound shift p->i reads the displacement directly,
+// the outbound shift i->sn reads its negation (the stack returns to the
+// true position after a one-slice excursion). Two guards stop the blame
+// from landing on the healthy neighbor of an excursed slice, both
+// judged at the lower BurstVetoCorr bar: a near-zero estimate from the
+// opposite pair contradicts a large vote (the slice is demonstrably in
+// place), and an outbound-only vote is dismissed when the next slice's
+// own return pair explains the shared shift as *its* excursion — that
+// slice is flagged on its own turn instead.
 func (s *gateStream) displacement(ax func(sliceFeatures) []float64, p, i, sn, ss int) float64 {
 	vIn, cin := s.axisShift(ax, p, i)
 	dOut, cout := s.axisShift(ax, i, sn)
@@ -244,11 +264,27 @@ func (s *gateStream) displacement(ax func(sliceFeatures) []float64, p, i, sn, ss
 	return 0
 }
 
-// advanceWalk runs detector 4's subsequence walk as far as the arrived
-// suffix allows. A test at position t needs healthy[t+1] and — to know
-// whether healthy[t+2] exists and what it is — either that element or
-// the end of the stack; until then the walk waits, so every executed
-// test sees exactly the operands the barrier walk would.
+// advanceWalk runs detector 4 — profile-offset outlier, drift burst —
+// as far as the arrived suffix allows. Each slice i in the *unflagged*
+// subsequence (bridging across already-flagged slices, so a burst next
+// to another fault is still tested against genuine neighbors) is
+// compared locally: the profile shift from the previous healthy slice p
+// into i, minus the shift from p to the next healthy slice with i
+// skipped. A burst is a one-slice excursion, so the inbound shift is
+// large while the skip shift is near zero; a real persistent stage step
+// moves both equally and cancels. Both axes are estimated — rows for
+// the vertical component, normalized columns for the lateral one. A
+// nonzero estimate only counts as motion when the shifted profiles
+// match almost perfectly (a pure translation); structural transitions
+// along the stack prefer nonzero shifts too, but never that cleanly. A
+// flagged slice leaves the subsequence immediately, so the test after a
+// detected burst bridges over it instead of mistaking the burst's
+// confident return translation for the next slice's fault.
+//
+// A test at position t needs healthy[t+1] and — to know whether
+// healthy[t+2] exists and what it is — either that element or the end
+// of the stack; until then the walk waits, so every executed test sees
+// exactly the operands the whole-stack walk would.
 func (s *gateStream) advanceWalk() {
 	if s.walkDone {
 		return
@@ -318,8 +354,11 @@ func (s *gateStream) det5Ready(i int) bool {
 	return true
 }
 
-// det5At is the barrier's detector-5 body verbatim, against the
-// detector 1-5 flag view.
+// det5At is detector 5 — column-mean attenuation against the nearest
+// unflagged neighbor on each side, curtaining — against the detector
+// 1-5 flag view. The elementwise *minimum* of the neighbor profiles is
+// the reference, so a structure legitimately ending between two slices
+// (present on one side only) never counts as damage.
 func (s *gateStream) det5At(i int) {
 	ref := neighborColMin(s.feats, s.flag5, i)
 	if ref == nil {
@@ -346,8 +385,8 @@ func (s *gateStream) det5At(i int) {
 // advanceMI settles pair MIs in ascending order. Pair j's validity
 // depends on the detector 1-5 flags of j and j+1, final once d5 has
 // passed j+1. Running before advanceDet6 in pump keeps the raw-slice
-// reads ahead of detector 6 exactly as in the barrier (MI pass between
-// detectors 5 and 6).
+// reads ahead of detector 6 exactly as in the reference (MI pass
+// between detectors 5 and 6).
 func (s *gateStream) advanceMI() error {
 	for s.miPtr < s.n-1 && s.d5 >= s.miPtr+2 {
 		j := s.miPtr
@@ -379,7 +418,11 @@ func (s *gateStream) advanceDet6() {
 	}
 }
 
-// det6At is the barrier's detector-6 body verbatim.
+// det6At is detector 6, the MI catch-all for any anomaly that slipped
+// the models. The floor is relative to the *local* median pair MI —
+// valid pairs within MIWindow of the slice, excluding the slice's own
+// pairs — because the natural MI level varies hugely along the stack
+// (featureless regions share only noise).
 func (s *gateStream) det6At(i int) {
 	var local []float64
 	for j := i - 1 - s.q.MIWindow; j <= i+s.q.MIWindow; j++ {
@@ -414,10 +457,10 @@ func (s *gateStream) det6At(i int) {
 
 // advanceEmit releases detector-final slices downstream in ascending
 // order. Unflagged slices pass through by pointer; flagged slices are
-// repaired from the nearest unflagged neighbors exactly as the barrier
-// does — the left one is the last unflagged slice emitted (retained for
-// this purpose), the right one must lie inside the detector-final
-// prefix or be provably absent (d6 == n) before the repair can run.
+// repaired by interpolating from the nearest unflagged neighbors — the
+// left one is the last unflagged slice emitted (retained for this
+// purpose), the right one must lie inside the detector-final prefix or
+// be provably absent (d6 == n) before the repair can run.
 func (s *gateStream) advanceEmit() error {
 	for s.emitted < s.d6 {
 		i := s.emitted

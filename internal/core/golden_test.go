@@ -1,0 +1,196 @@
+package core
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"sort"
+	"testing"
+
+	"repro/internal/chipgen"
+	"repro/internal/chips"
+	"repro/internal/ckpt"
+	"repro/internal/fault"
+	"repro/internal/img"
+	"repro/internal/sem"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite golden files")
+
+// goldenPath holds the committed fingerprints of every chip, clean and
+// fault-injected, under serve's "fast" profile.
+var goldenPath = filepath.Join("testdata", "golden_fast.json")
+
+// goldenCase is one pinned pipeline outcome. Err pins a known failure
+// instead of a result; Views hashes the planar views PlanarViews
+// renders from the same acquisition.
+type goldenCase struct {
+	Chip        string `json:"chip"`
+	Faults      bool   `json:"faults"`
+	Err         string `json:"err,omitempty"`
+	Fingerprint string `json:"fingerprint,omitempty"`
+	Injected    string `json:"injected,omitempty"`
+	Score       string `json:"score,omitempty"`
+	Views       string `json:"views"`
+}
+
+// goldenOptions mirrors serve's "fast" profile: one SA unit, 8 nm
+// voxels, 0.4 px drift and 8 denoise iterations per slice.
+func goldenOptions(chip *chips.Chip, faulted bool) Options {
+	o := DefaultOptions()
+	o.Units = 1
+	o.VoxelNM = 8
+	o.SEM.DriftSigmaPx = 0.4
+	o.Denoise.Iterations = 8
+	o.SEM.Detector = chip.Detector
+	if faulted {
+		p := fault.DefaultPlan()
+		o.Faults = &p
+	}
+	return o
+}
+
+// TestGoldenFingerprints pins the end-to-end output of every chip, clean
+// and with the default fault plan, against fingerprints committed in
+// testdata: the canonical plan + reconstruction-report hash, the fault
+// injection report, the fidelity score, and a hash of the planar views.
+// Each case runs at one worker without a checkpoint store, at three with
+// a fresh store, and at one again resuming from that store.
+// Run with -update to rewrite the goldens from the current code.
+func TestGoldenFingerprints(t *testing.T) {
+	var got []goldenCase
+	for _, chip := range chips.All() {
+		for _, faulted := range []bool{false, true} {
+			views, err := goldenViews(chip, goldenOptions(chip, faulted))
+			if err != nil {
+				t.Fatalf("%s faults=%v: views: %v", chip.ID, faulted, err)
+			}
+			store, err := ckpt.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var gc goldenCase
+			for i, run := range []struct {
+				workers int
+				store   *ckpt.Store
+			}{{1, nil}, {3, store}, {1, store}} {
+				o := goldenOptions(chip, faulted)
+				o.Workers = run.workers
+				o.Ckpt = run.store
+				o.Resume = run.store != nil
+				rc := goldenCase{Chip: chip.ID, Faults: faulted, Views: views}
+				res, err := Run(chip, o)
+				if err != nil {
+					rc.Err = err.Error()
+				} else {
+					rc.Fingerprint = smokeFingerprint(res.Plan, ReconInfo{
+						ResidualDriftPx: res.ResidualDriftPx,
+						Repairs:         res.Repairs,
+						AlignFallbacks:  res.AlignFallbacks,
+					})
+					if res.Injected != nil {
+						rc.Injected = fmt.Sprintf("%+v", *res.Injected)
+					}
+					rc.Score = fmt.Sprintf("%+v", res.Score)
+				}
+				if i == 0 {
+					gc = rc
+				} else if rc != gc {
+					t.Errorf("%s faults=%v workers=%d ckpt=%v: %+v differs from workers=1 run %+v",
+						chip.ID, faulted, run.workers, run.store != nil, rc, gc)
+				}
+			}
+			got = append(got, gc)
+		}
+	}
+	enc, err := json.MarshalIndent(got, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc = append(enc, '\n')
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, enc, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	wantEnc, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create)", err)
+	}
+	if bytes.Equal(enc, wantEnc) {
+		return
+	}
+	var want []goldenCase
+	if err := json.Unmarshal(wantEnc, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(got) {
+		t.Fatalf("golden has %d cases, run produced %d", len(want), len(got))
+	}
+	for i := range want {
+		if want[i] != got[i] {
+			t.Errorf("%s faults=%v:\n got  %+v\n want %+v", want[i].Chip, want[i].Faults, got[i], want[i])
+		}
+	}
+}
+
+// goldenViews acquires the chip's region exactly as Run does, applies
+// the fault plan, and hashes the planar views PlanarViews renders.
+func goldenViews(chip *chips.Chip, o Options) (string, error) {
+	cfg := chipgen.DefaultConfig(chip)
+	cfg.Units = o.Units
+	region, err := chipgen.Generate(cfg)
+	if err != nil {
+		return "", err
+	}
+	vol, err := chipgen.Voxelize(region.Cell, region.Cell.Bounds(), o.VoxelNM)
+	if err != nil {
+		return "", err
+	}
+	acq, err := sem.AcquireStack(vol, o.SEM)
+	if err != nil {
+		return "", err
+	}
+	if o.Faults != nil {
+		if _, err := fault.Inject(acq, *o.Faults); err != nil {
+			return "", err
+		}
+	}
+	o.Workers = 3
+	views, err := PlanarViews(acq, o)
+	if err != nil {
+		return "", err
+	}
+	return viewsHash(views), nil
+}
+
+// viewsHash hashes a set of planar views canonically: names in sorted
+// order, then each view's dimensions and exact pixel bits.
+func viewsHash(views map[string]*img.Gray) string {
+	names := make([]string, 0, len(views))
+	for name := range views {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	h := sha256.New()
+	for _, name := range names {
+		v := views[name]
+		fmt.Fprintf(h, "%s %d %d\n", name, v.W, v.H)
+		buf := make([]byte, 0, 8*len(v.Pix))
+		for _, p := range v.Pix {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p))
+		}
+		h.Write(buf)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"os"
 	"sort"
 	"testing"
 
+	"repro/internal/ckpt"
 	"repro/internal/geom"
 	"repro/internal/img"
 	"repro/internal/layout"
@@ -17,21 +19,25 @@ import (
 // memory-smoke`), not a normal unit test: it runs only when the
 // HIFIDRAM_MEMORY_SMOKE environment variable selects a mode, so plain
 // `go test ./internal/core` skips it. The script runs the compiled test
-// binary twice on the same deterministic 384-slice stack —
+// binary three times on the same deterministic 384-slice stack —
 //
-//	mode "barrier": the materialize-everything reference path, in a
-//	process with no memory limit;
-//	mode "stream":  the pooled streaming path, in a process under a
-//	hard GOMEMLIMIT a barrier-sized heap would thrash against;
+//	mode "reference": the whole-stack reference implementation
+//	(reference_test.go), in a process with no memory limit;
+//	mode "stream":    the pooled streaming reconstruction, in a process
+//	under a hard GOMEMLIMIT a reference-sized heap would thrash against;
+//	mode "ckpt":      the same streaming reconstruction with a
+//	checkpoint store attached and Resume on — serve's wiring — under
+//	the same limit;
 //
 // — each writing a canonical result fingerprint to the file named by
-// HIFIDRAM_MEMORY_SMOKE_OUT. The script asserts both processes exit 0
+// HIFIDRAM_MEMORY_SMOKE_OUT. The script asserts every process exits 0
 // and the fingerprints match: the streaming pipeline completes inside
-// the limit and stays byte-identical to the reference.
+// the limit, checkpointed or not, and stays byte-identical to the
+// reference.
 func TestMemorySmoke(t *testing.T) {
 	mode := os.Getenv("HIFIDRAM_MEMORY_SMOKE")
 	if mode == "" {
-		t.Skip("set HIFIDRAM_MEMORY_SMOKE=barrier|stream (driven by scripts/memory_smoke.sh)")
+		t.Skip("set HIFIDRAM_MEMORY_SMOKE=reference|stream|ckpt (driven by scripts/memory_smoke.sh)")
 	}
 	out := os.Getenv("HIFIDRAM_MEMORY_SMOKE_OUT")
 	if out == "" {
@@ -41,23 +47,39 @@ func TestMemorySmoke(t *testing.T) {
 	acq := syntheticStack(depth, width)
 	window := geom.R(0, 0, width*8, depth*8)
 	o := deepOptions()
+	var plan *netex.Plan
+	var info ReconInfo
+	var err error
 	switch mode {
-	case "barrier":
-		o.Barrier = true
+	case "reference":
 		o.Workers = 1
-	case "stream":
+		plan, info, _, err = referenceReconstruct(context.Background(), acq, window, o)
+	case "stream", "ckpt":
 		o.Workers = 4
 		o.Pool = img.NewPool()
+		if mode == "ckpt" {
+			store, serr := ckpt.Open(t.TempDir())
+			if serr != nil {
+				t.Fatal(serr)
+			}
+			o.Ckpt, o.Resume, o.CkptUnit = store, true, "memory-smoke"
+		}
+		plan, info, err = Reconstruct(acq, window, o)
 	default:
-		t.Fatalf("HIFIDRAM_MEMORY_SMOKE = %q, want barrier or stream", mode)
+		t.Fatalf("HIFIDRAM_MEMORY_SMOKE = %q, want reference, stream or ckpt", mode)
 	}
-	plan, info, err := Reconstruct(acq, window, o)
 	if err != nil {
 		t.Fatalf("%s reconstruction: %v", mode, err)
 	}
 	if o.Pool != nil {
 		if live := o.Pool.Stats().Live; live != 0 {
 			t.Fatalf("%d pool buffers leaked", live)
+		}
+	}
+	if o.Ckpt != nil {
+		entries, serr := o.Ckpt.Scan()
+		if serr != nil || len(entries) != 1 || entries[0].Key.Stage != CkptPlan {
+			t.Fatalf("checkpointed run must persist exactly its plan: %v %+v", serr, entries)
 		}
 	}
 	fp := smokeFingerprint(plan, info)

@@ -49,7 +49,9 @@ type Options struct {
 	JitterPct  float64
 	JitterSeed int64
 	// Faults, when non-nil, deterministically corrupts the acquisition
-	// before reconstruction (fault.Inject); the ground-truth report is
+	// before reconstruction: the plan's schedule is drawn up front and
+	// applied to each slice as it streams past, byte-identical to
+	// fault.Inject on the whole stack. The ground-truth report is
 	// surfaced on Result.Injected so the quality gate can be scored.
 	Faults *fault.Plan
 	// Quality configures the slice-quality gate that screens and
@@ -72,9 +74,12 @@ type Options struct {
 	// or nil, for any worker count, the pipeline output is byte-
 	// identical, and the counter values themselves are deterministic.
 	Obs *obs.Observer
-	// Ckpt, when non-nil, persists stage-boundary artifacts (acquire,
-	// aligned, plan, netex, views) into the store so an interrupted run
-	// can resume. Keys derive from CkptUnit plus a fingerprint of the
+	// Ckpt, when non-nil, persists the small artifacts that follow
+	// reconstruction into the store so a finished computation is never
+	// repeated: Run and RunOnDie checkpoint the extraction ("netex"),
+	// standalone ReconstructCtx the plan ("plan") and PlanarViewsCtx the
+	// views ("views"). Acquisition is synthetic and deterministic, so an
+	// interrupted run costs at most one reconstruction. Keys derive from CkptUnit plus a fingerprint of the
 	// result-affecting options — worker counts and observability sinks
 	// are excluded, so any worker count shares the same checkpoints.
 	// Writes are atomic and checksummed; persistence failures degrade
@@ -94,22 +99,7 @@ type Options struct {
 	// empty, checkpointing is disabled for safety (an acquisition the
 	// options cannot reproduce must not share keys with one they can).
 	CkptUnit string
-	// Barrier forces the original materialize-everything reconstruction,
-	// in which every stage completes over the whole stack before the
-	// next starts. The default (false) streams slices through
-	// gate → denoise → align → view fold with bounded lookahead, holding
-	// a window of slices instead of four full stacks. The two paths are
-	// byte-identical by contract for every worker count (pinned by the
-	// stream identity tests), so Barrier exists as the reference
-	// implementation and for A/B benchmarking, not as a semantic switch.
-	Barrier bool
-	// StreamWindow caps the in-flight slice window of the streaming
-	// reconstruction (the capacity of its inter-stage rings). Values < 1
-	// mean 2*workers+2. Larger windows smooth worker imbalance at the
-	// cost of proportionally more live buffers; the output is identical
-	// for any value.
-	StreamWindow int
-	// Pool, when non-nil, recycles the streaming reconstruction's image
+	// Pool, when non-nil, recycles the reconstruction's image
 	// buffers (denoised and aligned slices) across slices — and, when
 	// shared, across runs — instead of allocating each fresh. Pooling
 	// changes allocation behavior only, never results; the pool's
@@ -175,6 +165,11 @@ type Result struct {
 	// (Extraction.AnnotatedCell(Plan, ...)) therefore needs no second
 	// reconstruction; the serve layer and extract -gds rely on this.
 	Plan *netex.Plan
+	// Views are the reconstructed planar views of every fabrication
+	// layer by name (the images of Fig. 7d) — exactly what PlanarViews
+	// renders from the same acquisition, before the median filter that
+	// precedes segmentation.
+	Views map[string]*img.Gray
 	// Stats are the per-element measurement statistics.
 	Stats map[chips.Element]measure.ElementStats
 	// Score is the fidelity against ground truth.
@@ -197,11 +192,10 @@ func Run(chip *chips.Chip, o Options) (*Result, error) {
 // Every stage checks the context between its units of work (slices,
 // candidate shifts, layers), so cancellation — a deadline, SIGINT — is
 // honored promptly and the error unwraps to ctx.Err(). With Options.Ckpt
-// set, completed stage boundaries persist to the store as the run goes,
-// and with Options.Resume a later invocation with equal options skips
-// every stage whose verified checkpoint exists, producing a Result
-// byte-identical (Telemetry aside, which reflects the work actually
-// performed) to an uninterrupted run.
+// set, the finished extraction persists to the store, and with
+// Options.Resume a later invocation with equal options skips every
+// imaging stage, producing a Result byte-identical (Telemetry aside,
+// which reflects the work actually performed) to an uninterrupted run.
 func RunCtx(ctx context.Context, chip *chips.Chip, o Options) (*Result, error) {
 	if chip == nil {
 		return nil, fmt.Errorf("core: nil chip")
@@ -226,67 +220,79 @@ func RunCtx(ctx context.Context, chip *chips.Chip, o Options) (*Result, error) {
 	}
 	// Use the chip's Table I detector.
 	o.SEM.Detector = chip.Detector
-
-	window := region.Cell.Bounds()
-	// Ground truth generation stays outside the checkpoint scheme: it is
-	// cheap, deterministic, and its Truth is needed for scoring either
-	// way. The fingerprint is taken after the detector is resolved so it
-	// covers every acquisition-affecting option.
 	if o.CkptUnit == "" {
 		o.CkptUnit = chip.ID
 	}
-	ck, err := newCkptRef(o.CkptUnit, o)
-	if err != nil {
-		sp.End()
-		return nil, err
-	}
-	if !o.Barrier && ck == nil && o.Faults == nil {
-		// Fully streaming run: rasterize ground-truth planes lazily and
-		// feed acquisition, gate, denoise, alignment and the view fold
-		// slice by slice — neither the material volume nor any slice
-		// stack is ever materialized. Checkpointing needs stage
-		// artifacts and fault injection needs the whole stack, so those
-		// runs take the materialized path below.
-		planes, err := chipgen.NewPlaneSource(region.Cell, window, o.VoxelNM)
-		sp.End()
-		if err != nil {
-			return nil, fmt.Errorf("core: voxelize: %w", err)
-		}
-		return runStream(ctx, chip, region.Truth, planes, window, o)
-	}
-	vol, err := chipgen.Voxelize(region.Cell, window, o.VoxelNM)
+	// Ground-truth planes rasterize lazily, one slicing plane at a time,
+	// so the material volume is never materialized.
+	window := region.Cell.Bounds()
+	planes, err := chipgen.NewPlaneSource(region.Cell, window, o.VoxelNM)
 	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: voxelize: %w", err)
 	}
-	// Fast path: a run killed after the extraction boundary resumes
-	// without touching a single imaging stage.
+	return runPlanes(ctx, chip, region.Truth, planes, window, o)
+}
+
+// runPlanes is the pipeline from the material planes on, shared by Run
+// and RunOnDie: acquisition renders slice by slice inside the stream's
+// feeder (under the acquire stage span), the fault schedule corrupts
+// each slice as it passes, and reconstructStream folds the slices into
+// planar views — so the window, not the stack depth, bounds the live
+// set. Slice count and cost derive up front from the plane dimensions;
+// they match a materialized acquisition's exactly. With a checkpoint
+// store the extraction is the one boundary: a verified netex artifact
+// skips every imaging stage.
+func runPlanes(ctx context.Context, chip *chips.Chip, truth chipgen.GroundTruth,
+	planes sem.MaterialPlanes, window geom.Rect, o Options) (*Result, error) {
+	ck, err := newCkptRef(o.CkptUnit, o)
+	if err != nil {
+		return nil, err
+	}
 	var na netexArtifact
 	if ck.load(CkptNetex, &na) {
-		return finishResult(chip, region.Truth, na.Ext, na.Plan, na.Info, na.Injected,
-			na.SliceCount, na.CostHours, o), nil
+		return finishResult(chip, truth, na, o), nil
 	}
-	var acq *sem.Acquisition
-	var injected *fault.Report
-	var aa acquireArtifact
-	if ck.load(CkptAcquire, &aa) {
-		acq, injected = aa.Acq, aa.Injected
-	} else {
-		sp = ob.StartSpan(StageAcquire)
-		acq, err = sem.AcquireStackCtx(ctx, vol, o.SEM)
+	ob := o.Obs
+	nx, ny, nz := planes.Dims()
+	n := sem.SliceCount(nz, o.SEM.SliceStep)
+	cost := sem.CostHoursFor(nx, ny, n, o.SEM.DwellUS)
+	var faults *fault.Schedule
+	if o.Faults != nil {
+		sp := ob.StartSpan(StageInject)
+		faults, err = fault.NewSchedule(*o.Faults, n, nx, ny, ob)
 		sp.End()
 		if err != nil {
-			return nil, fmt.Errorf("core: acquire: %w", err)
+			return nil, fmt.Errorf("core: inject: %w", err)
 		}
-		ob.Info("acquired", "chip", chip.ID, "slices", len(acq.Slices), "cost_hours", acq.CostHours())
-		injected, err = injectFaults(acq, o)
-		if err != nil {
-			return nil, err
-		}
-		ck.save(CkptAcquire, acquireArtifact{Acq: acq, Injected: injected})
 	}
-
-	plan, info, err := reconstructCkpt(ctx, acq, window, o, ck)
+	src := func(ctx context.Context, emit func(int, *img.Gray) error) error {
+		sp := ob.StartSpan(StageAcquire)
+		defer sp.End()
+		var emitErr error
+		err := sem.StreamStackCtx(ctx, planes, o.SEM, func(i, _ int, g *img.Gray, _ [2]float64) error {
+			g, err := faults.Apply(i, g)
+			if err != nil {
+				err = fmt.Errorf("core: inject: %w", err)
+			} else {
+				err = emit(i, g)
+			}
+			emitErr = err
+			return err
+		})
+		if err != nil {
+			if err == emitErr {
+				// Downstream failures (gate, cancellation) pass through
+				// with their own context; only acquisition's own errors
+				// carry the acquire wrap.
+				return err
+			}
+			return fmt.Errorf("core: acquire: %w", err)
+		}
+		ob.Info("acquired", "chip", chip.ID, "slices", n, "cost_hours", cost)
+		return nil
+	}
+	plan, info, views, err := reconstructStream(ctx, n, src, o.SEM.DwellUS, window, o)
 	if err != nil {
 		return nil, err
 	}
@@ -294,31 +300,32 @@ func RunCtx(ctx context.Context, chip *chips.Chip, o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ck.save(CkptNetex, netexArtifact{
-		Ext: ext, Plan: plan, Info: info, Injected: injected,
-		SliceCount: len(acq.Slices), CostHours: acq.CostHours(),
-	})
-	return finishResult(chip, region.Truth, ext, plan, info, injected,
-		len(acq.Slices), acq.CostHours(), o), nil
+	na = netexArtifact{
+		Ext: ext, Plan: plan, Info: info, Injected: faults.Report(),
+		SliceCount: n, CostHours: cost, Views: views,
+	}
+	ck.save(CkptNetex, na)
+	return finishResult(chip, truth, na, o), nil
 }
 
 // finishResult runs the always-recomputed tail of the pipeline —
 // measurement and fidelity scoring, both cheap and deterministic — and
-// assembles the Result. Shared by the fresh and fully-resumed paths so
-// both produce identical structures.
-func finishResult(chip *chips.Chip, truth chipgen.GroundTruth, ext *netex.Result, plan *netex.Plan,
-	info ReconInfo, injected *fault.Report, sliceCount int, costHours float64, o Options) *Result {
+// assembles the Result. Shared by the fresh and resumed paths so both
+// produce identical structures.
+func finishResult(chip *chips.Chip, truth chipgen.GroundTruth, na netexArtifact, o Options) *Result {
 	ob := o.Obs
 	res := &Result{
 		Chip: chip, Truth: truth,
-		SliceCount: sliceCount, CostHours: costHours,
-		ResidualDriftPx: info.ResidualDriftPx,
-		Repairs:         info.Repairs,
-		AlignFallbacks:  info.AlignFallbacks,
-		Injected:        injected,
-		Extraction:      ext,
-		Plan:            plan,
+		SliceCount: na.SliceCount, CostHours: na.CostHours,
+		ResidualDriftPx: na.Info.ResidualDriftPx,
+		Repairs:         na.Info.Repairs,
+		AlignFallbacks:  na.Info.AlignFallbacks,
+		Injected:        na.Injected,
+		Extraction:      na.Ext,
+		Plan:            na.Plan,
+		Views:           na.Views,
 	}
+	ext := na.Ext
 	sp := ob.StartSpan(StageMeasure)
 	res.Stats = measure.FromTransistors(ext.Transistors)
 	sp.End()
@@ -330,21 +337,6 @@ func finishResult(chip *chips.Chip, truth chipgen.GroundTruth, ext *netex.Result
 		"topology", ext.Topology.String(), "correct", res.Score.TopologyCorrect,
 		"repairs", len(res.Repairs.Repairs), "align_fallbacks", res.AlignFallbacks)
 	return res
-}
-
-// injectFaults runs the optional fault injection under its own stage
-// span; a nil Options.Faults is a no-op.
-func injectFaults(acq *sem.Acquisition, o Options) (*fault.Report, error) {
-	if o.Faults == nil {
-		return nil, nil
-	}
-	sp := o.Obs.StartSpan(StageInject)
-	defer sp.End()
-	injected, err := fault.InjectObserved(acq, *o.Faults, o.Obs)
-	if err != nil {
-		return nil, fmt.Errorf("core: inject: %w", err)
-	}
-	return injected, nil
 }
 
 // extractPlan runs the circuit extraction under its own stage span.
@@ -374,107 +366,32 @@ type ReconInfo struct {
 // Reconstruct performs the post-processing of Section IV-C plus planar
 // segmentation of Section V-A on an acquisition: screen and repair the
 // raw stack (slice-quality gate), denoise every slice, align the stack,
-// assemble the volume, extract per-layer planar views and segment them
-// into the rectangle plan the circuit extraction consumes.
+// extract per-layer planar views and segment them into the rectangle
+// plan the circuit extraction consumes. It does not apply
+// Options.Faults: the acquisition is taken as given.
 func Reconstruct(acq *sem.Acquisition, window geom.Rect, o Options) (*netex.Plan, ReconInfo, error) {
 	return ReconstructCtx(context.Background(), acq, window, o)
 }
 
 // ReconstructCtx is Reconstruct with cooperative cancellation and, when
 // Options.Ckpt and Options.CkptUnit are both set, checkpointing of the
-// aligned-stack and segmentation boundaries (see Options.CkptUnit for
-// the keying contract standalone callers must uphold).
+// plan (see Options.CkptUnit for the keying contract standalone callers
+// must uphold).
 func ReconstructCtx(ctx context.Context, acq *sem.Acquisition, window geom.Rect, o Options) (*netex.Plan, ReconInfo, error) {
 	ck, err := newCkptRef(o.CkptUnit, o)
 	if err != nil {
 		return nil, ReconInfo{}, err
 	}
-	return reconstructCkpt(ctx, acq, window, o, ck)
-}
-
-// reconstructCkpt is the checkpoint-aware reconstruction core: it tries
-// the segmentation boundary first (skipping all preprocessing), then the
-// aligned-stack boundary (skipping the quality gate, denoising and
-// alignment), and recomputes from the acquisition only when neither
-// verifies.
-func reconstructCkpt(ctx context.Context, acq *sem.Acquisition, window geom.Rect, o Options, ck *ckptRef) (*netex.Plan, ReconInfo, error) {
-	if !o.Barrier && ck == nil {
-		// No checkpoint boundaries to materialize: reconstruct in a
-		// single bounded-memory streaming pass.
-		return reconstructStream(ctx, len(acq.Slices), streamAcqSource(acq), acq.Options.DwellUS, window, o)
-	}
 	var pa planArtifact
 	if ck.load(CkptPlan, &pa) {
 		return pa.Plan, pa.Info, nil
 	}
-	var info ReconInfo
-	var slices []*img.Gray
-	var la alignedArtifact
-	if ck.load(CkptAligned, &la) {
-		slices = la.Slices
-		info = ReconInfo{
-			ResidualDriftPx: la.ResidualDriftPx,
-			Repairs:         la.Repairs,
-			AlignFallbacks:  la.AlignFallbacks,
-		}
-	} else {
-		var pre preOut
-		var err error
-		if o.Barrier {
-			pre, err = preprocessCtx(ctx, acq, o)
-		} else {
-			// Checkpointed runs must materialize the aligned stack for
-			// the artifact either way; stream the gate + denoise
-			// prologue and keep the barrier alignment.
-			pre, err = streamPreprocess(ctx, acq, o)
-		}
-		if err != nil {
-			return nil, ReconInfo{}, err
-		}
-		info = ReconInfo{Repairs: pre.repairs, AlignFallbacks: pre.alignFallbacks}
-		if pre.didAlign {
-			sp := o.Obs.StartSpan("align/residual")
-			info.ResidualDriftPx, err = register.ResidualDriftCtx(ctx, pre.slices, regOptions(o))
-			sp.End()
-			if err != nil {
-				return nil, ReconInfo{}, fmt.Errorf("core: residual: %w", err)
-			}
-		}
-		slices = pre.slices
-		ck.save(CkptAligned, alignedArtifact{
-			Slices: slices, DidAlign: pre.didAlign, Repairs: pre.repairs,
-			AlignFallbacks: pre.alignFallbacks, ResidualDriftPx: info.ResidualDriftPx,
-		})
-	}
-	sp := o.Obs.StartSpan(StageAssemble)
-	vol, err := volume.FromStack(slices)
-	sp.End()
-	if err != nil {
-		return nil, ReconInfo{}, fmt.Errorf("core: stack: %w", err)
-	}
-	plan, err := PlanFromVolumeCtx(ctx, vol, window, o)
+	plan, info, _, err := reconstructStream(ctx, len(acq.Slices), streamAcqSource(acq), acq.Options.DwellUS, window, o)
 	if err != nil {
 		return nil, ReconInfo{}, err
 	}
 	ck.save(CkptPlan, planArtifact{Plan: plan, Info: info})
 	return plan, info, nil
-}
-
-// denoiseSlice applies the configured denoiser to one slice. The caller
-// has already rejected unknown denoiser names.
-func denoiseSlice(ctx context.Context, s *img.Gray, o Options) (*img.Gray, error) {
-	den := o.Denoise
-	if den.Obs == nil {
-		den.Obs = o.Obs
-	}
-	switch o.Denoiser {
-	case "split-bregman":
-		return denoise.SplitBregmanCtx(ctx, s, den)
-	case "none", "":
-		return s.Clone(), nil
-	default: // "chambolle"
-		return denoise.ChambolleCtx(ctx, s, den)
-	}
 }
 
 // regOptions propagates the pipeline worker budget and observability
@@ -491,76 +408,6 @@ func regOptions(o Options) register.Options {
 	return reg
 }
 
-// preOut is preprocess's bundle: the processed stack plus everything the
-// robustness machinery observed along the way.
-type preOut struct {
-	slices         []*img.Gray
-	didAlign       bool
-	repairs        RepairReport
-	alignFallbacks int
-}
-
-// preprocessCtx is the screen + denoise + align prologue shared by
-// Reconstruct and PlanarViews: the slice-quality gate screens and
-// repairs the raw stack, then per-slice TV denoising and flat-fielding
-// fan out over Options.Workers, then sequential MI stack alignment
-// (guarded exactly like the rest of the pipeline: only when a search
-// window is configured and there is more than one slice). ctx is
-// checked between slices in the fan-out and between pairs in the
-// alignment.
-func preprocessCtx(ctx context.Context, acq *sem.Acquisition, o Options) (preOut, error) {
-	var out preOut
-	switch o.Denoiser {
-	case "chambolle", "split-bregman", "none", "":
-	default:
-		return out, fmt.Errorf("core: unknown denoiser %q", o.Denoiser)
-	}
-	ob := o.Obs
-	raw := acq.Slices
-	if !o.Quality.Disabled {
-		sp := ob.StartSpan(StageQualityGate)
-		rep, repaired, err := qualityGate(acq, o)
-		sp.End()
-		if err != nil {
-			return out, fmt.Errorf("core: quality gate: %w", err)
-		}
-		out.repairs = rep
-		raw = repaired
-		if n := len(rep.Repairs); n > 0 {
-			ob.Info("quality gate", "checked", rep.Checked, "repaired", n)
-		}
-	}
-	slices := make([]*img.Gray, len(raw))
-	err := ob.ForEachCtx(ctx, StageDenoise, o.Workers, len(raw), func(ctx context.Context, i int) error {
-		g, err := denoiseSlice(ctx, raw[i], o)
-		if err != nil {
-			return fmt.Errorf("core: denoise slice %d: %w", i, err)
-		}
-		flatField(g)
-		slices[i] = g
-		return nil
-	})
-	if err != nil {
-		return out, err
-	}
-	if o.Register.MaxShift > 0 && len(slices) > 1 {
-		sp := ob.StartSpan(StageAlign)
-		aligned, sres, err := register.AlignStackCtx(ctx, slices, regOptions(o))
-		sp.End()
-		if err != nil {
-			return out, fmt.Errorf("core: align: %w", err)
-		}
-		out.slices, out.didAlign = aligned, true
-		out.alignFallbacks = sres.Fallbacks()
-		if out.alignFallbacks > 0 {
-			ob.Info("alignment degraded", "fallbacks", out.alignFallbacks)
-		}
-		return out, nil
-	}
-	out.slices = slices
-	return out, nil
-}
-
 // PlanarViews denoises and aligns an acquisition, then returns the
 // reconstructed planar view image of every fabrication layer by name —
 // the images of Fig. 7d. It honours the same Options.Denoiser selection
@@ -571,9 +418,7 @@ func PlanarViews(acq *sem.Acquisition, o Options) (map[string]*img.Gray, error) 
 
 // PlanarViewsCtx is PlanarViews with cooperative cancellation and, when
 // Options.Ckpt and Options.CkptUnit are both set, checkpointing of the
-// finished view set under the "views" stage (the aligned-stack
-// checkpoint written by a prior Run of the same unit is also honoured,
-// skipping preprocessing entirely).
+// finished view set under the "views" stage.
 func PlanarViewsCtx(ctx context.Context, acq *sem.Acquisition, o Options) (map[string]*img.Gray, error) {
 	ck, err := newCkptRef(o.CkptUnit, o)
 	if err != nil {
@@ -583,41 +428,13 @@ func PlanarViewsCtx(ctx context.Context, acq *sem.Acquisition, o Options) (map[s
 	if ck.load(CkptViews, &va) {
 		return va.Views, nil
 	}
-	var slices []*img.Gray
-	var la alignedArtifact
-	if ck.load(CkptAligned, &la) {
-		slices = la.Slices
-	} else {
-		pre, err := preprocessCtx(ctx, acq, o)
-		if err != nil {
-			return nil, err
-		}
-		slices = pre.slices
-	}
-	vol, err := volume.FromStack(slices)
+	f, _, err := foldStream(ctx, len(acq.Slices), streamAcqSource(acq), acq.Options.DwellUS, o)
 	if err != nil {
 		return nil, err
 	}
-	layers := bandedLayers()
-	views := make([]*img.Gray, len(layers))
-	err = o.Obs.ForEachCtx(ctx, StageReslice, o.Workers, len(layers), func(_ context.Context, i int) error {
-		band, _ := chipgen.Band(layers[i])
-		view, err := vol.PlanarAverage(band.Y0+1, band.Y1-1)
-		if err != nil {
-			return err
-		}
-		views[i] = view
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]*img.Gray, len(layers))
-	for i, layer := range layers {
-		out[layer.String()] = views[i]
-	}
-	ck.save(CkptViews, viewsArtifact{Views: out})
-	return out, nil
+	views := f.viewMap()
+	ck.save(CkptViews, viewsArtifact{Views: views})
+	return views, nil
 }
 
 // bandedLayers returns the fabrication layers that have a depth band in
@@ -664,11 +481,10 @@ func flatField(g *img.Gray) {
 
 // PlanFromVolume reslices the reconstructed volume into one planar view
 // per fabrication layer, segments each view, and converts the recovered
-// rectangles to nanometer coordinates. sliceStep relates volume Z rows to
-// voxel Z positions. The two phases (reslice, then segment) each fan out
-// over the layers under their own stage span; phase order and the
-// per-layer index addressing keep the plan byte-identical to a
-// sequential build for any worker count.
+// rectangles to nanometer coordinates. The two phases (reslice, then
+// segment) each fan out over the layers under their own stage span;
+// phase order and the per-layer index addressing keep the plan
+// byte-identical to a sequential build for any worker count.
 func PlanFromVolume(vol *volume.Volume, window geom.Rect, o Options) (*netex.Plan, error) {
 	return PlanFromVolumeCtx(context.Background(), vol, window, o)
 }
@@ -677,13 +493,30 @@ func PlanFromVolume(vol *volume.Volume, window geom.Rect, o Options) (*netex.Pla
 // between layers in both fan-outs.
 func PlanFromVolumeCtx(ctx context.Context, vol *volume.Volume, window geom.Rect, o Options) (*netex.Plan, error) {
 	layers := bandedLayers()
+	return planFromViews(ctx, layers, func(i int) (*img.Gray, error) {
+		y0, y1 := bandInterior(layers[i])
+		view, err := vol.PlanarAverage(y0, y1)
+		if err != nil {
+			return nil, fmt.Errorf("core: planar view of %s: %w", layers[i], err)
+		}
+		return view, nil
+	}, window, o)
+}
+
+// planFromViews is the tail every reconstruction shares: each layer's
+// raw planar view (raw(i) yields layer i's) is median-filtered — the
+// cross-section denoising ran per slice, so the planar view still needs
+// an edge-preserving median before thresholding — then segmented, and
+// the rectangles are assembled into the plan in layout order.
+func planFromViews(ctx context.Context, layers []layout.Layer, raw func(i int) (*img.Gray, error),
+	window geom.Rect, o Options) (*netex.Plan, error) {
 	views := make([]*img.Gray, len(layers))
 	err := o.Obs.ForEachCtx(ctx, StageReslice, o.Workers, len(layers), func(_ context.Context, i int) error {
-		view, err := resliceLayer(vol, layers[i])
+		view, err := raw(i)
 		if err != nil {
 			return err
 		}
-		views[i] = view
+		views[i] = img.MedianFilter(view, 1)
 		return nil
 	})
 	if err != nil {
@@ -709,23 +542,17 @@ func PlanFromVolumeCtx(ctx context.Context, vol *volume.Volume, window geom.Rect
 	return plan, nil
 }
 
-// resliceLayer averages one fabrication layer's depth band into a planar
-// view and removes its residual per-pixel noise: the cross-section
-// denoising ran per slice, so the planar view still needs an
-// edge-preserving median before thresholding.
-func resliceLayer(vol *volume.Volume, layer layout.Layer) (*img.Gray, error) {
+// bandInterior returns the depth rows a layer's planar view averages:
+// the band interior, because residual slice misalignment only bleeds
+// into the band's edge rows. Every depth band is at least three rows
+// deep, so the interior is never empty.
+func bandInterior(layer layout.Layer) (y0, y1 int) {
 	band, _ := chipgen.Band(layer)
-	// Average over the band interior: residual slice misalignment
-	// only bleeds into the band's edge rows.
-	y0, y1 := band.Y0, band.Y1
+	y0, y1 = band.Y0, band.Y1
 	if y1-y0 > 2 {
 		y0, y1 = y0+1, y1-1
 	}
-	raw, err := vol.PlanarAverage(y0, y1)
-	if err != nil {
-		return nil, fmt.Errorf("core: planar view of %s: %w", layer, err)
-	}
-	return img.MedianFilter(raw, 1), nil
+	return y0, y1
 }
 
 // segmentLayer thresholds one resliced planar view and returns the

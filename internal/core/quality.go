@@ -1,14 +1,10 @@
 package core
 
 import (
-	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/fault"
 	"repro/internal/img"
-	"repro/internal/par"
-	"repro/internal/register"
 	"repro/internal/sem"
 )
 
@@ -159,292 +155,6 @@ type sliceFeatures struct {
 	// intensity: the per-slice charging offset cancels, so profile
 	// ratios between neighbors reflect genuine column damage.
 	colNorm []float64
-}
-
-// qualityGate screens the raw slice stack, classifies outliers against
-// the fault models and repairs them by interpolating from the nearest
-// healthy neighbors. Healthy slices pass through by pointer, so a clean
-// stack is returned bit-identical. The gate is deterministic for every
-// worker count: features are computed into index-addressed tables and
-// classification is sequential.
-func qualityGate(acq *sem.Acquisition, o Options) (RepairReport, []*img.Gray, error) {
-	slices := acq.Slices
-	n := len(slices)
-	rep := RepairReport{Checked: n}
-	if n < 3 {
-		return rep, slices, nil
-	}
-	q := o.Quality.withDefaults()
-	dwell := acq.Options.DwellUS
-	if dwell <= 0 {
-		dwell = sem.DefaultOptions().DwellUS
-	}
-	noiseFloor := sem.NoiseSigma(dwell)
-
-	feats := make([]sliceFeatures, n)
-	err := par.ForEach(o.Workers, n, func(i int) error {
-		if err := slices[i].Validate(); err != nil {
-			return fmt.Errorf("core: quality gate slice %d: %w", i, err)
-		}
-		feats[i] = features(slices[i], q.SatLevel)
-		return nil
-	})
-	if err != nil {
-		return rep, nil, err
-	}
-
-	flagged := make([]fault.Kind, n)
-	metric := make([]float64, n)
-	// Classification is sequential and first-detector-wins, so the
-	// per-kind detection counters are deterministic for every worker
-	// count (only the feature/MI tables above fan out).
-	flag := func(i int, k fault.Kind, m float64) {
-		if flagged[i] == fault.KindNone {
-			flagged[i], metric[i] = k, m
-			o.Obs.Count("quality.detect."+k.String(), 1)
-			o.Obs.Debug("quality gate flagged", "slice", i, "kind", k.String(), "metric", m)
-		}
-	}
-
-	// Detector 1: constant rows — detector dropout. Shot noise makes an
-	// exactly-constant row impossible on an acquired slice.
-	for i, f := range feats {
-		if f.constRows > 0 {
-			flag(i, fault.KindDetectorDropout, float64(f.constRows))
-		}
-	}
-	// Detector 2: saturated area — charging flare. Nominal material
-	// intensities stay far below the detector ceiling.
-	for i, f := range feats {
-		if f.satFrac >= q.SatFrac {
-			flag(i, fault.KindChargingFlare, f.satFrac)
-		}
-	}
-	// Detector 3: intensity variation below the shot-noise floor —
-	// dropped slice. Even a featureless oxide slice carries the full
-	// beam noise; a skipped frame does not.
-	for i, f := range feats {
-		if f.std < q.DropNoiseFactor*noiseFloor {
-			flag(i, fault.KindDroppedSlice, f.std)
-		}
-	}
-	// Detector 4: profile-offset outlier — drift burst. Each slice i in
-	// the *unflagged* subsequence (bridging across already-flagged
-	// slices, so a burst next to another fault is still tested against
-	// genuine neighbors) is compared locally: the profile shift from the
-	// previous healthy slice p into i, minus the shift from p to the
-	// next healthy slice s with i skipped. A burst is a one-slice
-	// excursion, so the inbound shift is large while the skip shift is
-	// near zero; a real persistent stage step moves both equally and
-	// cancels. Both axes are estimated — rows for the vertical
-	// component, normalized columns for the lateral one. A nonzero
-	// estimate only counts as motion when the shifted profiles match
-	// almost perfectly (a pure translation); structural transitions
-	// along the stack prefer nonzero shifts too, but never that cleanly.
-	var healthy []int
-	for i, k := range flagged {
-		if k == fault.KindNone {
-			healthy = append(healthy, i)
-		}
-	}
-	// displacement estimates slice i's offset along one profile axis
-	// from both adjacent pairs in the subsequence. A pair votes when
-	// its correlation clears BurstMinCorr: the inbound shift p->i reads
-	// the displacement directly, the outbound shift i->s reads its
-	// negation (the stack returns to the true position after a
-	// one-slice excursion). Two guards stop the blame from landing on
-	// the healthy neighbor of an excursed slice, both judged at the
-	// lower BurstVetoCorr bar: a near-zero estimate from the opposite
-	// pair contradicts a large vote (the slice is demonstrably in
-	// place), and an outbound-only vote is dismissed when the next
-	// slice's own return pair explains the shared shift as *its*
-	// excursion — that slice is flagged on its own turn instead.
-	axisShift := func(ax func(sliceFeatures) []float64, a, b int) (float64, float64) {
-		d, c := profileShift(ax(feats[a]), ax(feats[b]), q.BurstProbePx)
-		return float64(d), c
-	}
-	displacement := func(ax func(sliceFeatures) []float64, p, i, s, ss int) float64 {
-		vIn, cin := axisShift(ax, p, i)
-		dOut, cout := axisShift(ax, i, s)
-		vOut := -dOut
-		agree := math.Abs(vIn-vOut) <= 1
-		switch {
-		case cin >= q.BurstMinCorr:
-			if cout >= q.BurstVetoCorr && math.Abs(vOut) <= 1 && !agree {
-				return 0
-			}
-			return vIn
-		case cout >= q.BurstMinCorr:
-			if cin >= q.BurstVetoCorr && math.Abs(vIn) <= 1 && !agree {
-				return 0
-			}
-			if ss >= 0 && math.Abs(dOut) > 1 {
-				dRet, cRet := axisShift(ax, s, ss)
-				if cRet >= q.BurstVetoCorr && math.Abs(-dRet-dOut) <= 1 {
-					return 0
-				}
-			}
-			return vOut
-		}
-		return 0
-	}
-	rowsOf := func(f sliceFeatures) []float64 { return f.rowMean }
-	colsOf := func(f sliceFeatures) []float64 { return f.colNorm }
-	// A flagged slice leaves the subsequence immediately, so the test
-	// after a detected burst bridges over it instead of mistaking the
-	// burst's confident return translation for the next slice's fault.
-	for t := 1; t+1 < len(healthy); {
-		p, i, s := healthy[t-1], healthy[t], healthy[t+1]
-		ss := -1
-		if t+2 < len(healthy) {
-			ss = healthy[t+2]
-		}
-		resY := math.Abs(displacement(rowsOf, p, i, s, ss))
-		resX := math.Abs(displacement(colsOf, p, i, s, ss))
-		if resY >= q.BurstDY || resX >= q.BurstDX {
-			flag(i, fault.KindDriftBurst, math.Max(resY, resX))
-			healthy = append(healthy[:t], healthy[t+1:]...)
-			continue
-		}
-		t++
-	}
-	// Detector 5: column-mean attenuation against the nearest unflagged
-	// neighbor on each side — curtaining. The elementwise *minimum* of
-	// the neighbor profiles is the reference, so a structure legitimately
-	// ending between two slices (present on one side only) never counts
-	// as damage.
-	for i := 0; i < n; i++ {
-		if flagged[i] != fault.KindNone {
-			continue
-		}
-		ref := neighborColMin(feats, flagged, i)
-		if ref == nil {
-			continue
-		}
-		damaged, cols := 0, 0
-		for x := range ref {
-			if ref[x] < q.CurtainMinCol {
-				continue
-			}
-			cols++
-			if feats[i].colNorm[x] < q.CurtainResid*ref[x] {
-				damaged++
-			}
-		}
-		if cols == 0 {
-			continue
-		}
-		if frac := float64(damaged) / float64(cols); frac >= q.CurtainColFrac {
-			flag(i, fault.KindCurtaining, frac)
-		}
-	}
-	// Detector 6: MI catch-all — any anomaly that slipped the models.
-	// The floor is relative to the *local* median pair MI, because the
-	// natural MI level varies hugely along the stack (featureless
-	// regions share only noise).
-	type pairMI struct {
-		mi    float64
-		valid bool
-	}
-	mis := make([]pairMI, n-1)
-	err = par.ForEach(o.Workers, n-1, func(i int) error {
-		if flagged[i] != fault.KindNone || flagged[i+1] != fault.KindNone {
-			return nil
-		}
-		mi, err := register.MutualInformation(slices[i], slices[i+1], q.MIBins)
-		if err != nil {
-			return fmt.Errorf("core: quality gate pair %d: %w", i, err)
-		}
-		mis[i] = pairMI{mi: mi, valid: true}
-		o.Obs.Count("quality.mi_evals", 1)
-		return nil
-	})
-	if err != nil {
-		return rep, nil, err
-	}
-	for i := 0; i < n; i++ {
-		if flagged[i] != fault.KindNone {
-			continue
-		}
-		// Local healthy MI scale: valid pairs within MIWindow of the
-		// slice, excluding the slice's own pairs.
-		var local []float64
-		for j := i - 1 - q.MIWindow; j <= i+q.MIWindow; j++ {
-			if j < 0 || j >= n-1 || j == i-1 || j == i || !mis[j].valid {
-				continue
-			}
-			local = append(local, mis[j].mi)
-		}
-		if len(local) < 4 {
-			continue
-		}
-		sort.Float64s(local)
-		floor := q.MIFloor * local[len(local)/2]
-		low, pairs := true, 0
-		worst := math.Inf(1)
-		for _, j := range []int{i - 1, i} {
-			if j < 0 || j >= n-1 || !mis[j].valid {
-				continue
-			}
-			pairs++
-			if mis[j].mi >= floor {
-				low = false
-			}
-			if mis[j].mi < worst {
-				worst = mis[j].mi
-			}
-		}
-		if pairs > 0 && low {
-			flag(i, fault.KindUnknown, worst)
-		}
-	}
-
-	// Repair: interpolate every flagged slice from its nearest healthy
-	// neighbors; healthy slices pass through by pointer.
-	out := make([]*img.Gray, n)
-	for i := range slices {
-		if flagged[i] == fault.KindNone {
-			out[i] = slices[i]
-		}
-	}
-	for i := 0; i < n; i++ {
-		if flagged[i] == fault.KindNone {
-			continue
-		}
-		j, k := i-1, i+1
-		for j >= 0 && flagged[j] != fault.KindNone {
-			j--
-		}
-		for k < n && flagged[k] != fault.KindNone {
-			k++
-		}
-		action := "none"
-		switch {
-		case j >= 0 && k < n:
-			w := float64(k-i) / float64(k-j)
-			g := img.New(slices[j].W, slices[j].H)
-			for p := range g.Pix {
-				g.Pix[p] = w*slices[j].Pix[p] + (1-w)*slices[k].Pix[p]
-			}
-			out[i] = g
-			action = fmt.Sprintf("interp(%d,%d)", j, k)
-		case j >= 0:
-			out[i] = slices[j].Clone()
-			action = fmt.Sprintf("copy(%d)", j)
-		case k < n:
-			out[i] = slices[k].Clone()
-			action = fmt.Sprintf("copy(%d)", k)
-		default:
-			// Every slice is flagged: nothing healthy to repair from.
-			out[i] = slices[i]
-		}
-		rep.Repairs = append(rep.Repairs, SliceRepair{
-			Index: i, Kind: flagged[i], Metric: metric[i], Action: action,
-		})
-		o.Obs.Debug("quality gate repaired", "slice", i, "kind", flagged[i].String(), "action", action)
-	}
-	o.Obs.Count("quality.repaired", int64(len(rep.Repairs)))
-	return rep, out, nil
 }
 
 // features computes the per-slice statistics in one pass over the

@@ -29,102 +29,88 @@ func resumeOptions() Options {
 	return o
 }
 
-// copyUpTo populates a fresh store with only the checkpoints of src
-// whose stage is at or before boundary in CkptStages() order — the
-// on-disk state of a run killed right after persisting that boundary.
-func copyUpTo(t *testing.T, src *ckpt.Store, boundary string) *ckpt.Store {
-	t.Helper()
-	keep := map[string]bool{}
-	for _, st := range CkptStages() {
-		keep[st] = true
-		if st == boundary {
-			break
-		}
-	}
-	dst, err := ckpt.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries, err := src.Scan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	copied := 0
-	for _, e := range entries {
-		if e.Err != nil {
-			t.Fatalf("scan of populated store: %s: %v", e.Path, e.Err)
-		}
-		if !keep[e.Key.Stage] {
-			continue
-		}
-		payload, state := src.Get(e.Key)
-		if state != ckpt.StateHit {
-			t.Fatalf("populated store: %v state %v", e.Key, state)
-		}
-		if err := dst.Put(e.Key, payload); err != nil {
-			t.Fatal(err)
-		}
-		copied++
-	}
-	if copied == 0 {
-		t.Fatalf("no checkpoints copied for boundary %q", boundary)
-	}
-	return dst
-}
-
 // TestResumeDeterministicAtEveryBoundary is the acceptance test for the
-// checkpoint scheme: for every stage boundary, a run "killed" right
-// after that boundary was persisted and then resumed — at several
-// worker counts, including ones differing from the count that wrote the
-// checkpoints — produces a Result identical to an uninterrupted run,
-// down to the gob encoding of the extraction.
+// checkpoint scheme: for every checkpoint boundary — the extraction a
+// Run persists, the plan a standalone Reconstruct persists and the views
+// PlanarViews persists — a run resumed from a store populated at one
+// worker count, at worker counts the writer did not use, skips its
+// computation and produces output identical to an uninterrupted run,
+// down to the gob encoding.
 func TestResumeDeterministicAtEveryBoundary(t *testing.T) {
 	chip := chips.ByID("B4")
-	base := resumeOptions()
-
-	want, err := Run(chip, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wantExt bytes.Buffer
-	if err := gob.NewEncoder(&wantExt).Encode(want.Extraction); err != nil {
-		t.Fatal(err)
-	}
-
-	// Populate a full checkpoint set at one worker count...
-	populated, err := ckpt.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	po := base
-	po.Workers = 4
-	po.Ckpt = populated
-	if _, err := Run(chip, po); err != nil {
-		t.Fatal(err)
-	}
-
-	// ...then resume from every truncation of it, at worker counts the
-	// writer did not use.
-	for _, boundary := range CkptStages() {
+	acq, window := testAcquisition(t)
+	// Each run returns its full output for comparison plus a canonical
+	// byte form of what round-trips through the checkpoint: the
+	// extraction's gob encoding, or a canonical hash where the artifact
+	// holds maps (whose gob order is not reproducible).
+	for _, b := range []struct {
+		stage string
+		run   func(o Options) (out any, canon string, err error)
+	}{
+		{CkptPlan, func(o Options) (any, string, error) {
+			o.CkptUnit = "resume/plan"
+			plan, info, err := Reconstruct(acq, window, o)
+			if err != nil {
+				return nil, "", err
+			}
+			return planArtifact{plan, info}, smokeFingerprint(plan, info), nil
+		}},
+		{CkptNetex, func(o Options) (any, string, error) {
+			res, err := Run(chip, o)
+			if err != nil {
+				return nil, "", err
+			}
+			var ext bytes.Buffer
+			if err := gob.NewEncoder(&ext).Encode(res.Extraction); err != nil {
+				return nil, "", err
+			}
+			return stripTelemetry(res), ext.String() + viewsHash(res.Views), nil
+		}},
+		{CkptViews, func(o Options) (any, string, error) {
+			o.CkptUnit = "resume/views"
+			views, err := PlanarViews(acq, o)
+			if err != nil {
+				return nil, "", err
+			}
+			return views, viewsHash(views), nil
+		}},
+	} {
+		base := resumeOptions()
+		want, wantCanon, err := b.run(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Populate the boundary at one worker count...
+		populated, err := ckpt.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		po := base
+		po.Workers = 4
+		po.Ckpt = populated
+		if _, _, err := b.run(po); err != nil {
+			t.Fatal(err)
+		}
+		// ...then resume from it at worker counts the writer did not use.
 		for _, workers := range []int{1, 3} {
-			t.Run(fmt.Sprintf("%s/workers=%d", boundary, workers), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/workers=%d", b.stage, workers), func(t *testing.T) {
 				ro := base
 				ro.Workers = workers
-				ro.Ckpt = copyUpTo(t, populated, boundary)
+				ro.Ckpt = populated
 				ro.Resume = true
-				got, err := Run(chip, ro)
+				ro.Obs = &obs.Observer{Metrics: obs.NewMetrics()}
+				got, gotCanon, err := b.run(ro)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(stripTelemetry(got), stripTelemetry(want)) {
-					t.Errorf("resume after %q differs from uninterrupted run", boundary)
+				if n := ro.Obs.Snapshot().Counters["ckpt.resumed."+b.stage]; n != 1 {
+					t.Errorf("ckpt.resumed.%s = %d, want 1", b.stage, n)
 				}
-				var gotExt bytes.Buffer
-				if err := gob.NewEncoder(&gotExt).Encode(got.Extraction); err != nil {
-					t.Fatal(err)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("resume from %q differs from uninterrupted run", b.stage)
 				}
-				if !bytes.Equal(gotExt.Bytes(), wantExt.Bytes()) {
-					t.Errorf("resume after %q: extraction gob bytes differ", boundary)
+				if gotCanon != wantCanon {
+					t.Errorf("resume from %q: canonical bytes differ", b.stage)
 				}
 			})
 		}

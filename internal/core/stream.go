@@ -6,8 +6,6 @@ import (
 	"math"
 	"sync"
 
-	"repro/internal/chipgen"
-	"repro/internal/chips"
 	"repro/internal/denoise"
 	"repro/internal/geom"
 	"repro/internal/img"
@@ -27,7 +25,7 @@ import (
 type streamSource func(ctx context.Context, emit func(i int, g *img.Gray) error) error
 
 // streamAcqSource adapts a materialized acquisition into a stream
-// source, checking the context between slices like every barrier stage.
+// source, checking the context between slices.
 func streamAcqSource(acq *sem.Acquisition) streamSource {
 	return func(ctx context.Context, emit func(int, *img.Gray) error) error {
 		for i, g := range acq.Slices {
@@ -67,31 +65,32 @@ type streamItem struct {
 	g *img.Gray
 }
 
-// streamCore is the bounded-memory screen + denoise engine shared by
-// the streaming reconstruction and the streaming preprocess: a feeder
+// streamCore is the bounded-memory screen + denoise engine: a feeder
 // goroutine runs the source through the incremental quality gate, a
-// fan-out of denoise workers pulls gated slices off a bounded ring,
-// denoises each into a pooled buffer (per-worker scratch, flat-field
-// applied) and a reordering consumer hands them to consume in strict
-// index order. Back-pressure is structural: both rings hold at most
-// window items, so a slow consumer stalls the producer instead of
-// letting slices pile up.
+// fan-out of denoise workers pulls gated slices off a ring, denoises
+// each into a pooled buffer (per-worker scratch, flat-field applied)
+// and a reordering consumer hands them to consume in strict index
+// order. Back-pressure is structural: the feeder takes one of window
+// credits (2W+2 for W workers) before it releases a slice downstream,
+// and the consumer returns the credit only when it hands that slice to
+// consume. At most window slices are therefore in flight between the
+// gate and consume — in the rings, at a worker, or parked in the
+// reorder buffer waiting for a slower predecessor — so a slow consumer
+// or a descheduled worker stalls the producer instead of letting
+// slices pile up.
 //
 // consume owns each buffer it is handed (Put it back, keep it, or pass
 // it on) — including on the call that returns an error. Buffers still
 // in flight when the pipeline aborts are returned to the pool here.
 //
-// The output is byte-identical to the barrier stages for any worker
-// count and window: the gate is sequential, each slice's denoise result
+// The output is byte-identical to the whole-stack reference for any
+// worker count: the gate is sequential, each slice's denoise result
 // depends only on that slice, and consume observes ascending order.
 func streamCore(ctx context.Context, n int, src streamSource, dwellUS float64, o Options, pool *img.Pool,
 	consume func(ctx context.Context, i int, g *img.Gray) error) (RepairReport, error) {
 	ob := o.Obs
 	W := par.Count(o.Workers)
-	window := o.StreamWindow
-	if window < 1 {
-		window = 2*W + 2
-	}
+	window := 2*W + 2
 	ectx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var failOnce sync.Once
@@ -103,10 +102,16 @@ func streamCore(ctx context.Context, n int, src streamSource, dwellUS float64, o
 		})
 	}
 
+	credits := make(chan struct{}, window)
 	gateCh := make(chan streamItem, window)
 	denCh := make(chan streamItem, window)
 
 	send := func(i int, g *img.Gray) error {
+		select {
+		case credits <- struct{}{}:
+		case <-ectx.Done():
+			return ectx.Err()
+		}
 		select {
 		case gateCh <- streamItem{i, g}:
 			return nil
@@ -184,6 +189,7 @@ func streamCore(ctx context.Context, n int, src streamSource, dwellUS float64, o
 				break
 			}
 			delete(pending, next)
+			<-credits
 			if err := consume(ectx, next, g); err != nil {
 				fail(err)
 				break
@@ -214,50 +220,6 @@ func streamCore(ctx context.Context, n int, src streamSource, dwellUS float64, o
 	return rep, nil
 }
 
-// streamPreprocess is preprocessCtx rebuilt on the streaming engine: it
-// produces the identical preOut (gate report, denoised + aligned stack)
-// while the gate and the denoise fan-out overlap slice by slice. The
-// stack alignment itself stays the barrier's sequential AlignStackCtx —
-// this path exists for checkpointed runs, whose aligned-stack artifact
-// must materialize anyway, so the denoised slices are collected rather
-// than pooled.
-func streamPreprocess(ctx context.Context, acq *sem.Acquisition, o Options) (preOut, error) {
-	var out preOut
-	switch o.Denoiser {
-	case "chambolle", "split-bregman", "none", "":
-	default:
-		return out, fmt.Errorf("core: unknown denoiser %q", o.Denoiser)
-	}
-	ob := o.Obs
-	n := len(acq.Slices)
-	slices := make([]*img.Gray, n)
-	rep, err := streamCore(ctx, n, streamAcqSource(acq), acq.Options.DwellUS, o, nil,
-		func(_ context.Context, i int, g *img.Gray) error {
-			slices[i] = g
-			return nil
-		})
-	if err != nil {
-		return out, err
-	}
-	out.repairs = rep
-	if o.Register.MaxShift > 0 && n > 1 {
-		sp := ob.StartSpan(StageAlign)
-		aligned, sres, err := register.AlignStackCtx(ctx, slices, regOptions(o))
-		sp.End()
-		if err != nil {
-			return out, fmt.Errorf("core: align: %w", err)
-		}
-		out.slices, out.didAlign = aligned, true
-		out.alignFallbacks = sres.Fallbacks()
-		if out.alignFallbacks > 0 {
-			ob.Info("alignment degraded", "fallbacks", out.alignFallbacks)
-		}
-		return out, nil
-	}
-	out.slices = slices
-	return out, nil
-}
-
 // streamFold folds denoised slices into the reconstruction's per-layer
 // planar views as they arrive: pairwise alignment against the previous
 // denoised slice, residual-drift estimation on the aligned pair, and
@@ -266,7 +228,7 @@ func streamPreprocess(ctx context.Context, acq *sem.Acquisition, o Options) (pre
 // The arithmetic mirrors AlignStackCtx, ResidualDriftCtx and
 // volume.PlanarAverage operation for operation (same accumulation
 // order, same multiply-by-reciprocal), so the folded views are
-// bit-identical to the barrier's.
+// bit-identical to reslicing the materialized aligned stack.
 type streamFold struct {
 	o       Options
 	regOpts register.Options
@@ -350,7 +312,7 @@ func (f *streamFold) consume(ctx context.Context, i int, den *img.Gray) error {
 
 // checkSlice mirrors volume.FromStack's validation (same error chain)
 // and, on the first slice, sizes the views and checks every layer's
-// depth band against the slice height exactly as resliceLayer would.
+// depth band against the slice height exactly as PlanFromVolume would.
 func (f *streamFold) checkSlice(i int, g *img.Gray) error {
 	if err := g.Validate(); err != nil {
 		return fmt.Errorf("core: stack: %w", fmt.Errorf("volume: slice %d: %w", i, err))
@@ -372,13 +334,7 @@ func (f *streamFold) initViews() error {
 	f.bands = make([][2]int, len(f.layers))
 	f.inv = make([]float64, len(f.layers))
 	for li, layer := range f.layers {
-		band, _ := chipgen.Band(layer)
-		// Average over the band interior, like resliceLayer: residual
-		// slice misalignment only bleeds into the band's edge rows.
-		y0, y1 := band.Y0, band.Y1
-		if y1-y0 > 2 {
-			y0, y1 = y0+1, y1-1
-		}
+		y0, y1 := bandInterior(layer)
 		if y0 < 0 || y1 > f.h || y0 >= y1 {
 			return fmt.Errorf("core: planar view of %s: %w", layer,
 				fmt.Errorf("volume: depth band [%d,%d) out of [0,%d)", y0, y1, f.h))
@@ -420,62 +376,23 @@ func (f *streamFold) release() {
 	}
 }
 
-// runStream is RunCtx's fully streaming tail: acquisition renders from
-// the lazy plane source inside the pipeline's feeder (under the acquire
-// stage span) and flows straight into reconstructStream, so slice count
-// — not stack depth — bounds the live set. Slice count and cost are
-// derived up front from the source dimensions; they match the
-// materialized acquisition's exactly.
-func runStream(ctx context.Context, chip *chips.Chip, truth chipgen.GroundTruth,
-	planes *chipgen.PlaneSource, window geom.Rect, o Options) (*Result, error) {
-	ob := o.Obs
-	nx, ny, nz := planes.Dims()
-	n := sem.SliceCount(nz, o.SEM.SliceStep)
-	cost := sem.CostHoursFor(nx, ny, n, o.SEM.DwellUS)
-	src := func(ctx context.Context, emit func(int, *img.Gray) error) error {
-		sp := ob.StartSpan(StageAcquire)
-		defer sp.End()
-		var emitErr error
-		err := sem.StreamStackCtx(ctx, planes, o.SEM, func(i, z int, g *img.Gray, drift [2]float64) error {
-			if err := emit(i, g); err != nil {
-				emitErr = err
-				return err
-			}
-			return nil
-		})
-		if err != nil {
-			if err == emitErr {
-				// Downstream failures (gate, cancellation) pass through
-				// with their own context; only acquisition's own errors
-				// carry the acquire wrap.
-				return err
-			}
-			return fmt.Errorf("core: acquire: %w", err)
-		}
-		ob.Info("acquired", "chip", chip.ID, "slices", n, "cost_hours", cost)
-		return nil
+// viewMap returns the folded planar views by layer name.
+func (f *streamFold) viewMap() map[string]*img.Gray {
+	out := make(map[string]*img.Gray, len(f.layers))
+	for i, layer := range f.layers {
+		out[layer.String()] = f.views[i]
 	}
-	plan, info, err := reconstructStream(ctx, n, src, o.SEM.DwellUS, window, o)
-	if err != nil {
-		return nil, err
-	}
-	ext, err := extractPlan(plan, o)
-	if err != nil {
-		return nil, err
-	}
-	return finishResult(chip, truth, ext, plan, info, nil, n, cost, o), nil
+	return out
 }
 
-// reconstructStream is the non-checkpointed reconstruction as a single
+// foldStream runs the streaming engine to its fold in a single
 // bounded-memory pass: source → incremental quality gate → denoise
-// fan-out → pairwise alignment → incremental view fold, then the
-// per-layer median, segmentation and plan assembly of PlanFromVolume on
-// the folded views. Peak memory holds the pipeline window plus the
-// per-layer views instead of four stack-sized intermediates; the
-// returned plan and ReconInfo are byte-identical to the Barrier path
-// for any worker count and window.
-func reconstructStream(ctx context.Context, n int, src streamSource, dwellUS float64,
-	window geom.Rect, o Options) (*netex.Plan, ReconInfo, error) {
+// fan-out → pairwise alignment → incremental view fold. Peak memory
+// holds the pipeline window plus the per-layer views instead of any
+// stack-sized intermediate. It returns the fold, whose views are the
+// raw (pre-median) planar views, and the reconstruction report; both
+// are byte-identical to the whole-stack reference for any worker count.
+func foldStream(ctx context.Context, n int, src streamSource, dwellUS float64, o Options) (*streamFold, ReconInfo, error) {
 	var info ReconInfo
 	switch o.Denoiser {
 	case "chambolle", "split-bregman", "none", "":
@@ -524,38 +441,30 @@ func reconstructStream(ctx context.Context, n int, src streamSource, dwellUS flo
 		}
 		info.ResidualDriftPx = f.residSum / float64(n-1)
 	}
-	alignSp.End()
-	residSp.End()
-	assembleSp.End()
 	if pool := o.Pool; pool != nil {
 		st := pool.Stats()
 		ob.Gauge("img.pool.hits", float64(st.Hits))
 		ob.Gauge("img.pool.misses", float64(st.Misses))
 		ob.Gauge("img.pool.peak_live", float64(st.PeakLive))
 	}
+	return f, info, nil
+}
 
-	// The PlanFromVolume tail on the folded views: per-layer median,
-	// then segmentation, then plan assembly in layout order.
-	err = ob.ForEachCtx(ctx, StageReslice, o.Workers, len(f.layers), func(_ context.Context, i int) error {
-		f.views[i] = img.MedianFilter(f.views[i], 1)
-		return nil
-	})
+// reconstructStream is the reconstruction every entry point runs:
+// foldStream, then the planFromViews tail on the folded views. It
+// returns the plan, the reconstruction report and the raw planar views
+// by layer name.
+func reconstructStream(ctx context.Context, n int, src streamSource, dwellUS float64,
+	window geom.Rect, o Options) (*netex.Plan, ReconInfo, map[string]*img.Gray, error) {
+	f, info, err := foldStream(ctx, n, src, dwellUS, o)
 	if err != nil {
-		return nil, info, err
+		return nil, info, nil, err
 	}
-	perLayer := make([][]geom.Rect, len(f.layers))
-	err = ob.ForEachCtx(ctx, StageSegment, o.Workers, len(f.layers), func(_ context.Context, i int) error {
-		perLayer[i] = segmentLayer(f.views[i], window, o)
-		return nil
-	})
+	plan, err := planFromViews(ctx, f.layers, func(i int) (*img.Gray, error) {
+		return f.views[i], nil
+	}, window, o)
 	if err != nil {
-		return nil, info, err
+		return nil, info, nil, err
 	}
-	plan := netex.NewPlan()
-	for i, layer := range f.layers {
-		for _, r := range perLayer[i] {
-			plan.Add(layer, r)
-		}
-	}
-	return plan, info, nil
+	return plan, info, f.viewMap(), nil
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,14 +16,15 @@ import (
 	"repro/internal/fault"
 	"repro/internal/geom"
 	"repro/internal/img"
+	"repro/internal/obs"
 	"repro/internal/sem"
 )
 
-// TestStreamMatchesBarrier is the tentpole identity contract: the
-// streaming reconstruction reproduces the barrier reconstruction byte
-// for byte — plan, rectangle order, gate report, alignment residual —
-// for every worker count, window size and pooling mode, on clean and
-// fault-injected stacks alike.
+// TestStreamMatchesBarrier is the identity contract: the streaming
+// reconstruction reproduces the whole-stack reference (reference_test.go)
+// byte for byte — plan, rectangle order, gate report, alignment
+// residual — for every worker count, unpooled at one worker and pooled
+// at more, on clean and fault-injected stacks alike.
 func TestStreamMatchesBarrier(t *testing.T) {
 	acq, window := testAcquisition(t)
 	faulted := faultedAcquisition(t, acq)
@@ -35,40 +37,30 @@ func TestStreamMatchesBarrier(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			o := fastOptions()
-			o.Barrier = true
 			o.Workers = 1
-			wantPlan, wantInfo, err := Reconstruct(tc.acq, window, o)
+			wantPlan, wantInfo, _, err := referenceReconstruct(context.Background(), tc.acq, window, o)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 3, 4} {
-				for _, cfg := range []struct {
-					name   string
-					window int
-					pool   *img.Pool
-				}{
-					{"default", 0, nil},
-					{"pooled", 0, img.NewPool()},
-					{"window1", 1, img.NewPool()},
-				} {
-					so := fastOptions()
-					so.Workers = workers
-					so.StreamWindow = cfg.window
-					so.Pool = cfg.pool
-					gotPlan, gotInfo, err := Reconstruct(tc.acq, window, so)
-					if err != nil {
-						t.Fatalf("workers=%d %s: %v", workers, cfg.name, err)
-					}
-					if !reflect.DeepEqual(gotInfo, wantInfo) {
-						t.Errorf("workers=%d %s: info %+v != barrier %+v", workers, cfg.name, gotInfo, wantInfo)
-					}
-					if !reflect.DeepEqual(gotPlan, wantPlan) {
-						t.Errorf("workers=%d %s: plan differs from barrier", workers, cfg.name)
-					}
-					if cfg.pool != nil {
-						if live := cfg.pool.Stats().Live; live != 0 {
-							t.Errorf("workers=%d %s: %d pool buffers leaked", workers, cfg.name, live)
-						}
+				so := fastOptions()
+				so.Workers = workers
+				if workers > 1 {
+					so.Pool = img.NewPool()
+				}
+				gotPlan, gotInfo, err := Reconstruct(tc.acq, window, so)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				if !reflect.DeepEqual(gotInfo, wantInfo) {
+					t.Errorf("workers=%d: info %+v != reference %+v", workers, gotInfo, wantInfo)
+				}
+				if !reflect.DeepEqual(gotPlan, wantPlan) {
+					t.Errorf("workers=%d: plan differs from reference", workers)
+				}
+				if so.Pool != nil {
+					if live := so.Pool.Stats().Live; live != 0 {
+						t.Errorf("workers=%d: %d pool buffers leaked", workers, live)
 					}
 				}
 			}
@@ -94,38 +86,118 @@ func faultedAcquisition(t *testing.T, acq *sem.Acquisition) *sem.Acquisition {
 }
 
 // TestRunStreamMatchesBarrierRun pins the full producer-mode run — lazy
-// plane rasterization feeding the streaming pipeline — against the
-// materialize-everything barrier run: identical results and identical
-// deterministic counters, at several worker counts.
+// plane rasterization, faults applied per slice as they stream past,
+// and the netex checkpoint when a store is attached — against the
+// reference run that voxelizes, acquires and injects the whole stack:
+// identical results (planar views included) and identical deterministic
+// counters. The clean run streams at several worker counts; the
+// faulted run, whose engine TestStreamMatchesBarrier already pins at
+// every worker count, streams once at four workers with a store
+// attached.
 func TestRunStreamMatchesBarrierRun(t *testing.T) {
 	chip := chips.ByID("B4")
+	for _, tc := range []struct {
+		name    string
+		faulted bool
+	}{
+		{"clean", false},
+		{"faulted", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := func() Options {
+				o := fastOptions()
+				if tc.faulted {
+					p := fault.DefaultPlan()
+					o.Faults = &p
+				}
+				return o
+			}
+			o := opts()
+			o.Workers = 2
+			o.Obs = fullObserver()
+			base, err := referenceRun(context.Background(), chip, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			workerCounts := []int{1, 3, 4}
+			if tc.faulted {
+				workerCounts = []int{4}
+			}
+			for _, workers := range workerCounts {
+				so := opts()
+				so.Workers = workers
+				so.Pool = img.NewPool()
+				so.Obs = fullObserver()
+				if tc.faulted {
+					store, err := ckpt.Open(t.TempDir())
+					if err != nil {
+						t.Fatal(err)
+					}
+					so.Ckpt, so.Resume = store, true
+				}
+				got, err := Run(chip, so)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				if !reflect.DeepEqual(stripTelemetry(got), stripTelemetry(base)) {
+					t.Errorf("workers=%d: streaming run differs from reference run", workers)
+				}
+				counters := got.Telemetry.Counters
+				for name := range counters {
+					if strings.HasPrefix(name, "ckpt.") {
+						delete(counters, name)
+					}
+				}
+				if !reflect.DeepEqual(counters, base.Telemetry.Counters) {
+					t.Errorf("workers=%d: counters diverge:\nstream:    %v\nreference: %v",
+						workers, counters, base.Telemetry.Counters)
+				}
+				if live := so.Pool.Stats().Live; live != 0 {
+					t.Errorf("workers=%d: %d pool buffers leaked", workers, live)
+				}
+			}
+		})
+	}
+}
+
+// TestRunOnDieMatchesReference pins the die flow, which streams the
+// blindly cropped material volume, against the reference run on the
+// same crop.
+func TestRunOnDieMatchesReference(t *testing.T) {
+	chip := chips.ByID("B4")
 	o := fastOptions()
-	o.Barrier = true
-	o.Workers = 2
-	o.Obs = fullObserver()
-	base, err := Run(chip, o)
+	p := fault.DefaultPlan()
+	o.Faults = &p
+	o.Workers = 3
+	got, err := RunOnDie(chip, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 3, 4} {
-		so := fastOptions()
-		so.Workers = workers
-		so.Pool = img.NewPool()
-		so.Obs = fullObserver()
-		got, err := Run(chip, so)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(stripTelemetry(got), stripTelemetry(base)) {
-			t.Errorf("workers=%d: streaming run differs from barrier run", workers)
-		}
-		if !reflect.DeepEqual(got.Telemetry.Counters, base.Telemetry.Counters) {
-			t.Errorf("workers=%d: counters diverge:\nstream:  %v\nbarrier: %v",
-				workers, got.Telemetry.Counters, base.Telemetry.Counters)
-		}
-		if live := so.Pool.Stats().Live; live != 0 {
-			t.Errorf("workers=%d: %d pool buffers leaked", workers, live)
-		}
+	cfg := chipgen.DefaultConfig(chip)
+	cfg.Units = o.Units
+	die, err := chipgen.GenerateDie(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vol, err := chipgen.Voxelize(die.Cell, die.Cell.Bounds(), o.VoxelNM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.SEM.Detector = chip.Detector
+	roi, _, err := sem.FindROI(vol, o.SEM, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cropped, err := vol.CropX(roi.X0, roi.X1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := referenceRunOn(context.Background(), chip, die.Truth, cropped, cropped.BoundsNM, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(stripTelemetry(got.Pipeline), stripTelemetry(want)) {
+		t.Errorf("die run differs from the reference run on the same crop")
 	}
 }
 
@@ -165,20 +237,19 @@ func deepOptions() Options {
 }
 
 // TestStreamDeepStackBoundedMemory is the perf contract on a 384-slice
-// stack: the streaming path must (a) reproduce the barrier output byte
-// for byte at several worker counts, (b) hold only a window-bounded
+// stack: the streaming path must (a) reproduce the whole-stack reference
+// byte for byte at several worker counts, (b) hold only a window-bounded
 // number of image buffers live at once — independent of stack depth —
-// and (c) allocate less than half of what the barrier path allocates.
+// and (c) allocate less than half of what the reference allocates.
 func TestStreamDeepStackBoundedMemory(t *testing.T) {
 	const depth = 384
 	acq := syntheticStack(depth, 48)
 	window := geom.R(0, 0, int64(48*8), int64(depth*8))
 
 	o := deepOptions()
-	o.Barrier = true
 	o.Workers = 1
 	barrierAllocs := measureAllocs(t, func() {
-		wantPlan, wantInfo, err := Reconstruct(acq, window, o)
+		wantPlan, wantInfo, _, err := referenceReconstruct(context.Background(), acq, window, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,19 +270,19 @@ func TestStreamDeepStackBoundedMemory(t *testing.T) {
 			gotPlan, gotInfo = p, info
 		})
 		if !reflect.DeepEqual(gotInfo, deepWant.info) {
-			t.Errorf("workers=%d: info %+v != barrier %+v", workers, gotInfo, deepWant.info)
+			t.Errorf("workers=%d: info %+v != reference %+v", workers, gotInfo, deepWant.info)
 		}
 		if !reflect.DeepEqual(gotPlan, deepWant.plan) {
-			t.Errorf("workers=%d: deep-stack plan differs from barrier", workers)
+			t.Errorf("workers=%d: deep-stack plan differs from reference", workers)
 		}
 		st := so.Pool.Stats()
 		if st.Live != 0 {
 			t.Errorf("workers=%d: %d pool buffers leaked", workers, st.Live)
 		}
 		// The live-buffer high-water mark is the pipeline's working
-		// set: denoised slices in flight (bounded by the ring window
-		// plus one per worker) and the fold's two references — never
-		// anything proportional to the 384-slice depth.
+		// set: denoised slices in flight (bounded by the credit window)
+		// and the fold's references — never anything proportional to
+		// the 384-slice depth.
 		bound := int64(2*(2*workers+2) + workers + 4)
 		if st.PeakLive > bound {
 			t.Errorf("workers=%d: pool peak %d live buffers exceeds window bound %d", workers, st.PeakLive, bound)
@@ -220,11 +291,11 @@ func TestStreamDeepStackBoundedMemory(t *testing.T) {
 			t.Errorf("workers=%d: pool never reused a buffer over %d slices", workers, depth)
 		}
 		// Allocation-volume gate, measured not asserted from theory:
-		// the barrier materializes the denoised stack, the aligned
+		// the reference materializes the denoised stack, the aligned
 		// stack, the volume copy and per-slice denoiser scratch; the
 		// streaming path replaces all four with the pooled window.
 		if streamAllocs > barrierAllocs/2 {
-			t.Errorf("workers=%d: streaming allocated %d MB, barrier %d MB — want less than half",
+			t.Errorf("workers=%d: streaming allocated %d MB, reference %d MB — want less than half",
 				workers, streamAllocs>>20, barrierAllocs>>20)
 		}
 	}
@@ -296,15 +367,14 @@ func TestStreamErrorReleasesPool(t *testing.T) {
 }
 
 // TestStreamCheckpointedMatchesBarrier covers the checkpointed variant:
-// with a store attached the run takes the streamPreprocess path
-// (materializing the aligned artifact), which must also reproduce the
-// barrier result exactly.
+// with a store attached a standalone reconstruction still streams and
+// only persists its plan, and must reproduce the reference exactly —
+// fresh and when resumed from that plan.
 func TestStreamCheckpointedMatchesBarrier(t *testing.T) {
 	acq, window := testAcquisition(t)
 	o := fastOptions()
-	o.Barrier = true
 	o.Workers = 1
-	wantPlan, wantInfo, err := Reconstruct(acq, window, o)
+	wantPlan, wantInfo, _, err := referenceReconstruct(context.Background(), acq, window, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,18 +382,25 @@ func TestStreamCheckpointedMatchesBarrier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	so := fastOptions()
-	so.Workers = 3
-	so.Ckpt = store
-	so.CkptUnit = "stream-ckpt-test"
-	gotPlan, gotInfo, err := Reconstruct(acq, window, so)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotInfo, wantInfo) {
-		t.Errorf("ckpt streaming info %+v != barrier %+v", gotInfo, wantInfo)
-	}
-	if !reflect.DeepEqual(gotPlan, wantPlan) {
-		t.Errorf("ckpt streaming plan differs from barrier")
+	for _, resume := range []bool{false, true} {
+		so := fastOptions()
+		so.Workers = 3
+		so.Ckpt = store
+		so.CkptUnit = "stream-ckpt-test"
+		so.Resume = resume
+		so.Obs = &obs.Observer{Metrics: obs.NewMetrics()}
+		gotPlan, gotInfo, err := Reconstruct(acq, window, so)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gotInfo, wantInfo) {
+			t.Errorf("resume=%v: ckpt streaming info %+v != reference %+v", resume, gotInfo, wantInfo)
+		}
+		if !reflect.DeepEqual(gotPlan, wantPlan) {
+			t.Errorf("resume=%v: ckpt streaming plan differs from reference", resume)
+		}
+		if n := so.Obs.Snapshot().Counters["ckpt.resumed."+CkptPlan]; resume != (n == 1) {
+			t.Errorf("resume=%v: ckpt.resumed.plan = %d", resume, n)
+		}
 	}
 }

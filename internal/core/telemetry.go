@@ -2,7 +2,7 @@ package core
 
 // Canonical pipeline stage names: the spans a traced Run emits, in
 // execution order. RunOnDie additionally emits "roi" (between generate
-// and acquire), Run with Options.Faults emits "inject" (after acquire),
+// and acquire), Run with Options.Faults emits "inject" (before acquire),
 // and an aligned reconstruction emits an "align/residual" estimate span
 // — none of which are part of the canonical set, because they are
 // conditional.

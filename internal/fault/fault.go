@@ -188,14 +188,38 @@ func InjectObserved(acq *sem.Acquisition, p Plan, ob *obs.Observer) (*Report, er
 	if acq == nil {
 		return nil, fmt.Errorf("fault: nil acquisition")
 	}
+	return p.walk(len(acq.Slices), ob, func(i int, m model, rng *rand.Rand, _ int64) {
+		acq.Slices[i] = m.corrupt(acq.Slices[i], rng)
+	})
+}
+
+// model is one fault model: its kind, its rate in the plan, and the
+// corruption it applies to a slice.
+type model struct {
+	kind    Kind
+	rate    float64
+	corrupt func(g *img.Gray, rng *rand.Rand) *img.Gray
+}
+
+// walk draws the plan's injection for an n-slice stack in the
+// injector's fixed order — the index permutation first, then each
+// model's slices in permutation order — and calls visit for every
+// corrupted slice with the random stream positioned at that slice's
+// corruption draws. pos counts the source values consumed before them.
+// visit must consume exactly the draws the model's corruption makes.
+// Every draw depends only on the seed, n and the slice dimensions,
+// never on pixel values, which is what lets a Schedule replay one
+// slice's corruption on its own. walk returns the ground-truth report
+// and emits the per-kind counters.
+func (p Plan) walk(n int, ob *obs.Observer, visit func(i int, m model, rng *rand.Rand, pos int64)) (*Report, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	n := len(acq.Slices)
 	if n < 4 {
 		return nil, fmt.Errorf("fault: need at least 4 slices, have %d", n)
 	}
-	rng := rand.New(rand.NewSource(p.Seed))
+	src := &countingSource{src: rand.NewSource(p.Seed).(rand.Source64)}
+	rng := rand.New(src)
 	perm := rng.Perm(n)
 	next := 0
 	take := func(rate float64) []int {
@@ -214,11 +238,7 @@ func InjectObserved(acq *sem.Acquisition, p Plan, ob *obs.Observer) (*Report, er
 		return idx
 	}
 	rep := &Report{Plan: p}
-	models := []struct {
-		kind    Kind
-		rate    float64
-		corrupt func(g *img.Gray, rng *rand.Rand) *img.Gray
-	}{
+	models := []model{
 		{KindDroppedSlice, p.DropRate, corruptDrop},
 		{KindChargingFlare, p.FlareRate, corruptFlare},
 		{KindCurtaining, p.CurtainRate, corruptCurtain},
@@ -228,7 +248,7 @@ func InjectObserved(acq *sem.Acquisition, p Plan, ob *obs.Observer) (*Report, er
 	for _, m := range models {
 		idx := take(m.rate)
 		for _, i := range idx {
-			acq.Slices[i] = m.corrupt(acq.Slices[i], rng)
+			visit(i, m, rng, src.n)
 			rep.Injected = append(rep.Injected, Injection{Index: i, Kind: m.kind})
 			ob.Debug("fault injected", "slice", i, "kind", m.kind.String())
 		}
@@ -241,6 +261,84 @@ func InjectObserved(acq *sem.Acquisition, p Plan, ob *obs.Observer) (*Report, er
 	})
 	ob.Info("fault injection", "slices", n, "injected", len(rep.Injected), "seed", p.Seed)
 	return rep, nil
+}
+
+// countingSource counts the values drawn from a random source, so a
+// position in the stream can be recorded and later replayed.
+type countingSource struct {
+	src rand.Source64
+	n   int64
+}
+
+func (c *countingSource) Int63() int64    { c.n++; return c.src.Int63() }
+func (c *countingSource) Uint64() uint64  { c.n++; return c.src.Uint64() }
+func (c *countingSource) Seed(seed int64) { c.src.Seed(seed); c.n = 0 }
+
+// Schedule is a plan's injection drawn up front for one stack geometry,
+// so slices can be corrupted one at a time as they stream past instead
+// of in place on a materialized acquisition. Applying it to every slice
+// of a stack gives exactly what Inject gives on that stack.
+type Schedule struct {
+	seed  int64
+	w, h  int
+	steps map[int]scheduledFault
+	rep   *Report
+}
+
+// scheduledFault is one corrupted slice: its model and the position in
+// the plan's random stream where its corruption draws start.
+type scheduledFault struct {
+	m   model
+	pos int64
+}
+
+// NewSchedule draws the plan's injection for an n-slice stack of w×h
+// slices, reporting into ob exactly as InjectObserved does (a nil
+// observer reports nothing). The random stream is advanced through
+// every corruption on a blank w×h frame, which consumes the same draws
+// as corrupting the real slice.
+func NewSchedule(p Plan, n, w, h int, ob *obs.Observer) (*Schedule, error) {
+	s := &Schedule{seed: p.Seed, w: w, h: h, steps: make(map[int]scheduledFault)}
+	blank := img.New(w, h)
+	rep, err := p.walk(n, ob, func(i int, m model, rng *rand.Rand, pos int64) {
+		s.steps[i] = scheduledFault{m: m, pos: pos}
+		m.corrupt(blank, rng)
+	})
+	if err != nil {
+		return nil, err
+	}
+	s.rep = rep
+	return s, nil
+}
+
+// Report returns the injection ground truth; nil for a nil schedule.
+func (s *Schedule) Report() *Report {
+	if s == nil {
+		return nil
+	}
+	return s.rep
+}
+
+// Apply returns slice i as the schedule corrupts it: g itself when the
+// slice is healthy (or s is nil), otherwise a corrupted copy — the
+// slice's corruption replayed from its recorded stream position. g must
+// be w×h, the geometry the schedule was drawn for.
+func (s *Schedule) Apply(i int, g *img.Gray) (*img.Gray, error) {
+	if s == nil {
+		return g, nil
+	}
+	st, ok := s.steps[i]
+	if !ok {
+		return g, nil
+	}
+	if g.W != s.w || g.H != s.h {
+		return nil, fmt.Errorf("fault: slice %d is %dx%d, schedule drawn for %dx%d", i, g.W, g.H, s.w, s.h)
+	}
+	src := rand.NewSource(s.seed)
+	for k := st.pos; k > 0; k-- {
+		src.Int63()
+	}
+	return st.m.corrupt(g, rand.New(src)), nil
 }
 
 // corruptDrop replaces the frame with featureless background.

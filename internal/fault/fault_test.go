@@ -3,6 +3,7 @@ package fault
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/img"
@@ -222,5 +223,54 @@ func TestKindString(t *testing.T) {
 		if k.String() != want {
 			t.Errorf("Kind(%d).String() = %q, want %q", int(k), k, want)
 		}
+	}
+}
+
+// A schedule applied slice by slice must reproduce Inject exactly — the
+// same report and the same corrupted pixels — so a streaming run can
+// corrupt slices as they pass without ever holding the stack.
+func TestScheduleMatchesInject(t *testing.T) {
+	const n, w, h = 60, 40, 32
+	for _, seed := range []int64{1, 7} {
+		plan := DefaultPlan()
+		plan.Seed = seed
+		want := testAcq(n, w, h, 5)
+		wantRep, err := Inject(want, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewSchedule(plan, n, w, h, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(s.Report(), wantRep) {
+			t.Errorf("seed %d: schedule report %+v != Inject report %+v", seed, s.Report(), wantRep)
+		}
+		clean := testAcq(n, w, h, 5)
+		for i, g := range clean.Slices {
+			got, err := s.Apply(i, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Pix, want.Slices[i].Pix) {
+				t.Errorf("seed %d: slice %d differs from Inject", seed, i)
+			}
+		}
+	}
+	s, err := NewSchedule(DefaultPlan(), n, w, h, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := s.Report().Injected[0].Index
+	if _, err := s.Apply(idx, img.New(w+1, h)); err == nil {
+		t.Error("Apply on a slice of the wrong geometry must error")
+	}
+	var none *Schedule
+	g := img.New(w, h)
+	if got, err := none.Apply(idx, g); err != nil || got != g || none.Report() != nil {
+		t.Error("a nil schedule must pass slices through and report nothing")
+	}
+	if _, err := NewSchedule(DefaultPlan(), 3, w, h, nil); err == nil {
+		t.Error("a schedule for fewer than 4 slices must be rejected")
 	}
 }

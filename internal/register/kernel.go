@@ -2,6 +2,7 @@ package register
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/img"
 )
@@ -73,16 +74,47 @@ type miScratch struct {
 
 // newScratch sizes a scratch for this kernel's images and window.
 func (k *miKernel) newScratch() *miScratch {
-	w := k.moving.W
-	return &miScratch{
-		joint:      make([]int32, k.bins*k.bins),
-		pa:         make([]float64, k.bins),
-		pb:         make([]float64, k.bins),
-		movingBins: make([]int32, len(k.moving.Pix)),
-		colMin:     make([]float64, (2*k.ny+1)*w),
-		colMax:     make([]float64, (2*k.ny+1)*w),
-		colOK:      make([]bool, 2*k.ny+1),
+	return k.resetScratch(&miScratch{})
+}
+
+// scratchPool recycles scratch across kernels: an alignment call needs
+// one scratch per worker, and a stack alignment makes a call per slice
+// pair, so fresh scratch would allocate per pair and per worker.
+var scratchPool sync.Pool
+
+// getScratch returns a pooled scratch reset for this kernel.
+func (k *miKernel) getScratch() *miScratch {
+	if s, ok := scratchPool.Get().(*miScratch); ok {
+		return k.resetScratch(s)
 	}
+	return k.newScratch()
+}
+
+// resetScratch sizes s for this kernel, reusing its buffers where they
+// are large enough, and invalidates both caches: a reset scratch
+// evaluates exactly like a fresh one. joint, pa and pb are zeroed by
+// every eval; colMin/colMax and movingBins are rebuilt on first use.
+func (k *miKernel) resetScratch(s *miScratch) *miScratch {
+	w := k.moving.W
+	s.joint = resized(s.joint, k.bins*k.bins)
+	s.pa = resized(s.pa, k.bins)
+	s.pb = resized(s.pb, k.bins)
+	s.movingBins = resized(s.movingBins, len(k.moving.Pix))
+	s.colMin = resized(s.colMin, (2*k.ny+1)*w)
+	s.colMax = resized(s.colMax, (2*k.ny+1)*w)
+	s.colOK = resized(s.colOK, 2*k.ny+1)
+	clear(s.colOK)
+	s.haveBins = false
+	return s
+}
+
+// resized returns buf resliced to n elements, reallocating only when its
+// capacity is too small.
+func resized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // extrema returns the moving window's min/max for candidate (dx, dy)

@@ -266,8 +266,9 @@ func alignCtx(ctx context.Context, fixed, moving *img.Gray, o Options, excl excl
 
 // searchCands evaluates MI for every candidate shift over the overlap
 // window supported by [-nx,nx]×[-ny,ny], fanning out on Options.Workers
-// with one reusable miScratch per worker: after each worker's first
-// candidate, evaluation allocates nothing.
+// with one reusable miScratch per worker, drawn from the scratch pool
+// and returned to it afterwards: evaluation allocates nothing once the
+// pool is warm.
 func searchCands(ctx context.Context, fixed, moving *img.Gray, o Options, nx, ny int, cands []Shift) ([]float64, error) {
 	k := newMIKernel(fixed, moving, nx, ny, o.Margin, o.Bins)
 	mis := make([]float64, len(cands))
@@ -276,12 +277,17 @@ func searchCands(ctx context.Context, fixed, moving *img.Gray, o Options, nx, ny
 		func(_ context.Context, worker, i int) error {
 			s := scratch[worker]
 			if s == nil {
-				s = k.newScratch()
+				s = k.getScratch()
 				scratch[worker] = s
 			}
 			mis[i] = k.eval(cands[i].DX, cands[i].DY, s)
 			return nil
 		})
+	for _, s := range scratch {
+		if s != nil {
+			scratchPool.Put(s)
+		}
+	}
 	if err != nil {
 		return nil, err
 	}

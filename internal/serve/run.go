@@ -5,10 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 
-	"repro/internal/chipgen"
 	"repro/internal/chips"
 	"repro/internal/core"
 	"repro/internal/failpoint"
@@ -16,7 +14,6 @@ import (
 	"repro/internal/gds"
 	"repro/internal/img"
 	"repro/internal/obs"
-	"repro/internal/sem"
 	"repro/internal/supervise"
 )
 
@@ -256,10 +253,10 @@ func (s *Server) runPipeline(ctx context.Context, req Request, inner int, ob *ob
 	// reused by the next instead of re-allocated, and the pool gauges
 	// (img.pool.*) land in /metrics via the job observer.
 	o.Pool = s.pool
-	// The shared store plays both of its roles here: stage boundaries
-	// checkpoint into it as the run goes (so a second job with the same
-	// fingerprint but a wider artifact set resumes instead of
-	// recomputing), and the finished artifacts are published into it
+	// The shared store plays both of its roles here: the run checkpoints
+	// its extraction (planar views included) into it, so a second job
+	// with the same fingerprint but a wider artifact set resumes without
+	// imaging anything, and the finished artifacts are published into it
 	// under the same unit/fingerprint prefix by the worker.
 	o.Ckpt = s.cfg.Cache
 	o.Resume = s.cfg.Cache != nil
@@ -304,45 +301,19 @@ func (s *Server) runPipeline(ctx context.Context, req Request, inner int, ob *ob
 		return nil, err
 	}
 	if req.Views {
-		if err := s.renderViews(ctx, chip, o, artifacts); err != nil {
+		if err := addViews(res, artifacts); err != nil {
 			return nil, err
 		}
 	}
 	return artifacts, nil
 }
 
-// renderViews produces the per-layer planar PGM artifacts the way the
-// planar subcommand does. The acquisition prologue is recomputed, but
-// with the shared store the aligned-stack checkpoint the extraction
-// just wrote makes PlanarViewsCtx skip all preprocessing.
-func (s *Server) renderViews(ctx context.Context, chip *chips.Chip, o core.Options, artifacts map[string][]byte) error {
-	cfg := chipgen.DefaultConfig(chip)
-	cfg.Units = o.Units
-	region, err := chipgen.Generate(cfg)
-	if err != nil {
-		return fmt.Errorf("serve: views: %w", err)
-	}
-	vol, err := chipgen.Voxelize(region.Cell, region.Cell.Bounds(), o.VoxelNM)
-	if err != nil {
-		return fmt.Errorf("serve: views: %w", err)
-	}
-	acq, err := sem.AcquireStackCtx(ctx, vol, o.SEM)
-	if err != nil {
-		return fmt.Errorf("serve: views: %w", err)
-	}
-	vo := o
-	vo.CkptUnit = chip.ID
-	views, err := core.PlanarViewsCtx(ctx, acq, vo)
-	if err != nil {
-		return fmt.Errorf("serve: views: %w", err)
-	}
-	names := make([]string, 0, len(views))
-	for name := range views {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		view := views[name]
+// addViews renders the run's per-layer planar views as PGM artifacts,
+// the way the planar subcommand does. The views come with the Result,
+// so a views job costs exactly one reconstruction.
+func addViews(res *core.Result, artifacts map[string][]byte) error {
+	for name, view := range res.Views {
+		view = view.Clone()
 		view.Normalize()
 		var buf bytes.Buffer
 		if err := img.WritePGM(&buf, view); err != nil {

@@ -11,14 +11,18 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/chipgen"
 	"repro/internal/chips"
 	"repro/internal/ckpt"
 	"repro/internal/core"
+	"repro/internal/img"
 	"repro/internal/obs"
+	"repro/internal/sem"
 )
 
 // newTestServer builds a server whose runner is the given stub, so the
@@ -657,4 +661,181 @@ func TestServeEndToEndCacheAndByteIdentity(t *testing.T) {
 	if !bytes.Equal(direct, served) {
 		t.Fatalf("served GDS (%d bytes) differs from direct export (%d bytes)", len(served), len(direct))
 	}
+}
+
+// waitDone polls a real-pipeline job until it is done.
+func waitDone(t *testing.T, s *Server, id string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Minute)
+	for {
+		st, _ := s.Status(id)
+		if st.State == StateDone {
+			return
+		}
+		if st.State.terminal() {
+			t.Fatalf("job %s failed: %s", id, st.Error)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s timed out", id)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// stageCalls counts the spans named stage in a job's trace.
+func stageCalls(ob *obs.Observer, stage string) int {
+	stats, _ := ob.Trace.Summary()
+	for _, st := range stats {
+		if st.Name == stage {
+			return st.Calls
+		}
+	}
+	return 0
+}
+
+// TestServeViewsOneReconstruction pins the views job contract: the
+// planar views ride along with the extraction, so a views job images
+// the stack once and denoises each slice once, and its PGMs are the
+// planar subcommand's — PlanarViewsCtx on a freshly acquired stack. A
+// views job that follows a plain job with the same fingerprint resumes
+// from the plain job's extraction checkpoint and images nothing.
+func TestServeViewsOneReconstruction(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real pipeline run")
+	}
+	// newServer returns a server running the real pipeline on a fresh
+	// cache, recording each job's observer.
+	newServer := func() (*Server, func() []*obs.Observer) {
+		store, err := ckpt.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mu sync.Mutex
+		var seen []*obs.Observer
+		var s *Server
+		s = newTestServer(t, Config{Jobs: 1, Cache: store},
+			func(ctx context.Context, req Request, inner int, ob *obs.Observer) (map[string][]byte, error) {
+				mu.Lock()
+				seen = append(seen, ob)
+				mu.Unlock()
+				return s.runPipeline(ctx, req, inner, ob)
+			})
+		return s, func() []*obs.Observer {
+			mu.Lock()
+			defer mu.Unlock()
+			return append([]*obs.Observer(nil), seen...)
+		}
+	}
+	plain := Request{Chip: "B4", Profile: "fast"}
+	views := plain
+	views.Views = true
+
+	s, observers := newServer()
+	st, err := s.Submit(views)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, s, st.ID)
+	ob := observers()[0]
+	report, err := s.Artifact(st.ID, ArtifactReport)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep Report
+	if err := json.Unmarshal(report, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if n := stageCalls(ob, core.StageAcquire); n != 1 {
+		t.Errorf("views job acquired %d times, want 1", n)
+	}
+	if n := ob.Snapshot().Counters["denoise.slices"]; n != int64(rep.SliceCount) {
+		t.Errorf("views job denoised %d slices, want one reconstruction of %d", n, rep.SliceCount)
+	}
+	want := planarPGMs(t, views)
+	if len(want) == 0 {
+		t.Fatal("no planar views rendered")
+	}
+	for name, pgm := range want {
+		got, err := s.Artifact(st.ID, name)
+		if err != nil {
+			t.Fatalf("artifact %s: %v", name, err)
+		}
+		if !bytes.Equal(got, pgm) {
+			t.Errorf("artifact %s differs from the planar subcommand's view", name)
+		}
+	}
+
+	s, observers = newServer()
+	first, err := s.Submit(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, s, first.ID)
+	second, err := s.Submit(views)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, s, second.ID)
+	obs := observers()
+	if len(obs) != 2 {
+		t.Fatalf("%d pipeline runs, want 2", len(obs))
+	}
+	ob = obs[1]
+	if n := ob.Snapshot().Counters["ckpt.resumed."+core.CkptNetex]; n != 1 {
+		t.Errorf("views job after a plain job: ckpt.resumed.netex = %d, want 1", n)
+	}
+	if n := stageCalls(ob, core.StageAcquire); n != 0 {
+		t.Errorf("views job after a plain job acquired %d times, want 0", n)
+	}
+	if n := ob.Snapshot().Counters["denoise.slices"]; n != 0 {
+		t.Errorf("views job after a plain job denoised %d slices, want 0", n)
+	}
+	for name, pgm := range want {
+		got, err := s.Artifact(second.ID, name)
+		if err != nil {
+			t.Fatalf("resumed artifact %s: %v", name, err)
+		}
+		if !bytes.Equal(got, pgm) {
+			t.Errorf("resumed artifact %s differs from the planar subcommand's view", name)
+		}
+	}
+}
+
+// planarPGMs renders req's planar views the way the planar subcommand
+// does: acquire the region, reconstruct its views with PlanarViewsCtx,
+// normalize each and encode it as PGM.
+func planarPGMs(t *testing.T, req Request) map[string][]byte {
+	t.Helper()
+	chip, o, _, err := req.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := chipgen.DefaultConfig(chip)
+	cfg.Units = o.Units
+	region, err := chipgen.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vol, err := chipgen.Voxelize(region.Cell, region.Cell.Bounds(), o.VoxelNM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acq, err := sem.AcquireStack(vol, o.SEM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	views, err := core.PlanarViews(acq, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte, len(views))
+	for name, view := range views {
+		view.Normalize()
+		var buf bytes.Buffer
+		if err := img.WritePGM(&buf, view); err != nil {
+			t.Fatal(err)
+		}
+		out["views/"+name+".pgm"] = buf.Bytes()
+	}
+	return out
 }

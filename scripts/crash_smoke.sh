@@ -2,20 +2,26 @@
 # crash-smoke: end-to-end crash/resume validation for the checkpoint
 # pipeline (make crash-smoke).
 #
+# A run checkpoints one boundary, its finished extraction ("netex"),
+# written atomically once reconstruction is done. The smoke proves both
+# halves of the contract around it:
+#
 #  1. Run a checkpointed extraction to completion — the reference output.
 #  2. Start the same run against a fresh store and SIGKILL it
 #     mid-pipeline: no cleanup handlers run, exactly like a crash or OOM
-#     kill. At least the acquisition checkpoint must have been persisted
-#     (writes are atomic: whatever is on disk verifies).
+#     kill.
 #  3. `hifidram ckpt` must report the survivor store healthy — a torn
 #     in-flight temp file never becomes a *.ckpt.
-#  4. Tear the aligned checkpoint in half (simulating a torn write that
+#  4. Resume. Nothing verified survived the kill, so the run must
+#     recompute (ckpt.miss), succeed, match the reference and persist
+#     its netex checkpoint.
+#  5. Tear that netex checkpoint in half (simulating a torn write that
 #     DID reach the final name, e.g. on a non-atomic filesystem):
 #     `hifidram ckpt` must now flag exactly that entry corrupt.
-#  5. Resume. The corrupt checkpoint must be recomputed, never served
+#  6. Resume. The corrupt checkpoint must be recomputed, never served
 #     (ckpt.corrupt counter), the run must succeed, and its report must
 #     be byte-identical to the reference.
-#  6. After the resume the store must verify healthy again (healed).
+#  7. After the resume the store must verify healthy again (healed).
 set -eu
 
 GO=${GO:-go}
@@ -33,20 +39,38 @@ echo "crash-smoke: reference run"
 echo "crash-smoke: SIGKILL mid-run"
 "$BIN" extract $FLAGS -ckpt-dir "$WORK/ckpt" > /dev/null 2>&1 &
 PID=$!
-# The acquire checkpoint lands within a couple of seconds; the full run
-# takes much longer, so this kill reliably interrupts the pipeline.
-while [ ! -s "$(find "$WORK/ckpt" -name 'acquire.ckpt' 2>/dev/null | head -1)" ]; do
-    sleep 0.2
-    kill -0 $PID 2>/dev/null || { echo "run finished before kill"; break; }
-done
-kill -KILL $PID 2>/dev/null || true
+# The full run takes seconds; a kill after half a second lands while
+# the stack is still streaming through reconstruction.
+sleep 0.5
+KILLED=0
+if kill -0 $PID 2>/dev/null; then
+    kill -KILL $PID 2>/dev/null && KILLED=1
+else
+    echo "crash-smoke: run finished before the kill"
+fi
 wait $PID 2>/dev/null || true
 
 echo "crash-smoke: store must verify healthy after SIGKILL"
+mkdir -p "$WORK/ckpt"
 "$BIN" ckpt -dir "$WORK/ckpt"
 
-echo "crash-smoke: tearing a surviving checkpoint in half"
-VICTIM=$(find "$WORK/ckpt" -name '*.ckpt' | sort | head -1)
+echo "crash-smoke: resume after the kill must recompute and match the reference"
+"$BIN" extract $FLAGS -ckpt-dir "$WORK/ckpt" -resume -stats > "$WORK/killed.txt" 2> "$WORK/killed-stats.txt"
+if [ $KILLED = 1 ] && ! grep -q 'ckpt.miss' "$WORK/killed-stats.txt"; then
+    echo "crash-smoke: FAIL — resume after the kill did not recompute (no ckpt.miss)"
+    exit 1
+fi
+if ! diff "$WORK/ref.txt" "$WORK/killed.txt"; then
+    echo "crash-smoke: FAIL — output resumed after the kill differs from reference"
+    exit 1
+fi
+VICTIM=$(find "$WORK/ckpt" -name 'netex.ckpt' | head -1)
+if [ -z "$VICTIM" ]; then
+    echo "crash-smoke: FAIL — resumed run persisted no netex checkpoint"
+    exit 1
+fi
+
+echo "crash-smoke: tearing the netex checkpoint in half"
 SIZE=$(wc -c < "$VICTIM")
 head -c $((SIZE / 2)) "$VICTIM" > "$VICTIM.torn"
 mv "$VICTIM.torn" "$VICTIM"
