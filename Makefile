@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench benchcmp alloc-check check faults-smoke trace-smoke crash-smoke serve-smoke serve-chaos-smoke metrics-smoke overload-smoke memory-smoke fuzz
+.PHONY: build test vet race alloc-check check faults-smoke trace-smoke crash-smoke serve-smoke serve-chaos-smoke metrics-smoke overload-smoke memory-smoke fuzz
 
 build:
 	$(GO) build ./...
@@ -96,20 +96,6 @@ memory-smoke:
 # crash-recovery, job-service, service-metrics, overload-resilience
 # and bounded-memory smoke runs.
 check: vet alloc-check race faults-smoke trace-smoke crash-smoke serve-smoke serve-chaos-smoke metrics-smoke overload-smoke memory-smoke
-
-# bench prints benchstat-compatible output and writes the reconstruction
-# benchmark results to BENCH_recon.json for machine comparison.
-bench:
-	BENCH_JSON=$(CURDIR)/BENCH_recon.json $(GO) test -run '^$$' -bench . -benchtime 1x ./...
-
-# benchcmp compares two BENCH_recon.json files (old vs new) and prints a
-# per-benchmark speedup table. Typical flow:
-#   git stash && make bench && mv BENCH_recon.json BENCH_recon.json.old
-#   git stash pop && make bench && make benchcmp
-OLD ?= BENCH_recon.json.old
-NEW ?= BENCH_recon.json
-benchcmp:
-	$(GO) run ./cmd/benchcmp $(OLD) $(NEW)
 
 # fuzz exercises the fuzz targets briefly (the seed corpora always run
 # as part of `test`).

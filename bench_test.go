@@ -6,12 +6,9 @@
 package repro
 
 import (
-	"encoding/json"
 	"io"
 	"math"
-	"os"
 	"runtime"
-	"sync"
 	"testing"
 
 	"repro/internal/analysis"
@@ -160,78 +157,12 @@ func setupReconstruction(b *testing.B) (*sem.Acquisition, geom.Rect, core.Option
 	return acq, window, o
 }
 
-// benchRecord is one reconstruction benchmark result as written to the
-// BENCH_JSON file: enough to compare runs across commits (benchstat
-// handles the textual -bench output; the JSON feeds dashboards).
-type benchRecord struct {
-	Name    string `json:"name"`
-	NsPerOp int64  `json:"ns_per_op"`
-	// AllocsPerOp / BytesPerOp are heap-allocation volume per iteration
-	// (runtime.MemStats deltas across the timed loop), the regression
-	// axis the pooled streaming pipeline optimizes: ns_per_op barely
-	// moves on a 1-CPU host, allocation volume is what drops.
-	AllocsPerOp int64 `json:"allocs_per_op"`
-	BytesPerOp  int64 `json:"bytes_per_op"`
-	// Workers is the resolved worker count actually used (par.Count of
-	// the requested value), not the requested sentinel: on a 1-CPU box
-	// BenchmarkReconstructionParallel records workers=1 and its numbers
-	// legitimately match BenchmarkReconstructionSerial.
-	Workers int `json:"workers"`
-	Slices  int `json:"slices"`
-	N       int `json:"n"`
-}
-
-// allocMeter measures heap allocation across a benchmark's timed loop.
-// The GC before the baseline read keeps dead setup garbage from
-// inflating the first ReadMemStats delta.
-type allocMeter struct{ before runtime.MemStats }
-
-func startAllocMeter() *allocMeter {
-	runtime.GC()
-	m := &allocMeter{}
-	runtime.ReadMemStats(&m.before)
-	return m
-}
-
-// perOp returns mallocs and bytes per iteration since the meter started.
-func (m *allocMeter) perOp(n int) (allocs, bytes int64) {
-	var after runtime.MemStats
-	runtime.ReadMemStats(&after)
-	return int64(after.Mallocs-m.before.Mallocs) / int64(n),
-		int64(after.TotalAlloc-m.before.TotalAlloc) / int64(n)
-}
-
-var benchRecords struct {
-	mu   sync.Mutex
-	recs []benchRecord
-}
-
-// TestMain writes the recorded reconstruction benchmark results to the
-// file named by BENCH_JSON (when set) after the run; `make bench` uses
-// this to emit BENCH_recon.json alongside the benchstat-readable stdout.
-func TestMain(m *testing.M) {
-	code := m.Run()
-	if path := os.Getenv("BENCH_JSON"); path != "" && len(benchRecords.recs) > 0 {
-		data, err := json.MarshalIndent(benchRecords.recs, "", "  ")
-		if err == nil {
-			err = os.WriteFile(path, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			println("bench json:", err.Error())
-			if code == 0 {
-				code = 1
-			}
-		}
-	}
-	os.Exit(code)
-}
-
 // benchReconstruction runs E5 with the given worker-pool size.
 func benchReconstruction(b *testing.B, workers int) {
 	acq, window, o := setupReconstruction(b)
 	o.Workers = workers
 	o.Pool = img.NewPool()
-	meter := startAllocMeter()
+	b.ReportAllocs()
 	b.ResetTimer()
 	var plan *netex.Plan
 	var err error
@@ -242,18 +173,6 @@ func benchReconstruction(b *testing.B, workers int) {
 		}
 	}
 	b.StopTimer()
-	allocs, bytes := meter.perOp(b.N)
-	benchRecords.mu.Lock()
-	benchRecords.recs = append(benchRecords.recs, benchRecord{
-		Name:        b.Name(),
-		NsPerOp:     b.Elapsed().Nanoseconds() / int64(b.N),
-		AllocsPerOp: allocs,
-		BytesPerOp:  bytes,
-		Workers:     par.Count(workers),
-		Slices:      len(acq.Slices),
-		N:           b.N,
-	})
-	benchRecords.mu.Unlock()
 	ext, err := netex.Extract(plan)
 	if err != nil {
 		b.Fatal(err)
@@ -280,9 +199,9 @@ func BenchmarkReconstructionSerial(b *testing.B) {
 
 // E5b — the saturated worker pool, the speedup probe for the concurrency
 // layer (compare against BenchmarkReconstructionSerial). On a 1-CPU host
-// runtime.NumCPU() == 1, so this records workers=1 in the BENCH_JSON
-// metadata and its timings match the Serial benchmark — that equality is
-// correct, not a regression; compare the two only where workers differ.
+// runtime.NumCPU() == 1, so this reports workers=1 and its timings
+// match the Serial benchmark — that equality is correct, not a
+// regression; compare the two only where workers differ.
 func BenchmarkReconstructionParallel(b *testing.B) {
 	benchReconstruction(b, runtime.NumCPU())
 }
@@ -296,7 +215,7 @@ func benchAlignStack(b *testing.B, workers, pyramid int) {
 	ro := register.DefaultOptions()
 	ro.Workers = workers
 	ro.Pyramid = pyramid
-	meter := startAllocMeter()
+	b.ReportAllocs()
 	b.ResetTimer()
 	var res register.StackResult
 	var err error
@@ -307,18 +226,6 @@ func benchAlignStack(b *testing.B, workers, pyramid int) {
 		}
 	}
 	b.StopTimer()
-	allocs, bytes := meter.perOp(b.N)
-	benchRecords.mu.Lock()
-	benchRecords.recs = append(benchRecords.recs, benchRecord{
-		Name:        b.Name(),
-		NsPerOp:     b.Elapsed().Nanoseconds() / int64(b.N),
-		AllocsPerOp: allocs,
-		BytesPerOp:  bytes,
-		Workers:     par.Count(workers),
-		Slices:      len(acq.Slices),
-		N:           b.N,
-	})
-	benchRecords.mu.Unlock()
 	if len(res.Shifts) != len(acq.Slices) {
 		b.Fatalf("alignment lost slices: %d shifts for %d slices", len(res.Shifts), len(acq.Slices))
 	}
@@ -332,31 +239,17 @@ func BenchmarkAlignPair(b *testing.B) {
 	acq, _, _ := setupReconstruction(b)
 	ro := register.DefaultOptions()
 	ro.Workers = 1
-	meter := startAllocMeter()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := register.Align(acq.Slices[0], acq.Slices[1], ro); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.StopTimer()
-	allocs, bytes := meter.perOp(b.N)
-	benchRecords.mu.Lock()
-	benchRecords.recs = append(benchRecords.recs, benchRecord{
-		Name:        b.Name(),
-		NsPerOp:     b.Elapsed().Nanoseconds() / int64(b.N),
-		AllocsPerOp: allocs,
-		BytesPerOp:  bytes,
-		Workers:     1,
-		Slices:      2,
-		N:           b.N,
-	})
-	benchRecords.mu.Unlock()
 }
 
 // E5d — sequential exhaustive stack alignment: the headline number for
-// the allocation-free kernel (compare against the pre-kernel baseline
-// in BENCH_recon.json history and README §performance).
+// the allocation-free kernel.
 func BenchmarkAlignStack(b *testing.B) {
 	benchAlignStack(b, 1, 0)
 }

@@ -28,7 +28,8 @@
 // the observability flags: -trace out.json writes a Chrome trace-event file (loadable in
 // Perfetto or chrome://tracing), -stats prints a per-stage wall-time
 // table to stderr, -v / -vv enable structured progress / per-slice
-// detail logs, and -pprof ADDR serves net/http/pprof and expvar. None
+// detail logs, and -pprof ADDR serves net/http/pprof and the run's
+// metrics as Prometheus text on /metrics. None
 // of these perturb the pipeline: the output is byte-identical for any
 // worker count, with or without observability.
 //
@@ -197,7 +198,7 @@ checkpoint fingerprint changes accordingly), and the observability flags:
   -trace FILE   write a Chrome trace-event JSON file (Perfetto-loadable)
   -stats        print a per-stage wall-time table to stderr
   -v / -vv      structured progress / per-slice detail logs on stderr
-  -pprof ADDR   serve net/http/pprof and expvar on ADDR
+  -pprof ADDR   serve net/http/pprof and /metrics on ADDR
 
 and the crash-safety flags:
   -ckpt-dir DIR checkpoint completed stages into DIR (atomic, checksummed)
@@ -239,7 +240,7 @@ func addObsFlags(fs *flag.FlagSet) *obsFlags {
 	fs.BoolVar(&f.stats, "stats", false, "print a per-stage wall-time table to stderr when done")
 	fs.BoolVar(&f.v, "v", false, "log pipeline progress to stderr")
 	fs.BoolVar(&f.vv, "vv", false, "log per-slice detail to stderr (implies -v)")
-	fs.StringVar(&f.pprof, "pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
+	fs.StringVar(&f.pprof, "pprof", "", "serve net/http/pprof and /metrics on this address (e.g. localhost:6060)")
 	return f
 }
 
@@ -252,7 +253,6 @@ func (f *obsFlags) build() (*obs.Observer, func() error) {
 		return nil, func() error { return nil }
 	}
 	ob := &obs.Observer{Metrics: obs.NewMetrics()}
-	ob.Metrics.PublishExpvar("hifidram")
 	if f.trace != "" || f.stats {
 		ob.Trace = obs.NewTrace()
 	}
@@ -269,7 +269,7 @@ func (f *obsFlags) build() (*obs.Observer, func() error) {
 		// DefaultServeMux (and whatever anyone registered on it) with no
 		// header/read deadlines at all.
 		go func() {
-			srv := serve.NewDebugServer(f.pprof)
+			srv := serve.NewDebugServer(f.pprof, ob.Metrics)
 			if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				fmt.Fprintln(os.Stderr, "hifidram: pprof:", err)
 			}
@@ -1061,8 +1061,6 @@ func runServe(ctx context.Context, args []string) (retErr error) {
 		}
 		ob.Log = slog.New(slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: lvl}))
 	}
-	ob.Metrics.PublishExpvar("hifidram.serve")
-
 	s := serve.New(serve.Config{
 		Workers: *workers, Jobs: *jobs, QueueDepth: *queue,
 		Cache: store, CacheBytes: *cacheBytes, JournalPath: *journalPath,

@@ -337,8 +337,8 @@ func runMetricsCheck(ctx context.Context, args []string) error {
 			if name == "" {
 				continue
 			}
-			// A histogram or summary family counts as present through any
-			// of its child series.
+			// A histogram family counts as present through any of its
+			// child series.
 			if present[name] || present[name+"_bucket"] || present[name+"_count"] {
 				continue
 			}

@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"math"
-	"time"
-)
+import "math"
 
 // The histogram bucket scheme is fixed at compile time so that every
 // histogram in the process — and in every process — shares the same
@@ -55,7 +52,7 @@ func HistBounds() []float64 {
 // values (canonically: durations in seconds). The zero value is ready
 // to use. A Histogram is NOT internally locked: standalone users
 // synchronize it themselves, and the Metrics registry guards its
-// histograms with the registry mutex — same discipline as DurStats.
+// histograms with the registry mutex.
 type Histogram struct {
 	// Counts[i] is the number of observations in bucket i; index
 	// HistBuckets is the +Inf overflow bucket.
@@ -100,11 +97,6 @@ func (h *Histogram) Observe(v float64) {
 	h.Counts[bucketIndex(v)]++
 	h.Sum += v
 	h.Count++
-}
-
-// ObserveDuration folds one duration in as seconds.
-func (h *Histogram) ObserveDuration(d time.Duration) {
-	h.Observe(d.Seconds())
 }
 
 // Merge adds another histogram's counts into this one. Because every

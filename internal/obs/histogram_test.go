@@ -84,12 +84,16 @@ func TestHistogramObserveAndQuantile(t *testing.T) {
 	}
 }
 
+// TestHistogramObserveDuration pins the registry's one duration entry
+// point: Metrics.Observe records into the fixed-bucket histogram, in
+// seconds.
 func TestHistogramObserveDuration(t *testing.T) {
-	var h Histogram
-	h.ObserveDuration(50 * time.Microsecond) // <= base: bucket 0
-	h.ObserveDuration(time.Second)
-	if h.Count != 2 || h.Counts[0] != 1 {
-		t.Fatalf("counts = %v", h.Counts)
+	m := NewMetrics()
+	m.Observe("d", 50*time.Microsecond) // <= base: bucket 0
+	m.Observe("d", time.Second)
+	h := m.Snapshot().Histograms["d"]
+	if h == nil || h.Count != 2 || h.Counts[0] != 1 || h.Counts[bucketIndex(1)] != 1 {
+		t.Fatalf("histogram = %+v", h)
 	}
 	if math.Abs(h.Sum-1.00005) > 1e-9 {
 		t.Errorf("sum = %g, want 1.00005", h.Sum)
@@ -146,8 +150,8 @@ func TestHistogramMergeDeterministic(t *testing.T) {
 
 func TestMetricsObserveHist(t *testing.T) {
 	m := NewMetrics()
-	m.ObserveHist("lat", 0.001)
-	m.ObserveHistDur("lat", 2*time.Millisecond)
+	m.Observe("lat", time.Millisecond)
+	m.Observe("lat", 2*time.Millisecond)
 	snap := m.Snapshot()
 	h := snap.Histograms["lat"]
 	if h == nil || h.Count != 2 {
@@ -155,7 +159,7 @@ func TestMetricsObserveHist(t *testing.T) {
 	}
 	// Snapshot must deep-copy: mutating the registry afterwards must not
 	// change the snapshot.
-	m.ObserveHist("lat", 0.001)
+	m.Observe("lat", time.Millisecond)
 	if h.Count != 2 {
 		t.Error("snapshot histogram aliases the registry")
 	}
@@ -172,18 +176,18 @@ func TestMetricsObserveHist(t *testing.T) {
 	}
 	// nil registry is inert.
 	var nilM *Metrics
-	nilM.ObserveHist("x", 1)
+	nilM.Observe("x", time.Second)
 }
 
-// TestMetricsMergeRace exercises Merge against concurrent Add/Observe/
-// ObserveHist under -race: the registry mutex must cover every path,
-// including lazily-created histograms.
+// TestMetricsMergeRace exercises Merge against concurrent Add/Observe/Set
+// under -race: the registry mutex must cover every path, including
+// lazily-created histograms.
 func TestMetricsMergeRace(t *testing.T) {
 	dst := NewMetrics()
 	src := NewMetrics()
 	src.Add("c", 1)
 	src.Observe("d", time.Millisecond)
-	src.ObserveHist("h", 0.01)
+	src.Observe("h", 10*time.Millisecond)
 	snap := src.Snapshot()
 
 	var wg sync.WaitGroup
@@ -200,7 +204,7 @@ func TestMetricsMergeRace(t *testing.T) {
 				}
 				dst.Add("c", 1)
 				dst.Observe("d", time.Duration(i)*time.Microsecond)
-				dst.ObserveHist("h", float64(i)*1e-5)
+				dst.Observe("h", time.Duration(i)*10*time.Microsecond)
 				dst.Set("g", float64(i))
 				_ = dst.Snapshot()
 			}

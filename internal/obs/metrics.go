@@ -1,39 +1,21 @@
 package obs
 
 import (
-	"expvar"
 	"sync"
 	"time"
 )
 
 // Metrics is a concurrency-safe registry of counters, gauges and
-// duration distributions. Counters hold deterministic quantities —
-// values that depend only on the input and the options, never on
-// scheduling — so equal runs produce equal counter snapshots for any
-// worker count; durations are where all timing (and therefore all
-// nondeterminism) lives.
+// duration histograms. Counters hold deterministic quantities — values
+// that depend only on the input and the options, never on scheduling —
+// so equal runs produce equal counter snapshots for any worker count;
+// durations are where all timing (and therefore all nondeterminism)
+// lives.
 type Metrics struct {
 	mu       sync.Mutex
 	counters map[string]int64
 	gauges   map[string]float64
-	durs     map[string]DurStats
 	hists    map[string]*Histogram
-}
-
-// DurStats summarizes a duration distribution in nanoseconds.
-type DurStats struct {
-	Count int64 `json:"count"`
-	SumNS int64 `json:"sum_ns"`
-	MinNS int64 `json:"min_ns"`
-	MaxNS int64 `json:"max_ns"`
-}
-
-// Mean returns the mean observation.
-func (d DurStats) Mean() time.Duration {
-	if d.Count == 0 {
-		return 0
-	}
-	return time.Duration(d.SumNS / d.Count)
 }
 
 // NewMetrics returns an empty registry.
@@ -41,7 +23,6 @@ func NewMetrics() *Metrics {
 	return &Metrics{
 		counters: make(map[string]int64),
 		gauges:   make(map[string]float64),
-		durs:     make(map[string]DurStats),
 		hists:    make(map[string]*Histogram),
 	}
 }
@@ -66,31 +47,11 @@ func (m *Metrics) Set(name string, v float64) {
 	m.mu.Unlock()
 }
 
-// Observe folds d into the named duration distribution.
+// Observe folds d, in seconds, into the named histogram, creating it on
+// first use. Histograms use the package's fixed exponential bucket
+// scheme (see Histogram), so every histogram with the same name is
+// mergeable across jobs and processes.
 func (m *Metrics) Observe(name string, d time.Duration) {
-	if m == nil {
-		return
-	}
-	ns := d.Nanoseconds()
-	m.mu.Lock()
-	s := m.durs[name]
-	if s.Count == 0 || ns < s.MinNS {
-		s.MinNS = ns
-	}
-	if s.Count == 0 || ns > s.MaxNS {
-		s.MaxNS = ns
-	}
-	s.Count++
-	s.SumNS += ns
-	m.durs[name] = s
-	m.mu.Unlock()
-}
-
-// ObserveHist folds value v (canonically seconds) into the named
-// histogram, creating it on first use. Histograms use the package's
-// fixed exponential bucket scheme (see Histogram), so every histogram
-// with the same name is mergeable across jobs and processes.
-func (m *Metrics) ObserveHist(name string, v float64) {
 	if m == nil {
 		return
 	}
@@ -100,13 +61,8 @@ func (m *Metrics) ObserveHist(name string, v float64) {
 		h = &Histogram{}
 		m.hists[name] = h
 	}
-	h.Observe(v)
+	h.Observe(d.Seconds())
 	m.mu.Unlock()
-}
-
-// ObserveHistDur is ObserveHist for a duration, recorded in seconds.
-func (m *Metrics) ObserveHistDur(name string, d time.Duration) {
-	m.ObserveHist(name, d.Seconds())
 }
 
 // Snapshot is a point-in-time copy of the registry — the structured
@@ -118,13 +74,11 @@ type Snapshot struct {
 	Counters map[string]int64 `json:"counters"`
 	// Gauges are last-write-wins point values.
 	Gauges map[string]float64 `json:"gauges,omitempty"`
-	// Durations hold all timing (worker busy/idle, queue wait); they are
-	// scheduling-dependent and excluded from the determinism contract.
-	Durations map[string]DurStats `json:"durations,omitempty"`
-	// Histograms hold fixed-bucket distributions (latencies in
-	// seconds). Like Durations they carry timing and are excluded from
-	// the determinism contract; unlike Durations their merge is exact,
-	// so fleet-level quantiles are well defined.
+	// Histograms hold all timing (worker busy/idle, queue wait,
+	// latencies) as fixed-bucket distributions in seconds. They are
+	// scheduling-dependent and excluded from the determinism contract,
+	// but their merge is exact, so fleet-level quantiles are well
+	// defined.
 	Histograms map[string]*Histogram `json:"histograms,omitempty"`
 }
 
@@ -138,7 +92,6 @@ func (m *Metrics) Snapshot() *Snapshot {
 	s := &Snapshot{
 		Counters:   make(map[string]int64, len(m.counters)),
 		Gauges:     make(map[string]float64, len(m.gauges)),
-		Durations:  make(map[string]DurStats, len(m.durs)),
 		Histograms: make(map[string]*Histogram, len(m.hists)),
 	}
 	for k, v := range m.counters {
@@ -147,9 +100,6 @@ func (m *Metrics) Snapshot() *Snapshot {
 	for k, v := range m.gauges {
 		s.Gauges[k] = v
 	}
-	for k, v := range m.durs {
-		s.Durations[k] = v
-	}
 	for k, h := range m.hists {
 		s.Histograms[k] = h.Clone()
 	}
@@ -157,11 +107,11 @@ func (m *Metrics) Snapshot() *Snapshot {
 }
 
 // Merge folds a snapshot into the registry: counters add, gauges take
-// the snapshot's value (last write wins), durations merge their
-// count/sum/min/max. The serve layer uses it to roll every job's
-// private metric registry up into the server-wide one after the job
-// finishes, so the expvar endpoint shows fleet totals while each job
-// keeps an isolated, deterministic snapshot of its own.
+// the snapshot's value (last write wins), histograms add bucket by
+// bucket. The serve layer uses it to roll every job's private metric
+// registry up into the server-wide one after the job finishes, so
+// /metrics shows fleet totals while each job keeps an isolated,
+// deterministic snapshot of its own.
 func (m *Metrics) Merge(s *Snapshot) {
 	if m == nil || s == nil {
 		return
@@ -173,21 +123,6 @@ func (m *Metrics) Merge(s *Snapshot) {
 	}
 	for k, v := range s.Gauges {
 		m.gauges[k] = v
-	}
-	for k, v := range s.Durations {
-		if v.Count == 0 {
-			continue
-		}
-		d := m.durs[k]
-		if d.Count == 0 || v.MinNS < d.MinNS {
-			d.MinNS = v.MinNS
-		}
-		if d.Count == 0 || v.MaxNS > d.MaxNS {
-			d.MaxNS = v.MaxNS
-		}
-		d.Count += v.Count
-		d.SumNS += v.SumNS
-		m.durs[k] = d
 	}
 	for k, v := range s.Histograms {
 		if v == nil || v.Count == 0 {
@@ -201,54 +136,3 @@ func (m *Metrics) Merge(s *Snapshot) {
 		h.Merge(v)
 	}
 }
-
-// PublishExpvar exposes the registry under the given expvar name (served
-// on /debug/vars by the expvar HTTP handler, e.g. under the -pprof
-// address). expvar.Publish panics on a duplicate name and offers no
-// unpublish, so the name is registered exactly once with an
-// indirection the registry is rebound through: publishing the same
-// name again — a second server in one test process, a restarted serve
-// loop — atomically rebinds the variable to the newest registry
-// instead of panicking or silently keeping a dead one. Latest wins;
-// the expvar always reads the most recently published registry.
-func (m *Metrics) PublishExpvar(name string) {
-	if m == nil {
-		return
-	}
-	expvarMu.Lock()
-	defer expvarMu.Unlock()
-	holder, ok := expvarBindings[name]
-	if !ok {
-		holder = &expvarBinding{}
-		expvarBindings[name] = holder
-		expvar.Publish(name, expvar.Func(func() any { return holder.load().Snapshot() }))
-	}
-	holder.store(m)
-}
-
-// expvarBinding is the mutable indirection one published name reads
-// through.
-type expvarBinding struct {
-	mu sync.Mutex
-	m  *Metrics
-}
-
-func (b *expvarBinding) store(m *Metrics) {
-	b.mu.Lock()
-	b.m = m
-	b.mu.Unlock()
-}
-
-func (b *expvarBinding) load() *Metrics {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.m
-}
-
-// expvarMu guards the bindings table; expvar itself panics on a
-// duplicate Publish, so the existence check and the registration must
-// be atomic.
-var (
-	expvarMu       sync.Mutex
-	expvarBindings = make(map[string]*expvarBinding)
-)

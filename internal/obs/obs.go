@@ -118,23 +118,13 @@ func (o *Observer) Gauge(name string, v float64) {
 	o.Metrics.Set(name, v)
 }
 
-// ObserveDur folds d into the named duration distribution. Durations are
+// ObserveDur folds d into the named duration histogram. Timings are
 // scheduling-dependent and are never part of the determinism contract.
 func (o *Observer) ObserveDur(name string, d time.Duration) {
 	if o == nil || o.Metrics == nil {
 		return
 	}
 	o.Metrics.Observe(name, d)
-}
-
-// ObserveHist folds v (canonically seconds) into the named fixed-bucket
-// histogram. Histograms, like durations, carry timing and are outside
-// the determinism contract.
-func (o *Observer) ObserveHist(name string, v float64) {
-	if o == nil || o.Metrics == nil {
-		return
-	}
-	o.Metrics.ObserveHist(name, v)
 }
 
 // Snapshot returns the current metric snapshot, or nil when metrics are

@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"expvar"
 	"log/slog"
 	"strings"
 	"sync/atomic"
@@ -211,13 +210,12 @@ func TestMetricsSnapshot(t *testing.T) {
 	if snap.Gauges["overlap"] != 0.93 {
 		t.Errorf("overlap = %v", snap.Gauges["overlap"])
 	}
-	d := snap.Durations["busy"]
-	if d.Count != 2 || d.MinNS != (2*time.Millisecond).Nanoseconds() ||
-		d.MaxNS != (4*time.Millisecond).Nanoseconds() {
-		t.Errorf("busy = %+v", d)
+	d := snap.Histograms["busy"]
+	if d == nil || d.Count != 2 || !approxEq(d.Sum, 0.006, 1e-12) {
+		t.Fatalf("busy = %+v", d)
 	}
-	if d.Mean() != 3*time.Millisecond {
-		t.Errorf("mean = %v", d.Mean())
+	if d.Counts[bucketIndex(0.002)] != 1 || d.Counts[bucketIndex(0.004)] != 1 {
+		t.Errorf("busy buckets = %v", d.Counts)
 	}
 	// The snapshot is detached: later writes don't mutate it.
 	m.Add("evals", 100)
@@ -247,12 +245,14 @@ func TestMetricsMerge(t *testing.T) {
 	if snap.Gauges["depth"] != 5 {
 		t.Errorf("merged gauge = %v", snap.Gauges["depth"])
 	}
-	d := snap.Durations["wait"]
-	if d.Count != 3 ||
-		d.MinNS != (2*time.Millisecond).Nanoseconds() ||
-		d.MaxNS != (20*time.Millisecond).Nanoseconds() ||
-		d.SumNS != (32*time.Millisecond).Nanoseconds() {
-		t.Errorf("merged duration = %+v", d)
+	d := snap.Histograms["wait"]
+	if d == nil || d.Count != 3 || !approxEq(d.Sum, 0.032, 1e-12) {
+		t.Fatalf("merged duration = %+v", d)
+	}
+	for _, v := range []float64{0.002, 0.010, 0.020} {
+		if d.Counts[bucketIndex(v)] != 1 {
+			t.Errorf("merged buckets = %v, want one observation at %gs", d.Counts, v)
+		}
 	}
 	// Merging nil or into nil is inert.
 	dst.Merge(nil)
@@ -300,12 +300,12 @@ func TestObserverForEachRecordsSpanAndWorkerMetrics(t *testing.T) {
 		t.Fatalf("stage summary: %+v", stats)
 	}
 	snap := o.Snapshot()
-	busy := snap.Durations["par.worker_busy"]
-	if busy.Count != 3 || busy.SumNS <= 0 {
+	busy := snap.Histograms["par.worker_busy"]
+	if busy == nil || busy.Count != 3 || busy.Sum <= 0 {
 		t.Errorf("worker_busy = %+v, want 3 workers with nonzero time", busy)
 	}
-	if snap.Durations["par.queue_wait"].Count != 3 {
-		t.Errorf("queue_wait = %+v", snap.Durations["par.queue_wait"])
+	if wait := snap.Histograms["par.queue_wait"]; wait == nil || wait.Count != 3 {
+		t.Errorf("queue_wait = %+v", wait)
 	}
 }
 
@@ -320,43 +320,6 @@ func TestObserverLogLevels(t *testing.T) {
 	}
 	if strings.Contains(out, "detail") {
 		t.Error("Debug event should be filtered at info level")
-	}
-}
-
-func TestPublishExpvarIdempotent(t *testing.T) {
-	m := NewMetrics()
-	m.Add("c", 7)
-	m.PublishExpvar("obs_test_metrics")
-	// Publishing the same name again must not panic (expvar.Publish
-	// panics on duplicates) and must rebind the variable to the newest
-	// registry: a restarted server's metrics replace the dead one's.
-	m2 := NewMetrics()
-	m2.Add("c", 11)
-	m2.PublishExpvar("obs_test_metrics")
-	read := func() int64 {
-		t.Helper()
-		v := expvar.Get("obs_test_metrics")
-		if v == nil {
-			t.Fatal("expvar not published")
-		}
-		var snap Snapshot
-		if err := json.Unmarshal([]byte(v.String()), &snap); err != nil {
-			t.Fatalf("expvar value is not snapshot JSON: %v", err)
-		}
-		return snap.Counters["c"]
-	}
-	if got := read(); got != 11 {
-		t.Errorf("published counter = %d, want latest registry's 11", got)
-	}
-	// Rebinding is live: later writes to the bound registry show up.
-	m2.Add("c", 1)
-	if got := read(); got != 12 {
-		t.Errorf("after Add, published counter = %d, want 12", got)
-	}
-	// And the first registry can take the name back (latest wins again).
-	m.PublishExpvar("obs_test_metrics")
-	if got := read(); got != 7 {
-		t.Errorf("after rebind, published counter = %d, want 7", got)
 	}
 }
 

@@ -14,11 +14,7 @@ import (
 //   - counters render as "<name>_total" counter series (registry dots
 //     become underscores: serve.cache_hits -> serve_cache_hits_total);
 //   - gauges render as gauges under their sanitized name;
-//   - duration stats (DurStats, nanoseconds in the registry) render as
-//     a "<name>_seconds" summary — _sum and _count — plus
-//     "<name>_seconds_min"/"_seconds_max" gauges (a min/max is a
-//     point fact, not a distribution);
-//   - histograms (values in seconds) render as "<name>_seconds"
+//   - duration histograms (values in seconds) render as "<name>_seconds"
 //     histograms: one cumulative _bucket series per bound plus
 //     le="+Inf", then _sum and _count.
 //
@@ -42,9 +38,9 @@ type promSeries struct {
 // promFamily groups series sharing a family name and TYPE.
 type promFamily struct {
 	name string // full family name, e.g. serve_queue_wait_seconds
-	typ  string // counter | gauge | summary | histogram
-	// suffixed maps series-name suffix ("", "_bucket", "_sum",
-	// "_count") to its series, preserving emit order per suffix.
+	typ  string // counter | gauge | histogram
+	// lines holds the family's series, each with its name suffix ("",
+	// "_bucket", "_sum" or "_count").
 	lines []promLine
 }
 
@@ -78,18 +74,6 @@ func WriteProm(w io.Writer, snap *Snapshot) error {
 			base, labels := promKey(key)
 			f := family(base, "gauge")
 			f.lines = append(f.lines, promLine{sortLabels: labels, s: promSeries{labels: labels, value: v}})
-		}
-		for key, d := range snap.Durations {
-			base, labels := promKey(key)
-			f := family(base+"_seconds", "summary")
-			f.lines = append(f.lines,
-				promLine{suffix: "_sum", sortLabels: labels, s: promSeries{labels: labels, value: float64(d.SumNS) / 1e9}},
-				promLine{suffix: "_count", sortLabels: labels, s: promSeries{labels: labels, ivalue: d.Count, isInt: true}},
-			)
-			fmin := family(base+"_seconds_min", "gauge")
-			fmin.lines = append(fmin.lines, promLine{sortLabels: labels, s: promSeries{labels: labels, value: float64(d.MinNS) / 1e9}})
-			fmax := family(base+"_seconds_max", "gauge")
-			fmax.lines = append(fmax.lines, promLine{sortLabels: labels, s: promSeries{labels: labels, value: float64(d.MaxNS) / 1e9}})
 		}
 		for key, h := range snap.Histograms {
 			if h == nil {

@@ -14,7 +14,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // goldenSnapshot builds a fully deterministic snapshot exercising every
 // family kind the renderer emits: plain and labeled counters, gauges,
-// durations and histograms.
+// and plain and labeled histograms.
 func goldenSnapshot() *Snapshot {
 	m := NewMetrics()
 	m.Add("serve.jobs_submitted", 42)
@@ -25,11 +25,11 @@ func goldenSnapshot() *Snapshot {
 	m.Observe("serve.journal_fsync", 2*time.Millisecond)
 	m.Observe("serve.journal_fsync", 4*time.Millisecond)
 	for i := 1; i <= 10; i++ {
-		m.ObserveHist("serve.queue_wait", float64(i)*1e-3)
+		m.Observe("serve.queue_wait", time.Duration(i)*time.Millisecond)
 	}
-	m.ObserveHist(Series("serve.run_duration", Label{"tenant", "alice"}, Label{"profile", "deep"}), 0.5)
-	m.ObserveHist(Series("serve.run_duration", Label{"tenant", "alice"}, Label{"profile", "deep"}), 1.5)
-	m.ObserveHist(Series("serve.run_duration", Label{"tenant", "bob"}), 100000) // overflow bucket
+	m.Observe(Series("serve.run_duration", Label{"tenant", "alice"}, Label{"profile", "deep"}), 500*time.Millisecond)
+	m.Observe(Series("serve.run_duration", Label{"tenant", "alice"}, Label{"profile", "deep"}), 1500*time.Millisecond)
+	m.Observe(Series("serve.run_duration", Label{"tenant", "bob"}), 100000*time.Second) // overflow bucket
 	return m.Snapshot()
 }
 
@@ -84,7 +84,15 @@ func TestWritePromRoundTrip(t *testing.T) {
 		t.Errorf("gauge = %g, %v", v, ok)
 	}
 	if v, ok := scr.Value("serve_journal_fsync_seconds_count"); !ok || v != 2 {
-		t.Errorf("summary count = %g, %v", v, ok)
+		t.Errorf("duration count = %g, %v", v, ok)
+	}
+	if v, ok := scr.Value("serve_journal_fsync_seconds_sum"); !ok || !approxEq(v, 0.006, 1e-12) {
+		t.Errorf("duration sum = %g, %v", v, ok)
+	}
+	for name, fam := range scr.Families {
+		if fam.Type == "summary" {
+			t.Errorf("family %s is a summary; durations render as histograms", name)
+		}
 	}
 	if v, ok := scr.Value("serve_queue_wait_seconds_count"); !ok || v != 10 {
 		t.Errorf("histogram count = %g, %v", v, ok)
@@ -193,10 +201,57 @@ func TestValidatePromRejectsBrokenHistogram(t *testing.T) {
 			t.Errorf("%s: ValidateProm accepted %q", c.name, c.doc)
 		}
 	}
+	// Each series appears once, and buckets belong to histograms only.
+	for _, c := range []struct{ name, doc string }{
+		{"repeated series", "# TYPE up gauge\nup 1\nup 1\n"},
+		{"repeated labeled series", "# TYPE c_total counter\nc_total{a=\"x\",b=\"y\"} 1\nc_total{b=\"y\",a=\"x\"} 2\n"},
+		{"bucket in a summary", "# TYPE h summary\nh_bucket{le=\"+Inf\"} 1\nh_sum 1\nh_count 1\n"},
+		{"le label on a gauge", "# TYPE g gauge\ng{le=\"1\"} 1\n"},
+		{"le label on a histogram child", "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 1\nh_count{le=\"+Inf\"} 1\n"},
+	} {
+		if _, err := ValidateProm(strings.NewReader(c.doc)); err == nil {
+			t.Errorf("%s: ValidateProm accepted %q", c.name, c.doc)
+		}
+	}
 	// A well-formed third-party exposition passes.
 	good := "# TYPE up gauge\nup 1\n# TYPE h histogram\nh_bucket{le=\"0.1\"} 1\nh_bucket{le=\"+Inf\"} 2\nh_sum 3\nh_count 2\n"
 	if _, err := ValidateProm(strings.NewReader(good)); err != nil {
 		t.Errorf("ValidateProm rejected well-formed doc: %v", err)
+	}
+}
+
+// TestValidatePromRejectsMixedFamilies feeds the validator two /metrics
+// documents captured from a serve build that recorded serve.queue_wait
+// both as a duration summary and as a tenant-labeled histogram under the
+// one family serve_queue_wait_seconds. After a labeled-tenant job the
+// family was typed summary yet carried _bucket series; after an
+// anonymous-tenant job its unlabeled _count and _sum appeared twice.
+// Both parse, and both must fail validation.
+func TestValidatePromRejectsMixedFamilies(t *testing.T) {
+	const want = "histogram bucket in summary family serve_queue_wait_seconds"
+	for _, file := range []string{"summary_with_buckets.txt", "repeated_series.txt"} {
+		data, err := os.ReadFile(filepath.Join("testdata", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ParseProm(bytes.NewReader(data)); err != nil {
+			t.Fatalf("%s: fixture must parse: %v", file, err)
+		}
+		_, err = ValidateProm(bytes.NewReader(data))
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: ValidateProm error = %v, want %q", file, err, want)
+		}
+	}
+	// With the summary TYPE line fixed up, the anonymous-tenant document
+	// still repeats the unlabeled serve_queue_wait_seconds_count series.
+	data, err := os.ReadFile(filepath.Join("testdata", "repeated_series.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := strings.Replace(string(data), "# TYPE serve_queue_wait_seconds summary", "# TYPE serve_queue_wait_seconds histogram", 1)
+	_, err = ValidateProm(strings.NewReader(doc))
+	if err == nil || !strings.Contains(err.Error(), "serve_queue_wait_seconds_count{} appears twice") {
+		t.Errorf("retyped anonymous-tenant document: error = %v, want a repeated series", err)
 	}
 }
 

@@ -368,55 +368,58 @@ func parsePromLabels(body string) (end int, labels []Label, err error) {
 
 // ValidateProm parses the exposition and additionally checks the
 // structural invariants CI relies on: every sample belongs to a
-// TYPE-declared family, histogram families have a le="+Inf" bucket
-// whose value equals their _count, and cumulative bucket counts are
+// TYPE-declared family; no series (name plus label set) appears twice;
+// _bucket samples and le-labeled samples occur only as the buckets of a
+// histogram family; histogram families have a le="+Inf" bucket whose
+// value equals their _count, and cumulative bucket counts are
 // monotonically non-decreasing in le. Returns the scrape on success.
 func ValidateProm(r io.Reader) (*PromScrape, error) {
 	scr, err := ParseProm(r)
 	if err != nil {
 		return nil, err
 	}
+	values := make(map[string]float64, len(scr.Samples))
 	for _, s := range scr.Samples {
-		base := promFamilyBase(s.Name)
-		if _, ok := scr.Families[base]; ok {
-			continue
+		fam, ok := scr.Families[promFamilyBase(s.Name)]
+		if !ok {
+			fam, ok = scr.Families[s.Name]
 		}
-		if _, ok := scr.Families[s.Name]; ok {
-			continue
+		if !ok {
+			return nil, fmt.Errorf("sample %s has no TYPE declaration", s.Name)
 		}
-		return nil, fmt.Errorf("sample %s has no TYPE declaration", s.Name)
+		if strings.HasSuffix(s.Name, "_bucket") || hasLabel(s.Labels, "le") {
+			if fam.Type != "histogram" || s.Name != fam.Name+"_bucket" {
+				return nil, fmt.Errorf("sample %s: histogram bucket in %s family %s", s.Name, fam.Type, fam.Name)
+			}
+		}
+		key := seriesKey(s.Name, s.Labels, "")
+		if _, dup := values[key]; dup {
+			return nil, fmt.Errorf("series %s appears twice", key)
+		}
+		values[key] = s.Value
 	}
 	for name, fam := range scr.Families {
 		if fam.Type != "histogram" {
 			continue
 		}
-		// Group buckets by their non-le label signature.
+		// Group buckets by their non-le label set.
 		type group struct {
-			les  []float64
-			cums []float64
-			inf  float64
-			has  bool
+			countKey string
+			les      []float64
+			cums     []float64
+			inf      float64
+			has      bool
 		}
 		groups := map[string]*group{}
-		sig := func(ls []Label) string {
-			var parts []string
-			for _, l := range ls {
-				if l.Key == "le" {
-					continue
-				}
-				parts = append(parts, l.Key+"="+l.Value)
-			}
-			sort.Strings(parts)
-			return strings.Join(parts, ",")
-		}
 		for _, s := range scr.Samples {
 			if s.Name != name+"_bucket" {
 				continue
 			}
-			g := groups[sig(s.Labels)]
+			sg := seriesKey(name, s.Labels, "le")
+			g := groups[sg]
 			if g == nil {
-				g = &group{}
-				groups[sig(s.Labels)] = g
+				g = &group{countKey: seriesKey(name+"_count", s.Labels, "le")}
+				groups[sg] = g
 			}
 			le := s.Label("le")
 			if le == "+Inf" {
@@ -433,7 +436,7 @@ func ValidateProm(r io.Reader) (*PromScrape, error) {
 		}
 		for sg, g := range groups {
 			if !g.has {
-				return nil, fmt.Errorf("histogram %s{%s}: missing le=\"+Inf\" bucket", name, sg)
+				return nil, fmt.Errorf("histogram %s: missing le=\"+Inf\" bucket", sg)
 			}
 			idx := make([]int, len(g.les))
 			for i := range idx {
@@ -443,38 +446,41 @@ func ValidateProm(r io.Reader) (*PromScrape, error) {
 			prev := 0.0
 			for _, i := range idx {
 				if g.cums[i] < prev {
-					return nil, fmt.Errorf("histogram %s{%s}: bucket counts not cumulative at le=%g", name, sg, g.les[i])
+					return nil, fmt.Errorf("histogram %s: bucket counts not cumulative at le=%g", sg, g.les[i])
 				}
 				prev = g.cums[i]
 			}
 			if g.inf < prev {
-				return nil, fmt.Errorf("histogram %s{%s}: +Inf bucket below finite buckets", name, sg)
+				return nil, fmt.Errorf("histogram %s: +Inf bucket below finite buckets", sg)
 			}
-			var count float64
-			cv, okc := scr.Value(name+"_count", labelsFromSig(sg)...)
-			if okc {
-				count = cv
-				if count != g.inf {
-					return nil, fmt.Errorf("histogram %s{%s}: _count %g != +Inf bucket %g", name, sg, count, g.inf)
-				}
+			if count, ok := values[g.countKey]; ok && count != g.inf {
+				return nil, fmt.Errorf("histogram %s: _count %g != +Inf bucket %g", sg, count, g.inf)
 			}
 		}
 	}
 	return scr, nil
 }
 
-// labelsFromSig reverses the signature built in ValidateProm.
-func labelsFromSig(sig string) []Label {
-	if sig == "" {
-		return nil
-	}
-	var out []Label
-	for _, part := range strings.Split(sig, ",") {
-		k, v, ok := strings.Cut(part, "=")
-		if !ok {
-			continue
+// hasLabel reports whether the label set carries key.
+func hasLabel(ls []Label, key string) bool {
+	for _, l := range ls {
+		if l.Key == key {
+			return true
 		}
-		out = append(out, Label{Key: k, Value: v})
 	}
-	return out
+	return false
+}
+
+// seriesKey renders name{k="v",...} with the labels sorted by key and
+// the skip label left out: equal label sets in any file order give the
+// same key, and quoted values keep distinct sets distinct.
+func seriesKey(name string, ls []Label, skip string) string {
+	parts := make([]string, 0, len(ls))
+	for _, l := range ls {
+		if l.Key != skip {
+			parts = append(parts, l.Key+"="+strconv.Quote(l.Value))
+		}
+	}
+	sort.Strings(parts)
+	return name + "{" + strings.Join(parts, ",") + "}"
 }

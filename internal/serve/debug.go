@@ -1,25 +1,29 @@
 package serve
 
 import (
-	"expvar"
 	"net/http"
 	"net/http/pprof"
 	"time"
+
+	"repro/internal/obs"
 )
 
-// DebugMux builds a dedicated mux for the pprof and expvar debug
-// endpoints. A dedicated mux — never http.DefaultServeMux — so that
-// package-level http.Handle registrations elsewhere in the process (or
-// a future dependency's init) can never leak onto the diagnostics
-// port.
-func DebugMux() *http.ServeMux {
+// DebugMux builds a dedicated mux for the pprof debug endpoints plus
+// /metrics, which renders the registry m in the same Prometheus text
+// exposition the serve API uses. A dedicated mux — never
+// http.DefaultServeMux — so that package-level http.Handle registrations
+// elsewhere in the process (or a future dependency's init) can never
+// leak onto the diagnostics port.
+func DebugMux(m *obs.Metrics) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/debug/vars", expvar.Handler())
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
+		writeMetrics(w, m.Snapshot())
+	})
 	return mux
 }
 
@@ -30,10 +34,10 @@ func DebugMux() *http.ServeMux {
 // stream for a caller-chosen number of seconds, and a fixed write
 // deadline would truncate long captures. Header/read/idle timeouts
 // still bound slow or stalled clients.
-func NewDebugServer(addr string) *http.Server {
+func NewDebugServer(addr string, m *obs.Metrics) *http.Server {
 	return &http.Server{
 		Addr:              addr,
-		Handler:           DebugMux(),
+		Handler:           DebugMux(m),
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       10 * time.Second,
 		IdleTimeout:       2 * time.Minute,

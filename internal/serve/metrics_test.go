@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -138,6 +139,54 @@ func TestMetricsEndpoint(t *testing.T) {
 	if v, ok := scr.Value("serve_slo_burn_rate",
 		obs.Label{Key: "tenant", Value: "alice"}, obs.Label{Key: "window", Value: "5m"}); !ok || v != 0 {
 		t.Errorf("burn rate = %g, %v, want 0", v, ok)
+	}
+}
+
+// TestMetricsDocumentValidPerTenant scrapes /metrics after one job from
+// an anonymous and from a labeled tenant, with Metrics on and off. Every
+// document must validate: each family typed once, no bucket outside a
+// histogram, no repeated series. With Metrics on, the job's queue wait
+// is counted exactly once, in the tenant's histogram series; with it off
+// the family is absent.
+func TestMetricsDocumentValidPerTenant(t *testing.T) {
+	for _, metrics := range []bool{false, true} {
+		for _, tenant := range []string{"", "alice"} {
+			t.Run(fmt.Sprintf("metrics=%v/tenant=%q", metrics, tenant), func(t *testing.T) {
+				s := newTestServer(t, Config{Jobs: 1, Metrics: metrics}, okRunner)
+				ts := httptest.NewServer(NewMux(s))
+				defer ts.Close()
+				req := reqN(1)
+				req.Tenant = tenant
+				st, err := s.Submit(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				waitState(t, s, st.ID, StateDone)
+				resp, err := http.Get(ts.URL + "/metrics")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				scr, err := obs.ValidateProm(resp.Body)
+				if err != nil {
+					t.Fatalf("/metrics failed validation: %v", err)
+				}
+				fam, ok := scr.Families["serve_queue_wait_seconds"]
+				if !metrics {
+					if ok {
+						t.Errorf("metrics off but family %+v present", fam)
+					}
+					return
+				}
+				if fam.Type != "histogram" {
+					t.Errorf("serve_queue_wait_seconds type = %q, want histogram", fam.Type)
+				}
+				counts := scr.Series("serve_queue_wait_seconds_count")
+				if len(counts) != 1 || counts[0].Label("tenant") != tenant || counts[0].Value != 1 {
+					t.Errorf("serve_queue_wait_seconds_count series = %+v, want one series for tenant %q with value 1", counts, tenant)
+				}
+			})
+		}
 	}
 }
 

@@ -792,14 +792,14 @@ func (s *Server) observeCompletionLocked(j *job, latency time.Duration) {
 	if profile == "" {
 		profile = "default"
 	}
-	m.ObserveHistDur(obs.Series("serve.job_latency", tenant), latency)
+	m.Observe(obs.Series("serve.job_latency", tenant), latency)
 	if !j.started.IsZero() {
-		m.ObserveHistDur(obs.Series("serve.run_duration", tenant,
+		m.Observe(obs.Series("serve.run_duration", tenant,
 			obs.Label{Key: "profile", Value: profile}), j.finished.Sub(j.started))
 	}
 	if stats, _ := j.trace.Summary(); len(stats) > 0 {
 		for _, st := range stats {
-			m.ObserveHistDur(obs.Series("serve.stage_wall",
+			m.Observe(obs.Series("serve.stage_wall",
 				obs.Label{Key: "stage", Value: st.Name}), st.Total)
 		}
 	}
@@ -841,10 +841,9 @@ func (s *Server) execute(j *job) {
 	j.state = StateRunning
 	j.started = time.Now()
 	j.queueWait = j.started.Sub(j.created)
-	j.metrics.Observe("serve.queue_wait", j.queueWait)
 	s.ovl.observeDelay(time.Since(j.pushedAt))
 	if s.cfg.Metrics {
-		s.fleetMetrics().ObserveHistDur(obs.Series("serve.queue_wait",
+		s.fleetMetrics().Observe(obs.Series("serve.queue_wait",
 			obs.Label{Key: "tenant", Value: j.tenantKey}), j.queueWait)
 	}
 	var ctx context.Context

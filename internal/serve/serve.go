@@ -18,7 +18,6 @@
 //	GET  /healthz                         liveness + queue stats
 //	GET  /readyz                          readiness (503 until journal recovery completes)
 //	GET  /metrics                         Prometheus text exposition of the fleet registry
-//	GET  /debug/vars                      expvar (fleet metrics under the published name)
 //
 // Every request carries a request ID: the sanitized X-Request-Id header
 // when the client sent one, a server-minted ID otherwise. The ID is
@@ -32,7 +31,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -56,7 +54,6 @@ func NewMux(s *Server) http.Handler {
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /readyz", s.handleReady)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.Handle("GET /debug/vars", expvar.Handler())
 	return s.withRequestID(mux)
 }
 
@@ -410,12 +407,15 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleMetrics serves the fleet registry as Prometheus text
-// exposition: counters, duration summaries and latency histograms from
-// the registry, plus scrape-time gauges (queue state, per-tenant
-// in-flight, readiness) and the SLO tracker's error-budget and
-// burn-rate gauges.
+// exposition: counters and duration histograms from the registry, plus
+// scrape-time gauges (queue state, per-tenant in-flight, readiness) and
+// the SLO tracker's error-budget and burn-rate gauges.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	snap := s.MetricsSnapshot()
+	writeMetrics(w, s.MetricsSnapshot())
+}
+
+// writeMetrics renders a snapshot as a /metrics response.
+func writeMetrics(w http.ResponseWriter, snap *obs.Snapshot) {
 	w.Header().Set("Content-Type", obs.ContentTypeProm)
 	_ = obs.WriteProm(w, snap)
 }

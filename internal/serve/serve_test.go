@@ -576,8 +576,15 @@ func TestHTTPAPI(t *testing.T) {
 	if err := json.Unmarshal(body, &h); err != nil || !h.OK || h.Jobs != 1 {
 		t.Fatalf("healthz body: %v (%s)", err, body)
 	}
-	if resp, _ := get("/debug/vars"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("expvar: %d", resp.StatusCode)
+	resp, body = get("/metrics")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("metrics: %d", resp.StatusCode)
+	}
+	if _, err := obs.ValidateProm(bytes.NewReader(body)); err != nil {
+		t.Fatalf("metrics: %v", err)
+	}
+	if resp, _ := get("/debug/vars"); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("/debug/vars: %d, want 404", resp.StatusCode)
 	}
 
 	// List surfaces the one job.

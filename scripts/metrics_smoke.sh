@@ -7,13 +7,17 @@
 #  3. Submit a fast-profile job with an X-Request-Id and poll it to
 #     done; the correlation ID must be echoed on the response and
 #     surfaced in the job status.
-#  4. Scrape /metrics and validate it with `hifidram metricscheck
-#     -require`: a strict exposition parse plus presence of the labeled
-#     latency histograms and the SLO burn-rate gauge.
-#  5. `hifidram top -once` must render a fleet frame showing the
+#  4. Submit a second job with no tenant, so the scrape covers the
+#     unlabeled series of every tenant-labeled family too.
+#  5. Scrape /metrics and validate it with `hifidram metricscheck
+#     -require`: a strict exposition parse (each family typed once, no
+#     repeated series) plus presence of the labeled latency histograms
+#     and the SLO burn-rate gauge. Each job's queue wait must be counted
+#     exactly once, under its own tenant.
+#  6. `hifidram top -once` must render a fleet frame showing the
 #     completed job.
-#  6. The JSON access log must carry the request ID.
-#  7. Shut down with SIGTERM; the server must exit 130.
+#  7. The JSON access log must carry the request ID.
+#  8. Shut down with SIGTERM; the server must exit 130.
 set -eu
 
 GO=${GO:-go}
@@ -28,6 +32,7 @@ BIN="$WORK/hifidram"
 ADDR="127.0.0.1:18760"
 BASE="http://$ADDR"
 REQ='{"chip":"B4","profile":"fast","tenant":"smoke"}'
+ANON_REQ='{"chip":"B4","profile":"fast"}'
 CORR="metrics-smoke-corr-1"
 
 $GO build -o "$BIN" ./cmd/hifidram
@@ -62,22 +67,29 @@ grep -q "\"correlation\": \"$CORR\"" "$WORK/submit.json" || {
     cat "$WORK/submit.json"
     exit 1
 }
-JOB=$(sed -n 's/.*"id": "\([^"]*\)".*/\1/p' "$WORK/submit.json" | head -1)
-[ -n "$JOB" ] || { echo "no job id in response:"; cat "$WORK/submit.json"; exit 1; }
+# wait_done SUBMIT_JSON polls the job named in a submit response to done.
+wait_done() {
+    JOB=$(sed -n 's/.*"id": "\([^"]*\)".*/\1/p' "$1" | head -1)
+    [ -n "$JOB" ] || { echo "no job id in response:"; cat "$1"; exit 1; }
+    echo "metrics-smoke: polling $JOB"
+    i=0
+    while :; do
+        curl -fsS "$BASE/v1/jobs/$JOB" > "$WORK/status.json"
+        STATE=$(sed -n 's/.*"state": "\([^"]*\)".*/\1/p' "$WORK/status.json" | head -1)
+        case "$STATE" in
+        done) break ;;
+        failed | canceled) echo "job ended $STATE:"; cat "$WORK/status.json"; exit 1 ;;
+        esac
+        i=$((i + 1))
+        [ $i -gt 300 ] && { echo "job never finished"; cat "$WORK/status.json"; exit 1; }
+        sleep 1
+    done
+}
+wait_done "$WORK/submit.json"
 
-echo "metrics-smoke: polling $JOB"
-i=0
-while :; do
-    curl -fsS "$BASE/v1/jobs/$JOB" > "$WORK/status.json"
-    STATE=$(sed -n 's/.*"state": "\([^"]*\)".*/\1/p' "$WORK/status.json" | head -1)
-    case "$STATE" in
-    done) break ;;
-    failed | canceled) echo "job ended $STATE:"; cat "$WORK/status.json"; exit 1 ;;
-    esac
-    i=$((i + 1))
-    [ $i -gt 300 ] && { echo "job never finished"; cat "$WORK/status.json"; exit 1; }
-    sleep 1
-done
+echo "metrics-smoke: submitting anonymous-tenant job"
+curl -fsS -X POST -d "$ANON_REQ" "$BASE/v1/jobs" > "$WORK/submit_anon.json"
+wait_done "$WORK/submit_anon.json"
 
 echo "metrics-smoke: validating /metrics"
 "$BIN" metricscheck -require \
@@ -89,12 +101,20 @@ grep -q 'serve_job_latency_seconds_count{tenant="smoke"}' "$WORK/metrics.txt" ||
     echo "per-tenant latency series missing from exposition"
     exit 1
 }
+# One queue-wait observation per job, each under its own tenant.
+grep '^serve_queue_wait_seconds_count' "$WORK/metrics.txt" > "$WORK/queue_wait.txt" || true
+printf '%s\n' 'serve_queue_wait_seconds_count 1' 'serve_queue_wait_seconds_count{tenant="smoke"} 1' |
+    cmp -s - "$WORK/queue_wait.txt" || {
+    echo "queue wait not counted exactly once per job:"
+    cat "$WORK/queue_wait.txt"
+    exit 1
+}
 
 echo "metrics-smoke: rendering fleet view"
 "$BIN" top -once "$ADDR" > "$WORK/top.txt"
 cat "$WORK/top.txt"
 grep -q 'smoke' "$WORK/top.txt" || { echo "top frame missing tenant row"; exit 1; }
-grep -q 'done 1' "$WORK/top.txt" || { echo "top frame missing completion count"; exit 1; }
+grep -q 'done 2' "$WORK/top.txt" || { echo "top frame missing completion count"; exit 1; }
 grep -q 'img pool:' "$WORK/top.txt" || { echo "top frame missing image-pool line"; exit 1; }
 
 echo "metrics-smoke: checking access log correlation"
