@@ -18,6 +18,7 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/fault"
 	"repro/internal/img"
+	"repro/internal/obs"
 	"repro/internal/sem"
 )
 
@@ -193,4 +194,71 @@ func viewsHash(views map[string]*img.Gray) string {
 		h.Write(buf)
 	}
 	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// goldenDefaultPath pins the default profile on chip B4, the input of
+// perfbench's recon-clean workload: 4 nm voxels and 60 denoise
+// iterations per slice, which the fast-profile goldens never reach.
+var goldenDefaultPath = filepath.Join("testdata", "golden_default.json")
+
+// goldenDefaultCase is the pinned B4 outcome together with the two
+// exact work counts a kernel rewrite must not move.
+type goldenDefaultCase struct {
+	Chip              string `json:"chip"`
+	Fingerprint       string `json:"fingerprint"`
+	Score             string `json:"score"`
+	DenoiseIterations int64  `json:"denoise_iterations"`
+	MIEvals           int64  `json:"mi_evals"`
+}
+
+// TestGoldenDefaultB4 pins a clean default-profile extraction of B4,
+// set up as `hifidram extract -chip B4 -dwell 12` with exhaustive
+// alignment (perfbench's recon-clean options). A full B4 extraction
+// takes minutes under the race detector, so race builds skip it; the
+// fast-profile goldens still run there. Run with -update to rewrite.
+func TestGoldenDefaultB4(t *testing.T) {
+	if raceEnabled {
+		t.Skip("default-profile B4 extraction is too slow under the race detector")
+	}
+	chip := chips.ByID("B4")
+	o := DefaultOptions()
+	o.SEM.DwellUS = 12
+	o.Register.Pyramid = 0
+	o.Obs = &obs.Observer{Metrics: obs.NewMetrics()}
+	res, err := Run(chip, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := goldenDefaultCase{
+		Chip: chip.ID,
+		Fingerprint: smokeFingerprint(res.Plan, ReconInfo{
+			ResidualDriftPx: res.ResidualDriftPx,
+			Repairs:         res.Repairs,
+			AlignFallbacks:  res.AlignFallbacks,
+		}),
+		Score:             fmt.Sprintf("%+v", res.Score),
+		DenoiseIterations: res.Telemetry.Counters["denoise.iterations"],
+		MIEvals:           res.Telemetry.Counters["register.mi_evals"],
+	}
+	if *updateGolden {
+		enc, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenDefaultPath, append(enc, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	wantEnc, err := os.ReadFile(goldenDefaultPath)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create)", err)
+	}
+	var want goldenDefaultCase
+	if err := json.Unmarshal(wantEnc, &want); err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("B4 default profile:\n got  %+v\n want %+v", got, want)
+	}
 }
