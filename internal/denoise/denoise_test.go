@@ -1,12 +1,14 @@
 package denoise
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/img"
+	"repro/internal/obs"
 )
 
 // stepImage builds a two-material test slice: dark left half, bright
@@ -32,14 +34,27 @@ func addNoise(g *img.Gray, sigma float64, seed int64) *img.Gray {
 
 func TestOptionsValidation(t *testing.T) {
 	g := img.New(4, 4)
-	if _, err := Chambolle(g, Options{Lambda: 0, Iterations: 5}); err == nil {
-		t.Errorf("expected error for zero lambda")
+	cases := []struct {
+		name string
+		o    Options
+	}{
+		{"zero lambda", Options{Lambda: 0, Iterations: 5}},
+		{"negative lambda", Options{Lambda: -1, Iterations: 5}},
+		{"NaN lambda", Options{Lambda: math.NaN(), Iterations: 5}},
+		{"+Inf lambda", Options{Lambda: math.Inf(1), Iterations: 5}},
+		{"-Inf lambda", Options{Lambda: math.Inf(-1), Iterations: 5}},
+		{"zero iterations", Options{Lambda: 1, Iterations: 0}},
+		{"NaN tol", Options{Lambda: 1, Iterations: 5, Tol: math.NaN()}},
+		{"+Inf tol", Options{Lambda: 1, Iterations: 5, Tol: math.Inf(1)}},
+		{"-Inf tol", Options{Lambda: 1, Iterations: 5, Tol: math.Inf(-1)}},
 	}
-	if _, err := Chambolle(g, Options{Lambda: 1, Iterations: 0}); err == nil {
-		t.Errorf("expected error for zero iterations")
-	}
-	if _, err := SplitBregman(g, Options{Lambda: -1, Iterations: 5}); err == nil {
-		t.Errorf("expected error for negative lambda")
+	for _, tc := range cases {
+		if _, err := Chambolle(g, tc.o); err == nil {
+			t.Errorf("Chambolle: expected error for %s", tc.name)
+		}
+		if _, err := SplitBregman(g, tc.o); err == nil {
+			t.Errorf("SplitBregman: expected error for %s", tc.name)
+		}
 	}
 }
 
@@ -145,16 +160,34 @@ func TestHighLambdaApproachesIdentity(t *testing.T) {
 	}
 }
 
+// TestTolEarlyStop checks that a loose tolerance stops both kernels
+// well before the iteration bound, and that stopping early is exactly a
+// shorter run: the output is bit-identical to a Tol 0 run of the same
+// number of iterations.
 func TestTolEarlyStop(t *testing.T) {
-	// With a loose tolerance the result should still be valid (finite).
 	noisy := addNoise(stepImage(16, 16), 0.1, 2)
-	den, err := Chambolle(noisy, Options{Lambda: 8, Iterations: 500, Tol: 1e-2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range den.Pix {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Fatalf("non-finite pixel %v", v)
+	for name, fn := range map[string]func(*img.Gray, Options) (*img.Gray, error){
+		"chambolle":    Chambolle,
+		"splitbregman": SplitBregman,
+	} {
+		m := obs.NewMetrics()
+		den, err := fn(noisy, Options{Lambda: 8, Iterations: 500, Tol: 1e-2, Obs: &obs.Observer{Metrics: m}})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		iters := m.Snapshot().Counters["denoise.iterations"]
+		if iters <= 0 || iters >= 500 {
+			t.Fatalf("%s: tolerance did not stop early: %d iterations", name, iters)
+		}
+		ref, err := fn(noisy, Options{Lambda: 8, Iterations: int(iters)})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i := range ref.Pix {
+			if math.Float64bits(den.Pix[i]) != math.Float64bits(ref.Pix[i]) {
+				t.Fatalf("%s: pixel %d: early stop at %d iterations gave %v, a %d-iteration run %v",
+					name, i, iters, den.Pix[i], iters, ref.Pix[i])
+			}
 		}
 	}
 }
@@ -240,4 +273,31 @@ func BenchmarkSplitBregman64(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkChambolleSlice is the TV sweep kernel at workload size: one
+// 1857x39 slice, the cross section of chip B4's default extraction,
+// denoised with the pipeline's settings (lambda 25, 60 iterations, Tol
+// 1e-5) through a warm Scratch, as a streaming pipeline worker runs it.
+// The noise level keeps the tolerance from firing, as on real B4
+// slices; iters/op reports the iterations actually run.
+func BenchmarkChambolleSlice(b *testing.B) {
+	f := addNoise(stepImage(1857, 39), 0.05, 1)
+	dst := img.New(f.W, f.H)
+	m := obs.NewMetrics()
+	o := Options{Lambda: 25, Iterations: 60, Tol: 1e-5, Obs: &obs.Observer{Metrics: m}}
+	s := &Scratch{}
+	if err := ChambolleInto(context.Background(), dst, f, o, s); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := ChambolleInto(context.Background(), dst, f, o, s); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	c := m.Snapshot().Counters
+	b.ReportMetric(float64(c["denoise.iterations"])/float64(c["denoise.slices"]), "iters/op")
 }

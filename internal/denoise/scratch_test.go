@@ -105,3 +105,26 @@ func TestIntoHonorsCancellation(t *testing.T) {
 		t.Fatalf("SplitBregmanInto under canceled ctx: %v", err)
 	}
 }
+
+// TestTVIntoAllocFree pins the streaming pipeline's steady state: with
+// a warm Scratch, denoising a slice allocates nothing.
+func TestTVIntoAllocFree(t *testing.T) {
+	f := noisy(64, 48, 3)
+	dst := img.New(f.W, f.H)
+	o := DefaultOptions()
+	o.Iterations = 4
+	for name, into := range map[string]func(context.Context, *img.Gray, *img.Gray, Options, *Scratch) error{
+		"ChambolleInto":    ChambolleInto,
+		"SplitBregmanInto": SplitBregmanInto,
+	} {
+		s := &Scratch{}
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := into(context.Background(), dst, f, o, s); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v allocations per warm run, want 0", name, allocs)
+		}
+	}
+}
