@@ -79,15 +79,17 @@ metrics-smoke:
 overload-smoke:
 	./scripts/overload_smoke.sh
 
-# alloc-check pins the allocation-free MI kernel: steady-state candidate
-# evaluation must stay at zero heap allocations per candidate.
+# alloc-check pins the allocation-free kernels: steady-state MI
+# candidate evaluation and TV denoising with a warm Scratch must stay at
+# zero heap allocations.
 alloc-check:
-	$(GO) test ./internal/register -run 'AllocFree' -count=1
+	$(GO) test ./internal/register ./internal/denoise -run 'AllocFree' -count=1
 
 # memory-smoke proves the streaming pipeline's bounded-memory contract
 # end to end: a 384-slice reconstruction must complete under a hard
-# GOMEMLIMIT the barrier path's materialized stacks exceed, with output
-# byte-identical to an unlimited barrier reference run.
+# GOMEMLIMIT the whole-stack test reference's materialized stacks
+# exceed, with output byte-identical to an unlimited run of that
+# reference.
 memory-smoke:
 	./scripts/memory_smoke.sh
 
