@@ -89,7 +89,10 @@ alloc-check:
 # end to end: a 384-slice reconstruction must complete under a hard
 # GOMEMLIMIT the whole-stack test reference's materialized stacks
 # exceed, with output byte-identical to an unlimited run of that
-# reference.
+# reference; then a B4 run wired like a serve job (buffer pool,
+# checkpoint store, resume) must complete under the same limit, fresh
+# and resumed, leave exactly one netex checkpoint and match its
+# committed golden.
 memory-smoke:
 	./scripts/memory_smoke.sh
 

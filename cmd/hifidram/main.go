@@ -33,11 +33,12 @@
 // of these perturb the pipeline: the output is byte-identical for any
 // worker count, with or without observability.
 //
-// Both also accept the crash-safety flags: -ckpt-dir DIR persists every
-// completed stage boundary as an atomic, checksummed checkpoint and
-// -resume loads verified ones back (corrupt or stale entries are
-// recomputed, never served), so an interrupted run continues from the
-// last completed stage with byte-identical output. extract additionally
+// Both also accept the crash-safety flags: -ckpt-dir DIR persists each
+// chip's finished extraction as an atomic, checksummed checkpoint and
+// -resume loads a verified one back (corrupt or stale entries are
+// recomputed, never served), so a repeated run images nothing and
+// produces byte-identical output. planar runs the same pipeline as
+// extract and shares its checkpoint. extract additionally
 // takes -timeout (per-chip per-attempt deadline) and -retries
 // (transient-failure retry budget); with -all each chip runs supervised
 // and isolated — one failure never aborts the rest — with per-chip
@@ -72,7 +73,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/gds"
 	"repro/internal/img"
-	"repro/internal/netex"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/sem"
@@ -143,8 +143,11 @@ commands:
   extract     full imaging + extraction pipeline (-chip | -all, -die,
               -faults, -fault-seed, -gds, -voxel, -dwell, -workers,
               -pyramid)
-  planar      write reconstructed planar views as PGM (-chip, -o,
-              -voxel, -workers, -pyramid)
+  planar      run the extraction pipeline on one chip and write its
+              reconstructed planar views as PGM (-chip, -o, -voxel,
+              -workers, -pyramid); it images at the 3 us default dwell
+              and shares extract's checkpoint, so after "extract -dwell 3
+              -ckpt-dir D" a "planar -ckpt-dir D -resume" images nothing
   serve       run the reconstruction job service on ADDR: POST /v1/jobs
               submits {"chip": ..., "profile": ...}, GET /v1/jobs/{id}
               polls, /v1/jobs/{id}/artifacts/{name} fetches report.json,
@@ -201,8 +204,9 @@ checkpoint fingerprint changes accordingly), and the observability flags:
   -pprof ADDR   serve net/http/pprof and /metrics on ADDR
 
 and the crash-safety flags:
-  -ckpt-dir DIR checkpoint completed stages into DIR (atomic, checksummed)
-  -resume       load verified checkpoints from -ckpt-dir instead of
+  -ckpt-dir DIR checkpoint each finished extraction into DIR (atomic,
+                checksummed)
+  -resume       load a verified checkpoint from -ckpt-dir instead of
                 recomputing; corrupt or stale entries are recomputed
   -timeout D    per-chip per-attempt deadline (extract; e.g. 10m)
   -retries N    retry attempts for transiently failing chips (extract)
@@ -428,7 +432,7 @@ func runExtract(ctx context.Context, args []string) (retErr error) {
 	die := fs.Bool("die", false, "run the full die-level flow: blind ROI identification, then extract the ROI only")
 	faults := fs.Bool("faults", false, "corrupt the acquisition with the default fault plan and score the quality gate")
 	faultSeed := fs.Int64("fault-seed", 1, "fault injection seed (with -faults)")
-	ckptDir := fs.String("ckpt-dir", "", "checkpoint completed pipeline stages into this directory (atomic, checksummed)")
+	ckptDir := fs.String("ckpt-dir", "", "checkpoint the finished extraction into this directory (atomic, checksummed)")
 	resume := fs.Bool("resume", false, "load verified checkpoints from -ckpt-dir instead of recomputing; corrupt or missing ones are recomputed")
 	timeout := fs.Duration("timeout", 0, "per-chip per-attempt deadline (0 = none)")
 	retries := fs.Int("retries", 0, "retry attempts for chips failing with transient (retryable) errors")
@@ -554,32 +558,19 @@ func runExtract(ctx context.Context, args []string) (retErr error) {
 		fmt.Fprint(w, rows[i].String())
 	}
 	if *gdsOut != "" && !*all && runErr == nil {
-		if res := results[0]; res != nil && !*die && !*faults && res.Plan != nil {
-			// The run's Result already carries the extraction plan, so
-			// the annotated layout exports directly — no second
-			// reconstruction. -die crops the region and -faults corrupts
-			// the acquisition, so those still export from a clean
-			// recompute, matching the historical -gds semantics.
-			data, err := serve.ExtractedGDSBytes(res)
-			if err != nil {
-				return err
-			}
-			err = ckpt.WriteFileAtomic(*gdsOut, func(w io.Writer) error {
-				_, werr := w.Write(data)
-				return werr
-			})
-			if err != nil {
-				return err
-			}
-		} else {
-			o := core.DefaultOptions()
-			o.VoxelNM = *voxel
-			o.SEM.DwellUS = *dwell
-			o.Workers = *workers
-			o.Register.Pyramid = *pyramid
-			if err := exportExtracted(ctx, list[0], o, *gdsOut); err != nil {
-				return err
-			}
+		// The run's Result carries its extraction plan, so the annotated
+		// layout exports directly: the file is the extraction the table
+		// reports, faulted or die-cropped alike.
+		data, err := serve.ExtractedGDSBytes(results[0])
+		if err != nil {
+			return err
+		}
+		err = ckpt.WriteFileAtomic(*gdsOut, func(w io.Writer) error {
+			_, werr := w.Write(data)
+			return werr
+		})
+		if err != nil {
+			return err
 		}
 		fmt.Fprintf(w, "(extracted layout written to %s)\n", *gdsOut)
 	}
@@ -751,49 +742,16 @@ func detectedFaults(res *core.Result) int {
 	return n
 }
 
-// exportExtracted reruns the reconstruction to obtain the plan and writes
-// the annotated extracted layout as GDSII — the artifact the paper
-// releases.
-func exportExtracted(ctx context.Context, c *chips.Chip, o core.Options, path string) error {
-	region, err := chipgen.Generate(chipgen.DefaultConfig(c))
-	if err != nil {
-		return err
-	}
-	window := region.Cell.Bounds()
-	vol, err := chipgen.Voxelize(region.Cell, window, o.VoxelNM)
-	if err != nil {
-		return err
-	}
-	o.SEM.Detector = c.Detector
-	acq, err := sem.AcquireStackCtx(ctx, vol, o.SEM)
-	if err != nil {
-		return err
-	}
-	plan, _, err := core.ReconstructCtx(ctx, acq, window, o)
-	if err != nil {
-		return err
-	}
-	res, err := netex.Extract(plan)
-	if err != nil {
-		return err
-	}
-	s, err := gds.FromCell(res.AnnotatedCell(plan, "extracted_"+c.ID))
-	if err != nil {
-		return err
-	}
-	lib := gds.NewLibrary("HIFIDRAM_EXTRACTED_" + c.ID)
-	lib.Structs = []gds.Structure{s}
-	return ckpt.WriteFileAtomic(path, lib.Write)
-}
-
-// runPlanar reconstructs the volume and writes one PGM per fabrication
-// layer — the planar views of Fig. 7d.
+// runPlanar runs the extraction pipeline on one chip and writes its
+// planar views, one PGM per fabrication layer — the images of Fig. 7d.
+// The views are the Result's, so they come from the reconstruction the
+// fidelity score judges, and -resume shares extract's checkpoint.
 func runPlanar(ctx context.Context, args []string) (retErr error) {
 	fs := flag.NewFlagSet("planar", flag.ExitOnError)
 	id := chipFlag(fs)
 	out := fs.String("o", ".", "output directory")
 	voxel := fs.Int64("voxel", 4, "voxel size (nm)")
-	ckptDir := fs.String("ckpt-dir", "", "checkpoint completed pipeline stages into this directory (atomic, checksummed)")
+	ckptDir := fs.String("ckpt-dir", "", "checkpoint the finished extraction into this directory (atomic, checksummed)")
 	resume := fs.Bool("resume", false, "load verified checkpoints from -ckpt-dir instead of recomputing; corrupt or missing ones are recomputed")
 	workers := workersFlag(fs)
 	pyramid := pyramidFlag(fs)
@@ -812,27 +770,12 @@ func runPlanar(ctx context.Context, args []string) (retErr error) {
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		return err
 	}
-	region, err := chipgen.Generate(chipgen.DefaultConfig(c))
-	if err != nil {
-		return err
-	}
-	window := region.Cell.Bounds()
-	vol, err := chipgen.Voxelize(region.Cell, window, *voxel)
-	if err != nil {
-		return err
-	}
 	o := core.DefaultOptions()
 	o.VoxelNM = *voxel
-	o.SEM.Detector = c.Detector
 	o.Workers = *workers
 	o.Register.Pyramid = *pyramid
 	o.Ckpt = store
 	o.Resume = *resume
-	// The planar acquisition is fully reproduced by the options (same
-	// generate/voxelize/acquire path as extract), so the chip ID is a
-	// sound checkpoint unit here: a resumed planar run of the same chip
-	// at the same options loads its views checkpoint and images nothing.
-	o.CkptUnit = c.ID
 	ob, finishObs := obf.build()
 	defer func() {
 		if err := finishObs(); err != nil && retErr == nil {
@@ -840,14 +783,11 @@ func runPlanar(ctx context.Context, args []string) (retErr error) {
 		}
 	}()
 	o.Obs = ob
-	acq, err := sem.AcquireStackCtx(ctx, vol, o.SEM)
+	res, err := core.RunCtx(ctx, c, o)
 	if err != nil {
 		return err
 	}
-	views, err := core.PlanarViewsCtx(ctx, acq, o)
-	if err != nil {
-		return err
-	}
+	views := res.Views
 	names := make([]string, 0, len(views))
 	for layerName := range views {
 		names = append(names, layerName)

@@ -18,25 +18,17 @@ import (
 // old checkpoint instead of mis-decoding it. v2: netexArtifact carries
 // the segmentation Plan so Result.Plan survives a netex-boundary resume.
 // v3: netexArtifact carries the planar views; the acquire and aligned
-// boundaries are gone.
+// boundaries are gone. Retiring the plan and views boundaries needed no
+// bump: dropping Options.CkptUnit changed every fingerprint, so their
+// entries are orphaned, never misread, and "ckpt gc" sweeps them.
 const ckptSchema = 3
 
-// Checkpointed artifact names. Run and RunOnDie checkpoint only the
-// extraction ("netex"); "plan" is written by standalone ReconstructCtx
-// and "views" by PlanarViewsCtx. All three follow reconstruction, so
-// nothing stack-sized is ever persisted.
-const (
-	CkptPlan  = "plan"
-	CkptNetex = "netex"
-	CkptViews = "views"
-)
-
-// planArtifact checkpoints a standalone reconstruction: the per-layer
-// rectangle plan plus the reconstruction report it rode in on.
-type planArtifact struct {
-	Plan *netex.Plan
-	Info ReconInfo
-}
+// CkptNetex names the one checkpointed artifact: the extraction that
+// Run and RunOnDie persist. It follows reconstruction, so nothing
+// stack-sized is ever persisted. A standalone ReconstructCtx or
+// PlanarViewsCtx is handed an acquisition the options cannot
+// reproduce, so it is never keyed and never checkpoints.
+const CkptNetex = "netex"
 
 // netexArtifact checkpoints the extraction boundary: everything Run
 // needs to rebuild its Result without touching the imaging stages
@@ -49,11 +41,6 @@ type netexArtifact struct {
 	SliceCount int
 	CostHours  float64
 	Views      map[string]*img.Gray
-}
-
-// viewsArtifact checkpoints PlanarViews' per-layer images.
-type viewsArtifact struct {
-	Views map[string]*img.Gray
 }
 
 // ckptRef is the resolved checkpoint binding for one run: the store,
@@ -94,7 +81,6 @@ func FingerprintOptions(o Options) (string, error) {
 	clean.Obs = nil
 	clean.Ckpt = nil
 	clean.Resume = false
-	clean.CkptUnit = ""
 	clean.Denoise.Obs = nil
 	clean.Register.Obs = nil
 	clean.Register.Workers = 0
@@ -110,10 +96,10 @@ func FingerprintOptions(o Options) (string, error) {
 
 // newCkptRef binds o's store to a unit, or returns nil when
 // checkpointing is off. The unit must uniquely identify the pipeline
-// input under the fingerprinted options (Run uses the chip ID; see
-// Options.CkptUnit for the standalone-Reconstruct contract).
+// input under the fingerprinted options: Run uses the chip ID and
+// RunOnDie "<chip>/die".
 func newCkptRef(unit string, o Options) (*ckptRef, error) {
-	if o.Ckpt == nil || unit == "" {
+	if o.Ckpt == nil {
 		return nil, nil
 	}
 	fp, err := FingerprintOptions(o)

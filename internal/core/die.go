@@ -83,16 +83,13 @@ func RunOnDieCtx(ctx context.Context, chip *chips.Chip, o Options) (*DieResult, 
 	// deterministic, so they run every time; only the full-cost imaging
 	// of the cropped volume and everything after it checkpoint, keyed
 	// under "<chip>/die" so die runs never collide with plain Runs.
-	if o.CkptUnit == "" {
-		o.CkptUnit = chip.ID + "/die"
-	}
 	cropped, err := vol.CropX(roi.X0, roi.X1)
 	if err != nil {
 		return nil, fmt.Errorf("core: crop: %w", err)
 	}
 	// Full-cost acquisition of the ROI only, streamed from the cropped
 	// volume's planes.
-	res, err := runPlanes(ctx, chip, die.Truth, cropped, cropped.BoundsNM, o)
+	res, err := runPlanes(ctx, chip, chip.ID+"/die", die.Truth, cropped, cropped.BoundsNM, o)
 	if err != nil {
 		return nil, err
 	}

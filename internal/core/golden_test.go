@@ -145,6 +145,27 @@ func TestGoldenFingerprints(t *testing.T) {
 	}
 }
 
+// goldenFingerprint returns the committed fast-profile fingerprint of
+// one chip, clean or faulted.
+func goldenFingerprint(t *testing.T, chip string, faults bool) string {
+	t.Helper()
+	enc, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cases []goldenCase
+	if err := json.Unmarshal(enc, &cases); err != nil {
+		t.Fatal(err)
+	}
+	for _, gc := range cases {
+		if gc.Chip == chip && gc.Faults == faults && gc.Err == "" {
+			return gc.Fingerprint
+		}
+	}
+	t.Fatalf("%s: no %s faults=%v fingerprint", goldenPath, chip, faults)
+	return ""
+}
+
 // goldenViews acquires the chip's region exactly as Run does, applies
 // the fault plan, and hashes the planar views PlanarViews renders.
 func goldenViews(chip *chips.Chip, o Options) (string, error) {

@@ -74,31 +74,26 @@ type Options struct {
 	// or nil, for any worker count, the pipeline output is byte-
 	// identical, and the counter values themselves are deterministic.
 	Obs *obs.Observer
-	// Ckpt, when non-nil, persists the small artifacts that follow
-	// reconstruction into the store so a finished computation is never
-	// repeated: Run and RunOnDie checkpoint the extraction ("netex"),
-	// standalone ReconstructCtx the plan ("plan") and PlanarViewsCtx the
-	// views ("views"). Acquisition is synthetic and deterministic, so an
-	// interrupted run costs at most one reconstruction. Keys derive from CkptUnit plus a fingerprint of the
-	// result-affecting options — worker counts and observability sinks
-	// are excluded, so any worker count shares the same checkpoints.
-	// Writes are atomic and checksummed; persistence failures degrade
-	// the run to non-resumable but never fail it.
+	// Ckpt, when non-nil, persists the extraction ("netex") of Run and
+	// RunOnDie into the store, so a finished computation is never
+	// repeated; only those two checkpoint. Acquisition is synthetic and
+	// deterministic, so an interrupted run costs at most one
+	// reconstruction. Keys derive from the chip ID (Run) or "<chip>/die"
+	// (RunOnDie) plus a fingerprint of the result-affecting options —
+	// worker counts and observability sinks are excluded, so any worker
+	// count shares the same checkpoints. Standalone ReconstructCtx and
+	// PlanarViewsCtx ignore the store: the options alone cannot
+	// reproduce the acquisition they are handed. Writes are atomic and
+	// checksummed; persistence failures degrade the run to
+	// non-resumable but never fail it.
 	Ckpt *ckpt.Store
-	// Resume enables loading from Ckpt: a verified checkpoint skips its
-	// stage and yields byte-identical output to recomputing; a missing,
-	// torn or checksum-mismatched one is counted ("ckpt.miss" /
-	// "ckpt.corrupt") and transparently recomputed. With Resume false
-	// the run only writes checkpoints, never trusts existing ones.
+	// Resume enables loading from Ckpt in Run and RunOnDie: a verified
+	// checkpoint skips every imaging stage and yields byte-identical
+	// output to recomputing; a missing, torn or checksum-mismatched one
+	// is counted ("ckpt.miss" / "ckpt.corrupt") and transparently
+	// recomputed. With Resume false the run only writes checkpoints,
+	// never trusts existing ones.
 	Resume bool
-	// CkptUnit keys this run's checkpoints. RunCtx defaults it to the
-	// chip ID and RunOnDieCtx to "<chip>/die", which uniquely identify
-	// the pipeline input under the fingerprinted options. Callers
-	// invoking ReconstructCtx or PlanarViewsCtx directly must set a
-	// unit that uniquely identifies the acquisition themselves; when
-	// empty, checkpointing is disabled for safety (an acquisition the
-	// options cannot reproduce must not share keys with one they can).
-	CkptUnit string
 	// Pool, when non-nil, recycles the reconstruction's image
 	// buffers (denoised and aligned slices) across slices — and, when
 	// shared, across runs — instead of allocating each fresh. Pooling
@@ -220,9 +215,6 @@ func RunCtx(ctx context.Context, chip *chips.Chip, o Options) (*Result, error) {
 	}
 	// Use the chip's Table I detector.
 	o.SEM.Detector = chip.Detector
-	if o.CkptUnit == "" {
-		o.CkptUnit = chip.ID
-	}
 	// Ground-truth planes rasterize lazily, one slicing plane at a time,
 	// so the material volume is never materialized.
 	window := region.Cell.Bounds()
@@ -231,7 +223,7 @@ func RunCtx(ctx context.Context, chip *chips.Chip, o Options) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: voxelize: %w", err)
 	}
-	return runPlanes(ctx, chip, region.Truth, planes, window, o)
+	return runPlanes(ctx, chip, chip.ID, region.Truth, planes, window, o)
 }
 
 // runPlanes is the pipeline from the material planes on, shared by Run
@@ -241,11 +233,11 @@ func RunCtx(ctx context.Context, chip *chips.Chip, o Options) (*Result, error) {
 // planar views — so the window, not the stack depth, bounds the live
 // set. Slice count and cost derive up front from the plane dimensions;
 // they match a materialized acquisition's exactly. With a checkpoint
-// store the extraction is the one boundary: a verified netex artifact
-// skips every imaging stage.
-func runPlanes(ctx context.Context, chip *chips.Chip, truth chipgen.GroundTruth,
+// store the extraction is the one boundary, keyed under unit: a
+// verified netex artifact skips every imaging stage.
+func runPlanes(ctx context.Context, chip *chips.Chip, unit string, truth chipgen.GroundTruth,
 	planes sem.MaterialPlanes, window geom.Rect, o Options) (*Result, error) {
-	ck, err := newCkptRef(o.CkptUnit, o)
+	ck, err := newCkptRef(unit, o)
 	if err != nil {
 		return nil, err
 	}
@@ -373,24 +365,13 @@ func Reconstruct(acq *sem.Acquisition, window geom.Rect, o Options) (*netex.Plan
 	return ReconstructCtx(context.Background(), acq, window, o)
 }
 
-// ReconstructCtx is Reconstruct with cooperative cancellation and, when
-// Options.Ckpt and Options.CkptUnit are both set, checkpointing of the
-// plan (see Options.CkptUnit for the keying contract standalone callers
-// must uphold).
+// ReconstructCtx is Reconstruct with cooperative cancellation. It
+// never checkpoints (see Options.Ckpt).
 func ReconstructCtx(ctx context.Context, acq *sem.Acquisition, window geom.Rect, o Options) (*netex.Plan, ReconInfo, error) {
-	ck, err := newCkptRef(o.CkptUnit, o)
-	if err != nil {
-		return nil, ReconInfo{}, err
-	}
-	var pa planArtifact
-	if ck.load(CkptPlan, &pa) {
-		return pa.Plan, pa.Info, nil
-	}
 	plan, info, _, err := reconstructStream(ctx, len(acq.Slices), streamAcqSource(acq), acq.Options.DwellUS, window, o)
 	if err != nil {
 		return nil, ReconInfo{}, err
 	}
-	ck.save(CkptPlan, planArtifact{Plan: plan, Info: info})
 	return plan, info, nil
 }
 
@@ -416,25 +397,14 @@ func PlanarViews(acq *sem.Acquisition, o Options) (map[string]*img.Gray, error) 
 	return PlanarViewsCtx(context.Background(), acq, o)
 }
 
-// PlanarViewsCtx is PlanarViews with cooperative cancellation and, when
-// Options.Ckpt and Options.CkptUnit are both set, checkpointing of the
-// finished view set under the "views" stage.
+// PlanarViewsCtx is PlanarViews with cooperative cancellation. It
+// never checkpoints (see Options.Ckpt).
 func PlanarViewsCtx(ctx context.Context, acq *sem.Acquisition, o Options) (map[string]*img.Gray, error) {
-	ck, err := newCkptRef(o.CkptUnit, o)
-	if err != nil {
-		return nil, err
-	}
-	var va viewsArtifact
-	if ck.load(CkptViews, &va) {
-		return va.Views, nil
-	}
 	f, _, err := foldStream(ctx, len(acq.Slices), streamAcqSource(acq), acq.Options.DwellUS, o)
 	if err != nil {
 		return nil, err
 	}
-	views := f.viewMap()
-	ck.save(CkptViews, viewsArtifact{Views: views})
-	return views, nil
+	return f.viewMap(), nil
 }
 
 // bandedLayers returns the fabrication layers that have a depth band in

@@ -8,6 +8,7 @@ import (
 	"repro/internal/chips"
 	"repro/internal/fault"
 	"repro/internal/geom"
+	"repro/internal/img"
 	"repro/internal/sem"
 )
 
@@ -36,6 +37,46 @@ func chipAcquisition(t *testing.T, id string, o Options) (*sem.Acquisition, geom
 	return acq, window
 }
 
+// streamGate drives the production gate over a whole acquisition: every
+// slice is pushed through a gateStream in stack order, the emitted
+// slices are collected by index, and the gate's report is returned. It
+// also runs the whole-stack reference gate on the same stack and fails
+// the test unless both agree: the same report, the same passthrough
+// pointers, and pixel-identical repairs.
+func streamGate(t *testing.T, acq *sem.Acquisition, o Options) (RepairReport, []*img.Gray) {
+	t.Helper()
+	out := make([]*img.Gray, len(acq.Slices))
+	s := newGateStream(o, len(acq.Slices), acq.Options.DwellUS, func(i int, g *img.Gray) error {
+		out[i] = g
+		return nil
+	})
+	for i, g := range acq.Slices {
+		if err := s.push(i, g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.finish(); err != nil {
+		t.Fatal(err)
+	}
+	refRep, refOut, err := qualityGate(acq, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(s.rep, refRep) {
+		t.Errorf("streaming gate report differs from the reference:\nstream:    %+v\nreference: %+v", s.rep, refRep)
+	}
+	for i := range out {
+		if refOut[i] == acq.Slices[i] {
+			if out[i] != refOut[i] {
+				t.Errorf("slice %d: reference passed it through, streaming gate did not", i)
+			}
+		} else if out[i] == acq.Slices[i] || !reflect.DeepEqual(out[i].Pix, refOut[i].Pix) {
+			t.Errorf("slice %d: streaming repair differs from the reference", i)
+		}
+	}
+	return s.rep, out
+}
+
 // The gate must stay completely silent on clean acquisitions: an empty
 // report and every slice passed through by pointer, so the clean-path
 // output stays byte-identical with the gate enabled.
@@ -43,10 +84,7 @@ func TestQualityGateCleanStacksUntouched(t *testing.T) {
 	for _, chip := range chips.All() {
 		o := DefaultOptions()
 		acq, _ := chipAcquisition(t, chip.ID, o)
-		rep, out, err := qualityGate(acq, o)
-		if err != nil {
-			t.Fatalf("%s: %v", chip.ID, err)
-		}
+		rep, out := streamGate(t, acq, o)
 		if len(rep.Repairs) != 0 {
 			t.Errorf("%s: clean stack got %d repairs: %+v", chip.ID, len(rep.Repairs), rep.Repairs)
 		}
@@ -77,10 +115,7 @@ func TestQualityGateRecallAndPrecision(t *testing.T) {
 		if got := len(truth.Injected); got < len(acq.Slices)/10 {
 			t.Fatalf("%s: default plan corrupted only %d of %d slices", id, got, len(acq.Slices))
 		}
-		rep, out, err := qualityGate(acq, o)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
+		rep, out := streamGate(t, acq, o)
 		flagged := make(map[int]bool, len(rep.Repairs))
 		for _, r := range rep.Repairs {
 			flagged[r.Index] = true
@@ -117,7 +152,8 @@ func TestQualityGateRecallAndPrecision(t *testing.T) {
 	}
 }
 
-// The gate's report and output must be identical for every worker count.
+// The reference gate's report and output must be identical for every
+// worker count (the streaming gate takes none).
 func TestQualityGateDeterministicAcrossWorkers(t *testing.T) {
 	o := DefaultOptions()
 	o.SEM.DwellUS = 12
@@ -151,10 +187,7 @@ func TestQualityGateTinyStackPassthrough(t *testing.T) {
 	o := DefaultOptions()
 	acq, _ := chipAcquisition(t, "C4", o)
 	acq.Slices = acq.Slices[:2]
-	rep, out, err := qualityGate(acq, o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep, out := streamGate(t, acq, o)
 	if len(rep.Repairs) != 0 || len(out) != 2 {
 		t.Errorf("tiny stack was modified: %+v", rep)
 	}

@@ -30,90 +30,65 @@ func resumeOptions() Options {
 }
 
 // TestResumeDeterministicAtEveryBoundary is the acceptance test for the
-// checkpoint scheme: for every checkpoint boundary — the extraction a
-// Run persists, the plan a standalone Reconstruct persists and the views
-// PlanarViews persists — a run resumed from a store populated at one
-// worker count, at worker counts the writer did not use, skips its
-// computation and produces output identical to an uninterrupted run,
-// down to the gob encoding.
+// checkpoint scheme: a run resumed from the extraction ("netex") a Run
+// persisted at one worker count, at worker counts the writer did not
+// use, skips every imaging stage and produces output identical to an
+// uninterrupted run, down to the gob encoding.
 func TestResumeDeterministicAtEveryBoundary(t *testing.T) {
 	chip := chips.ByID("B4")
-	acq, window := testAcquisition(t)
-	// Each run returns its full output for comparison plus a canonical
-	// byte form of what round-trips through the checkpoint: the
-	// extraction's gob encoding, or a canonical hash where the artifact
-	// holds maps (whose gob order is not reproducible).
-	for _, b := range []struct {
-		stage string
-		run   func(o Options) (out any, canon string, err error)
-	}{
-		{CkptPlan, func(o Options) (any, string, error) {
-			o.CkptUnit = "resume/plan"
-			plan, info, err := Reconstruct(acq, window, o)
-			if err != nil {
-				return nil, "", err
-			}
-			return planArtifact{plan, info}, smokeFingerprint(plan, info), nil
-		}},
-		{CkptNetex, func(o Options) (any, string, error) {
-			res, err := Run(chip, o)
-			if err != nil {
-				return nil, "", err
-			}
-			var ext bytes.Buffer
-			if err := gob.NewEncoder(&ext).Encode(res.Extraction); err != nil {
-				return nil, "", err
-			}
-			return stripTelemetry(res), ext.String() + viewsHash(res.Views), nil
-		}},
-		{CkptViews, func(o Options) (any, string, error) {
-			o.CkptUnit = "resume/views"
-			views, err := PlanarViews(acq, o)
-			if err != nil {
-				return nil, "", err
-			}
-			return views, viewsHash(views), nil
-		}},
-	} {
-		base := resumeOptions()
-		want, wantCanon, err := b.run(base)
+	// run returns the full Result for comparison plus a canonical byte
+	// form of what round-trips through the checkpoint: the extraction's
+	// gob encoding and a canonical hash of the views (a map, whose gob
+	// order is not reproducible).
+	run := func(o Options) (Result, string, error) {
+		res, err := Run(chip, o)
 		if err != nil {
-			t.Fatal(err)
+			return Result{}, "", err
 		}
-		// Populate the boundary at one worker count...
-		populated, err := ckpt.Open(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
+		var ext bytes.Buffer
+		if err := gob.NewEncoder(&ext).Encode(res.Extraction); err != nil {
+			return Result{}, "", err
 		}
-		po := base
-		po.Workers = 4
-		po.Ckpt = populated
-		if _, _, err := b.run(po); err != nil {
-			t.Fatal(err)
-		}
-		// ...then resume from it at worker counts the writer did not use.
-		for _, workers := range []int{1, 3} {
-			t.Run(fmt.Sprintf("%s/workers=%d", b.stage, workers), func(t *testing.T) {
-				ro := base
-				ro.Workers = workers
-				ro.Ckpt = populated
-				ro.Resume = true
-				ro.Obs = &obs.Observer{Metrics: obs.NewMetrics()}
-				got, gotCanon, err := b.run(ro)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if n := ro.Obs.Snapshot().Counters["ckpt.resumed."+b.stage]; n != 1 {
-					t.Errorf("ckpt.resumed.%s = %d, want 1", b.stage, n)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("resume from %q differs from uninterrupted run", b.stage)
-				}
-				if gotCanon != wantCanon {
-					t.Errorf("resume from %q: canonical bytes differ", b.stage)
-				}
-			})
-		}
+		return stripTelemetry(res), ext.String() + viewsHash(res.Views), nil
+	}
+	base := resumeOptions()
+	want, wantCanon, err := run(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Populate the boundary at one worker count...
+	populated, err := ckpt.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	po := base
+	po.Workers = 4
+	po.Ckpt = populated
+	if _, _, err := run(po); err != nil {
+		t.Fatal(err)
+	}
+	// ...then resume from it at worker counts the writer did not use.
+	for _, workers := range []int{1, 3} {
+		t.Run(fmt.Sprintf("%s/workers=%d", CkptNetex, workers), func(t *testing.T) {
+			ro := base
+			ro.Workers = workers
+			ro.Ckpt = populated
+			ro.Resume = true
+			ro.Obs = &obs.Observer{Metrics: obs.NewMetrics()}
+			got, gotCanon, err := run(ro)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := ro.Obs.Snapshot().Counters["ckpt.resumed."+CkptNetex]; n != 1 {
+				t.Errorf("ckpt.resumed.%s = %d, want 1", CkptNetex, n)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("resume from %q differs from uninterrupted run", CkptNetex)
+			}
+			if gotCanon != wantCanon {
+				t.Errorf("resume from %q: canonical bytes differ", CkptNetex)
+			}
+		})
 	}
 }
 
@@ -365,10 +340,11 @@ func TestRunCtxCancelMidRun(t *testing.T) {
 	}
 }
 
-// TestStandaloneReconstructNoUnitNoCheckpoints asserts the safety rule
-// for direct ReconstructCtx callers: without CkptUnit the store is
-// never touched, because the options alone cannot reproduce an
-// arbitrary acquisition.
+// TestStandaloneReconstructNoUnitNoCheckpoints asserts that only Run
+// and RunOnDie checkpoint: a standalone ReconstructCtx or PlanarViewsCtx
+// has no unit to key under — the options alone cannot reproduce the
+// acquisition it is handed — so it never touches the store, even with
+// Ckpt and Resume set.
 func TestStandaloneReconstructNoUnitNoCheckpoints(t *testing.T) {
 	acq, window := testAcquisition(t)
 	dir := t.TempDir()
@@ -380,7 +356,11 @@ func TestStandaloneReconstructNoUnitNoCheckpoints(t *testing.T) {
 	o.Denoiser = "none"
 	o.Ckpt = store
 	o.Resume = true
+	o.Obs = &obs.Observer{Metrics: obs.NewMetrics()}
 	if _, _, err := ReconstructCtx(context.Background(), acq, window, o); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := PlanarViewsCtx(context.Background(), acq, o); err != nil {
 		t.Fatal(err)
 	}
 	var files []string
@@ -394,37 +374,11 @@ func TestStandaloneReconstructNoUnitNoCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(files) != 0 {
-		t.Errorf("standalone Reconstruct without CkptUnit wrote checkpoints: %v", files)
+		t.Errorf("standalone ReconstructCtx/PlanarViewsCtx wrote checkpoints: %v", files)
 	}
-}
-
-// TestPlanarViewsResume asserts the views boundary round-trips: a
-// second PlanarViews call resumes from the first one's checkpoint and
-// returns identical images.
-func TestPlanarViewsResume(t *testing.T) {
-	acq, _ := testAcquisition(t)
-	store, err := ckpt.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := fastOptions()
-	o.Denoiser = "none"
-	o.Ckpt = store
-	o.CkptUnit = "test/planar"
-	want, err := PlanarViews(acq, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.Resume = true
-	o.Obs = &obs.Observer{Metrics: obs.NewMetrics()}
-	got, err := PlanarViews(acq, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("resumed planar views differ")
-	}
-	if n := o.Obs.Snapshot().Counters["ckpt.resumed."+CkptViews]; n != 1 {
-		t.Errorf("ckpt.resumed.views = %d, want 1", n)
+	for name, n := range o.Obs.Snapshot().Counters {
+		if strings.HasPrefix(name, "ckpt.") {
+			t.Errorf("standalone ReconstructCtx/PlanarViewsCtx consulted the store: %s = %d", name, n)
+		}
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/geom"
 	"repro/internal/img"
-	"repro/internal/obs"
 	"repro/internal/sem"
 )
 
@@ -362,45 +361,6 @@ func TestStreamErrorReleasesPool(t *testing.T) {
 		}
 		if live := o.Pool.Stats().Live; live != 0 {
 			t.Errorf("align=%v: %d pool buffers leaked after error", align, live)
-		}
-	}
-}
-
-// TestStreamCheckpointedMatchesBarrier covers the checkpointed variant:
-// with a store attached a standalone reconstruction still streams and
-// only persists its plan, and must reproduce the reference exactly —
-// fresh and when resumed from that plan.
-func TestStreamCheckpointedMatchesBarrier(t *testing.T) {
-	acq, window := testAcquisition(t)
-	o := fastOptions()
-	o.Workers = 1
-	wantPlan, wantInfo, _, err := referenceReconstruct(context.Background(), acq, window, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store, err := ckpt.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, resume := range []bool{false, true} {
-		so := fastOptions()
-		so.Workers = 3
-		so.Ckpt = store
-		so.CkptUnit = "stream-ckpt-test"
-		so.Resume = resume
-		so.Obs = &obs.Observer{Metrics: obs.NewMetrics()}
-		gotPlan, gotInfo, err := Reconstruct(acq, window, so)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(gotInfo, wantInfo) {
-			t.Errorf("resume=%v: ckpt streaming info %+v != reference %+v", resume, gotInfo, wantInfo)
-		}
-		if !reflect.DeepEqual(gotPlan, wantPlan) {
-			t.Errorf("resume=%v: ckpt streaming plan differs from reference", resume)
-		}
-		if n := so.Obs.Snapshot().Counters["ckpt.resumed."+CkptPlan]; resume != (n == 1) {
-			t.Errorf("resume=%v: ckpt.resumed.plan = %d", resume, n)
 		}
 	}
 }

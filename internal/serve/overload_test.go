@@ -649,14 +649,19 @@ func TestDeadlineHeaderParsedAndRejected(t *testing.T) {
 	}
 }
 
+// TestDeadlineShedAtRecovery proves a client deadline survives a
+// restart: a job interrupted by shutdown is journaled as interrupted,
+// and when the outage outlives its deadline, recovery sheds it as
+// canceled(deadline) instead of rerunning it. The runner returns only
+// when its context ends, never with a result, so the job cannot finish
+// done before Close interrupts it.
 func TestDeadlineShedAtRecovery(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "journal.db")
-	block := make(chan struct{})
 	cfg := Config{
 		Jobs: 1, QueueDepth: 8, JournalPath: journal,
 		Obs: &obs.Observer{Metrics: obs.NewMetrics()},
 		runner: func(ctx context.Context, req Request, _ int, _ *obs.Observer) (map[string][]byte, error) {
-			<-block
+			<-ctx.Done()
 			return nil, ctx.Err()
 		},
 	}
@@ -670,7 +675,6 @@ func TestDeadlineShedAtRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	close(block)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := s.Close(ctx); err != nil {

@@ -702,10 +702,10 @@ func stageCalls(ob *obs.Observer, stage string) int {
 
 // TestServeViewsOneReconstruction pins the views job contract: the
 // planar views ride along with the extraction, so a views job images
-// the stack once and denoises each slice once, and its PGMs are the
-// planar subcommand's — PlanarViewsCtx on a freshly acquired stack. A
-// views job that follows a plain job with the same fingerprint resumes
-// from the plain job's extraction checkpoint and images nothing.
+// the stack once and denoises each slice once, and its PGMs are what
+// PlanarViews renders from a freshly acquired stack. A views job that
+// follows a plain job with the same fingerprint resumes from the plain
+// job's extraction checkpoint and images nothing.
 func TestServeViewsOneReconstruction(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real pipeline run")
@@ -768,7 +768,7 @@ func TestServeViewsOneReconstruction(t *testing.T) {
 			t.Fatalf("artifact %s: %v", name, err)
 		}
 		if !bytes.Equal(got, pgm) {
-			t.Errorf("artifact %s differs from the planar subcommand's view", name)
+			t.Errorf("artifact %s differs from the PlanarViews rendering", name)
 		}
 	}
 
@@ -803,14 +803,14 @@ func TestServeViewsOneReconstruction(t *testing.T) {
 			t.Fatalf("resumed artifact %s: %v", name, err)
 		}
 		if !bytes.Equal(got, pgm) {
-			t.Errorf("resumed artifact %s differs from the planar subcommand's view", name)
+			t.Errorf("resumed artifact %s differs from the PlanarViews rendering", name)
 		}
 	}
 }
 
-// planarPGMs renders req's planar views the way the planar subcommand
-// does: acquire the region, reconstruct its views with PlanarViewsCtx,
-// normalize each and encode it as PGM.
+// planarPGMs renders req's planar views independently of the run:
+// acquire the region, reconstruct its views with PlanarViews, normalize
+// each and encode it as PGM.
 func planarPGMs(t *testing.T, req Request) map[string][]byte {
 	t.Helper()
 	chip, o, _, err := req.resolve()
