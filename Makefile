@@ -81,7 +81,9 @@ overload-smoke:
 
 # alloc-check pins the allocation-free kernels: steady-state MI
 # candidate evaluation and TV denoising with a warm Scratch must stay at
-# zero heap allocations.
+# zero heap allocations, and a warm MI search at production geometry
+# must draw its bin tables from the pool (no table-sized allocation, at
+# most 9 objects per single-worker Align).
 alloc-check:
 	$(GO) test ./internal/register ./internal/denoise -run 'AllocFree' -count=1
 

@@ -6,6 +6,8 @@
 package repro
 
 import (
+	"context"
+	"errors"
 	"io"
 	"math"
 	"runtime"
@@ -16,6 +18,7 @@ import (
 	"repro/internal/chips"
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/denoise"
 	"repro/internal/dram"
 	"repro/internal/gds"
 	"repro/internal/geom"
@@ -23,6 +26,7 @@ import (
 	"repro/internal/layout"
 	"repro/internal/measure"
 	"repro/internal/netex"
+	"repro/internal/obs"
 	"repro/internal/papers"
 	"repro/internal/par"
 	"repro/internal/register"
@@ -246,6 +250,55 @@ func BenchmarkAlignPair(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// E5c' — the MI pair at production geometry: two consecutive denoised
+// slices of B4 at the default 4 nm voxel (1857x39 px) under the
+// pipeline's default register options (the 9x5 window, 45 candidates,
+// with its widening checks), single worker — the per-pair step the
+// streaming reconstruction repeats for every slice.
+func BenchmarkAlignPairB4(b *testing.B) {
+	o := core.DefaultOptions()
+	chip := chips.ByID("B4")
+	cfg := chipgen.DefaultConfig(chip)
+	cfg.Units = o.Units
+	region, err := chipgen.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	planes, err := chipgen.NewPlaneSource(region.Cell, region.Cell.Bounds(), o.VoxelNM)
+	if err != nil {
+		b.Fatal(err)
+	}
+	o.SEM.Detector = chip.Detector
+	var pair []*img.Gray
+	errPair := errors.New("pair acquired")
+	err = sem.StreamStackCtx(context.Background(), planes, o.SEM, func(_, _ int, g *img.Gray, _ [2]float64) error {
+		d, err := denoise.Chambolle(g, o.Denoise)
+		if err != nil {
+			return err
+		}
+		if pair = append(pair, d); len(pair) == 2 {
+			return errPair
+		}
+		return nil
+	})
+	if err != errPair {
+		b.Fatalf("acquiring the pair: %v", err)
+	}
+	ro := o.Register
+	ro.Workers = 1
+	ob := &obs.Observer{Metrics: obs.NewMetrics()}
+	ro.Obs = ob
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := register.AlignRobust(pair[0], pair[1], ro); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(ob.Snapshot().Counters["register.mi_evals"])/float64(b.N), "evals/op")
 }
 
 // E5d — sequential exhaustive stack alignment: the headline number for

@@ -26,30 +26,58 @@ func GaussianKernel(sigma float64) []float64 {
 }
 
 // GaussianBlur returns g convolved with a separable Gaussian of the given
-// standard deviation, using edge extension at the boundaries.
+// standard deviation, using edge extension at the boundaries. Where the
+// whole stencil lies inside the image the taps read Pix directly;
+// AtClamp serves only the border. Every output pixel sums the same taps
+// in the same order either way.
 func GaussianBlur(g *Gray, sigma float64) *Gray {
 	k := GaussianKernel(sigma)
 	r := len(k) / 2
+	w, h := g.W, g.H
 	// Horizontal pass.
-	tmp := New(g.W, g.H)
-	for y := 0; y < g.H; y++ {
-		for x := 0; x < g.W; x++ {
+	tmp := New(w, h)
+	for y := 0; y < h; y++ {
+		row := g.Pix[y*w : (y+1)*w]
+		dst := tmp.Pix[y*w : (y+1)*w]
+		for x := range dst {
 			var s float64
-			for i := -r; i <= r; i++ {
-				s += k[i+r] * g.AtClamp(x+i, y)
+			if x >= r && x+r < w {
+				taps := row[x-r : x+r+1]
+				for i, kv := range k {
+					s += kv * taps[i]
+				}
+			} else {
+				for i := -r; i <= r; i++ {
+					s += k[i+r] * g.AtClamp(x+i, y)
+				}
 			}
-			tmp.Set(x, y, s)
+			dst[x] = s
 		}
 	}
 	// Vertical pass.
-	out := New(g.W, g.H)
-	for y := 0; y < g.H; y++ {
-		for x := 0; x < g.W; x++ {
-			var s float64
-			for i := -r; i <= r; i++ {
-				s += k[i+r] * tmp.AtClamp(x, y+i)
+	out := New(w, h)
+	rows := make([][]float64, len(k))
+	for y := 0; y < h; y++ {
+		dst := out.Pix[y*w : (y+1)*w]
+		if y < r || y+r >= h {
+			for x := range dst {
+				var s float64
+				for i := -r; i <= r; i++ {
+					s += k[i+r] * tmp.AtClamp(x, y+i)
+				}
+				dst[x] = s
 			}
-			out.Set(x, y, s)
+			continue
+		}
+		for i := range rows {
+			rows[i] = tmp.Pix[(y-r+i)*w : (y-r+i+1)*w]
+		}
+		for x := range dst {
+			var s float64
+			for i, kv := range k {
+				s += kv * rows[i][x]
+			}
+			dst[x] = s
 		}
 	}
 	return out
@@ -74,11 +102,33 @@ func MedianFilter(g *Gray, radius int) *Gray {
 					window = append(window, g.AtClamp(x+dx, y+dy))
 				}
 			}
-			sort.Float64s(window)
+			sortWindow(window)
 			out.Set(x, y, window[len(window)/2])
 		}
 	}
 	return out
+}
+
+// sortWindow sorts a median window in place. Windows of up to 12 values
+// (radius 1 is 9) take an insertion sort with the comparison
+// sort.Float64s uses (NaNs first): that is exactly the algorithm
+// sort.Float64s runs on so short a slice, so the median it picks is the
+// same value bit for bit, signed zeros and NaNs included, without the
+// generic sort's dispatch. Larger windows keep sort.Float64s.
+func sortWindow(v []float64) {
+	if len(v) > 12 {
+		sort.Float64s(v)
+		return
+	}
+	for i := 1; i < len(v); i++ {
+		for j := i; j > 0 && lessNaNFirst(v[j], v[j-1]); j-- {
+			v[j], v[j-1] = v[j-1], v[j]
+		}
+	}
+}
+
+func lessNaNFirst(a, b float64) bool {
+	return a < b || (a != a && b == b)
 }
 
 // SobelMagnitude returns the gradient magnitude of g computed with the

@@ -7,105 +7,117 @@ import (
 	"repro/internal/img"
 )
 
+// maxBins is the largest Options.Bins the kernel's narrow index types
+// hold: a moving bin index (at most bins-1) fits a uint8, and a fixed
+// bin index premultiplied by bins (at most (bins-1)·bins) fits a uint16.
+const maxBins = 256
+
+// maxTables bounds how many moving-bin tables a search keeps live. A
+// search whose candidates have more distinct window extrema evaluates in
+// batches of at most this many tables, so memory stays bounded however
+// the extrema scatter (typically a search has a handful).
+const maxTables = 16
+
 // miKernel evaluates the mutual information between a fixed and a moving
 // image at integer candidate shifts, directly on the overlap window via
 // index arithmetic. It replaces the original Crop+Statistics+histogram
-// path with the exact same arithmetic in the exact same order, so MI
-// values are bit-identical to MutualInformation over the two crops —
-// only the allocations are gone:
+// path with the exact same arithmetic, so MI values are bit-identical to
+// MutualInformation over the two crops — only the allocations and the
+// repeated work are gone:
 //
 //   - the overlap window in fixed coordinates is the same for every
 //     candidate, so the fixed region's intensity range and per-pixel bin
-//     indices are computed once per kernel (per Align call), not per
+//     indices are computed once per kernel (per search), not per
 //     candidate;
-//   - the moving region's extrema reduce over per-worker cached column
-//     extrema (one stripe per candidate dy), no crop copy or rescan;
-//   - the moving region's bin indices live in a per-worker cache keyed
-//     on the exact extrema (see miScratch.movingBins), so the binning
-//     division runs only when a candidate's extrema actually change;
+//   - every candidate's moving-window extrema come from one pass over
+//     the moving image per search (see candExtrema), and the image is
+//     binned once per distinct extrema pair into a read-only table the
+//     workers share (see bindCands);
 //   - the joint histogram is integer counts in a per-worker scratch
 //     buffer (miScratch), reused across candidates.
 //
-// Steady-state candidate evaluation therefore performs zero heap
-// allocations (pinned by TestMIKernelAllocFree).
+// Kernels are pooled, so a warm search allocates no index tables
+// (pinned by TestSearchBinTablesAllocFree), and steady-state candidate
+// evaluation performs zero heap allocations (TestMIKernelAllocFree).
 type miKernel struct {
-	fixed, moving *img.Gray
-	bins          int
+	moving *img.Gray
+	bins   int
 	// Overlap window [x0,x1)×[y0,y1) in fixed coordinates; the moving
 	// window for candidate (dx,dy) is the same rectangle shifted by
-	// (-dx,-dy). nx/ny are the largest |dx|/|dy| the window supports.
+	// (-dx,-dy).
 	x0, y0, x1, y1 int
-	nx, ny         int
-	// Fixed-region intensity range and per-pixel bin indices, row-major
-	// over the window.
-	fixedBins []int32
-	n         float64 // pixel count of the window
+	n              float64 // pixel count of the window
+	// fixedBins holds the fixed window's per-pixel bin indices, row-major
+	// over the window, each multiplied by bins: the offset of the pixel's
+	// row in the joint histogram.
+	fixedBins []uint16
+
+	// Per-search candidate binding (bindCands): each candidate's window
+	// extrema, the distinct extrema pairs in order of first appearance,
+	// each candidate's pair index, and the candidate indices grouped by
+	// pair (byTable[first[t]:first[t+1]] are the candidates of pair t).
+	lo, hi    []float64
+	keys      [][2]float64
+	candTable []int
+	byTable   []int
+	first     []int
+	// tables[t % maxTables] is the moving image binned under keys[t]
+	// while pair t's batch is evaluated.
+	tables [][]uint8
+
+	// Extrema scratch, one W-wide row each: the column extrema of the
+	// rows every candidate window shares, the column extrema of one dy's
+	// rows, and the block prefix/suffix extrema of the sliding reduction.
+	coreMin, coreMax []float64
+	colMin, colMax   []float64
+	preMin, preMax   []float64
+	sufMin, sufMax   []float64
 }
 
-// miScratch is one worker's reusable evaluation state: the joint
-// histogram, the marginal accumulators, and the moving-image bin cache.
-// Everything an eval reads is either fully reinitialized (joint, pa,
-// pb) or revalidated against the candidate's exact extrema
-// (movingBins), so sharing a scratch across candidates (but never
-// across concurrent workers) cannot perturb results.
-type miScratch struct {
-	joint  []int32
-	pa, pb []float64
-	// movingBins caches the whole moving image binned under (mlo, mhi).
-	// Candidate windows overlap almost entirely, so their extrema — and
-	// with them every bin index — are usually identical from one
-	// candidate to the next; the cache turns the per-pixel binning
-	// division into an array read. It is revalidated by exact float
-	// comparison, so a candidate whose window extrema differ recomputes
-	// and the indices always equal a fresh evaluation's bit for bit.
-	movingBins []int32
-	mlo, mhi   float64
-	haveBins   bool
-	// colMin/colMax cache per-column extrema of the moving image, one
-	// W-wide stripe per candidate dy (the rows a dy selects are fixed;
-	// only the column range varies with dx). A stripe is filled on the
-	// first candidate at its dy (colOK) and window extrema then reduce
-	// over 2·(x1-x0) cached columns instead of rescanning the whole
-	// window. Min/max are order-independent, so the reduced values equal
-	// img.MinMaxIn's bit for bit.
-	colMin, colMax []float64
-	colOK          []bool
-}
+// kernelPool recycles kernels across searches: a stack alignment runs a
+// search per slice pair (and per widening retry), and a fresh kernel
+// would allocate its fixed-bin and moving-bin tables every time.
+var kernelPool sync.Pool
 
-// newScratch sizes a scratch for this kernel's images and window.
-func (k *miKernel) newScratch() *miScratch {
-	return k.resetScratch(&miScratch{})
-}
-
-// scratchPool recycles scratch across kernels: an alignment call needs
-// one scratch per worker, and a stack alignment makes a call per slice
-// pair, so fresh scratch would allocate per pair and per worker.
-var scratchPool sync.Pool
-
-// getScratch returns a pooled scratch reset for this kernel.
-func (k *miKernel) getScratch() *miScratch {
-	if s, ok := scratchPool.Get().(*miScratch); ok {
-		return k.resetScratch(s)
+// newMIKernel returns a pooled kernel for candidates within
+// [-nx,nx]×[-ny,ny], with the fixed window binned. The caller has
+// validated the geometry: the images are equal-size and large enough
+// that the window [nx+margin, W-nx-margin) is at least 4 pixels wide
+// (and likewise in Y), which also guarantees every candidate shift keeps
+// the moving window in bounds; and 2 <= bins <= maxBins. Release the
+// kernel with release once the search is done.
+func newMIKernel(fixed, moving *img.Gray, nx, ny, margin, bins int) *miKernel {
+	k, _ := kernelPool.Get().(*miKernel)
+	if k == nil {
+		k = &miKernel{}
 	}
-	return k.newScratch()
+	mx, my := nx+margin, ny+margin
+	k.moving, k.bins = moving, bins
+	k.x0, k.y0, k.x1, k.y1 = mx, my, fixed.W-mx, fixed.H-my
+	k.n = float64((k.x1 - k.x0) * (k.y1 - k.y0))
+	lo, hi := fixed.MinMaxIn(k.x0, k.y0, k.x1, k.y1)
+	k.fixedBins = resized(k.fixedBins, (k.x1-k.x0)*(k.y1-k.y0))
+	fi := 0
+	for y := k.y0; y < k.y1; y++ {
+		row := fixed.Pix[y*fixed.W+k.x0 : y*fixed.W+k.x1]
+		for _, v := range row {
+			k.fixedBins[fi] = uint16(img.BinIndex(v, lo, hi, bins) * bins)
+			fi++
+		}
+	}
+	w := moving.W
+	for _, buf := range []*[]float64{&k.coreMin, &k.coreMax, &k.colMin, &k.colMax,
+		&k.preMin, &k.preMax, &k.sufMin, &k.sufMax} {
+		*buf = resized(*buf, w)
+	}
+	return k
 }
 
-// resetScratch sizes s for this kernel, reusing its buffers where they
-// are large enough, and invalidates both caches: a reset scratch
-// evaluates exactly like a fresh one. joint, pa and pb are zeroed by
-// every eval; colMin/colMax and movingBins are rebuilt on first use.
-func (k *miKernel) resetScratch(s *miScratch) *miScratch {
-	w := k.moving.W
-	s.joint = resized(s.joint, k.bins*k.bins)
-	s.pa = resized(s.pa, k.bins)
-	s.pb = resized(s.pb, k.bins)
-	s.movingBins = resized(s.movingBins, len(k.moving.Pix))
-	s.colMin = resized(s.colMin, (2*k.ny+1)*w)
-	s.colMax = resized(s.colMax, (2*k.ny+1)*w)
-	s.colOK = resized(s.colOK, 2*k.ny+1)
-	clear(s.colOK)
-	s.haveBins = false
-	return s
+// release returns the kernel to the pool, dropping its image reference
+// so a pooled kernel never keeps a slice alive.
+func (k *miKernel) release() {
+	k.moving = nil
+	kernelPool.Put(k)
 }
 
 // resized returns buf resliced to n elements, reallocating only when its
@@ -117,118 +129,258 @@ func resized[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// extrema returns the moving window's min/max for candidate (dx, dy)
-// from the column cache, filling the dy stripe on first use.
-func (s *miScratch) extrema(k *miKernel, dx, dy int) (float64, float64) {
-	w := k.moving.W
-	stripe := dy + k.ny
-	cmin := s.colMin[stripe*w : (stripe+1)*w]
-	cmax := s.colMax[stripe*w : (stripe+1)*w]
-	if !s.colOK[stripe] {
-		s.colOK[stripe] = true
-		copy(cmin, k.moving.Pix[(k.y0-dy)*w:(k.y0-dy+1)*w])
-		copy(cmax, cmin)
-		for y := k.y0 - dy + 1; y < k.y1-dy; y++ {
-			row := k.moving.Pix[y*w : (y+1)*w]
-			for x, v := range row {
-				if v < cmin[x] {
-					cmin[x] = v
-				}
-				if v > cmax[x] {
-					cmax[x] = v
-				}
+// bindCands prepares the kernel to evaluate cands: it computes every
+// candidate's window extrema, collects the distinct (lo, hi) pairs in
+// order of first appearance, and groups the candidates by pair. The
+// binning itself happens per batch (binTable), so at most maxTables
+// tables are live at once.
+func (k *miKernel) bindCands(cands []Shift) {
+	n := len(cands)
+	k.lo, k.hi = resized(k.lo, n), resized(k.hi, n)
+	k.candExtrema(cands)
+	k.keys = k.keys[:0]
+	k.candTable = resized(k.candTable, n)
+	for i := range cands {
+		t := 0
+		for t < len(k.keys) && (k.keys[t][0] != k.lo[i] || k.keys[t][1] != k.hi[i]) {
+			t++
+		}
+		if t == len(k.keys) {
+			k.keys = append(k.keys, [2]float64{k.lo[i], k.hi[i]})
+		}
+		k.candTable[i] = t
+	}
+	// Group the candidate indices by pair, ascending within a pair.
+	k.byTable = k.byTable[:0]
+	k.first = append(k.first[:0], 0)
+	for t := range k.keys {
+		for i, ct := range k.candTable {
+			if ct == t {
+				k.byTable = append(k.byTable, i)
 			}
 		}
+		k.first = append(k.first, len(k.byTable))
 	}
-	lo, hi := cmin[k.x0-dx], cmax[k.x0-dx]
-	for x := k.x0 - dx + 1; x < k.x1-dx; x++ {
-		if cmin[x] < lo {
-			lo = cmin[x]
-		}
-		if cmax[x] > hi {
-			hi = cmax[x]
-		}
+	nt := len(k.keys)
+	if len(k.tables) < min(nt, maxTables) {
+		k.tables = append(k.tables, make([][]uint8, min(nt, maxTables)-len(k.tables))...)
 	}
-	return lo, hi
 }
 
-// ensureMovingBins refreshes the bin cache for extrema (mlo, mhi). The
-// binning expression is the same manual img.BinIndex inline as the
-// joint-histogram loop used before the cache, evaluated over the full
-// image: window pixels get the exact reference index, and out-of-window
-// pixels are never read by a candidate whose extrema differ.
-func (s *miScratch) ensureMovingBins(m *img.Gray, mlo, mhi float64, bins int) {
-	if s.haveBins && s.mlo == mlo && s.mhi == mhi {
+// binTable bins the whole moving image under pair t's extrema into its
+// batch slot. The expression is the manual img.BinIndex inline the
+// joint-histogram loop has always used: window pixels get the exact
+// reference index, and out-of-window pixels are never read by a
+// candidate whose extrema differ.
+func (k *miKernel) binTable(t int) {
+	buf := resized(k.tables[t%maxTables], len(k.moving.Pix))
+	k.tables[t%maxTables] = buf
+	bins := k.bins
+	mlo, mhi := k.keys[t][0], k.keys[t][1]
+	if mhi <= mlo {
+		clear(buf)
 		return
 	}
-	s.haveBins, s.mlo, s.mhi = true, mlo, mhi
-	degenerate := mhi <= mlo
-	var scale float64
-	if !degenerate {
-		scale = float64(bins)
+	scale := float64(bins)
+	for i, v := range k.moving.Pix {
+		kb := int(scale * (v - mlo) / (mhi - mlo))
+		if kb < 0 {
+			kb = 0
+		} else if kb >= bins {
+			kb = bins - 1
+		}
+		buf[i] = uint8(kb)
 	}
-	for i, v := range m.Pix {
-		kb := 0
-		if !degenerate {
-			kb = int(scale * (v - mlo) / (mhi - mlo))
-			if kb < 0 {
-				kb = 0
-			} else if kb >= bins {
-				kb = bins - 1
+}
+
+// candExtrema fills k.lo[i], k.hi[i] with the moving window's min and
+// max for cands[i]. Every candidate window at a given dy covers the same
+// rows, and the rows [y0-dyMin, y1-dyMax) are covered at every dy: their
+// column extrema are reduced once, and each dy folds in only its few
+// extra rows. The windows at one dy are then equal-width column ranges
+// of that dy's column extrema, reduced by a block prefix/suffix sweep
+// (van Herk/Gil-Werman) in O(W) for all of them together. Over NaN-free
+// pixels min and max are order-independent — the order can change only
+// the sign of a zero extremum, and the bin expression maps ±0
+// identically — so the extrema bin every pixel exactly as
+// img.MinMaxIn's would.
+func (k *miKernel) candExtrema(cands []Shift) {
+	dyMin, dyMax := cands[0].DY, cands[0].DY
+	for _, c := range cands {
+		dyMin, dyMax = min(dyMin, c.DY), max(dyMax, c.DY)
+	}
+	coreLo, coreHi := k.y0-dyMin, k.y1-dyMax
+	shared := coreLo < coreHi
+	if shared {
+		resetExtrema(k.coreMin, k.coreMax)
+		k.foldRows(k.coreMin, k.coreMax, coreLo, coreHi)
+	}
+	width := k.x1 - k.x0
+	for dy := dyMin; dy <= dyMax; dy++ {
+		present := false
+		for _, c := range cands {
+			if c.DY == dy {
+				present = true
+				break
 			}
 		}
-		s.movingBins[i] = int32(kb)
-	}
-}
-
-// newMIKernel builds the kernel for candidates within [-nx,nx]×[-ny,ny].
-// The caller has validated the geometry: the images are equal-size and
-// large enough that the window [nx+margin, W-nx-margin) is at least 4
-// pixels wide (and likewise in Y), which also guarantees every candidate
-// shift keeps the moving window in bounds.
-func newMIKernel(fixed, moving *img.Gray, nx, ny, margin, bins int) *miKernel {
-	mx, my := nx+margin, ny+margin
-	k := &miKernel{
-		fixed: fixed, moving: moving, bins: bins,
-		x0: mx, y0: my, x1: fixed.W - mx, y1: fixed.H - my,
-		nx: nx, ny: ny,
-	}
-	k.n = float64((k.x1 - k.x0) * (k.y1 - k.y0))
-	lo, hi := fixed.MinMaxIn(k.x0, k.y0, k.x1, k.y1)
-	k.fixedBins = make([]int32, (k.x1-k.x0)*(k.y1-k.y0))
-	fi := 0
-	for y := k.y0; y < k.y1; y++ {
-		row := fixed.Pix[y*fixed.W+k.x0 : y*fixed.W+k.x1]
-		for _, v := range row {
-			k.fixedBins[fi] = int32(img.BinIndex(v, lo, hi, bins))
-			fi++
+		if !present {
+			continue
+		}
+		if shared {
+			copy(k.colMin, k.coreMin)
+			copy(k.colMax, k.coreMax)
+			k.foldRows(k.colMin, k.colMax, k.y0-dy, coreLo)
+			k.foldRows(k.colMin, k.colMax, coreHi, k.y1-dy)
+		} else {
+			resetExtrema(k.colMin, k.colMax)
+			k.foldRows(k.colMin, k.colMax, k.y0-dy, k.y1-dy)
+		}
+		k.blockExtrema(width)
+		for i, c := range cands {
+			if c.DY != dy {
+				continue
+			}
+			// The window [s, s+width) spans at most two blocks: the
+			// suffix from s to its block's end and the prefix from the
+			// next block's start to s+width-1.
+			s, e := k.x0-c.DX, k.x1-c.DX-1
+			k.lo[i] = min2(k.sufMin[s], k.preMin[e])
+			k.hi[i] = max2(k.sufMax[s], k.preMax[e])
 		}
 	}
-	return k
 }
 
-// eval computes MI at candidate shift (dx, dy) using s as scratch. The
-// result is bit-identical to MutualInformation over the fixed and
-// (shifted) moving crops: extrema, bin indices, histogram counts and the
-// marginal/MI accumulation orders all match the reference loop for loop.
-func (k *miKernel) eval(dx, dy int, s *miScratch) float64 {
-	bins := k.bins
-	mlo, mhi := s.extrema(k, dx, dy)
-	s.ensureMovingBins(k.moving, mlo, mhi, bins)
-	for i := range s.joint {
-		s.joint[i] = 0
+// resetExtrema sets a min/max row pair to the identities of the fold.
+func resetExtrema(cmin, cmax []float64) {
+	for x := range cmin {
+		cmin[x] = math.Inf(1)
+		cmax[x] = math.Inf(-1)
 	}
-	// Joint histogram over the overlap: fixed bins from the per-kernel
-	// cache, moving bins from the per-scratch cache — two array reads and
-	// an increment per pixel, no arithmetic on intensities at all.
+}
+
+// foldRows folds the moving image's rows [r0, r1) into the column
+// extrema cmin/cmax.
+func (k *miKernel) foldRows(cmin, cmax []float64, r0, r1 int) {
 	w := k.moving.W
-	fi := 0
-	for y := k.y0; y < k.y1; y++ {
-		mrow := s.movingBins[(y-dy)*w+k.x0-dx : (y-dy)*w+k.x1-dx]
-		for ri, mb := range mrow {
-			s.joint[int(k.fixedBins[fi+ri])*bins+int(mb)]++
+	for y := r0; y < r1; y++ {
+		row := k.moving.Pix[y*w : (y+1)*w]
+		for x, v := range row {
+			if v < cmin[x] {
+				cmin[x] = v
+			}
+			if v > cmax[x] {
+				cmax[x] = v
+			}
 		}
-		fi += len(mrow)
+	}
+}
+
+// blockExtrema splits the column extrema into blocks of the given width
+// and computes, per column, the extrema from its block's start (pre*)
+// and to its block's end (suf*).
+func (k *miKernel) blockExtrema(width int) {
+	w := len(k.colMin)
+	for x := 0; x < w; x++ {
+		if x%width == 0 {
+			k.preMin[x], k.preMax[x] = k.colMin[x], k.colMax[x]
+		} else {
+			k.preMin[x] = min2(k.preMin[x-1], k.colMin[x])
+			k.preMax[x] = max2(k.preMax[x-1], k.colMax[x])
+		}
+	}
+	for x := w - 1; x >= 0; x-- {
+		if x == w-1 || x%width == width-1 {
+			k.sufMin[x], k.sufMax[x] = k.colMin[x], k.colMax[x]
+		} else {
+			k.sufMin[x] = min2(k.sufMin[x+1], k.colMin[x])
+			k.sufMax[x] = max2(k.sufMax[x+1], k.colMax[x])
+		}
+	}
+}
+
+// min2 and max2 combine extrema with foldRows's comparisons.
+func min2(a, b float64) float64 {
+	if b < a {
+		return b
+	}
+	return a
+}
+
+func max2(a, b float64) float64 {
+	if b > a {
+		return b
+	}
+	return a
+}
+
+// miScratch is one worker's reusable evaluation state: four interleaved
+// joint histograms and the marginal accumulators. An eval fully
+// reinitializes all of them, so sharing a scratch across candidates (but
+// never across concurrent workers) cannot perturb results.
+type miScratch struct {
+	joint  []int32
+	pa, pb []float64
+}
+
+// scratchPool recycles scratch across searches: a search needs one
+// scratch per worker, and a stack alignment runs a search per slice
+// pair, so fresh scratch would allocate per pair and per worker.
+var scratchPool sync.Pool
+
+// getScratch returns a pooled scratch sized for this kernel.
+func (k *miKernel) getScratch() *miScratch {
+	s, _ := scratchPool.Get().(*miScratch)
+	if s == nil {
+		s = &miScratch{}
+	}
+	s.joint = resized(s.joint, 4*k.bins*k.bins)
+	s.pa = resized(s.pa, k.bins)
+	s.pb = resized(s.pb, k.bins)
+	return s
+}
+
+// eval computes MI at candidate shift (dx, dy), whose moving window is
+// binned in mb, using s as scratch. The result is bit-identical to
+// MutualInformation over the fixed and (shifted) moving crops: extrema,
+// bin indices, histogram counts and the marginal/MI accumulation orders
+// all match the reference.
+func (k *miKernel) eval(dx, dy int, mb []uint8, s *miScratch) float64 {
+	bins := k.bins
+	// Joint histogram over the overlap, counted into four sub-histograms
+	// by pixel position and summed afterwards: neighbouring pixels of a
+	// piecewise-constant slice often hit the same bin, and separate
+	// copies keep one increment from waiting on the store of the last.
+	// The copies interleave (lane l of bin b is j[4b+l]), so one slice
+	// header serves all four. Integer counts do not depend on the order
+	// they are added in.
+	j := s.joint
+	clear(j)
+	w := k.moving.W
+	fb := k.fixedBins
+	for y := k.y0; y < k.y1; y++ {
+		mrow := mb[(y-dy)*w+k.x0-dx : (y-dy)*w+k.x1-dx]
+		frow := fb[:len(mrow)]
+		fb = fb[len(mrow):]
+		for len(mrow) >= 4 && len(frow) >= 4 {
+			m := (*[4]uint8)(mrow)
+			f := (*[4]uint16)(frow)
+			j[4*(int(f[0])+int(m[0]))]++
+			j[4*(int(f[1])+int(m[1]))+1]++
+			j[4*(int(f[2])+int(m[2]))+2]++
+			j[4*(int(f[3])+int(m[3]))+3]++
+			mrow, frow = mrow[4:], frow[4:]
+		}
+		for i, m := range mrow {
+			j[4*(int(frow[i])+int(m))]++
+		}
+	}
+	// Fold the lanes in place: bin b's total lands in j[b], which bins
+	// below b have already read.
+	joint := j[:bins*bins]
+	for b := range joint {
+		l := j[4*b : 4*b+4]
+		joint[b] = l[0] + l[1] + l[2] + l[3]
 	}
 	// Marginals, then MI, in the reference accumulation order: pa[i]
 	// sums over ascending j, pb[j] over ascending i, and the MI terms add
@@ -239,7 +391,7 @@ func (k *miKernel) eval(dx, dy int, s *miScratch) float64 {
 	}
 	for i := 0; i < bins; i++ {
 		for j := 0; j < bins; j++ {
-			p := float64(s.joint[i*bins+j]) / k.n
+			p := float64(joint[i*bins+j]) / k.n
 			s.pa[i] += p
 			s.pb[j] += p
 		}
@@ -247,7 +399,7 @@ func (k *miKernel) eval(dx, dy int, s *miScratch) float64 {
 	var mi float64
 	for i := 0; i < bins; i++ {
 		for j := 0; j < bins; j++ {
-			p := float64(s.joint[i*bins+j]) / k.n
+			p := float64(joint[i*bins+j]) / k.n
 			if p > 0 && s.pa[i] > 0 && s.pb[j] > 0 {
 				mi += p * math.Log(p/(s.pa[i]*s.pb[j]))
 			}

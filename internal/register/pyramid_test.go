@@ -1,6 +1,7 @@
 package register
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/chipgen"
@@ -55,10 +56,12 @@ func TestAlignPyramidMIMatchesExhaustiveAtShift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := newMIKernel(base, moved, o.MaxShift, o.shiftY(), o.Margin, o.Bins)
-	want := k.eval(s.DX, s.DY, k.newScratch())
-	if mi != want {
-		t.Errorf("pyramid MI %v != exhaustive MI %v at shift %v", mi, want, s)
+	want, err := searchCands(context.Background(), base, moved, o, o.MaxShift, o.shiftY(), []Shift{s})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mi != want[0] {
+		t.Errorf("pyramid MI %v != exhaustive MI %v at shift %v", mi, want[0], s)
 	}
 }
 

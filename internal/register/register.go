@@ -114,19 +114,6 @@ type Options struct {
 	// substituted and flagged. Zero disables widening; with both
 	// MinConfidence and WidenRetries zero, AlignRobust is exactly Align.
 	WidenRetries int
-	// WidenRingOnly makes every widened retry rescan only the ring of
-	// candidates the previous window did not cover, counting the saved
-	// evaluations under "register.mi_evals_skipped". It is off by
-	// default because it is an approximation, not a pure optimization:
-	// the overlap window shrinks with the search window (x0 = MaxShift +
-	// Margin), so the widened retry scores every candidate — inner ones
-	// included — on a smaller overlap region than the previous scan did,
-	// and an inner candidate can legitimately win the widened rescan
-	// with a score its first evaluation cannot predict. Skipping the
-	// inner window therefore may select a different (usually ring) peak
-	// than the full rescan. The default full rescan keeps AlignRobust
-	// byte-identical to its historical output.
-	WidenRingOnly bool
 	// Pyramid enables the coarse-to-fine search: levels counts pyramid
 	// levels, each a further 2x box downsample, so level l searches at
 	// 1/2^l resolution. The full window is searched exhaustively only at
@@ -166,14 +153,14 @@ func (o Options) validate() error {
 	if o.MaxShift < 0 || o.MaxShiftY < 0 {
 		return fmt.Errorf("register: negative shift bound (%d, %d)", o.MaxShift, o.MaxShiftY)
 	}
-	if o.Bins < 2 {
-		return fmt.Errorf("register: Bins must be >= 2, got %d", o.Bins)
+	if o.Bins < 2 || o.Bins > maxBins {
+		return fmt.Errorf("register: Bins must be in [2, %d], got %d", maxBins, o.Bins)
 	}
 	if o.Margin < 0 {
 		return fmt.Errorf("register: negative Margin %d", o.Margin)
 	}
-	if o.MinConfidence < 0 {
-		return fmt.Errorf("register: negative MinConfidence %v", o.MinConfidence)
+	if o.MinConfidence < 0 || math.IsNaN(o.MinConfidence) || math.IsInf(o.MinConfidence, 0) {
+		return fmt.Errorf("register: MinConfidence must be finite and >= 0, got %v", o.MinConfidence)
 	}
 	if o.WidenRetries < 0 {
 		return fmt.Errorf("register: negative WidenRetries %d", o.WidenRetries)
@@ -204,24 +191,6 @@ func Align(fixed, moving *img.Gray, o Options) (Shift, float64, error) {
 // Options.Pyramid > 1 the exhaustive scan is replaced by the
 // coarse-to-fine pyramid search.
 func AlignCtx(ctx context.Context, fixed, moving *img.Gray, o Options) (Shift, float64, error) {
-	return alignCtx(ctx, fixed, moving, o, noExclusion)
-}
-
-// exclusion is the inner search box a widened retry skips: candidates
-// with |dx| <= nx and |dy| <= ny were already scored by the previous,
-// smaller window. A negative nx disables it.
-type exclusion struct{ nx, ny int }
-
-var noExclusion = exclusion{nx: -1}
-
-func (e exclusion) covers(s Shift) bool {
-	return e.nx >= 0 && absInt(s.DX) <= e.nx && absInt(s.DY) <= e.ny
-}
-
-// alignCtx validates the pair and dispatches to the pyramid or the
-// exhaustive search. The exclusion only applies to the exhaustive path:
-// a pyramid retry re-searches its (cheap) coarsest level in full.
-func alignCtx(ctx context.Context, fixed, moving *img.Gray, o Options, excl exclusion) (Shift, float64, error) {
 	if err := o.validate(); err != nil {
 		return Shift{}, 0, err
 	}
@@ -241,22 +210,8 @@ func alignCtx(ctx context.Context, fixed, moving *img.Gray, o Options, excl excl
 	// Enumerate every candidate shift in the row-major order a
 	// sequential search would use; the index-addressed result table
 	// keeps the selected shift identical for any worker count.
-	ny, nx := o.shiftY(), o.MaxShift
-	cands := make([]Shift, 0, (2*nx+1)*(2*ny+1))
-	skipped := 0
-	for dy := -ny; dy <= ny; dy++ {
-		for dx := -nx; dx <= nx; dx++ {
-			if s := (Shift{DX: dx, DY: dy}); excl.covers(s) {
-				skipped++
-			} else {
-				cands = append(cands, s)
-			}
-		}
-	}
-	if skipped > 0 {
-		o.Obs.Count("register.mi_evals_skipped", int64(skipped))
-	}
-	mis, err := searchCands(ctx, fixed, moving, o, nx, ny, cands)
+	cands := fullWindow(o.MaxShift, o.shiftY())
+	mis, err := searchCands(ctx, fixed, moving, o, o.MaxShift, o.shiftY(), cands)
 	if err != nil {
 		return Shift{}, 0, err
 	}
@@ -265,31 +220,47 @@ func alignCtx(ctx context.Context, fixed, moving *img.Gray, o Options, excl excl
 }
 
 // searchCands evaluates MI for every candidate shift over the overlap
-// window supported by [-nx,nx]×[-ny,ny], fanning out on Options.Workers
-// with one reusable miScratch per worker, drawn from the scratch pool
-// and returned to it afterwards: evaluation allocates nothing once the
-// pool is warm.
+// window supported by [-nx,nx]×[-ny,ny]. The pooled kernel computes
+// every candidate's moving-window extrema up front and bins the moving
+// image once per distinct extrema pair (a few per search, each far
+// cheaper than the candidates that read it); the candidates then fan
+// out on Options.Workers with one reusable miScratch per worker, drawn
+// from the scratch pool and returned to it afterwards, and only read
+// the shared tables. Once the pools are warm the search allocates no
+// tables or histograms.
 func searchCands(ctx context.Context, fixed, moving *img.Gray, o Options, nx, ny int, cands []Shift) ([]float64, error) {
 	k := newMIKernel(fixed, moving, nx, ny, o.Margin, o.Bins)
+	defer k.release()
+	k.bindCands(cands)
 	mis := make([]float64, len(cands))
 	scratch := make([]*miScratch, par.WorkersFor(o.Workers, len(cands)))
-	err := par.ForEachWorkerCtx(ctx, par.Config{Workers: o.Workers}, len(cands),
-		func(_ context.Context, worker, i int) error {
+	defer func() {
+		for _, s := range scratch {
+			if s != nil {
+				scratchPool.Put(s)
+			}
+		}
+	}()
+	cfg := par.Config{Workers: o.Workers}
+	for t0 := 0; t0 < len(k.keys); t0 += maxTables {
+		t1 := min(t0+maxTables, len(k.keys))
+		for t := t0; t < t1; t++ {
+			k.binTable(t)
+		}
+		batch := k.byTable[k.first[t0]:k.first[t1]]
+		err := par.ForEachWorkerCtx(ctx, cfg, len(batch), func(_ context.Context, worker, j int) error {
 			s := scratch[worker]
 			if s == nil {
 				s = k.getScratch()
 				scratch[worker] = s
 			}
-			mis[i] = k.eval(cands[i].DX, cands[i].DY, s)
+			i := batch[j]
+			mis[i] = k.eval(cands[i].DX, cands[i].DY, k.tables[k.candTable[i]%maxTables], s)
 			return nil
 		})
-	for _, s := range scratch {
-		if s != nil {
-			scratchPool.Put(s)
+		if err != nil {
+			return nil, err
 		}
-	}
-	if err != nil {
-		return nil, err
 	}
 	o.Obs.Count("register.mi_evals", int64(len(cands)))
 	return mis, nil
@@ -405,20 +376,13 @@ func AlignRobustCtx(ctx context.Context, fixed, moving *img.Gray, o Options) (Al
 			// The image cannot support a wider window; give up now.
 			return fallback(widened)
 		}
-		// By default the widened retry rescans the full window: the
-		// overlap region shrinks with the window, so inner candidates
-		// score differently on the widened geometry and can win the
-		// rescan — skipping them would change the accepted shift. With
-		// WidenRingOnly the retry evaluates only the new ring and the
-		// skipped count lands under "register.mi_evals_skipped".
-		excl := noExclusion
-		if o.WidenRingOnly {
-			excl = exclusion{nx: cur.MaxShift, ny: cur.shiftY()}
-		}
+		// The widened retry rescans the full window: the overlap region
+		// shrinks with the window, so inner candidates score differently
+		// on the widened geometry and can win the rescan.
 		cur = next
 		o.Obs.Count("register.widen_retries", 1)
 		o.Obs.Debug("align widen", "max_shift", cur.MaxShift, "max_shift_y", cur.MaxShiftY, "mi", mi)
-		if s, mi, err = alignCtx(ctx, fixed, moving, cur, excl); err != nil {
+		if s, mi, err = AlignCtx(ctx, fixed, moving, cur); err != nil {
 			return AlignResult{}, err
 		}
 	}

@@ -143,21 +143,30 @@ func TestAlignIdentityOnSameImage(t *testing.T) {
 
 func TestAlignValidation(t *testing.T) {
 	g := texture(40, 40, 1)
-	if _, _, err := Align(g, texture(32, 32, 1), DefaultOptions()); err == nil {
-		t.Errorf("expected size mismatch error")
-	}
 	small := texture(8, 8, 1)
-	if _, _, err := Align(small, small, DefaultOptions()); err == nil {
-		t.Errorf("expected too-small error")
+	cases := []struct {
+		name          string
+		fixed, moving *img.Gray
+		o             Options
+	}{
+		{"size-mismatch", g, texture(32, 32, 1), DefaultOptions()},
+		{"too-small", small, small, DefaultOptions()},
+		{"negative-MaxShift", g, g, Options{MaxShift: -1, Bins: 8}},
+		{"negative-MaxShiftY", g, g, Options{MaxShift: 2, MaxShiftY: -1, Bins: 8}},
+		{"Bins-1", g, g, Options{MaxShift: 2, Bins: 1}},
+		{"Bins-above-index-range", g, g, Options{MaxShift: 2, Bins: maxBins + 1}},
+		{"negative-Margin", g, g, Options{MaxShift: 2, Bins: 8, Margin: -2}},
 	}
-	if _, _, err := Align(g, g, Options{MaxShift: -1, Bins: 8}); err == nil {
-		t.Errorf("expected MaxShift validation error")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, _, err := Align(tc.fixed, tc.moving, tc.o); err == nil {
+				t.Errorf("Align accepted %+v", tc.o)
+			}
+		})
 	}
-	if _, _, err := Align(g, g, Options{MaxShift: 2, Bins: 1}); err == nil {
-		t.Errorf("expected Bins validation error")
-	}
-	if _, _, err := Align(g, g, Options{MaxShift: 2, Bins: 8, Margin: -2}); err == nil {
-		t.Errorf("expected Margin validation error")
+	// The largest bin count the kernel's index types hold is accepted.
+	if _, _, err := Align(g, g, Options{MaxShift: 2, Bins: maxBins}); err != nil {
+		t.Errorf("Bins = %d rejected: %v", maxBins, err)
 	}
 }
 
@@ -458,13 +467,27 @@ func TestAlignStackFlagsFallbackSlices(t *testing.T) {
 	}
 }
 
+// A non-finite MinConfidence would silently fail every confidence
+// check (NaN compares false, +Inf is never reached) and fall every pair
+// back to identity, so it is rejected up front like a negative one.
 func TestRobustOptionValidation(t *testing.T) {
 	g := texture(40, 40, 1)
-	if _, err := AlignRobust(g, g, Options{MaxShift: 2, Bins: 8, MinConfidence: -1}); err == nil {
-		t.Errorf("expected MinConfidence validation error")
+	cases := []struct {
+		name string
+		o    Options
+	}{
+		{"negative-MinConfidence", Options{MaxShift: 2, Bins: 8, MinConfidence: -1}},
+		{"NaN-MinConfidence", Options{MaxShift: 2, Bins: 8, MinConfidence: math.NaN()}},
+		{"Inf-MinConfidence", Options{MaxShift: 2, Bins: 8, MinConfidence: math.Inf(1)}},
+		{"negative-WidenRetries", Options{MaxShift: 2, Bins: 8, WidenRetries: -1}},
+		{"Bins-above-index-range", Options{MaxShift: 2, Bins: maxBins + 1, WidenRetries: 1}},
 	}
-	if _, err := AlignRobust(g, g, Options{MaxShift: 2, Bins: 8, WidenRetries: -1}); err == nil {
-		t.Errorf("expected WidenRetries validation error")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := AlignRobust(g, g, tc.o); err == nil {
+				t.Errorf("AlignRobust accepted %+v", tc.o)
+			}
+		})
 	}
 }
 
