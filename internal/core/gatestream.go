@@ -9,6 +9,7 @@ import (
 	"repro/internal/img"
 	"repro/internal/register"
 	"repro/internal/sem"
+	"repro/internal/volume"
 )
 
 // gateStream is the slice-quality gate that screens every acquisition
@@ -58,12 +59,12 @@ import (
 // report use.
 type gateStream struct {
 	o          Options
-	q          QualityOptions
 	n          int
 	noiseFloor float64
 	emit       func(i int, g *img.Gray) error
 
 	raw     []*img.Gray // windowed: nil once released
+	w0, h0  int         // slice 0's dimensions, which every slice must share
 	feats   []sliceFeatures
 	flag5   []fault.Kind // detector 1-5 flags (the reference det-5/MI view)
 	flagged []fault.Kind // detector 1-6 flags (the repair/report view)
@@ -99,7 +100,6 @@ func newGateStream(o Options, n int, dwellUS float64, emit func(int, *img.Gray) 
 	}
 	s := &gateStream{
 		o:             o,
-		q:             o.Quality.withDefaults(),
 		n:             n,
 		noiseFloor:    sem.NoiseSigma(dwellUS),
 		emit:          emit,
@@ -120,18 +120,28 @@ func newGateStream(o Options, n int, dwellUS float64, emit func(int, *img.Gray) 
 }
 
 // push feeds slice i (they must arrive in ascending order) and emits
-// every slice whose verdict became final. Stacks below the gate's
-// minimum (n < 3) pass straight through, untouched and unvalidated.
+// every slice whose verdict became final. Every slice is validated and
+// must share slice 0's dimensions — the detectors compare neighbors
+// pixel column by pixel column, and so does everything downstream.
+// Stacks below the gate's minimum (n < 3) then pass straight through,
+// untouched.
 func (s *gateStream) push(i int, g *img.Gray) error {
-	if s.n < 3 {
-		return s.emit(i, g)
-	}
 	if err := g.Validate(); err != nil {
 		return fmt.Errorf("core: quality gate: %w",
 			fmt.Errorf("core: quality gate slice %d: %w", i, err))
 	}
+	if i == 0 {
+		s.w0, s.h0 = g.W, g.H
+	} else if g.W != s.w0 || g.H != s.h0 {
+		return fmt.Errorf("core: stack: %w", &volume.SliceSizeError{
+			Index: i, W: g.W, H: g.H, WantW: s.w0, WantH: s.h0,
+		})
+	}
+	if s.n < 3 {
+		return s.emit(i, g)
+	}
 	s.raw[i] = g
-	s.feats[i] = features(g, s.q.SatLevel)
+	s.feats[i] = features(g)
 	// Detectors 1-3 are pure per-slice tests; running them at arrival
 	// in detector order (first detector wins) reproduces the reference
 	// classification exactly.
@@ -143,13 +153,13 @@ func (s *gateStream) push(i int, g *img.Gray) error {
 	}
 	// Detector 2: saturated area — charging flare. Nominal material
 	// intensities stay far below the detector ceiling.
-	if f := s.feats[i]; f.satFrac >= s.q.SatFrac {
+	if f := s.feats[i]; f.satFrac >= gateSatFrac {
 		s.flag(i, fault.KindChargingFlare, f.satFrac)
 	}
 	// Detector 3: intensity variation below the shot-noise floor —
 	// dropped slice. Even a featureless oxide slice carries the full
 	// beam noise; a skipped frame does not.
-	if f := s.feats[i]; f.std < s.q.DropNoiseFactor*s.noiseFloor {
+	if f := s.feats[i]; f.std < gateDropNoiseFactor*s.noiseFloor {
 		s.flag(i, fault.KindDroppedSlice, f.std)
 	}
 	if s.flag5[i] == fault.KindNone {
@@ -222,40 +232,40 @@ func gateRowsOf(f sliceFeatures) []float64 { return f.rowMean }
 func gateColsOf(f sliceFeatures) []float64 { return f.colNorm }
 
 func (s *gateStream) axisShift(ax func(sliceFeatures) []float64, a, b int) (float64, float64) {
-	d, c := profileShift(ax(s.feats[a]), ax(s.feats[b]), s.q.BurstProbePx)
+	d, c := profileShift(ax(s.feats[a]), ax(s.feats[b]), gateBurstProbePx)
 	return float64(d), c
 }
 
 // displacement estimates slice i's offset along one profile axis from
 // both adjacent pairs in the unflagged subsequence (p before i, sn and
 // then ss after it). A pair votes when its correlation clears
-// BurstMinCorr: the inbound shift p->i reads the displacement directly,
-// the outbound shift i->sn reads its negation (the stack returns to the
-// true position after a one-slice excursion). Two guards stop the blame
-// from landing on the healthy neighbor of an excursed slice, both
-// judged at the lower BurstVetoCorr bar: a near-zero estimate from the
-// opposite pair contradicts a large vote (the slice is demonstrably in
-// place), and an outbound-only vote is dismissed when the next slice's
-// own return pair explains the shared shift as *its* excursion — that
-// slice is flagged on its own turn instead.
+// gateBurstMinCorr: the inbound shift p->i reads the displacement
+// directly, the outbound shift i->sn reads its negation (the stack
+// returns to the true position after a one-slice excursion). Two guards
+// stop the blame from landing on the healthy neighbor of an excursed
+// slice, both judged at the lower gateBurstVetoCorr bar: a near-zero
+// estimate from the opposite pair contradicts a large vote (the slice
+// is demonstrably in place), and an outbound-only vote is dismissed
+// when the next slice's own return pair explains the shared shift as
+// *its* excursion — that slice is flagged on its own turn instead.
 func (s *gateStream) displacement(ax func(sliceFeatures) []float64, p, i, sn, ss int) float64 {
 	vIn, cin := s.axisShift(ax, p, i)
 	dOut, cout := s.axisShift(ax, i, sn)
 	vOut := -dOut
 	agree := math.Abs(vIn-vOut) <= 1
 	switch {
-	case cin >= s.q.BurstMinCorr:
-		if cout >= s.q.BurstVetoCorr && math.Abs(vOut) <= 1 && !agree {
+	case cin >= gateBurstMinCorr:
+		if cout >= gateBurstVetoCorr && math.Abs(vOut) <= 1 && !agree {
 			return 0
 		}
 		return vIn
-	case cout >= s.q.BurstMinCorr:
-		if cin >= s.q.BurstVetoCorr && math.Abs(vIn) <= 1 && !agree {
+	case cout >= gateBurstMinCorr:
+		if cin >= gateBurstVetoCorr && math.Abs(vIn) <= 1 && !agree {
 			return 0
 		}
 		if ss >= 0 && math.Abs(dOut) > 1 {
 			dRet, cRet := s.axisShift(ax, sn, ss)
-			if cRet >= s.q.BurstVetoCorr && math.Abs(-dRet-dOut) <= 1 {
+			if cRet >= gateBurstVetoCorr && math.Abs(-dRet-dOut) <= 1 {
 				return 0
 			}
 		}
@@ -297,7 +307,7 @@ func (s *gateStream) advanceWalk() {
 		}
 		resY := math.Abs(s.displacement(gateRowsOf, p, i, sn, ss))
 		resX := math.Abs(s.displacement(gateColsOf, p, i, sn, ss))
-		if resY >= s.q.BurstDY || resX >= s.q.BurstDX {
+		if resY >= gateBurstDY || resX >= gateBurstDX {
 			s.flag(i, fault.KindDriftBurst, math.Max(resY, resX))
 			s.healthy = append(s.healthy[:s.t], s.healthy[s.t+1:]...)
 			continue
@@ -366,18 +376,18 @@ func (s *gateStream) det5At(i int) {
 	}
 	damaged, cols := 0, 0
 	for x := range ref {
-		if ref[x] < s.q.CurtainMinCol {
+		if ref[x] < gateCurtainMinCol {
 			continue
 		}
 		cols++
-		if s.feats[i].colNorm[x] < s.q.CurtainResid*ref[x] {
+		if s.feats[i].colNorm[x] < gateCurtainResid*ref[x] {
 			damaged++
 		}
 	}
 	if cols == 0 {
 		return
 	}
-	if frac := float64(damaged) / float64(cols); frac >= s.q.CurtainColFrac {
+	if frac := float64(damaged) / float64(cols); frac >= gateCurtainColFrac {
 		s.flag(i, fault.KindCurtaining, frac)
 	}
 }
@@ -391,7 +401,7 @@ func (s *gateStream) advanceMI() error {
 	for s.miPtr < s.n-1 && s.d5 >= s.miPtr+2 {
 		j := s.miPtr
 		if s.flag5[j] == fault.KindNone && s.flag5[j+1] == fault.KindNone {
-			mi, err := register.MutualInformation(s.raw[j], s.raw[j+1], s.q.MIBins)
+			mi, err := register.MutualInformation(s.raw[j], s.raw[j+1], gateMIBins)
 			if err != nil {
 				return fmt.Errorf("core: quality gate: %w",
 					fmt.Errorf("core: quality gate pair %d: %w", j, err))
@@ -405,11 +415,11 @@ func (s *gateStream) advanceMI() error {
 }
 
 // advanceDet6 runs the MI catch-all on each slice in ascending order
-// once every pair in its local window [i-1-MIWindow, i+MIWindow] is
-// settled: d5 (and hence miPtr) has passed the window's right edge, or
-// the stack ended.
+// once every pair in its local window [i-1-gateMIWindow,
+// i+gateMIWindow] is settled: d5 (and hence miPtr) has passed the
+// window's right edge, or the stack ended.
 func (s *gateStream) advanceDet6() {
-	for s.d6 < s.n && s.d6 < s.d5 && (s.d5 == s.n || s.d5 >= s.d6+s.q.MIWindow+2) {
+	for s.d6 < s.n && s.d6 < s.d5 && (s.d5 == s.n || s.d5 >= s.d6+gateMIWindow+2) {
 		i := s.d6
 		if s.flagged[i] == fault.KindNone {
 			s.det6At(i)
@@ -420,12 +430,12 @@ func (s *gateStream) advanceDet6() {
 
 // det6At is detector 6, the MI catch-all for any anomaly that slipped
 // the models. The floor is relative to the *local* median pair MI —
-// valid pairs within MIWindow of the slice, excluding the slice's own
-// pairs — because the natural MI level varies hugely along the stack
-// (featureless regions share only noise).
+// valid pairs within gateMIWindow of the slice, excluding the slice's
+// own pairs — because the natural MI level varies hugely along the
+// stack (featureless regions share only noise).
 func (s *gateStream) det6At(i int) {
 	var local []float64
-	for j := i - 1 - s.q.MIWindow; j <= i+s.q.MIWindow; j++ {
+	for j := i - 1 - gateMIWindow; j <= i+gateMIWindow; j++ {
 		if j < 0 || j >= s.n-1 || j == i-1 || j == i || !s.mis[j].valid {
 			continue
 		}
@@ -435,7 +445,7 @@ func (s *gateStream) det6At(i int) {
 		return
 	}
 	sort.Float64s(local)
-	floor := s.q.MIFloor * local[len(local)/2]
+	floor := gateMIFloor * local[len(local)/2]
 	low, pairs := true, 0
 	worst := math.Inf(1)
 	for _, j := range []int{i - 1, i} {

@@ -23,6 +23,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/register"
+	"repro/internal/segment"
 	"repro/internal/sem"
 	"repro/internal/volume"
 )
@@ -42,8 +43,6 @@ type Options struct {
 	Denoise denoise.Options
 	// Register parameterizes the slice alignment.
 	Register register.Options
-	// MinComponentPx prunes segmentation specks.
-	MinComponentPx int
 	// JitterPct/JitterSeed add process variation to the generated
 	// ground truth (see chipgen.Config).
 	JitterPct  float64
@@ -54,10 +53,6 @@ type Options struct {
 	// fault.Inject on the whole stack. The ground-truth report is
 	// surfaced on Result.Injected so the quality gate can be scored.
 	Faults *fault.Plan
-	// Quality configures the slice-quality gate that screens and
-	// repairs the stack before denoising. The zero value enables the
-	// gate with default thresholds; it stays silent on clean stacks.
-	Quality QualityOptions
 	// Workers bounds the worker pool the post-processing fans out on:
 	// per-slice denoising, the candidate-shift search inside the MI
 	// alignment, and per-layer planar reslicing + segmentation. Values
@@ -124,14 +119,13 @@ func DefaultOptions() Options {
 	// help.
 	den.Lambda = 25
 	return Options{
-		Units:          2,
-		VoxelNM:        4,
-		SEM:            semOpts,
-		Denoiser:       "chambolle",
-		Denoise:        den,
-		Register:       reg,
-		MinComponentPx: 3,
-		Workers:        runtime.NumCPU(),
+		Units:    2,
+		VoxelNM:  4,
+		SEM:      semOpts,
+		Denoiser: "chambolle",
+		Denoise:  den,
+		Register: reg,
+		Workers:  runtime.NumCPU(),
 	}
 }
 
@@ -537,7 +531,7 @@ func segmentLayer(view *img.Gray, window geom.Rect, o Options) []geom.Rect {
 	// separates poorly under both and is skipped.
 	st := view.Statistics()
 	thr, sep := 0.0, -1.0
-	for _, cand := range []float64{segmentOtsu(view), (st.Min + st.Max) / 2} {
+	for _, cand := range []float64{segment.Otsu(view), (st.Min + st.Max) / 2} {
 		if fg, bg, ok := classMeans(view, cand); ok && fg-bg > sep {
 			thr, sep = cand, fg-bg
 		}
@@ -545,15 +539,54 @@ func segmentLayer(view *img.Gray, window geom.Rect, o Options) []geom.Rect {
 	if sep < 0.15 {
 		return nil
 	}
-	mask := segmentMask(view, thr)
+	// No morphological opening: it would erase the 2-pixel contacts and
+	// vias, and the median filter has already removed impulse noise.
+	mask := segment.Threshold(view, thr)
 	var out []geom.Rect
-	for _, r := range segmentDecompose(mask, view.W, o.MinComponentPx) {
+	for _, r := range segmentDecompose(mask, view.W) {
 		out = append(out, geom.R(
 			window.Min.X+int64(r[0])*o.VoxelNM,
 			window.Min.Y+int64(r[1])*zScale,
 			window.Min.X+int64(r[2])*o.VoxelNM,
 			window.Min.Y+int64(r[3])*zScale,
 		))
+	}
+	return out
+}
+
+// minComponentPx is the area, in pixels, below which a segmented
+// rectangle counts as a speck and is pruned.
+const minComponentPx = 3
+
+// classMeans returns the mean intensity of the pixels above and below the
+// threshold; ok is false when either class is (nearly) empty.
+func classMeans(g *img.Gray, thr float64) (fg, bg float64, ok bool) {
+	var sumF, sumB float64
+	var nF, nB int
+	for _, v := range g.Pix {
+		if v > thr {
+			sumF += v
+			nF++
+		} else {
+			sumB += v
+			nB++
+		}
+	}
+	if nF < len(g.Pix)/1000 || nB < len(g.Pix)/1000 {
+		return 0, 0, false
+	}
+	return sumF / float64(nF), sumB / float64(nB), true
+}
+
+// segmentDecompose splits the mask into rectangles (tolerating the
+// 2-pixel corner rounding that opening and blur introduce) and prunes
+// those smaller than minComponentPx pixels.
+func segmentDecompose(mask []bool, w int) [][4]int {
+	var out [][4]int
+	for _, r := range segment.DecomposeTol(mask, w, 2) {
+		if (r[2]-r[0])*(r[3]-r[1]) >= minComponentPx {
+			out = append(out, r)
+		}
 	}
 	return out
 }

@@ -2,11 +2,14 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 
 	"repro/internal/chips"
+	"repro/internal/ckpt"
 	"repro/internal/img"
+	"repro/internal/obs"
 )
 
 func TestRunValidation(t *testing.T) {
@@ -173,5 +176,43 @@ func TestPipelineWithProcessVariation(t *testing.T) {
 	}
 	if res.Score.MeanRelErr > 0.3 {
 		t.Errorf("variation run error %.1f%%", 100*res.Score.MeanRelErr)
+	}
+}
+
+// TestOptionsKnobCount pins the number of independently settable values
+// in Options: every exported leaf field, recursing into struct and
+// pointer-to-struct fields, with the runtime handles (observer,
+// checkpoint store, image pool) counting one each. Each settable value
+// multiplies the configurations tests and benchmarks must cover, so a
+// new option changes this pin together with the reason two callers need
+// different values.
+func TestOptionsKnobCount(t *testing.T) {
+	handles := map[reflect.Type]bool{
+		reflect.TypeOf((*obs.Observer)(nil)): true,
+		reflect.TypeOf((*ckpt.Store)(nil)):   true,
+		reflect.TypeOf((*img.Pool)(nil)):     true,
+	}
+	var count func(reflect.Type) int
+	count = func(typ reflect.Type) int {
+		if handles[typ] {
+			return 1
+		}
+		if typ.Kind() == reflect.Pointer && typ.Elem().Kind() == reflect.Struct {
+			typ = typ.Elem()
+		}
+		if typ.Kind() != reflect.Struct {
+			return 1
+		}
+		n := 0
+		for i := 0; i < typ.NumField(); i++ {
+			if f := typ.Field(i); f.IsExported() {
+				n += count(f.Type)
+			}
+		}
+		return n
+	}
+	const want = 37
+	if got := count(reflect.TypeOf(Options{})); got != want {
+		t.Errorf("Options has %d settable values, want %d", got, want)
 	}
 }

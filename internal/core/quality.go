@@ -8,10 +8,10 @@ import (
 	"repro/internal/sem"
 )
 
-// QualityOptions configures the slice-quality gate that screens every
-// acquisition before denoising: per-slice outlier detection, fault
-// classification and repair by interpolation from healthy neighbors. The
-// zero value enables the gate with the default thresholds.
+// The slice-quality gate screens every acquisition before denoising:
+// per-slice outlier detection, fault classification and repair by
+// interpolation from healthy neighbors. It always runs, with the fixed
+// thresholds below.
 //
 // Real stacks vary enormously along the milling axis — slices near the
 // stack edges are close to featureless oxide — so none of the detectors
@@ -20,98 +20,63 @@ import (
 // exact-constant rows) or in its immediate neighbors (adjacent slices
 // are 4 nm apart and nearly identical), which keeps the gate silent on
 // clean acquisitions: an empty RepairReport and not one pixel touched.
-type QualityOptions struct {
-	// Disabled skips the gate entirely.
-	Disabled bool
-	// SatLevel is the intensity at or above which a pixel counts as
-	// saturated; zero means just below the detector ceiling.
-	SatLevel float64
-	// SatFrac flags a slice whose saturated fraction exceeds it
+const (
+	// gateSatLevel is the intensity at or above which a pixel counts
+	// as saturated: just below the detector ceiling.
+	gateSatLevel = sem.ClampMax - 0.05
+	// gateSatFrac flags a slice whose saturated fraction exceeds it
 	// (charging flare). A clean slice has no saturated pixels at all —
 	// nominal intensities sit ~10 noise sigmas below the ceiling — so
-	// the threshold only needs to clear numerical dust. Zero means
-	// 0.001.
-	SatFrac float64
-	// DropNoiseFactor flags a slice whose intensity standard deviation
-	// falls below this fraction of the shot-noise floor for the
-	// acquisition's dwell time (dropped slice: a frame with less
-	// variation than the beam noise cannot have been acquired). Zero
-	// means 0.7.
-	DropNoiseFactor float64
-	// BurstDY / BurstDX flag a slice whose cumulative row-profile
-	// (vertical) or column-profile (lateral) offset spikes by at least
-	// this many pixels against its local median (drift burst). Zeros
-	// mean 2.5 and 4.
-	BurstDY float64
-	BurstDX float64
-	// BurstProbePx bounds the per-pair profile-shift search. Zero
-	// means 16.
-	BurstProbePx int
-	// BurstMinCorr is the correlation a nonzero profile shift must
+	// the threshold only needs to clear numerical dust.
+	gateSatFrac = 0.001
+	// gateDropNoiseFactor flags a slice whose intensity standard
+	// deviation falls below this fraction of the shot-noise floor for
+	// the acquisition's dwell time (dropped slice: a frame with less
+	// variation than the beam noise cannot have been acquired).
+	gateDropNoiseFactor = 0.7
+	// gateBurstDY / gateBurstDX flag a slice whose cumulative
+	// row-profile (vertical) or column-profile (lateral) offset spikes
+	// by at least this many pixels against its local median (drift
+	// burst).
+	gateBurstDY = 2.5
+	gateBurstDX = 4
+	// gateBurstProbePx bounds the per-pair profile-shift search.
+	gateBurstProbePx = 16
+	// gateBurstMinCorr is the correlation a nonzero profile shift must
 	// reach to count as stage motion. A true stage jump is a pure
 	// translation (profile correlation near 1); a structural
 	// transition along the stack can also prefer a nonzero shift, but
-	// only with a mediocre correlation. Zero means 0.97.
-	BurstMinCorr float64
-	// BurstVetoCorr is the (lower) correlation at which an adjacent
+	// only with a mediocre correlation.
+	gateBurstMinCorr = 0.97
+	// gateBurstVetoCorr is the (lower) correlation at which an adjacent
 	// pair's estimate is trusted enough to *contradict* the other
 	// pair's confident vote — blocking the burst blame from landing on
-	// the healthy neighbor of an excursed slice. Zero means 0.9.
-	BurstVetoCorr float64
-	// CurtainResid / CurtainMinCol / CurtainColFrac flag a slice as
-	// curtained when more than CurtainColFrac of its columns fall
-	// below CurtainResid times the neighboring slices' column profile.
-	// Profiles are normalized by each slice's mean intensity first, so
-	// the per-slice charging offset cancels instead of masquerading as
-	// column damage in dim regions. Normalized columns whose neighbor
-	// value is below CurtainMinCol carry no signal and are skipped.
-	// Zeros mean 0.35, 0.25 and 0.15.
-	CurtainResid   float64
-	CurtainMinCol  float64
-	CurtainColFrac float64
-	// MIFloor is the catch-all: a slice whose mutual information with
-	// every healthy neighbor falls below MIFloor times the *local*
-	// median pair MI (a window of MIWindow pairs each way) is an
-	// anomaly even if no specific model matches. The natural MI along
-	// a stack is bimodal — plateaus inside repeating structure,
+	// the healthy neighbor of an excursed slice.
+	gateBurstVetoCorr = 0.9
+	// gateCurtainResid / gateCurtainMinCol / gateCurtainColFrac flag a
+	// slice as curtained when more than gateCurtainColFrac of its
+	// columns fall below gateCurtainResid times the neighboring slices'
+	// column profile. Profiles are normalized by each slice's mean
+	// intensity first, so the per-slice charging offset cancels instead
+	// of masquerading as column damage in dim regions. Normalized
+	// columns whose neighbor value is below gateCurtainMinCol carry no
+	// signal and are skipped.
+	gateCurtainResid   = 0.35
+	gateCurtainMinCol  = 0.25
+	gateCurtainColFrac = 0.15
+	// gateMIFloor is the catch-all: a slice whose mutual information
+	// with every healthy neighbor falls below gateMIFloor times the
+	// *local* median pair MI (a window of gateMIWindow pairs each way)
+	// is an anomaly even if no specific model matches. The natural MI
+	// along a stack is bimodal — plateaus inside repeating structure,
 	// valleys at transitions, roughly 4x apart — so the floor must sit
-	// well below the valley/plateau ratio. Zero means 0.2.
-	MIFloor float64
-	// MIWindow is the half-width, in pairs, of the local MI window.
-	// Zero means 8.
-	MIWindow int
-	// MIBins is the MI histogram resolution. Zero means 32.
-	MIBins int
-}
-
-func (q QualityOptions) withDefaults() QualityOptions {
-	def := func(v *float64, d float64) {
-		if *v == 0 {
-			*v = d
-		}
-	}
-	def(&q.SatLevel, sem.ClampMax-0.05)
-	def(&q.SatFrac, 0.001)
-	def(&q.DropNoiseFactor, 0.7)
-	def(&q.BurstDY, 2.5)
-	def(&q.BurstDX, 4)
-	def(&q.BurstMinCorr, 0.97)
-	def(&q.BurstVetoCorr, 0.9)
-	def(&q.CurtainResid, 0.35)
-	def(&q.CurtainMinCol, 0.25)
-	def(&q.CurtainColFrac, 0.15)
-	def(&q.MIFloor, 0.2)
-	if q.BurstProbePx == 0 {
-		q.BurstProbePx = 16
-	}
-	if q.MIWindow == 0 {
-		q.MIWindow = 8
-	}
-	if q.MIBins == 0 {
-		q.MIBins = 32
-	}
-	return q
-}
+	// well below the valley/plateau ratio.
+	gateMIFloor = 0.2
+	// gateMIWindow is the half-width, in pairs, of the local MI window.
+	gateMIWindow = 8
+	// gateMIBins is the MI histogram resolution.
+	gateMIBins = 32
+)
 
 // SliceRepair records one flagged slice: what the gate believes went
 // wrong and what it did about it.
@@ -159,7 +124,7 @@ type sliceFeatures struct {
 
 // features computes the per-slice statistics in one pass over the
 // pixels plus a row/column-profile pass.
-func features(g *img.Gray, satLevel float64) sliceFeatures {
+func features(g *img.Gray) sliceFeatures {
 	f := sliceFeatures{
 		rowMean: make([]float64, g.H),
 		colNorm: make([]float64, g.W),
@@ -171,7 +136,7 @@ func features(g *img.Gray, satLevel float64) sliceFeatures {
 		var rowSum float64
 		for x := 0; x < g.W; x++ {
 			v := g.At(x, y)
-			if v >= satLevel {
+			if v >= gateSatLevel {
 				sat++
 			}
 			if v != first {

@@ -163,22 +163,18 @@ func preprocessCtx(ctx context.Context, acq *sem.Acquisition, o Options) (preOut
 		return out, fmt.Errorf("core: unknown denoiser %q", o.Denoiser)
 	}
 	ob := o.Obs
-	raw := acq.Slices
-	if !o.Quality.Disabled {
-		sp := ob.StartSpan(StageQualityGate)
-		rep, repaired, err := qualityGate(acq, o)
-		sp.End()
-		if err != nil {
-			return out, fmt.Errorf("core: quality gate: %w", err)
-		}
-		out.repairs = rep
-		raw = repaired
-		if n := len(rep.Repairs); n > 0 {
-			ob.Info("quality gate", "checked", rep.Checked, "repaired", n)
-		}
+	sp := ob.StartSpan(StageQualityGate)
+	rep, raw, err := qualityGate(acq, o)
+	sp.End()
+	if err != nil {
+		return out, fmt.Errorf("core: quality gate: %w", err)
+	}
+	out.repairs = rep
+	if n := len(rep.Repairs); n > 0 {
+		ob.Info("quality gate", "checked", rep.Checked, "repaired", n)
 	}
 	slices := make([]*img.Gray, len(raw))
-	err := ob.ForEachCtx(ctx, StageDenoise, o.Workers, len(raw), func(ctx context.Context, i int) error {
+	err = ob.ForEachCtx(ctx, StageDenoise, o.Workers, len(raw), func(ctx context.Context, i int) error {
 		g, err := denoiseSlice(ctx, raw[i], o)
 		if err != nil {
 			return fmt.Errorf("core: denoise slice %d: %w", i, err)
@@ -222,7 +218,6 @@ func qualityGate(acq *sem.Acquisition, o Options) (RepairReport, []*img.Gray, er
 	if n < 3 {
 		return rep, slices, nil
 	}
-	q := o.Quality.withDefaults()
 	dwell := acq.Options.DwellUS
 	if dwell <= 0 {
 		dwell = sem.DefaultOptions().DwellUS
@@ -230,11 +225,11 @@ func qualityGate(acq *sem.Acquisition, o Options) (RepairReport, []*img.Gray, er
 	noiseFloor := sem.NoiseSigma(dwell)
 
 	feats := make([]sliceFeatures, n)
-	err := par.ForEach(o.Workers, n, func(i int) error {
+	err := par.ForEachCtx(context.Background(), par.Config{Workers: o.Workers}, n, func(_ context.Context, i int) error {
 		if err := slices[i].Validate(); err != nil {
 			return fmt.Errorf("core: quality gate slice %d: %w", i, err)
 		}
-		feats[i] = features(slices[i], q.SatLevel)
+		feats[i] = features(slices[i])
 		return nil
 	})
 	if err != nil {
@@ -260,13 +255,13 @@ func qualityGate(acq *sem.Acquisition, o Options) (RepairReport, []*img.Gray, er
 	}
 	// Detector 2: saturated area — charging flare.
 	for i, f := range feats {
-		if f.satFrac >= q.SatFrac {
+		if f.satFrac >= gateSatFrac {
 			flag(i, fault.KindChargingFlare, f.satFrac)
 		}
 	}
 	// Detector 3: variation below the shot-noise floor — dropped slice.
 	for i, f := range feats {
-		if f.std < q.DropNoiseFactor*noiseFloor {
+		if f.std < gateDropNoiseFactor*noiseFloor {
 			flag(i, fault.KindDroppedSlice, f.std)
 		}
 	}
@@ -279,7 +274,7 @@ func qualityGate(acq *sem.Acquisition, o Options) (RepairReport, []*img.Gray, er
 		}
 	}
 	axisShift := func(ax func(sliceFeatures) []float64, a, b int) (float64, float64) {
-		d, c := profileShift(ax(feats[a]), ax(feats[b]), q.BurstProbePx)
+		d, c := profileShift(ax(feats[a]), ax(feats[b]), gateBurstProbePx)
 		return float64(d), c
 	}
 	displacement := func(ax func(sliceFeatures) []float64, p, i, s, ss int) float64 {
@@ -288,18 +283,18 @@ func qualityGate(acq *sem.Acquisition, o Options) (RepairReport, []*img.Gray, er
 		vOut := -dOut
 		agree := math.Abs(vIn-vOut) <= 1
 		switch {
-		case cin >= q.BurstMinCorr:
-			if cout >= q.BurstVetoCorr && math.Abs(vOut) <= 1 && !agree {
+		case cin >= gateBurstMinCorr:
+			if cout >= gateBurstVetoCorr && math.Abs(vOut) <= 1 && !agree {
 				return 0
 			}
 			return vIn
-		case cout >= q.BurstMinCorr:
-			if cin >= q.BurstVetoCorr && math.Abs(vIn) <= 1 && !agree {
+		case cout >= gateBurstMinCorr:
+			if cin >= gateBurstVetoCorr && math.Abs(vIn) <= 1 && !agree {
 				return 0
 			}
 			if ss >= 0 && math.Abs(dOut) > 1 {
 				dRet, cRet := axisShift(ax, s, ss)
-				if cRet >= q.BurstVetoCorr && math.Abs(-dRet-dOut) <= 1 {
+				if cRet >= gateBurstVetoCorr && math.Abs(-dRet-dOut) <= 1 {
 					return 0
 				}
 			}
@@ -317,7 +312,7 @@ func qualityGate(acq *sem.Acquisition, o Options) (RepairReport, []*img.Gray, er
 		}
 		resY := math.Abs(displacement(rowsOf, p, i, s, ss))
 		resX := math.Abs(displacement(colsOf, p, i, s, ss))
-		if resY >= q.BurstDY || resX >= q.BurstDX {
+		if resY >= gateBurstDY || resX >= gateBurstDX {
 			flag(i, fault.KindDriftBurst, math.Max(resY, resX))
 			healthy = append(healthy[:t], healthy[t+1:]...)
 			continue
@@ -335,18 +330,18 @@ func qualityGate(acq *sem.Acquisition, o Options) (RepairReport, []*img.Gray, er
 		}
 		damaged, cols := 0, 0
 		for x := range ref {
-			if ref[x] < q.CurtainMinCol {
+			if ref[x] < gateCurtainMinCol {
 				continue
 			}
 			cols++
-			if feats[i].colNorm[x] < q.CurtainResid*ref[x] {
+			if feats[i].colNorm[x] < gateCurtainResid*ref[x] {
 				damaged++
 			}
 		}
 		if cols == 0 {
 			continue
 		}
-		if frac := float64(damaged) / float64(cols); frac >= q.CurtainColFrac {
+		if frac := float64(damaged) / float64(cols); frac >= gateCurtainColFrac {
 			flag(i, fault.KindCurtaining, frac)
 		}
 	}
@@ -356,11 +351,11 @@ func qualityGate(acq *sem.Acquisition, o Options) (RepairReport, []*img.Gray, er
 		valid bool
 	}
 	mis := make([]pairMI, n-1)
-	err = par.ForEach(o.Workers, n-1, func(i int) error {
+	err = par.ForEachCtx(context.Background(), par.Config{Workers: o.Workers}, n-1, func(_ context.Context, i int) error {
 		if flagged[i] != fault.KindNone || flagged[i+1] != fault.KindNone {
 			return nil
 		}
-		mi, err := register.MutualInformation(slices[i], slices[i+1], q.MIBins)
+		mi, err := register.MutualInformation(slices[i], slices[i+1], gateMIBins)
 		if err != nil {
 			return fmt.Errorf("core: quality gate pair %d: %w", i, err)
 		}
@@ -376,7 +371,7 @@ func qualityGate(acq *sem.Acquisition, o Options) (RepairReport, []*img.Gray, er
 			continue
 		}
 		var local []float64
-		for j := i - 1 - q.MIWindow; j <= i+q.MIWindow; j++ {
+		for j := i - 1 - gateMIWindow; j <= i+gateMIWindow; j++ {
 			if j < 0 || j >= n-1 || j == i-1 || j == i || !mis[j].valid {
 				continue
 			}
@@ -386,7 +381,7 @@ func qualityGate(acq *sem.Acquisition, o Options) (RepairReport, []*img.Gray, er
 			continue
 		}
 		sort.Float64s(local)
-		floor := q.MIFloor * local[len(local)/2]
+		floor := gateMIFloor * local[len(local)/2]
 		low, pairs := true, 0
 		worst := math.Inf(1)
 		for _, j := range []int{i - 1, i} {

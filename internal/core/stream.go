@@ -15,7 +15,6 @@ import (
 	"repro/internal/par"
 	"repro/internal/register"
 	"repro/internal/sem"
-	"repro/internal/volume"
 )
 
 // streamSource produces the raw slice stack in ascending index order,
@@ -119,29 +118,19 @@ func streamCore(ctx context.Context, n int, src streamSource, dwellUS float64, o
 			return ectx.Err()
 		}
 	}
-	var gate *gateStream
-	var gateSp *obs.Span
-	if !o.Quality.Disabled {
-		gateSp = ob.WithLaneOffset(1).StartSpan(StageQualityGate)
-		gate = newGateStream(o, n, dwellUS, send)
-	}
+	gateSp := ob.WithLaneOffset(1).StartSpan(StageQualityGate)
+	gate := newGateStream(o, n, dwellUS, send)
 	denSp := ob.WithLaneOffset(2).StartSpan(StageDenoise)
 
 	go func() {
 		defer close(gateCh)
 		defer gateSp.End()
-		emit := send
-		if gate != nil {
-			emit = gate.push
-		}
-		if err := src(ectx, emit); err != nil {
+		if err := src(ectx, gate.push); err != nil {
 			fail(err)
 			return
 		}
-		if gate != nil {
-			if err := gate.finish(); err != nil {
-				fail(err)
-			}
+		if err := gate.finish(); err != nil {
+			fail(err)
 		}
 	}()
 
@@ -207,12 +196,9 @@ func streamCore(ctx context.Context, n int, src streamSource, dwellUS float64, o
 	if failErr != nil {
 		return RepairReport{}, failErr
 	}
-	var rep RepairReport
-	if gate != nil {
-		rep = gate.rep
-		if k := len(rep.Repairs); k > 0 {
-			ob.Info("quality gate", "checked", rep.Checked, "repaired", k)
-		}
+	rep := gate.rep
+	if k := len(rep.Repairs); k > 0 {
+		ob.Info("quality gate", "checked", rep.Checked, "repaired", k)
 	}
 	if next != n {
 		return rep, fmt.Errorf("core: stream: delivered %d of %d slices", next, n)
@@ -251,21 +237,21 @@ type streamFold struct {
 
 // consume implements the streamCore contract: it owns den on every
 // path, returning it to the pool once no longer needed (or on error).
+// The gate has already validated every slice and checked that all
+// share slice 0's dimensions, which denoising and translation keep.
 func (f *streamFold) consume(ctx context.Context, i int, den *img.Gray) error {
-	if !f.doAlign {
-		if err := f.checkSlice(i, den); err != nil {
+	if i == 0 {
+		if err := f.initViews(den.W, den.H); err != nil {
 			f.pool.Put(den)
 			return err
 		}
+	}
+	if !f.doAlign {
 		f.fold(i, den)
 		f.pool.Put(den)
 		return nil
 	}
 	if i == 0 {
-		if err := f.checkSlice(0, den); err != nil {
-			f.pool.Put(den)
-			return err
-		}
 		// AlignStackCtx emits slice 0 as a clone with zero shift.
 		a := f.pool.Get(den.W, den.H)
 		copy(a.Pix, den.Pix)
@@ -292,10 +278,6 @@ func (f *streamFold) consume(ctx context.Context, i int, den *img.Gray) error {
 		f.pool.Put(a)
 		return err
 	}
-	if err := f.checkSlice(i, a); err != nil {
-		f.pool.Put(a)
-		return err
-	}
 	// Residual drift re-aligns the *aligned* pair, ascending, exactly
 	// like ResidualDriftCtx.
 	s, _, err := register.AlignCtx(ctx, f.prevAligned, a, f.regOpts)
@@ -310,26 +292,11 @@ func (f *streamFold) consume(ctx context.Context, i int, den *img.Gray) error {
 	return nil
 }
 
-// checkSlice mirrors volume.FromStack's validation (same error chain)
-// and, on the first slice, sizes the views and checks every layer's
-// depth band against the slice height exactly as PlanFromVolume would.
-func (f *streamFold) checkSlice(i int, g *img.Gray) error {
-	if err := g.Validate(); err != nil {
-		return fmt.Errorf("core: stack: %w", fmt.Errorf("volume: slice %d: %w", i, err))
-	}
-	if i == 0 {
-		f.w, f.h = g.W, g.H
-		return f.initViews()
-	}
-	if g.W != f.w || g.H != f.h {
-		return fmt.Errorf("core: stack: %w", &volume.SliceSizeError{
-			Index: i, W: g.W, H: g.H, WantW: f.w, WantH: f.h,
-		})
-	}
-	return nil
-}
-
-func (f *streamFold) initViews() error {
+// initViews sizes the views from slice 0's dimensions and checks every
+// layer's depth band against the slice height exactly as PlanFromVolume
+// would.
+func (f *streamFold) initViews(w, h int) error {
+	f.w, f.h = w, h
 	f.views = make([]*img.Gray, len(f.layers))
 	f.bands = make([][2]int, len(f.layers))
 	f.inv = make([]float64, len(f.layers))

@@ -17,6 +17,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/img"
 	"repro/internal/sem"
+	"repro/internal/volume"
 )
 
 // TestStreamMatchesBarrier is the identity contract: the streaming
@@ -211,19 +212,24 @@ func syntheticStack(n, w int) *sem.Acquisition {
 	semOpts.DwellUS = 12
 	acq := &sem.Acquisition{Options: semOpts}
 	for z := 0; z < n; z++ {
-		g := img.New(w, h)
-		for y := 0; y < h; y++ {
-			for x := 0; x < w; x++ {
-				v := 0.5 + 0.25*math.Sin(float64(x)*0.35+float64(z)*0.011) +
-					0.15*math.Cos(float64(y)*0.23-float64(z)*0.007)
-				hash := float64((x*73856093^y*19349663^z*83492791)%1024)/1024.0 - 0.5
-				g.Set(x, y, v+0.08*hash)
-			}
-		}
-		g.Clamp(0, sem.ClampMax)
-		acq.Slices = append(acq.Slices, g)
+		acq.Slices = append(acq.Slices, syntheticSlice(z, w, h))
 	}
 	return acq
+}
+
+// syntheticSlice is slice z of syntheticStack at an arbitrary w x h.
+func syntheticSlice(z, w, h int) *img.Gray {
+	g := img.New(w, h)
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			v := 0.5 + 0.25*math.Sin(float64(x)*0.35+float64(z)*0.011) +
+				0.15*math.Cos(float64(y)*0.23-float64(z)*0.007)
+			hash := float64((x*73856093^y*19349663^z*83492791)%1024)/1024.0 - 0.5
+			g.Set(x, y, v+0.08*hash)
+		}
+	}
+	g.Clamp(0, sem.ClampMax)
+	return g
 }
 
 // deepOptions keeps the 384-slice runs affordable: shallow search
@@ -337,30 +343,46 @@ func TestStreamCancellationReleasesPool(t *testing.T) {
 }
 
 // TestStreamErrorReleasesPool aborts the pipeline from inside (a
-// mid-stack slice with mismatched dimensions) and verifies the same
-// teardown invariant on the failure path, with alignment both on and
-// off.
+// mid-stack slice with mismatched dimensions, blank or content-bearing)
+// and verifies the same teardown invariant on the failure path, with
+// alignment both on and off: the quality gate rejects the slice with a
+// *volume.SliceSizeError before any detector compares it with its
+// neighbors, and every pooled buffer comes back.
 func TestStreamErrorReleasesPool(t *testing.T) {
-	for _, align := range []bool{true, false} {
-		acq := syntheticStack(64, 48)
-		acq.Slices[40] = img.New(47, chipgen.StackDepth)
-		window := geom.R(0, 0, 48*8, 64*8)
-		o := deepOptions()
-		// With the gate on, the zeroed slice would be flagged and
-		// repaired to full width; disable it so the dimension mismatch
-		// reaches alignment / assembly.
-		o.Quality.Disabled = true
-		if !align {
-			o.Register.MaxShift = 0
-		}
-		o.Workers = 3
-		o.Pool = img.NewPool()
-		_, _, err := Reconstruct(acq, window, o)
-		if err == nil {
-			t.Fatalf("align=%v: mismatched slice should error", align)
-		}
-		if live := o.Pool.Stats().Live; live != 0 {
-			t.Errorf("align=%v: %d pool buffers leaked after error", align, live)
+	const n, w, at = 64, 48, 40
+	h := chipgen.StackDepth
+	cases := []struct {
+		name string
+		bad  *img.Gray
+	}{
+		{"blank-narrower", img.New(w-1, h)},
+		{"narrower", syntheticSlice(at, w-1, h)},
+		{"wider", syntheticSlice(at, w+1, h)},
+		{"taller", syntheticSlice(at, w, h+1)},
+	}
+	for _, c := range cases {
+		for _, align := range []bool{true, false} {
+			acq := syntheticStack(n, w)
+			acq.Slices[at] = c.bad
+			window := geom.R(0, 0, w*8, n*8)
+			o := deepOptions()
+			if !align {
+				o.Register.MaxShift = 0
+			}
+			o.Workers = 3
+			o.Pool = img.NewPool()
+			_, _, err := Reconstruct(acq, window, o)
+			var sse *volume.SliceSizeError
+			if !errors.As(err, &sse) {
+				t.Fatalf("%s align=%v: err = %v, want a *volume.SliceSizeError", c.name, align, err)
+			}
+			want := volume.SliceSizeError{Index: at, W: c.bad.W, H: c.bad.H, WantW: w, WantH: h}
+			if *sse != want {
+				t.Errorf("%s align=%v: SliceSizeError = %+v, want %+v", c.name, align, *sse, want)
+			}
+			if live := o.Pool.Stats().Live; live != 0 {
+				t.Errorf("%s align=%v: %d pool buffers leaked after error", c.name, align, live)
+			}
 		}
 	}
 }

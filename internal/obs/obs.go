@@ -152,27 +152,20 @@ func (o *Observer) Debug(msg string, args ...any) {
 	o.Log.Debug(msg, args...)
 }
 
-// active reports whether any sink that ForEach instruments is attached.
+// active reports whether any sink that ForEachCtx instruments is attached.
 func (o *Observer) active() bool {
 	return o != nil && (o.Trace != nil || o.Metrics != nil)
 }
 
-// ForEach fans fn out on the par worker pool under a new stage span,
-// opening one child span per worker (on lanes lane+1+worker) and
-// accounting worker busy/idle time and pool spin-up wait into the
-// metrics ("par.worker_busy", "par.worker_idle", "par.queue_wait").
-// With a nil or traceless+metricless observer it is exactly par.ForEach.
-// The hooks only observe: fn's scheduling, inputs and outputs are
-// untouched, so the fan-out's results stay byte-identical.
-func (o *Observer) ForEach(stage string, workers, n int, fn func(i int) error) error {
-	return o.ForEachCtx(context.Background(), stage, workers, n,
-		func(_ context.Context, i int) error { return fn(i) })
-}
-
-// ForEachCtx is ForEach with the fan-out's context threaded through to
-// fn (see par.ForEachCtx): workers check it between indices, so a
-// caller deadline or SIGINT stops the stage at the next unit boundary.
-// The observation contract is unchanged — hooks only watch.
+// ForEachCtx fans fn out on the par worker pool (see par.ForEachCtx)
+// under a new stage span, opening one child span per worker (on lanes
+// lane+1+worker) and accounting worker busy/idle time and pool spin-up
+// wait into the metrics ("par.worker_busy", "par.worker_idle",
+// "par.queue_wait"). With a nil or traceless+metricless observer it is
+// exactly par.ForEachCtx. The hooks only observe: fn's scheduling,
+// inputs and outputs are untouched, so the fan-out's results stay
+// byte-identical. Workers check ctx between indices, so a caller
+// deadline or SIGINT stops the stage at the next unit boundary.
 func (o *Observer) ForEachCtx(ctx context.Context, stage string, workers, n int, fn func(ctx context.Context, i int) error) error {
 	if !o.active() {
 		return par.ForEachCtx(ctx, par.Config{Workers: workers}, n, fn)

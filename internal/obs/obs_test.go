@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"log/slog"
 	"strings"
@@ -272,7 +273,7 @@ func TestObserverForEachMatchesPlain(t *testing.T) {
 	} {
 		const n = 64
 		hits := make([]atomic.Int32, n)
-		err := o.ForEach("stage", 4, n, func(i int) error {
+		err := o.ForEachCtx(context.Background(), "stage", 4, n, func(_ context.Context, i int) error {
 			hits[i].Add(1)
 			return nil
 		})
@@ -289,7 +290,7 @@ func TestObserverForEachMatchesPlain(t *testing.T) {
 
 func TestObserverForEachRecordsSpanAndWorkerMetrics(t *testing.T) {
 	o := &Observer{Trace: NewTrace(), Metrics: NewMetrics()}
-	if err := o.ForEach("denoise", 3, 9, func(i int) error {
+	if err := o.ForEachCtx(context.Background(), "denoise", 3, 9, func(context.Context, int) error {
 		time.Sleep(time.Millisecond)
 		return nil
 	}); err != nil {

@@ -63,7 +63,7 @@ func SplitBudget(workers, tasks int) (fan, inner int) {
 	return fan, inner
 }
 
-// Hooks observes a ForEach fan-out without participating in it: the
+// Hooks observes a ForEachCtx fan-out without participating in it: the
 // callbacks only see indices and worker numbers, never results, so a
 // hooked run produces byte-identical output to an unhooked one. The
 // zero value disables all hooks with no overhead beyond a nil check.
@@ -78,7 +78,7 @@ type Hooks struct {
 	Worker func(worker int) (task func(i int) func(), finish func())
 }
 
-// PanicError is the indexed error ForEach reports for a unit of work
+// PanicError is the indexed error ForEachCtx reports for a unit of work
 // that panicked instead of returning. One poisoned index must never kill
 // the whole fan-out: the panic is confined to its index and surfaces as
 // an ordinary error alongside the results of every other index.
@@ -96,58 +96,35 @@ func (e *PanicError) Error() string {
 }
 
 // Config bundles the fan-out knobs ForEachCtx accepts beyond the index
-// range: the worker budget, the optional fail-fast policy, and the
-// observation hooks. The zero value is the collect-all default every
-// pipeline stage uses.
+// range: the worker budget and the observation hooks.
 type Config struct {
 	// Workers bounds the pool (values below 1 mean runtime.NumCPU()).
 	Workers int
-	// FailFast cancels the context passed to fn as soon as any index
-	// returns a non-nil error, so queued indices are skipped and
-	// in-flight ones can unwind early. The returned error joins only
-	// the errors of the indices that actually ran — which indices those
-	// are is scheduling-dependent, so fail-fast trades the collect-all
-	// mode's deterministic error report for latency. Off by default:
-	// every index runs even when some fail, exactly as before.
-	FailFast bool
-	// Hooks are the per-worker observation callbacks (see Hooks).
+	// Hooks are the per-worker observation callbacks (see Hooks). They
+	// change nothing about scheduling, error aggregation or
+	// determinism; they exist so an observability layer can attribute
+	// wall time to workers without the pool depending on it.
 	Hooks Hooks
 }
 
-// ForEach runs fn(i) for every i in [0, n) on at most Count(workers)
-// goroutines. All indices run even when some fail, and every failure is
-// reported: the returned error joins (errors.Join) the per-index errors
-// in ascending index order, so the first line of the message is the same
-// error a sequential loop would have hit first and errors.Is/As see each
-// individual failure. A panic inside fn is recovered and converted to a
-// *PanicError for its index rather than tearing down the process. With
-// one worker (or n == 1) it degrades to a plain loop on the calling
-// goroutine, so a Workers=1 configuration has no scheduling overhead
-// beyond the panic guard.
-func ForEach(workers, n int, fn func(i int) error) error {
-	return ForEachHooked(workers, n, Hooks{}, fn)
-}
-
-// ForEachHooked is ForEach with per-worker observation hooks (see
-// Hooks). The hooks change nothing about scheduling, error aggregation
-// or determinism; they exist so an observability layer can attribute
-// wall time to workers without the pool depending on it.
-func ForEachHooked(workers, n int, h Hooks, fn func(i int) error) error {
-	return ForEachCtx(context.Background(), Config{Workers: workers, Hooks: h}, n,
-		func(_ context.Context, i int) error { return fn(i) })
-}
-
-// ForEachCtx is the context-aware core of the pool: fn receives the
-// fan-out's context and runs for every index not yet cancelled. Workers
-// check the context between indices, so cancellation (a caller deadline,
-// SIGINT, or a FailFast sibling error) stops the fan-out at the next
-// index boundary without waiting for the queue to drain; indices that
-// never ran contribute no error. When the caller's ctx is done the
-// returned error joins ctx.Err() with the per-index errors collected so
-// far, so errors.Is(err, context.Canceled/DeadlineExceeded) sees the
-// cancellation. Everything else matches ForEach: per-index errors join
-// in ascending index order, panics confine to their index as
-// *PanicError, and a single-worker fan-out degrades to a plain loop.
+// ForEachCtx runs fn(ctx, i) for every i in [0, n) on at most
+// Count(cfg.Workers) goroutines. All indices run even when some fail,
+// and every failure is reported: the returned error joins (errors.Join)
+// the per-index errors in ascending index order, so the first line of
+// the message is the same error a sequential loop would have hit first
+// and errors.Is/As see each individual failure. A panic inside fn is
+// recovered and converted to a *PanicError for its index rather than
+// tearing down the process. With one worker (or n == 1) it degrades to
+// a plain loop on the calling goroutine, so a Workers=1 configuration
+// has no scheduling overhead beyond the panic guard.
+//
+// Workers check ctx between indices, so cancellation (a caller
+// deadline, SIGINT) stops the fan-out at the next index boundary
+// without waiting for the queue to drain; indices that never ran
+// contribute no error. When ctx is done the returned error joins
+// ctx.Err() with the per-index errors collected so far, so
+// errors.Is(err, context.Canceled/DeadlineExceeded) sees the
+// cancellation.
 func ForEachCtx(ctx context.Context, cfg Config, n int, fn func(ctx context.Context, i int) error) error {
 	return ForEachWorkerCtx(ctx, cfg, n, func(ctx context.Context, _, i int) error {
 		return fn(ctx, i)
@@ -169,19 +146,13 @@ func ForEachWorkerCtx(ctx context.Context, cfg Config, n int, fn func(ctx contex
 	if n <= 0 {
 		return nil
 	}
-	inner := ctx
-	var cancelFailFast context.CancelFunc
-	if cfg.FailFast {
-		inner, cancelFailFast = context.WithCancel(ctx)
-		defer cancelFailFast()
-	}
 	call := func(g, i int) (err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				err = &PanicError{Index: i, Value: r, Stack: string(debug.Stack())}
 			}
 		}()
-		return fn(inner, g, i)
+		return fn(ctx, g, i)
 	}
 	w := WorkersFor(cfg.Workers, n)
 	h := cfg.Hooks
@@ -192,7 +163,7 @@ func ForEachWorkerCtx(ctx context.Context, cfg Config, n int, fn func(ctx contex
 		if h.Worker != nil {
 			task, finish = h.Worker(g)
 		}
-		for inner.Err() == nil {
+		for ctx.Err() == nil {
 			i, ok := take()
 			if !ok {
 				break
@@ -205,9 +176,6 @@ func ForEachWorkerCtx(ctx context.Context, cfg Config, n int, fn func(ctx contex
 				}
 			} else {
 				errs[i] = call(g, i)
-			}
-			if errs[i] != nil && cancelFailFast != nil {
-				cancelFailFast()
 			}
 		}
 		if finish != nil {

@@ -27,7 +27,7 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 13} {
 		const n = 257
 		hits := make([]atomic.Int32, n)
-		err := ForEach(workers, n, func(i int) error {
+		err := ForEachCtx(context.Background(), Config{Workers: workers}, n, func(_ context.Context, i int) error {
 			hits[i].Add(1)
 			return nil
 		})
@@ -46,7 +46,7 @@ func TestForEachAggregatesAllErrorsLowestFirst(t *testing.T) {
 	fail7 := errors.New("fail at 7")
 	fail63 := errors.New("fail at 63")
 	for _, workers := range []int{1, 4} {
-		err := ForEach(workers, 100, func(i int) error {
+		err := ForEachCtx(context.Background(), Config{Workers: workers}, 100, func(_ context.Context, i int) error {
 			switch i {
 			case 7:
 				return fail7
@@ -71,7 +71,7 @@ func TestForEachAggregatesAllErrorsLowestFirst(t *testing.T) {
 
 func TestForEachSingleErrorMessageUnchanged(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		err := ForEach(workers, 20, func(i int) error {
+		err := ForEachCtx(context.Background(), Config{Workers: workers}, 20, func(_ context.Context, i int) error {
 			if i == 3 {
 				return fmt.Errorf("fail at %d", i)
 			}
@@ -86,7 +86,7 @@ func TestForEachSingleErrorMessageUnchanged(t *testing.T) {
 func TestForEachRecoversWorkerPanics(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ran := make([]atomic.Int32, 50)
-		err := ForEach(workers, 50, func(i int) error {
+		err := ForEachCtx(context.Background(), Config{Workers: workers}, 50, func(_ context.Context, i int) error {
 			ran[i].Add(1)
 			if i == 11 {
 				panic("poisoned slice")
@@ -113,7 +113,7 @@ func TestForEachRecoversWorkerPanics(t *testing.T) {
 }
 
 func TestForEachPanicAndErrorsJoin(t *testing.T) {
-	err := ForEach(4, 30, func(i int) error {
+	err := ForEachCtx(context.Background(), Config{Workers: 4}, 30, func(_ context.Context, i int) error {
 		if i == 5 {
 			panic(i)
 		}
@@ -133,11 +133,11 @@ func TestForEachPanicAndErrorsJoin(t *testing.T) {
 }
 
 func TestForEachEmptyAndSingle(t *testing.T) {
-	if err := ForEach(4, 0, func(int) error { return errors.New("never") }); err != nil {
+	if err := ForEachCtx(context.Background(), Config{Workers: 4}, 0, func(context.Context, int) error { return errors.New("never") }); err != nil {
 		t.Errorf("n=0: %v", err)
 	}
 	ran := 0
-	if err := ForEach(8, 1, func(i int) error { ran++; return nil }); err != nil || ran != 1 {
+	if err := ForEachCtx(context.Background(), Config{Workers: 8}, 1, func(_ context.Context, i int) error { ran++; return nil }); err != nil || ran != 1 {
 		t.Errorf("n=1: ran=%d err=%v", ran, err)
 	}
 }
@@ -146,9 +146,9 @@ func TestForEachDeterministicOutput(t *testing.T) {
 	// Index-addressed writes make the result independent of scheduling.
 	const n = 500
 	ref := make([]int, n)
-	ForEach(1, n, func(i int) error { ref[i] = i * i; return nil })
+	ForEachCtx(context.Background(), Config{Workers: 1}, n, func(_ context.Context, i int) error { ref[i] = i * i; return nil })
 	got := make([]int, n)
-	ForEach(16, n, func(i int) error { got[i] = i * i; return nil })
+	ForEachCtx(context.Background(), Config{Workers: 16}, n, func(_ context.Context, i int) error { got[i] = i * i; return nil })
 	for i := range ref {
 		if ref[i] != got[i] {
 			t.Fatalf("index %d: %d != %d", i, got[i], ref[i])
@@ -210,7 +210,7 @@ func TestForEachHookedObservesEveryWorkerAndUnit(t *testing.T) {
 			return task, finish
 		}}
 		hits := make([]atomic.Int32, n)
-		err := ForEachHooked(workers, n, h, func(i int) error {
+		err := ForEachCtx(context.Background(), Config{Workers: workers, Hooks: h}, n, func(_ context.Context, i int) error {
 			hits[i].Add(1)
 			return nil
 		})
@@ -240,7 +240,7 @@ func TestForEachHookedUnitEndRunsAfterPanic(t *testing.T) {
 	h := Hooks{Worker: func(int) (func(int) func(), func()) {
 		return func(int) func() { return func() { ends.Add(1) } }, nil
 	}}
-	err := ForEachHooked(2, 10, h, func(i int) error {
+	err := ForEachCtx(context.Background(), Config{Workers: 2, Hooks: h}, 10, func(_ context.Context, i int) error {
 		if i == 4 {
 			panic("boom")
 		}
@@ -252,21 +252,6 @@ func TestForEachHookedUnitEndRunsAfterPanic(t *testing.T) {
 	}
 	if ends.Load() != 10 {
 		t.Errorf("unit end hook ran %d times, want 10 (including the panicked unit)", ends.Load())
-	}
-}
-
-func TestForEachHookedNilHooksMatchForEach(t *testing.T) {
-	const n = 100
-	ref := make([]int, n)
-	ForEach(4, n, func(i int) error { ref[i] = 3 * i; return nil })
-	got := make([]int, n)
-	if err := ForEachHooked(4, n, Hooks{}, func(i int) error { got[i] = 3 * i; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	for i := range ref {
-		if ref[i] != got[i] {
-			t.Fatalf("index %d: %d != %d", i, got[i], ref[i])
-		}
 	}
 }
 
@@ -308,56 +293,8 @@ func TestForEachCtxCancelMidRun(t *testing.T) {
 	}
 }
 
-func TestForEachCtxFailFastSkipsQueuedWork(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		var ran atomic.Int32
-		boom := errors.New("boom")
-		// Every index but 0 blocks until fail-fast cancels the fan-out, so
-		// however the scheduler orders the workers, no worker can drain
-		// the queue ahead of index 0's failure.
-		err := ForEachCtx(context.Background(), Config{Workers: workers, FailFast: true}, 1000,
-			func(ctx context.Context, i int) error {
-				ran.Add(1)
-				if i == 0 {
-					return boom
-				}
-				<-ctx.Done()
-				return nil
-			})
-		if !errors.Is(err, boom) {
-			t.Fatalf("workers=%d: err = %v, want boom", workers, err)
-		}
-		if errors.Is(err, context.Canceled) {
-			t.Errorf("workers=%d: fail-fast self-cancellation leaked into the error: %v", workers, err)
-		}
-		// Index 0 plus at most one in-flight index per other worker.
-		if n := ran.Load(); n > 1+int32(workers) {
-			t.Errorf("workers=%d: fail-fast ran %d indices, want at most %d", workers, n, 1+workers)
-		}
-	}
-}
-
-func TestForEachCtxFailFastCancelsInFlightContext(t *testing.T) {
-	release := make(chan struct{})
-	err := ForEachCtx(context.Background(), Config{Workers: 2, FailFast: true}, 2,
-		func(ctx context.Context, i int) error {
-			if i == 1 {
-				<-release
-				return errors.New("boom")
-			}
-			// Index 0 blocks until the sibling's error cancels its ctx.
-			close(release)
-			<-ctx.Done()
-			return ctx.Err()
-		})
-	if err == nil || !strings.Contains(err.Error(), "boom") {
-		t.Fatalf("err = %v, want boom", err)
-	}
-}
-
 func TestForEachCtxCollectAllDefaultUnchanged(t *testing.T) {
-	// Without FailFast every index runs even when some fail, matching
-	// ForEach exactly.
+	// Every index runs even when some fail.
 	var ran atomic.Int32
 	err := ForEachCtx(context.Background(), Config{Workers: 4}, 50,
 		func(_ context.Context, i int) error {

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"strings"
 
 	"repro/internal/chips"
 	"repro/internal/core"
@@ -149,27 +148,26 @@ func (r Request) identity() (unit, fp, dedupe string, err error) {
 }
 
 // Report is the report.json artifact: the same summary the extract
-// table prints, in machine-readable form. Counters are the job's
-// deterministic telemetry with the "ckpt."-prefixed entries removed —
-// those depend on what happened to be cached, and the report must be
-// byte-identical whether its computation was fresh or stage-resumed.
+// table prints, in machine-readable form. It holds nothing that depends
+// on what happened to be cached — the job's counters live on its
+// JobStatus — so it is byte-identical whether its computation was
+// fresh, stage-resumed or served from the cache.
 type Report struct {
-	Chip             string           `json:"chip"`
-	Topology         string           `json:"topology"`
-	TopologyCorrect  bool             `json:"topology_correct"`
-	BitlinesFound    int              `json:"bitlines_found"`
-	BitlinesTrue     int              `json:"bitlines_true"`
-	TransistorsFound int              `json:"transistors_found"`
-	TransistorsTrue  int              `json:"transistors_true"`
-	MeanRelErrPct    float64          `json:"mean_rel_err_pct"`
-	SliceCount       int              `json:"slice_count"`
-	CostHours        float64          `json:"cost_hours"`
-	ResidualDriftPx  float64          `json:"residual_drift_px"`
-	Repairs          int              `json:"repairs"`
-	AlignFallbacks   int              `json:"align_fallbacks"`
-	FaultsInjected   int              `json:"faults_injected,omitempty"`
-	ROI              *ROIReport       `json:"roi,omitempty"`
-	Counters         map[string]int64 `json:"counters,omitempty"`
+	Chip             string     `json:"chip"`
+	Topology         string     `json:"topology"`
+	TopologyCorrect  bool       `json:"topology_correct"`
+	BitlinesFound    int        `json:"bitlines_found"`
+	BitlinesTrue     int        `json:"bitlines_true"`
+	TransistorsFound int        `json:"transistors_found"`
+	TransistorsTrue  int        `json:"transistors_true"`
+	MeanRelErrPct    float64    `json:"mean_rel_err_pct"`
+	SliceCount       int        `json:"slice_count"`
+	CostHours        float64    `json:"cost_hours"`
+	ResidualDriftPx  float64    `json:"residual_drift_px"`
+	Repairs          int        `json:"repairs"`
+	AlignFallbacks   int        `json:"align_fallbacks"`
+	FaultsInjected   int        `json:"faults_injected,omitempty"`
+	ROI              *ROIReport `json:"roi,omitempty"`
 }
 
 // ROIReport reports the die-level blind ROI identification.
@@ -201,15 +199,6 @@ func buildReport(res *core.Result, die *core.DieResult) ([]byte, error) {
 	}
 	if die != nil {
 		rep.ROI = &ROIReport{FoundNM: die.ROI, TrueNM: die.TrueROI, IoU: die.ROIOverlap}
-	}
-	if res.Telemetry != nil {
-		rep.Counters = make(map[string]int64, len(res.Telemetry.Counters))
-		for name, v := range res.Telemetry.Counters {
-			if strings.HasPrefix(name, "ckpt.") {
-				continue
-			}
-			rep.Counters[name] = v
-		}
 	}
 	out, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {

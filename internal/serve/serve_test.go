@@ -705,7 +705,9 @@ func stageCalls(ob *obs.Observer, stage string) int {
 // the stack once and denoises each slice once, and its PGMs are what
 // PlanarViews renders from a freshly acquired stack. A views job that
 // follows a plain job with the same fingerprint resumes from the plain
-// job's extraction checkpoint and images nothing.
+// job's extraction checkpoint and images nothing. The report is the
+// same bytes whichever way it was computed: fresh, resumed by the views
+// job, or served from the cache to a later plain job.
 func TestServeViewsOneReconstruction(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real pipeline run")
@@ -804,6 +806,25 @@ func TestServeViewsOneReconstruction(t *testing.T) {
 		}
 		if !bytes.Equal(got, pgm) {
 			t.Errorf("resumed artifact %s differs from the PlanarViews rendering", name)
+		}
+	}
+
+	third, err := s.Submit(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, s, third.ID)
+	firstReport, err := s.Artifact(first.ID, ArtifactReport)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{second.ID, third.ID} {
+		got, err := s.Artifact(id, ArtifactReport)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, firstReport) {
+			t.Errorf("job %s report differs from the first plain job's:\n%s\nwant:\n%s", id, got, firstReport)
 		}
 	}
 }
