@@ -41,8 +41,10 @@ type tvGoldenCase struct {
 }
 
 // tvGoldenCases runs every kernel over the golden grid: degenerate
-// shapes (one pixel, one column, one row), small odd sizes, and the
-// 1857x39 cross section of chip B4's default extraction; fidelity
+// shapes (one pixel, one column, one row; two columns, where a row has
+// no interior pixel; two rows, where the only row below the top is also
+// the bottom), small odd sizes, and the 1857x39 cross section of chip
+// B4's default extraction; fidelity
 // weights from strong smoothing to near-identity, including the
 // pipeline's 25; and tolerances that never fire, fire late and fire
 // early. One Scratch serves every run, so reuse across sizes is covered
@@ -52,7 +54,7 @@ func tvGoldenCases(t *testing.T) []tvGoldenCase {
 		name string
 		run  func(ctx context.Context, dst, f *img.Gray, o Options, s *Scratch) error
 	}{{"chambolle", ChambolleInto}, {"split-bregman", SplitBregmanInto}}
-	sizes := [][2]int{{1, 1}, {1, 7}, {7, 1}, {3, 5}, {64, 64}, {173, 61}, {1857, 39}}
+	sizes := [][2]int{{1, 1}, {1, 7}, {7, 1}, {2, 2}, {2, 5}, {5, 2}, {3, 5}, {64, 64}, {173, 61}, {1857, 39}}
 	var cases []tvGoldenCase
 	s := &Scratch{}
 	for _, k := range kernels {
