@@ -87,6 +87,15 @@ func GaussianBlur(g *Gray, sigma float64) *Gray {
 // given radius (window side = 2*radius+1), with edge extension. Median
 // filtering is the classical salt-and-pepper noise remover used before
 // slice alignment.
+//
+// Every pixel's median is the middle of its window sorted by sortWindow.
+// For radius 1 an interior pixel whose window holds no NaN takes a
+// shortcut with the same value: each row's column triples (the pixels
+// above, at and below the row) are sorted once, and the median of the
+// nine is med3 of the largest low, the median mid and the smallest high
+// of the window's three columns. Equal values have equal bits unless
+// they are zeros, so a ±0 result falls back to the sorted window, whose
+// choice between +0 and -0 depends on the order of the window's values.
 func MedianFilter(g *Gray, radius int) *Gray {
 	if radius <= 0 {
 		return g.Clone()
@@ -94,19 +103,99 @@ func MedianFilter(g *Gray, radius int) *Gray {
 	out := New(g.W, g.H)
 	side := 2*radius + 1
 	window := make([]float64, 0, side*side)
-	for y := 0; y < g.H; y++ {
-		for x := 0; x < g.W; x++ {
-			window = window[:0]
-			for dy := -radius; dy <= radius; dy++ {
-				for dx := -radius; dx <= radius; dx++ {
-					window = append(window, g.AtClamp(x+dx, y+dy))
-				}
+	median := func(x, y int) float64 {
+		window = window[:0]
+		for dy := -radius; dy <= radius; dy++ {
+			for dx := -radius; dx <= radius; dx++ {
+				window = append(window, g.AtClamp(x+dx, y+dy))
 			}
-			sortWindow(window)
-			out.Set(x, y, window[len(window)/2])
 		}
+		sortWindow(window)
+		return window[len(window)/2]
+	}
+	w, h := g.W, g.H
+	if radius != 1 || w < 3 || h < 3 {
+		for y := 0; y < h; y++ {
+			for x := 0; x < w; x++ {
+				out.Pix[y*w+x] = median(x, y)
+			}
+		}
+		return out
+	}
+	// lo, mid and hi hold each column's sorted triple in the current
+	// row; nan marks a triple holding a NaN.
+	lo, mid, hi := make([]float64, w), make([]float64, w), make([]float64, w)
+	nan := make([]bool, w)
+	for x := 0; x < w; x++ {
+		out.Pix[x] = median(x, 0)
+		out.Pix[(h-1)*w+x] = median(x, h-1)
+	}
+	for y := 1; y < h-1; y++ {
+		above, row, below := g.Pix[(y-1)*w:y*w], g.Pix[y*w:(y+1)*w], g.Pix[(y+1)*w:(y+2)*w]
+		for x := range lo {
+			a, b, c := above[x], row[x], below[x]
+			nan[x] = a != a || b != b || c != c
+			lo[x], mid[x], hi[x] = sort3(a, b, c)
+		}
+		dst := out.Pix[y*w : (y+1)*w]
+		dst[0] = median(0, y)
+		for x := 1; x < w-1; x++ {
+			if nan[x-1] || nan[x] || nan[x+1] {
+				dst[x] = median(x, y)
+				continue
+			}
+			l := max3(lo[x-1], lo[x], lo[x+1])
+			m := med3(mid[x-1], mid[x], mid[x+1])
+			u := min3(hi[x-1], hi[x], hi[x+1])
+			v := med3(l, m, u)
+			if v == 0 {
+				v = median(x, y)
+			}
+			dst[x] = v
+		}
+		dst[w-1] = median(w-1, y)
 	}
 	return out
+}
+
+// sort3, med3, max3 and min3 order NaN-free values: sort3 returns a, b
+// and c ascending, med3 the middle one.
+func sort3(a, b, c float64) (float64, float64, float64) {
+	if b < a {
+		a, b = b, a
+	}
+	if c < b {
+		b, c = c, b
+		if b < a {
+			a, b = b, a
+		}
+	}
+	return a, b, c
+}
+
+func med3(a, b, c float64) float64 {
+	_, m, _ := sort3(a, b, c)
+	return m
+}
+
+func max3(a, b, c float64) float64 {
+	if b > a {
+		a = b
+	}
+	if c > a {
+		a = c
+	}
+	return a
+}
+
+func min3(a, b, c float64) float64 {
+	if b < a {
+		a = b
+	}
+	if c < a {
+		a = c
+	}
+	return a
 }
 
 // sortWindow sorts a median window in place. Windows of up to 12 values

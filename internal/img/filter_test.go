@@ -1,6 +1,7 @@
 package img
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -102,20 +103,45 @@ func sameBits(t *testing.T, name string, got, want *Gray) {
 	}
 }
 
+// zeroInput is a random image of mostly signed zeros among ±1, so most
+// medians are zeros whose sign depends on the window's order.
+func zeroInput(w, h int, seed int64) *Gray {
+	rng := rand.New(rand.NewSource(seed))
+	vals := []float64{0, math.Copysign(0, -1), 0, math.Copysign(0, -1), 1, -1}
+	g := New(w, h)
+	for i := range g.Pix {
+		g.Pix[i] = vals[rng.Intn(len(vals))]
+	}
+	return g
+}
+
 // The filters' fast paths (direct Pix taps inside the image, the
-// insertion-sorted median window) must reproduce the clamped reference
-// loops bit for bit: odd sizes, images smaller than the stencil, and the
-// identity kernel of sigma 0.
+// insertion-sorted median window, the column-sorted radius-1 median)
+// must reproduce the clamped reference loops bit for bit: odd sizes,
+// images smaller than the stencil, rows wider than 64, the identity
+// kernel of sigma 0, and medians over NaN-free input, NaN-laden input
+// and input whose medians are mostly signed zeros.
 func TestFiltersMatchClampedReference(t *testing.T) {
-	sizes := [][2]int{{1, 1}, {2, 3}, {3, 2}, {5, 7}, {17, 9}, {33, 39}}
+	sizes := [][2]int{{1, 1}, {2, 3}, {3, 2}, {3, 3}, {5, 7}, {17, 9}, {33, 39}, {97, 6}}
 	for _, sz := range sizes {
-		g := filterInput(sz[0], sz[1], int64(sz[0]*100+sz[1]), false)
+		seed := int64(sz[0]*100 + sz[1])
+		g := filterInput(sz[0], sz[1], seed, false)
 		for _, sigma := range []float64{0, 0.7, 1.5, 4} {
 			sameBits(t, "GaussianBlur", GaussianBlur(g, sigma), refGaussianBlur(g, sigma))
 		}
-		gn := filterInput(sz[0], sz[1], int64(sz[0]*100+sz[1]), true)
-		for _, radius := range []int{0, 1, 2} {
-			sameBits(t, "MedianFilter", MedianFilter(gn, radius), refMedianFilter(gn, radius))
+		inputs := []struct {
+			name string
+			g    *Gray
+		}{
+			{"NaN-free", g},
+			{"NaN-laden", filterInput(sz[0], sz[1], seed, true)},
+			{"signed zeros", zeroInput(sz[0], sz[1], seed)},
+		}
+		for _, in := range inputs {
+			for _, radius := range []int{0, 1, 2} {
+				name := fmt.Sprintf("MedianFilter %dx%d %s r=%d", sz[0], sz[1], in.name, radius)
+				sameBits(t, name, MedianFilter(in.g, radius), refMedianFilter(in.g, radius))
+			}
 		}
 	}
 }

@@ -315,11 +315,14 @@ func max2(a, b float64) float64 {
 }
 
 // miScratch is one worker's reusable evaluation state: four interleaved
-// joint histograms and the marginal accumulators. An eval fully
-// reinitializes all of them, so sharing a scratch across candidates (but
-// never across concurrent workers) cannot perturb results.
+// joint histograms, the joint probabilities and the marginal
+// accumulators. An eval reinitializes the histograms and marginals and
+// writes p for every non-empty bin before reading it (empty bins are
+// never read), so sharing a scratch across candidates (but never across
+// concurrent workers) cannot perturb results.
 type miScratch struct {
 	joint  []int32
+	p      []float64
 	pa, pb []float64
 }
 
@@ -335,6 +338,7 @@ func (k *miKernel) getScratch() *miScratch {
 		s = &miScratch{}
 	}
 	s.joint = resized(s.joint, 4*k.bins*k.bins)
+	s.p = resized(s.p, k.bins*k.bins)
 	s.pa = resized(s.pa, k.bins)
 	s.pb = resized(s.pb, k.bins)
 	return s
@@ -362,46 +366,52 @@ func (k *miKernel) eval(dx, dy int, mb []uint8, s *miScratch) float64 {
 		mrow := mb[(y-dy)*w+k.x0-dx : (y-dy)*w+k.x1-dx]
 		frow := fb[:len(mrow)]
 		fb = fb[len(mrow):]
-		for len(mrow) >= 4 && len(frow) >= 4 {
-			m := (*[4]uint8)(mrow)
-			f := (*[4]uint16)(frow)
-			j[4*(int(f[0])+int(m[0]))]++
-			j[4*(int(f[1])+int(m[1]))+1]++
-			j[4*(int(f[2])+int(m[2]))+2]++
-			j[4*(int(f[3])+int(m[3]))+3]++
-			mrow, frow = mrow[4:], frow[4:]
+		x := 0
+		for ; x+3 < len(mrow); x += 4 {
+			j[4*(int(frow[x])+int(mrow[x]))]++
+			j[4*(int(frow[x+1])+int(mrow[x+1]))+1]++
+			j[4*(int(frow[x+2])+int(mrow[x+2]))+2]++
+			j[4*(int(frow[x+3])+int(mrow[x+3]))+3]++
 		}
-		for i, m := range mrow {
-			j[4*(int(frow[i])+int(m))]++
+		for ; x < len(mrow); x++ {
+			j[4*(int(frow[x])+int(mrow[x]))]++
 		}
 	}
 	// Fold the lanes in place: bin b's total lands in j[b], which bins
-	// below b have already read.
+	// below b have already read. Then marginals and MI in the reference
+	// accumulation order: pa[i] sums over ascending j, pb[j] over
+	// ascending i, and the MI terms add in the same row-major histogram
+	// order. Each non-empty bin's p = count/n is divided once, into s.p.
+	// An empty bin's p is +0: the marginals start at +0 and every term is
+	// >= +0, so adding +0 never changes them, and the reference adds no
+	// MI term for it. A non-empty bin has p > 0, hence pa[i] > 0 and
+	// pb[j] > 0, so every one of them adds its term.
 	joint := j[:bins*bins]
-	for b := range joint {
-		l := j[4*b : 4*b+4]
-		joint[b] = l[0] + l[1] + l[2] + l[3]
-	}
-	// Marginals, then MI, in the reference accumulation order: pa[i]
-	// sums over ascending j, pb[j] over ascending i, and the MI terms add
-	// in the same row-major histogram order.
-	for i := 0; i < bins; i++ {
-		s.pa[i] = 0
-		s.pb[i] = 0
-	}
-	for i := 0; i < bins; i++ {
-		for j := 0; j < bins; j++ {
-			p := float64(joint[i*bins+j]) / k.n
-			s.pa[i] += p
-			s.pb[j] += p
+	p := s.p[:bins*bins]
+	pa, pb := s.pa[:bins], s.pb[:bins]
+	clear(pb)
+	for i := range pa {
+		var ra float64
+		for b := i * bins; b < (i+1)*bins; b++ {
+			l := j[4*b : 4*b+4]
+			c := l[0] + l[1] + l[2] + l[3]
+			joint[b] = c
+			if c != 0 {
+				v := float64(c) / k.n
+				p[b] = v
+				ra += v
+				pb[b-i*bins] += v
+			}
 		}
+		pa[i] = ra
 	}
 	var mi float64
-	for i := 0; i < bins; i++ {
-		for j := 0; j < bins; j++ {
-			p := float64(joint[i*bins+j]) / k.n
-			if p > 0 && s.pa[i] > 0 && s.pb[j] > 0 {
-				mi += p * math.Log(p/(s.pa[i]*s.pb[j]))
+	for i, ra := range pa {
+		row := i * bins
+		for jb, rb := range pb {
+			if joint[row+jb] != 0 {
+				v := p[row+jb]
+				mi += v * math.Log(v/(ra*rb))
 			}
 		}
 	}
