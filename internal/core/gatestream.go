@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/failpoint"
 	"repro/internal/fault"
 	"repro/internal/img"
 	"repro/internal/register"
@@ -126,6 +127,9 @@ func newGateStream(o Options, n int, dwellUS float64, emit func(int, *img.Gray) 
 // Stacks below the gate's minimum (n < 3) then pass straight through,
 // untouched.
 func (s *gateStream) push(i int, g *img.Gray) error {
+	if err := failpoint.Inject("core.gate.push"); err != nil {
+		return err
+	}
 	if err := g.Validate(); err != nil {
 		return fmt.Errorf("core: quality gate: %w",
 			fmt.Errorf("core: quality gate slice %d: %w", i, err))

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -13,9 +14,11 @@ import (
 	"repro/internal/chipgen"
 	"repro/internal/chips"
 	"repro/internal/ckpt"
+	"repro/internal/failpoint"
 	"repro/internal/fault"
 	"repro/internal/geom"
 	"repro/internal/img"
+	"repro/internal/par"
 	"repro/internal/sem"
 	"repro/internal/volume"
 )
@@ -339,6 +342,47 @@ func TestStreamCancellationReleasesPool(t *testing.T) {
 	}
 	if live := o.Pool.Stats().Live; live != 0 {
 		t.Errorf("%d pool buffers leaked after cancellation", live)
+	}
+}
+
+// TestStreamPanicReleasesPool panics inside the engine's own goroutines
+// — the quality gate on the feeder, a denoise worker — and verifies the
+// panic is confined: the run fails with a *par.PanicError (the feeder's
+// carries index -1, a worker's the slice it was denoising) and every
+// pooled buffer comes back, at one worker and at several.
+func TestStreamPanicReleasesPool(t *testing.T) {
+	defer failpoint.Disable()
+	const n, w, at = 64, 48, 20
+	acq := syntheticStack(n, w)
+	window := geom.R(0, 0, w*8, n*8)
+	for _, c := range []struct {
+		site      string
+		wantIndex int
+	}{{"core.gate.push", -1}, {"core.denoise", at}} {
+		for _, workers := range []int{1, 3} {
+			if err := failpoint.Enable(fmt.Sprintf("%s=panic(poisoned):after=%d", c.site, at), 1); err != nil {
+				t.Fatal(err)
+			}
+			o := deepOptions()
+			o.Workers = workers
+			o.Pool = img.NewPool()
+			_, _, err := Reconstruct(acq, window, o)
+			var pe *par.PanicError
+			if !errors.As(err, &pe) {
+				t.Fatalf("%s workers=%d: err = %v, want a *par.PanicError", c.site, workers, err)
+			}
+			if pe.Value != "poisoned" {
+				t.Errorf("%s workers=%d: panic value %v, want poisoned", c.site, workers, pe.Value)
+			}
+			// Which slice a worker is on at the site's 21st evaluation
+			// is fixed only when one worker takes them in order.
+			if workers == 1 && pe.Index != c.wantIndex {
+				t.Errorf("%s workers=%d: PanicError.Index = %d, want %d", c.site, workers, pe.Index, c.wantIndex)
+			}
+			if live := o.Pool.Stats().Live; live != 0 {
+				t.Errorf("%s workers=%d: %d pool buffers leaked after panic", c.site, workers, live)
+			}
+		}
 	}
 }
 

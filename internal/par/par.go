@@ -83,7 +83,8 @@ type Hooks struct {
 // the whole fan-out: the panic is confined to its index and surfaces as
 // an ordinary error alongside the results of every other index.
 type PanicError struct {
-	// Index is the work index whose fn panicked.
+	// Index is the work index whose fn panicked, or -1 for work that
+	// has no index of its own (see Call).
 	Index int
 	// Value is the recovered panic value.
 	Value any
@@ -93,6 +94,20 @@ type PanicError struct {
 
 func (e *PanicError) Error() string {
 	return fmt.Sprintf("par: index %d panicked: %v", e.Index, e.Value)
+}
+
+// Call runs fn on the calling goroutine and returns its error, or a
+// *PanicError for index i when fn panics. It is the confinement
+// ForEachWorkerCtx gives every unit, for callers that run work on
+// goroutines of their own: such a goroutine reports the error instead
+// of taking the process down with it.
+func Call(i int, fn func() error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &PanicError{Index: i, Value: r, Stack: string(debug.Stack())}
+		}
+	}()
+	return fn()
 }
 
 // Config bundles the fan-out knobs ForEachCtx accepts beyond the index
@@ -146,13 +161,8 @@ func ForEachWorkerCtx(ctx context.Context, cfg Config, n int, fn func(ctx contex
 	if n <= 0 {
 		return nil
 	}
-	call := func(g, i int) (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = &PanicError{Index: i, Value: r, Stack: string(debug.Stack())}
-			}
-		}()
-		return fn(ctx, g, i)
+	call := func(g, i int) error {
+		return Call(i, func() error { return fn(ctx, g, i) })
 	}
 	w := WorkersFor(cfg.Workers, n)
 	h := cfg.Hooks

@@ -20,6 +20,7 @@ import (
 	"repro/internal/chips"
 	"repro/internal/ckpt"
 	"repro/internal/core"
+	"repro/internal/failpoint"
 	"repro/internal/img"
 	"repro/internal/obs"
 	"repro/internal/sem"
@@ -687,6 +688,34 @@ func waitDone(t *testing.T, s *Server, id string) {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
+}
+
+// TestServeEnginePanicFailsJob panics a denoise worker of the streaming
+// engine once: the job fails with the panic as its error, and the
+// server, still up, runs the next job to completion.
+func TestServeEnginePanicFailsJob(t *testing.T) {
+	defer failpoint.Disable()
+	if err := failpoint.Enable("core.denoise=panic(poisoned slice):times=1", 1); err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{Jobs: 1, QueueDepth: 4}, nil) // real pipeline
+	st, err := s.Submit(Request{Chip: "B4", Profile: "fast", FaultSeed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Minute)
+	for !st.State.terminal() && time.Now().Before(deadline) {
+		time.Sleep(20 * time.Millisecond)
+		st, _ = s.Status(st.ID)
+	}
+	if st.State != StateFailed || !strings.Contains(st.Error, "panicked: poisoned slice") {
+		t.Fatalf("poisoned job: state %s, error %q; want failed with the panic", st.State, st.Error)
+	}
+	next, err := s.Submit(Request{Chip: "B4", Profile: "fast", FaultSeed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, s, next.ID)
 }
 
 // stageCalls counts the spans named stage in a job's trace.

@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime/debug"
 	"time"
 
 	"repro/internal/failpoint"
@@ -204,33 +203,30 @@ func runUnit(ctx context.Context, name string, i int, fn func(ctx context.Contex
 
 // attempt runs fn once under the per-attempt deadline, converting a
 // panic into a *par.PanicError instead of tearing down the pool.
-func attempt(ctx context.Context, i int, fn func(ctx context.Context, i int) error, timeout time.Duration) (err error) {
+func attempt(ctx context.Context, i int, fn func(ctx context.Context, i int) error, timeout time.Duration) error {
 	actx := ctx
 	if timeout > 0 {
 		var cancel context.CancelFunc
 		actx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			err = &par.PanicError{Index: i, Value: r, Stack: string(debug.Stack())}
+	return par.Call(i, func() error {
+		// Injected attempt failures are transient by definition: they
+		// exercise the retry/backoff loop deterministically. A
+		// panic-kind failpoint lands in par.Call's recover and stays
+		// terminal, matching the real taxonomy.
+		if ferr := failpoint.Inject("supervise.attempt"); ferr != nil {
+			return MarkRetryable(ferr)
 		}
-	}()
-	// Injected attempt failures are transient by definition: they
-	// exercise the retry/backoff loop deterministically. A panic-kind
-	// failpoint lands in the recover above and stays terminal, matching
-	// the real taxonomy.
-	if ferr := failpoint.Inject("supervise.attempt"); ferr != nil {
-		return MarkRetryable(ferr)
-	}
-	err = fn(actx, i)
-	// A deterministic pipeline surfaces a blown deadline as whatever
-	// stage error wrapped ctx.Err(); normalize so the caller's taxonomy
-	// check is uniform.
-	if err != nil && actx.Err() == context.DeadlineExceeded && !errors.Is(err, context.DeadlineExceeded) {
-		err = fmt.Errorf("%w: %w", context.DeadlineExceeded, err)
-	}
-	return err
+		err := fn(actx, i)
+		// A deterministic pipeline surfaces a blown deadline as
+		// whatever stage error wrapped ctx.Err(); normalize so the
+		// caller's taxonomy check is uniform.
+		if err != nil && actx.Err() == context.DeadlineExceeded && !errors.Is(err, context.DeadlineExceeded) {
+			err = fmt.Errorf("%w: %w", context.DeadlineExceeded, err)
+		}
+		return err
+	})
 }
 
 // backoff returns the exponential delay for the given completed attempt
