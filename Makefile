@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race alloc-check check faults-smoke trace-smoke crash-smoke serve-smoke serve-chaos-smoke metrics-smoke overload-smoke memory-smoke fuzz
+.PHONY: build test vet fmt-check race alloc-check check faults-smoke trace-smoke crash-smoke serve-smoke serve-chaos-smoke metrics-smoke overload-smoke memory-smoke fuzz
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,10 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails when any Go file is not gofmt-formatted, listing it.
+fmt-check:
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
 # race runs the full suite under the race detector; the reconstruction
 # hot path fans out on a worker pool, so every change must pass this.
@@ -98,11 +102,11 @@ alloc-check:
 memory-smoke:
 	./scripts/memory_smoke.sh
 
-# check is the CI gate: static analysis, the allocation regression
-# tests, race-checked tests, and the fault-injection, observability,
-# crash-recovery, job-service, service-metrics, overload-resilience
-# and bounded-memory smoke runs.
-check: vet alloc-check race faults-smoke trace-smoke crash-smoke serve-smoke serve-chaos-smoke metrics-smoke overload-smoke memory-smoke
+# check is the CI gate: formatting, static analysis, the allocation
+# regression tests, race-checked tests, and the fault-injection,
+# observability, crash-recovery, job-service, service-metrics,
+# overload-resilience and bounded-memory smoke runs.
+check: fmt-check vet alloc-check race faults-smoke trace-smoke crash-smoke serve-smoke serve-chaos-smoke metrics-smoke overload-smoke memory-smoke
 
 # fuzz exercises the fuzz targets briefly (the seed corpora always run
 # as part of `test`).
