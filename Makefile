@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check race alloc-check check faults-smoke trace-smoke crash-smoke serve-smoke serve-chaos-smoke metrics-smoke overload-smoke memory-smoke fuzz
+.PHONY: build test vet perfbench-vet fmt-check race alloc-check check faults-smoke trace-smoke crash-smoke serve-smoke serve-chaos-smoke metrics-smoke overload-smoke memory-smoke fuzz
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,13 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# perfbench-vet compiles and vets the benchmark module. It is a Go module
+# of its own (replace repro => ../), so the root `go build ./...` never
+# compiles it: without this target, deleting an API the benchmark calls
+# would pass every other check and only fail the benchmark run.
+perfbench-vet:
+	cd perfbench && $(GO) vet ./...
 
 # fmt-check fails when any Go file is not gofmt-formatted, listing it.
 fmt-check:
@@ -102,11 +109,11 @@ alloc-check:
 memory-smoke:
 	./scripts/memory_smoke.sh
 
-# check is the CI gate: formatting, static analysis, the allocation
-# regression tests, race-checked tests, and the fault-injection,
+# check is the CI gate: formatting, static analysis (the benchmark
+# module included), the allocation regression tests, race-checked tests, and the fault-injection,
 # observability, crash-recovery, job-service, service-metrics,
 # overload-resilience and bounded-memory smoke runs.
-check: fmt-check vet alloc-check race faults-smoke trace-smoke crash-smoke serve-smoke serve-chaos-smoke metrics-smoke overload-smoke memory-smoke
+check: fmt-check vet perfbench-vet alloc-check race faults-smoke trace-smoke crash-smoke serve-smoke serve-chaos-smoke metrics-smoke overload-smoke memory-smoke
 
 # fuzz exercises the fuzz targets briefly (the seed corpora always run
 # as part of `test`).

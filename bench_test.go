@@ -154,7 +154,7 @@ func setupReconstruction(b *testing.B) (*sem.Acquisition, geom.Rect, core.Option
 	if err != nil {
 		b.Fatal(err)
 	}
-	acq, err := sem.AcquireStack(vol, o.SEM)
+	acq, err := sem.AcquireStackCtx(context.Background(), vol, o.SEM)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func benchReconstruction(b *testing.B, workers int) {
 	var plan *netex.Plan
 	var err error
 	for i := 0; i < b.N; i++ {
-		plan, _, err = core.Reconstruct(acq, window, o)
+		plan, _, err = core.ReconstructCtx(context.Background(), acq, window, o)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -224,7 +224,7 @@ func benchAlignStack(b *testing.B, workers, pyramid int) {
 	var res register.StackResult
 	var err error
 	for i := 0; i < b.N; i++ {
-		_, res, err = register.AlignStack(acq.Slices, ro)
+		_, res, err = register.AlignStackCtx(context.Background(), acq.Slices, ro)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -246,7 +246,7 @@ func BenchmarkAlignPair(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := register.Align(acq.Slices[0], acq.Slices[1], ro); err != nil {
+		if _, _, err := register.AlignCtx(context.Background(), acq.Slices[0], acq.Slices[1], ro); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -259,6 +259,68 @@ func BenchmarkAlignPair(b *testing.B) {
 // streaming reconstruction repeats for every slice.
 func BenchmarkAlignPairB4(b *testing.B) {
 	o := core.DefaultOptions()
+	pair := b4Slices(b, o, 2, 1)
+	for i, g := range pair {
+		d, err := denoise.ChambolleCtx(context.Background(), g, o.Denoise)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pair[i] = d
+	}
+	ro := o.Register
+	ro.Workers = 1
+	ob := &obs.Observer{Metrics: obs.NewMetrics()}
+	ro.Obs = ob
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := register.AlignRobustCtx(context.Background(), pair[0], pair[1], ro); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(ob.Snapshot().Counters["register.mi_evals"])/float64(b.N), "evals/op")
+}
+
+// E5h — the TV sweep at production geometry: ChambolleInto with the
+// pipeline's denoise settings (lambda 25, 60 iterations, Tol 1e-5) and a
+// warm Scratch, as a streaming worker runs it, over six raw B4 slices
+// (1857x39 px, every 32nd of the 192) imaged at the 12 us dwell that
+// extract uses. Each op denoises one slice, cycling through the six.
+// At this dwell most dual steps have |p| < 1 and skip the projection's
+// division, so the number follows the sweep's loop structure, not the
+// divider; iters/op reports the iterations actually run.
+func BenchmarkChambolleSlice(b *testing.B) {
+	o := core.DefaultOptions()
+	o.SEM.DwellUS = 12
+	slices := b4Slices(b, o, 6, 32)
+	dst := img.New(slices[0].W, slices[0].H)
+	m := obs.NewMetrics()
+	do := o.Denoise
+	do.Obs = &obs.Observer{Metrics: m}
+	s := &denoise.Scratch{}
+	for _, f := range slices {
+		if err := denoise.ChambolleInto(context.Background(), dst, f, do, s); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := denoise.ChambolleInto(context.Background(), dst, slices[i%len(slices)], do, s); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	c := m.Snapshot().Counters
+	b.ReportMetric(float64(c["denoise.iterations"])/float64(c["denoise.slices"]), "iters/op")
+}
+
+// b4Slices streams chip B4's region as the pipeline images it (o's
+// units, voxel and SEM settings, the chip's detector) and returns n raw
+// slices: stack indices 0, stride, 2*stride, ...
+func b4Slices(b *testing.B, o core.Options, n, stride int) []*img.Gray {
+	b.Helper()
 	chip := chips.ByID("B4")
 	cfg := chipgen.DefaultConfig(chip)
 	cfg.Units = o.Units
@@ -271,34 +333,21 @@ func BenchmarkAlignPairB4(b *testing.B) {
 		b.Fatal(err)
 	}
 	o.SEM.Detector = chip.Detector
-	var pair []*img.Gray
-	errPair := errors.New("pair acquired")
-	err = sem.StreamStackCtx(context.Background(), planes, o.SEM, func(_, _ int, g *img.Gray, _ [2]float64) error {
-		d, err := denoise.Chambolle(g, o.Denoise)
-		if err != nil {
-			return err
+	var out []*img.Gray
+	errDone := errors.New("slices acquired")
+	err = sem.StreamStackCtx(context.Background(), planes, o.SEM, func(i, _ int, g *img.Gray, _ [2]float64) error {
+		if i%stride != 0 {
+			return nil
 		}
-		if pair = append(pair, d); len(pair) == 2 {
-			return errPair
+		if out = append(out, g); len(out) == n {
+			return errDone
 		}
 		return nil
 	})
-	if err != errPair {
-		b.Fatalf("acquiring the pair: %v", err)
+	if err != errDone {
+		b.Fatalf("acquiring %d B4 slices: %v", n, err)
 	}
-	ro := o.Register
-	ro.Workers = 1
-	ob := &obs.Observer{Metrics: obs.NewMetrics()}
-	ro.Obs = ob
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := register.AlignRobust(pair[0], pair[1], ro); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(ob.Snapshot().Counters["register.mi_evals"])/float64(b.N), "evals/op")
+	return out
 }
 
 // E5g — the reslice median at production geometry: the radius-1
@@ -592,7 +641,7 @@ func BenchmarkDieFlow(b *testing.B) {
 	var res *core.DieResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = core.RunOnDie(chips.ByID("B4"), o)
+		res, err = core.RunOnDieCtx(context.Background(), chips.ByID("B4"), o)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -38,7 +38,10 @@
 // -resume loads a verified one back (corrupt or stale entries are
 // recomputed, never served), so a repeated run images nothing and
 // produces byte-identical output. planar runs the same pipeline as
-// extract and shares its checkpoint. extract additionally
+// extract but images at the 3 us default dwell, where extract's -dwell
+// defaults to 12 us; the dwell is part of the checkpoint key, so planar
+// resumes from extract's checkpoint only after "extract -dwell 3" with
+// the same -ckpt-dir. extract additionally
 // takes -timeout (per-chip per-attempt deadline) and -retries
 // (transient-failure retry budget); with -all each chip runs supervised
 // and isolated — one failure never aborts the rest — with per-chip
@@ -745,7 +748,9 @@ func detectedFaults(res *core.Result) int {
 // runPlanar runs the extraction pipeline on one chip and writes its
 // planar views, one PGM per fabrication layer — the images of Fig. 7d.
 // The views are the Result's, so they come from the reconstruction the
-// fidelity score judges, and -resume shares extract's checkpoint.
+// fidelity score judges. planar images at the 3 us default dwell, so
+// -resume finds extract's checkpoint only when extract ran with
+// -dwell 3 (and otherwise equal options).
 func runPlanar(ctx context.Context, args []string) (retErr error) {
 	fs := flag.NewFlagSet("planar", flag.ExitOnError)
 	id := chipFlag(fs)

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -50,7 +51,7 @@ func main() {
 		if chip.FeatureNM >= 24 {
 			o.VoxelNM = 8
 		}
-		res, err := core.Run(chip, o)
+		res, err := core.RunCtx(context.Background(), chip, o)
 		if err != nil {
 			log.Fatalf("%s: %v", chip.ID, err)
 		}

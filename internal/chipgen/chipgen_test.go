@@ -1,6 +1,7 @@
 package chipgen
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/chips"
@@ -340,12 +341,11 @@ func TestVoxelizeBasics(t *testing.T) {
 	if v.NY != StackDepth {
 		t.Errorf("NY = %d, want %d", v.NY, StackDepth)
 	}
-	h := v.MaterialHistogram()
-	if h[MatOxide] == 0 {
+	if !slices.Contains(v.Data, MatOxide) {
 		t.Errorf("no oxide background")
 	}
 	for _, m := range []Material{MatM1, MatGate, MatActive, MatContact, MatVia, MatM2} {
-		if h[m] == 0 {
+		if !slices.Contains(v.Data, m) {
 			t.Errorf("material %s absent from voxelization", m)
 		}
 	}
@@ -372,30 +372,6 @@ func TestVoxelizeErrors(t *testing.T) {
 	}
 }
 
-func TestCrossSection(t *testing.T) {
-	r, err := Generate(DefaultConfig(chips.ByID("B4")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := Voxelize(r.Cell, r.Truth.RegionBounds, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs, err := v.CrossSection(v.NZ / 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cs) != v.NY || len(cs[0]) != v.NX {
-		t.Errorf("cross section %dx%d, want %dx%d", len(cs), len(cs[0]), v.NY, v.NX)
-	}
-	if _, err := v.CrossSection(-1); err == nil {
-		t.Errorf("negative slice should fail")
-	}
-	if _, err := v.CrossSection(v.NZ); err == nil {
-		t.Errorf("out-of-range slice should fail")
-	}
-}
-
 func TestMaterialStrings(t *testing.T) {
 	if MatM1.String() != "M1" || MatOxide.String() != "oxide" {
 		t.Errorf("material names wrong")
@@ -403,18 +379,16 @@ func TestMaterialStrings(t *testing.T) {
 	if Material(200).String() == "" {
 		t.Errorf("unknown material name empty")
 	}
+	seen := map[Material]layout.Layer{}
 	for _, l := range layout.Layers() {
 		m := MaterialOf(l)
 		if m == MatOxide {
 			t.Errorf("layer %s maps to oxide", l)
 		}
-		back, ok := LayerOf(m)
-		if !ok || back != l {
-			t.Errorf("layer %s does not round trip through material", l)
+		if prev, dup := seen[m]; dup {
+			t.Errorf("layers %s and %s share material %s", prev, l, m)
 		}
-	}
-	if _, ok := LayerOf(MatOxide); ok {
-		t.Errorf("oxide has no layer")
+		seen[m] = l
 	}
 }
 

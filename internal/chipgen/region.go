@@ -349,29 +349,6 @@ func (b *builder) buildLatchPair(x0 int64, band int, e chips.Element, rail strin
 	return railX + 2*ff
 }
 
-// dodgeDown lowers a contact top edge so the contact [top-cs, top] clears
-// the foreign M1 track centered at trackY (width ff, spacing m).
-func dodgeDown(top, trackY, ff, m int64) int64 {
-	cs := ff / 2
-	zoneLo := trackY - ff/2 - m
-	zoneHi := trackY + ff/2 + m
-	if top > zoneLo && top-cs < zoneHi {
-		return zoneLo
-	}
-	return top
-}
-
-// dodgeUp raises a contact bottom edge past the foreign track.
-func dodgeUp(bottom, trackY, ff, m int64) int64 {
-	cs := ff / 2
-	zoneLo := trackY - ff/2 - m
-	zoneHi := trackY + ff/2 + m
-	if bottom < zoneHi && bottom+cs > zoneLo {
-		return zoneHi
-	}
-	return bottom
-}
-
 // contact places a contact-layer rectangle.
 func (b *builder) contact(r geom.Rect, net string) {
 	b.cell.AddRect(layout.LayerContact, r, net, "contact")

@@ -84,28 +84,6 @@ func MaterialOf(l layout.Layer) Material {
 	return MatOxide
 }
 
-// LayerOf maps a material back to its layout layer; ok is false for
-// oxide.
-func LayerOf(m Material) (layout.Layer, bool) {
-	switch m {
-	case MatCapacitor:
-		return layout.LayerCapacitor, true
-	case MatM2:
-		return layout.LayerM2, true
-	case MatVia:
-		return layout.LayerVia1, true
-	case MatM1:
-		return layout.LayerM1, true
-	case MatContact:
-		return layout.LayerContact, true
-	case MatGate:
-		return layout.LayerGate, true
-	case MatActive:
-		return layout.LayerActive, true
-	}
-	return 0, false
-}
-
 // MatVolume is a dense NX×NY×NZ volume of material identifiers. Axes
 // follow package volume's convention: X along the bitlines, Y is depth
 // into the stack, Z across the bitlines (the FIB slicing direction).
@@ -179,23 +157,6 @@ func Voxelize(cell *layout.Cell, window geom.Rect, voxelNM int64) (*MatVolume, e
 	return v, nil
 }
 
-// CrossSection returns the material plane at slicing position z: an
-// NX×NY field (lateral × depth), what one FIB cut exposes.
-func (v *MatVolume) CrossSection(z int) ([][]Material, error) {
-	if z < 0 || z >= v.NZ {
-		return nil, fmt.Errorf("chipgen: slice z=%d out of [0,%d)", z, v.NZ)
-	}
-	out := make([][]Material, v.NY)
-	for y := 0; y < v.NY; y++ {
-		row := make([]Material, v.NX)
-		for x := 0; x < v.NX; x++ {
-			row[x] = v.At(x, y, z)
-		}
-		out[y] = row
-	}
-	return out, nil
-}
-
 // CropX returns the sub-volume covering voxel columns [x0, x1), keeping
 // the full depth and slicing extent — how the pipeline narrows a die scan
 // to the identified region of interest.
@@ -220,13 +181,4 @@ func (v *MatVolume) CropX(x0, x1 int) (*MatVolume, error) {
 		}
 	}
 	return out, nil
-}
-
-// MaterialHistogram counts voxels per material.
-func (v *MatVolume) MaterialHistogram() [NumMaterials]int {
-	var h [NumMaterials]int
-	for _, m := range v.Data {
-		h[m]++
-	}
-	return h
 }

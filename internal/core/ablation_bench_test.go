@@ -7,6 +7,7 @@ package core
 // fidelity so a -bench run doubles as the ablation table.
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/chips"
@@ -14,7 +15,7 @@ import (
 
 func runOnce(b *testing.B, o Options) (errPct, costH, topoOK float64) {
 	b.Helper()
-	res, err := Run(chips.ByID("B4"), o)
+	res, err := RunCtx(context.Background(), chips.ByID("B4"), o)
 	if err != nil {
 		// A failed extraction is a data point, not a broken bench.
 		return 100, 0, 0

@@ -24,13 +24,13 @@ import (
 const ckptSchema = 3
 
 // CkptNetex names the one checkpointed artifact: the extraction that
-// Run and RunOnDie persist. It follows reconstruction, so nothing
+// RunCtx and RunOnDieCtx persist. It follows reconstruction, so nothing
 // stack-sized is ever persisted. A standalone ReconstructCtx or
 // PlanarViewsCtx is handed an acquisition the options cannot
 // reproduce, so it is never keyed and never checkpoints.
 const CkptNetex = "netex"
 
-// netexArtifact checkpoints the extraction boundary: everything Run
+// netexArtifact checkpoints the extraction boundary: everything RunCtx
 // needs to rebuild its Result without touching the imaging stages
 // (measurement and scoring are cheap and always recomputed).
 type netexArtifact struct {
@@ -73,7 +73,7 @@ type fpOptions struct {
 // The serve layer uses the same fingerprint to key its result cache,
 // which is what lets identical job submissions dedupe to a single
 // computation and share the stage checkpoints of the run that did it.
-// Callers comparing against a Run's keys must resolve the detector
+// Callers comparing against a RunCtx's keys must resolve the detector
 // first (RunCtx sets o.SEM.Detector from the chip before keying).
 func FingerprintOptions(o Options) (string, error) {
 	clean := o
@@ -96,8 +96,8 @@ func FingerprintOptions(o Options) (string, error) {
 
 // newCkptRef binds o's store to a unit, or returns nil when
 // checkpointing is off. The unit must uniquely identify the pipeline
-// input under the fingerprinted options: Run uses the chip ID and
-// RunOnDie "<chip>/die".
+// input under the fingerprinted options: RunCtx uses the chip ID and
+// RunOnDieCtx "<chip>/die".
 func newCkptRef(unit string, o Options) (*ckptRef, error) {
 	if o.Ckpt == nil {
 		return nil, nil

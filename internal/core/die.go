@@ -23,17 +23,12 @@ type DieResult struct {
 	Pipeline *Result
 }
 
-// RunOnDie executes the complete flow on a full die strip: row drivers
+// RunOnDieCtx executes the complete flow on a full die strip: row drivers
 // and MATs are present, the SA region's location is unknown to the
 // pipeline, and only the blindly identified ROI is imaged at full cost.
-func RunOnDie(chip *chips.Chip, o Options) (*DieResult, error) {
-	return RunOnDieCtx(context.Background(), chip, o)
-}
-
-// RunOnDieCtx is RunOnDie with cooperative cancellation and
-// checkpoint/resume. Die runs key their checkpoints under
-// "<chip>/die" so a die-level resume never collides with a plain Run
-// of the same chip at the same options.
+// It honors cancellation and checkpoint/resume like RunCtx. Die runs
+// key their checkpoints under "<chip>/die" so a die-level resume never
+// collides with a plain RunCtx of the same chip at the same options.
 func RunOnDieCtx(ctx context.Context, chip *chips.Chip, o Options) (*DieResult, error) {
 	if chip == nil {
 		return nil, fmt.Errorf("core: nil chip")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/chips"
@@ -11,7 +12,7 @@ func TestRunOnDieFullFlow(t *testing.T) {
 	// die strip (row drivers, MATs, SA region), then acquisition and
 	// extraction of only the identified region.
 	o := fastOptions()
-	res, err := RunOnDie(chips.ByID("B4"), o)
+	res, err := RunOnDieCtx(context.Background(), chips.ByID("B4"), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func TestRunOnDieFullFlow(t *testing.T) {
 }
 
 func TestRunOnDieNilChip(t *testing.T) {
-	if _, err := RunOnDie(nil, fastOptions()); err == nil {
+	if _, err := RunOnDieCtx(context.Background(), nil, fastOptions()); err == nil {
 		t.Errorf("nil chip should error")
 	}
 }
@@ -48,7 +49,7 @@ func TestRotationSurrogateTrendDrift(t *testing.T) {
 	o := fastOptions()
 	o.SEM.DriftSigmaPx = 0.4
 	o.SEM.DriftTrendPx = 0.3
-	res, err := Run(chips.ByID("B4"), o)
+	res, err := RunCtx(context.Background(), chips.ByID("B4"), o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
@@ -29,7 +30,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 var goldenPath = filepath.Join("testdata", "golden_fast.json")
 
 // goldenCase is one pinned pipeline outcome. Err pins a known failure
-// instead of a result; Views hashes the planar views PlanarViews
+// instead of a result; Views hashes the planar views PlanarViewsCtx
 // renders from the same acquisition.
 type goldenCase struct {
 	Chip        string `json:"chip"`
@@ -86,7 +87,7 @@ func TestGoldenFingerprints(t *testing.T) {
 				o.Ckpt = run.store
 				o.Resume = run.store != nil
 				rc := goldenCase{Chip: chip.ID, Faults: faulted, Views: views}
-				res, err := Run(chip, o)
+				res, err := RunCtx(context.Background(), chip, o)
 				if err != nil {
 					rc.Err = err.Error()
 				} else {
@@ -166,8 +167,8 @@ func goldenFingerprint(t *testing.T, chip string, faults bool) string {
 	return ""
 }
 
-// goldenViews acquires the chip's region exactly as Run does, applies
-// the fault plan, and hashes the planar views PlanarViews renders.
+// goldenViews acquires the chip's region exactly as RunCtx does, applies
+// the fault plan, and hashes the planar views PlanarViewsCtx renders.
 func goldenViews(chip *chips.Chip, o Options) (string, error) {
 	cfg := chipgen.DefaultConfig(chip)
 	cfg.Units = o.Units
@@ -179,7 +180,7 @@ func goldenViews(chip *chips.Chip, o Options) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	acq, err := sem.AcquireStack(vol, o.SEM)
+	acq, err := sem.AcquireStackCtx(context.Background(), vol, o.SEM)
 	if err != nil {
 		return "", err
 	}
@@ -189,7 +190,7 @@ func goldenViews(chip *chips.Chip, o Options) (string, error) {
 		}
 	}
 	o.Workers = 3
-	views, err := PlanarViews(acq, o)
+	views, err := PlanarViewsCtx(context.Background(), acq, o)
 	if err != nil {
 		return "", err
 	}
@@ -246,7 +247,7 @@ func TestGoldenDefaultB4(t *testing.T) {
 	o.SEM.DwellUS = 12
 	o.Register.Pyramid = 0
 	o.Obs = &obs.Observer{Metrics: obs.NewMetrics()}
-	res, err := Run(chip, o)
+	res, err := RunCtx(context.Background(), chip, o)
 	if err != nil {
 		t.Fatal(err)
 	}

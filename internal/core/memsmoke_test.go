@@ -83,7 +83,7 @@ func memorySmokeStack(t *testing.T, mode string) string {
 	} else {
 		o.Workers = 4
 		o.Pool = img.NewPool()
-		plan, info, err = Reconstruct(acq, window, o)
+		plan, info, err = ReconstructCtx(context.Background(), acq, window, o)
 	}
 	if err != nil {
 		t.Fatalf("%s reconstruction: %v", mode, err)

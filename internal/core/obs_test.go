@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"io"
 	"log/slog"
 	"reflect"
@@ -45,7 +46,7 @@ func TestRunByteIdenticalWithObservability(t *testing.T) {
 
 	o := opts()
 	o.Workers = 2
-	base, err := Run(chip, o)
+	base, err := RunCtx(context.Background(), chip, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestRunByteIdenticalWithObservability(t *testing.T) {
 	o = opts()
 	o.Workers = 2
 	o.Obs = fullObserver()
-	observed, err := Run(chip, o)
+	observed, err := RunCtx(context.Background(), chip, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestRunByteIdenticalWithObservability(t *testing.T) {
 	o5 := opts()
 	o5.Workers = 5
 	o5.Obs = fullObserver()
-	observed5, err := Run(chip, o5)
+	observed5, err := RunCtx(context.Background(), chip, o5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,18 +134,18 @@ func TestRunByteIdenticalWithObservability(t *testing.T) {
 	}
 }
 
-// The cheaper half of the contract: Reconstruct alone, observed vs not,
+// The cheaper half of the contract: ReconstructCtx alone, observed vs not,
 // on the shared acquisition.
 func TestReconstructUnperturbedByObservability(t *testing.T) {
 	acq, window := testAcquisition(t)
 	o := fastOptions()
 	o.Workers = 3
-	wantPlan, wantInfo, err := Reconstruct(acq, window, o)
+	wantPlan, wantInfo, err := ReconstructCtx(context.Background(), acq, window, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	o.Obs = fullObserver()
-	gotPlan, gotInfo, err := Reconstruct(acq, window, o)
+	gotPlan, gotInfo, err := ReconstructCtx(context.Background(), acq, window, o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func testAcquisition(t *testing.T) (*sem.Acquisition, geom.Rect) {
 			return
 		}
 		o.SEM.Detector = chip.Detector
-		acq, err := sem.AcquireStack(vol, o.SEM)
+		acq, err := sem.AcquireStackCtx(context.Background(), vol, o.SEM)
 		if err != nil {
 			sharedAcq.err = err
 			return
@@ -63,12 +63,12 @@ func TestReconstructParallelMatchesSerial(t *testing.T) {
 			o := fastOptions()
 			o.Denoiser = den
 			o.Workers = 1
-			wantPlan, wantInfo, err := Reconstruct(acq, window, o)
+			wantPlan, wantInfo, err := ReconstructCtx(context.Background(), acq, window, o)
 			if err != nil {
 				t.Fatal(err)
 			}
 			o.Workers = 6
-			gotPlan, gotInfo, err := Reconstruct(acq, window, o)
+			gotPlan, gotInfo, err := ReconstructCtx(context.Background(), acq, window, o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -86,12 +86,12 @@ func TestPlanarViewsParallelMatchesSerial(t *testing.T) {
 	acq, _ := testAcquisition(t)
 	o := fastOptions()
 	o.Workers = 1
-	want, err := PlanarViews(acq, o)
+	want, err := PlanarViewsCtx(context.Background(), acq, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	o.Workers = 5
-	got, err := PlanarViews(acq, o)
+	got, err := PlanarViewsCtx(context.Background(), acq, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestPlanarViewsParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// PlanFromVolume assembles per-layer results in layout order, so the
+// PlanFromVolumeCtx assembles per-layer results in layout order, so the
 // plan (rectangle order included) is identical for any worker count.
 func TestPlanFromVolumeParallelMatchesSerial(t *testing.T) {
 	acq, window := testAcquisition(t)
@@ -129,16 +129,16 @@ func TestPlanFromVolumeParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := PlanFromVolume(vol, window, o)
+	want, err := PlanFromVolumeCtx(context.Background(), vol, window, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	o.Workers = 7
-	got, err := PlanFromVolume(vol, window, o)
+	got, err := PlanFromVolumeCtx(context.Background(), vol, window, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("parallel PlanFromVolume differs from serial")
+		t.Errorf("parallel PlanFromVolumeCtx differs from serial")
 	}
 }

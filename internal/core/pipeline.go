@@ -69,12 +69,12 @@ type Options struct {
 	// or nil, for any worker count, the pipeline output is byte-
 	// identical, and the counter values themselves are deterministic.
 	Obs *obs.Observer
-	// Ckpt, when non-nil, persists the extraction ("netex") of Run and
-	// RunOnDie into the store, so a finished computation is never
+	// Ckpt, when non-nil, persists the extraction ("netex") of RunCtx and
+	// RunOnDieCtx into the store, so a finished computation is never
 	// repeated; only those two checkpoint. Acquisition is synthetic and
 	// deterministic, so an interrupted run costs at most one
-	// reconstruction. Keys derive from the chip ID (Run) or "<chip>/die"
-	// (RunOnDie) plus a fingerprint of the result-affecting options —
+	// reconstruction. Keys derive from the chip ID (RunCtx) or "<chip>/die"
+	// (RunOnDieCtx) plus a fingerprint of the result-affecting options —
 	// worker counts and observability sinks are excluded, so any worker
 	// count shares the same checkpoints. Standalone ReconstructCtx and
 	// PlanarViewsCtx ignore the store: the options alone cannot
@@ -82,7 +82,7 @@ type Options struct {
 	// checksummed; persistence failures degrade the run to
 	// non-resumable but never fail it.
 	Ckpt *ckpt.Store
-	// Resume enables loading from Ckpt in Run and RunOnDie: a verified
+	// Resume enables loading from Ckpt in RunCtx and RunOnDieCtx: a verified
 	// checkpoint skips every imaging stage and yields byte-identical
 	// output to recomputing; a missing, torn or checksum-mismatched one
 	// is counted ("ckpt.miss" / "ckpt.corrupt") and transparently
@@ -155,7 +155,7 @@ type Result struct {
 	// reconstruction; the serve layer and extract -gds rely on this.
 	Plan *netex.Plan
 	// Views are the reconstructed planar views of every fabrication
-	// layer by name (the images of Fig. 7d) — exactly what PlanarViews
+	// layer by name (the images of Fig. 7d) — exactly what PlanarViewsCtx
 	// renders from the same acquisition, before the median filter that
 	// precedes segmentation.
 	Views map[string]*img.Gray
@@ -172,19 +172,15 @@ type Result struct {
 	Telemetry *obs.Snapshot
 }
 
-// Run executes the full pipeline for one chip.
-func Run(chip *chips.Chip, o Options) (*Result, error) {
-	return RunCtx(context.Background(), chip, o)
-}
-
-// RunCtx is Run with cooperative cancellation and checkpoint/resume.
-// Every stage checks the context between its units of work (slices,
-// candidate shifts, layers), so cancellation — a deadline, SIGINT — is
-// honored promptly and the error unwraps to ctx.Err(). With Options.Ckpt
-// set, the finished extraction persists to the store, and with
-// Options.Resume a later invocation with equal options skips every
-// imaging stage, producing a Result byte-identical (Telemetry aside,
-// which reflects the work actually performed) to an uninterrupted run.
+// RunCtx executes the full pipeline for one chip, with cooperative
+// cancellation and checkpoint/resume. Every stage checks the context
+// between its units of work (slices, candidate shifts, layers), so
+// cancellation — a deadline, SIGINT — is honored promptly and the error
+// unwraps to ctx.Err(). With Options.Ckpt set, the finished extraction
+// persists to the store, and with Options.Resume a later invocation
+// with equal options skips every imaging stage, producing a Result
+// byte-identical (Telemetry aside, which reflects the work actually
+// performed) to an uninterrupted run.
 func RunCtx(ctx context.Context, chip *chips.Chip, o Options) (*Result, error) {
 	if chip == nil {
 		return nil, fmt.Errorf("core: nil chip")
@@ -220,8 +216,8 @@ func RunCtx(ctx context.Context, chip *chips.Chip, o Options) (*Result, error) {
 	return runPlanes(ctx, chip, chip.ID, region.Truth, planes, window, o)
 }
 
-// runPlanes is the pipeline from the material planes on, shared by Run
-// and RunOnDie: acquisition renders slice by slice inside the stream's
+// runPlanes is the pipeline from the material planes on, shared by RunCtx
+// and RunOnDieCtx: acquisition renders slice by slice inside the stream's
 // feeder (under the acquire stage span), the fault schedule corrupts
 // each slice as it passes, and reconstructStream folds the slices into
 // planar views — so the window, not the stack depth, bounds the live
@@ -349,18 +345,13 @@ type ReconInfo struct {
 	AlignFallbacks int
 }
 
-// Reconstruct performs the post-processing of Section IV-C plus planar
+// ReconstructCtx performs the post-processing of Section IV-C plus planar
 // segmentation of Section V-A on an acquisition: screen and repair the
 // raw stack (slice-quality gate), denoise every slice, align the stack,
 // extract per-layer planar views and segment them into the rectangle
 // plan the circuit extraction consumes. It does not apply
-// Options.Faults: the acquisition is taken as given.
-func Reconstruct(acq *sem.Acquisition, window geom.Rect, o Options) (*netex.Plan, ReconInfo, error) {
-	return ReconstructCtx(context.Background(), acq, window, o)
-}
-
-// ReconstructCtx is Reconstruct with cooperative cancellation. It
-// never checkpoints (see Options.Ckpt).
+// Options.Faults: the acquisition is taken as given. It honors
+// cancellation and never checkpoints (see Options.Ckpt).
 func ReconstructCtx(ctx context.Context, acq *sem.Acquisition, window geom.Rect, o Options) (*netex.Plan, ReconInfo, error) {
 	plan, info, _, err := reconstructStream(ctx, len(acq.Slices), streamAcqSource(acq), acq.Options.DwellUS, window, o)
 	if err != nil {
@@ -383,16 +374,11 @@ func regOptions(o Options) register.Options {
 	return reg
 }
 
-// PlanarViews denoises and aligns an acquisition, then returns the
+// PlanarViewsCtx denoises and aligns an acquisition, then returns the
 // reconstructed planar view image of every fabrication layer by name —
 // the images of Fig. 7d. It honours the same Options.Denoiser selection
-// and alignment guard as Reconstruct.
-func PlanarViews(acq *sem.Acquisition, o Options) (map[string]*img.Gray, error) {
-	return PlanarViewsCtx(context.Background(), acq, o)
-}
-
-// PlanarViewsCtx is PlanarViews with cooperative cancellation. It
-// never checkpoints (see Options.Ckpt).
+// and alignment guard as ReconstructCtx, honors cancellation and never
+// checkpoints (see Options.Ckpt).
 func PlanarViewsCtx(ctx context.Context, acq *sem.Acquisition, o Options) (map[string]*img.Gray, error) {
 	f, _, err := foldStream(ctx, len(acq.Slices), streamAcqSource(acq), acq.Options.DwellUS, o)
 	if err != nil {
@@ -443,18 +429,13 @@ func flatField(g *img.Gray) {
 	}
 }
 
-// PlanFromVolume reslices the reconstructed volume into one planar view
+// PlanFromVolumeCtx reslices the reconstructed volume into one planar view
 // per fabrication layer, segments each view, and converts the recovered
 // rectangles to nanometer coordinates. The two phases (reslice, then
 // segment) each fan out over the layers under their own stage span;
 // phase order and the per-layer index addressing keep the plan
-// byte-identical to a sequential build for any worker count.
-func PlanFromVolume(vol *volume.Volume, window geom.Rect, o Options) (*netex.Plan, error) {
-	return PlanFromVolumeCtx(context.Background(), vol, window, o)
-}
-
-// PlanFromVolumeCtx is PlanFromVolume with cooperative cancellation
-// between layers in both fan-outs.
+// byte-identical to a sequential build for any worker count. The
+// context is checked between layers in both fan-outs.
 func PlanFromVolumeCtx(ctx context.Context, vol *volume.Volume, window geom.Rect, o Options) (*netex.Plan, error) {
 	layers := bandedLayers()
 	return planFromViews(ctx, layers, func(i int) (*img.Gray, error) {

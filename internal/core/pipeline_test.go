@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"sort"
@@ -13,17 +14,17 @@ import (
 )
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(nil, DefaultOptions()); err == nil {
+	if _, err := RunCtx(context.Background(), nil, DefaultOptions()); err == nil {
 		t.Errorf("nil chip should error")
 	}
 	o := DefaultOptions()
 	o.Units = 0
-	if _, err := Run(chips.ByID("B4"), o); err == nil {
+	if _, err := RunCtx(context.Background(), chips.ByID("B4"), o); err == nil {
 		t.Errorf("zero units should error")
 	}
 	o = DefaultOptions()
 	o.Denoiser = "bogus"
-	if _, err := Run(chips.ByID("B4"), o); err == nil {
+	if _, err := RunCtx(context.Background(), chips.ByID("B4"), o); err == nil {
 		t.Errorf("unknown denoiser should error")
 	}
 }
@@ -41,7 +42,7 @@ func fastOptions() Options {
 
 func TestPipelineEndToEndClassic(t *testing.T) {
 	chip := chips.ByID("B4") // coarsest features: most robust under noise
-	res, err := Run(chip, fastOptions())
+	res, err := RunCtx(context.Background(), chip, fastOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestPipelineEndToEndOCSA(t *testing.T) {
 	// grid to survive segmentation.
 	o := fastOptions()
 	o.VoxelNM = 4
-	res, err := Run(chip, o)
+	res, err := RunCtx(context.Background(), chip, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestPipelineNoNoiseIsNearPerfect(t *testing.T) {
 	o.SEM.BlurSigmaPx = 0
 	o.Denoiser = "none"
 	o.Register.MaxShift = 0
-	res, err := Run(chips.ByID("C4"), o)
+	res, err := RunCtx(context.Background(), chips.ByID("C4"), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestPipelineNoNoiseIsNearPerfect(t *testing.T) {
 func TestPipelineSplitBregmanPath(t *testing.T) {
 	o := fastOptions()
 	o.Denoiser = "split-bregman"
-	res, err := Run(chips.ByID("B4"), o)
+	res, err := RunCtx(context.Background(), chips.ByID("B4"), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestPipelineSplitBregmanPath(t *testing.T) {
 }
 
 func TestMeasurementCountScales(t *testing.T) {
-	res, err := Run(chips.ByID("B4"), fastOptions())
+	res, err := RunCtx(context.Background(), chips.ByID("B4"), fastOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestPipelineWithProcessVariation(t *testing.T) {
 	o := fastOptions()
 	o.JitterPct = 4
 	o.JitterSeed = 5
-	res, err := Run(chips.ByID("B4"), o)
+	res, err := RunCtx(context.Background(), chips.ByID("B4"), o)
 	if err != nil {
 		t.Fatal(err)
 	}

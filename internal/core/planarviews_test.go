@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/chipgen"
@@ -22,11 +23,11 @@ func TestPlanarViews(t *testing.T) {
 		t.Fatal(err)
 	}
 	o.SEM.Detector = chip.Detector
-	acq, err := sem.AcquireStack(vol, o.SEM)
+	acq, err := sem.AcquireStackCtx(context.Background(), vol, o.SEM)
 	if err != nil {
 		t.Fatal(err)
 	}
-	views, err := PlanarViews(acq, o)
+	views, err := PlanarViewsCtx(context.Background(), acq, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestPlanarViews(t *testing.T) {
 	}
 }
 
-// PlanarViews must honour Options.Denoiser like Reconstruct does —
+// PlanarViewsCtx must honour Options.Denoiser like ReconstructCtx does —
 // including the "none" and "split-bregman" paths and rejecting unknown
 // names — instead of silently running Chambolle.
 func TestPlanarViewsDenoiserPaths(t *testing.T) {
@@ -61,7 +62,7 @@ func TestPlanarViewsDenoiserPaths(t *testing.T) {
 		t.Run(den, func(t *testing.T) {
 			o := fastOptions()
 			o.Denoiser = den
-			views, err := PlanarViews(acq, o)
+			views, err := PlanarViewsCtx(context.Background(), acq, o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,7 +80,7 @@ func TestPlanarViewsDenoiserPaths(t *testing.T) {
 	}
 	o := fastOptions()
 	o.Denoiser = "bogus"
-	if _, err := PlanarViews(acq, o); err == nil {
+	if _, err := PlanarViewsCtx(context.Background(), acq, o); err == nil {
 		t.Errorf("unknown denoiser must error, not fall back to chambolle")
 	}
 }
@@ -98,15 +99,15 @@ func tinyStack(w, n int) *sem.Acquisition {
 	return acq
 }
 
-// PlanarViews must apply the same alignment guard as Reconstruct:
+// PlanarViewsCtx must apply the same alignment guard as ReconstructCtx:
 // MaxShift=0 and single-slice stacks skip the MI alignment entirely.
 // 4-pixel-wide slices are too small for even a zero-width search window,
-// so an unguarded AlignStack call would fail here.
+// so an unguarded AlignStackCtx call would fail here.
 func TestPlanarViewsAlignmentGuard(t *testing.T) {
 	o := fastOptions()
 	o.Denoiser = "none"
 	o.Register.MaxShift = 0
-	views, err := PlanarViews(tinyStack(4, 3), o)
+	views, err := PlanarViewsCtx(context.Background(), tinyStack(4, 3), o)
 	if err != nil {
 		t.Fatalf("MaxShift=0 must skip alignment: %v", err)
 	}
@@ -116,7 +117,7 @@ func TestPlanarViewsAlignmentGuard(t *testing.T) {
 
 	o = fastOptions()
 	o.Denoiser = "none" // MaxShift stays at the default 4
-	views, err = PlanarViews(tinyStack(4, 1), o)
+	views, err = PlanarViewsCtx(context.Background(), tinyStack(4, 1), o)
 	if err != nil {
 		t.Fatalf("single-slice stack must skip alignment: %v", err)
 	}

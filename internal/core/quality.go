@@ -101,15 +101,6 @@ type RepairReport struct {
 	Repairs []SliceRepair
 }
 
-// Indices returns the flagged slice indices in ascending order.
-func (r RepairReport) Indices() []int {
-	out := make([]int, len(r.Repairs))
-	for i, rep := range r.Repairs {
-		out[i] = rep.Index
-	}
-	return out
-}
-
 // sliceFeatures are the per-slice statistics every detector reads.
 type sliceFeatures struct {
 	satFrac   float64

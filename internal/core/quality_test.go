@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -30,7 +31,7 @@ func chipAcquisition(t *testing.T, id string, o Options) (*sem.Acquisition, geom
 		t.Fatal(err)
 	}
 	o.SEM.Detector = chip.Detector
-	acq, err := sem.AcquireStack(vol, o.SEM)
+	acq, err := sem.AcquireStackCtx(context.Background(), vol, o.SEM)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestRunWithFaultsSelfHeals(t *testing.T) {
 	o := DefaultOptions()
 	o.SEM.DwellUS = 12
 	chip := chips.ByID("A4")
-	clean, err := Run(chip, o)
+	clean, err := RunCtx(context.Background(), chip, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +211,7 @@ func TestRunWithFaultsSelfHeals(t *testing.T) {
 	}
 	plan := fault.DefaultPlan()
 	o.Faults = &plan
-	faulted, err := Run(chip, o)
+	faulted, err := RunCtx(context.Background(), chip, o)
 	if err != nil {
 		t.Fatalf("faulted run must self-heal, got: %v", err)
 	}

@@ -26,10 +26,10 @@ import (
 	"repro/internal/volume"
 )
 
-// referenceReconstruct is Reconstruct on the reference path: the gated,
+// referenceReconstruct is ReconstructCtx on the reference path: the gated,
 // denoised and aligned stack, the residual drift over it, the assembled
-// volume and PlanFromVolume. It also returns the raw planar views of
-// the volume, averaged over each band's interior exactly as PlanarViews
+// volume and PlanFromVolumeCtx. It also returns the raw planar views of
+// the volume, averaged over each band's interior exactly as PlanarViewsCtx
 // always has.
 func referenceReconstruct(ctx context.Context, acq *sem.Acquisition, window geom.Rect, o Options) (*netex.Plan, ReconInfo, map[string]*img.Gray, error) {
 	pre, err := preprocessCtx(ctx, acq, o)
@@ -67,7 +67,7 @@ func referenceReconstruct(ctx context.Context, acq *sem.Acquisition, window geom
 	return plan, info, views, nil
 }
 
-// referenceRun is Run on the reference path: the region is voxelized
+// referenceRun is RunCtx on the reference path: the region is voxelized
 // and acquired whole, faults are injected in place on the materialized
 // acquisition, and the stack is reconstructed by referenceReconstruct.
 func referenceRun(ctx context.Context, chip *chips.Chip, o Options) (*Result, error) {

@@ -30,7 +30,7 @@ func resumeOptions() Options {
 }
 
 // TestResumeDeterministicAtEveryBoundary is the acceptance test for the
-// checkpoint scheme: a run resumed from the extraction ("netex") a Run
+// checkpoint scheme: a run resumed from the extraction ("netex") a RunCtx
 // persisted at one worker count, at worker counts the writer did not
 // use, skips every imaging stage and produces output identical to an
 // uninterrupted run, down to the gob encoding.
@@ -41,7 +41,7 @@ func TestResumeDeterministicAtEveryBoundary(t *testing.T) {
 	// gob encoding and a canonical hash of the views (a map, whose gob
 	// order is not reproducible).
 	run := func(o Options) (Result, string, error) {
-		res, err := Run(chip, o)
+		res, err := RunCtx(context.Background(), chip, o)
 		if err != nil {
 			return Result{}, "", err
 		}
@@ -99,7 +99,7 @@ func TestResumeDeterministicAtEveryBoundary(t *testing.T) {
 func TestResumeCorruptCheckpointRecomputed(t *testing.T) {
 	chip := chips.ByID("B4")
 	base := resumeOptions()
-	want, err := Run(chip, base)
+	want, err := RunCtx(context.Background(), chip, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestResumeCorruptCheckpointRecomputed(t *testing.T) {
 	}
 	po := base
 	po.Ckpt = store
-	if _, err := Run(chip, po); err != nil {
+	if _, err := RunCtx(context.Background(), chip, po); err != nil {
 		t.Fatal(err)
 	}
 
@@ -143,7 +143,7 @@ func TestResumeCorruptCheckpointRecomputed(t *testing.T) {
 	ro.Ckpt = store
 	ro.Resume = true
 	ro.Obs = &obs.Observer{Metrics: obs.NewMetrics()}
-	got, err := Run(chip, ro)
+	got, err := RunCtx(context.Background(), chip, ro)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestResumeCorruptCheckpointRecomputed(t *testing.T) {
 func TestResumeUnreadableCheckpointRecomputed(t *testing.T) {
 	chip := chips.ByID("B4")
 	base := resumeOptions()
-	want, err := Run(chip, base)
+	want, err := RunCtx(context.Background(), chip, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestResumeUnreadableCheckpointRecomputed(t *testing.T) {
 	}
 	po := base
 	po.Ckpt = store
-	if _, err := Run(chip, po); err != nil {
+	if _, err := RunCtx(context.Background(), chip, po); err != nil {
 		t.Fatal(err)
 	}
 	var netexPath string
@@ -214,7 +214,7 @@ func TestResumeUnreadableCheckpointRecomputed(t *testing.T) {
 	ro.Ckpt = store
 	ro.Resume = true
 	ro.Obs = &obs.Observer{Metrics: obs.NewMetrics()}
-	got, err := Run(chip, ro)
+	got, err := RunCtx(context.Background(), chip, ro)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestResumeIgnoresForeignFingerprint(t *testing.T) {
 	}
 	po := resumeOptions()
 	po.Ckpt = store
-	if _, err := Run(chip, po); err != nil {
+	if _, err := RunCtx(context.Background(), chip, po); err != nil {
 		t.Fatal(err)
 	}
 
@@ -257,7 +257,7 @@ func TestResumeIgnoresForeignFingerprint(t *testing.T) {
 	ro.Ckpt = store
 	ro.Resume = true
 	ro.Obs = &obs.Observer{Metrics: obs.NewMetrics()}
-	got, err := Run(chip, ro)
+	got, err := RunCtx(context.Background(), chip, ro)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,8 +340,8 @@ func TestRunCtxCancelMidRun(t *testing.T) {
 	}
 }
 
-// TestStandaloneReconstructNoUnitNoCheckpoints asserts that only Run
-// and RunOnDie checkpoint: a standalone ReconstructCtx or PlanarViewsCtx
+// TestStandaloneReconstructNoUnitNoCheckpoints asserts that only RunCtx
+// and RunOnDieCtx checkpoint: a standalone ReconstructCtx or PlanarViewsCtx
 // has no unit to key under — the options alone cannot reproduce the
 // acquisition it is handed — so it never touches the store, even with
 // Ckpt and Resume set.

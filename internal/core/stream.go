@@ -315,7 +315,7 @@ func (f *streamFold) consume(ctx context.Context, i int, den *img.Gray) error {
 }
 
 // initViews sizes the views from slice 0's dimensions and checks every
-// layer's depth band against the slice height exactly as PlanFromVolume
+// layer's depth band against the slice height exactly as PlanFromVolumeCtx
 // would.
 func (f *streamFold) initViews(w, h int) error {
 	f.w, f.h = w, h

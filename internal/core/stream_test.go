@@ -51,7 +51,7 @@ func TestStreamMatchesBarrier(t *testing.T) {
 				if workers > 1 {
 					so.Pool = img.NewPool()
 				}
-				gotPlan, gotInfo, err := Reconstruct(tc.acq, window, so)
+				gotPlan, gotInfo, err := ReconstructCtx(context.Background(), tc.acq, window, so)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -138,7 +138,7 @@ func TestRunStreamMatchesBarrierRun(t *testing.T) {
 					}
 					so.Ckpt, so.Resume = store, true
 				}
-				got, err := Run(chip, so)
+				got, err := RunCtx(context.Background(), chip, so)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -172,7 +172,7 @@ func TestRunOnDieMatchesReference(t *testing.T) {
 	p := fault.DefaultPlan()
 	o.Faults = &p
 	o.Workers = 3
-	got, err := RunOnDie(chip, o)
+	got, err := RunOnDieCtx(context.Background(), chip, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestStreamDeepStackBoundedMemory(t *testing.T) {
 		var gotPlan interface{}
 		var gotInfo ReconInfo
 		streamAllocs := measureAllocs(t, func() {
-			p, info, err := Reconstruct(acq, window, so)
+			p, info, err := ReconstructCtx(context.Background(), acq, window, so)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -366,7 +366,7 @@ func TestStreamPanicReleasesPool(t *testing.T) {
 			o := deepOptions()
 			o.Workers = workers
 			o.Pool = img.NewPool()
-			_, _, err := Reconstruct(acq, window, o)
+			_, _, err := ReconstructCtx(context.Background(), acq, window, o)
 			var pe *par.PanicError
 			if !errors.As(err, &pe) {
 				t.Fatalf("%s workers=%d: err = %v, want a *par.PanicError", c.site, workers, err)
@@ -415,7 +415,7 @@ func TestStreamErrorReleasesPool(t *testing.T) {
 			}
 			o.Workers = 3
 			o.Pool = img.NewPool()
-			_, _, err := Reconstruct(acq, window, o)
+			_, _, err := ReconstructCtx(context.Background(), acq, window, o)
 			var sse *volume.SliceSizeError
 			if !errors.As(err, &sse) {
 				t.Fatalf("%s align=%v: err = %v, want a *volume.SliceSizeError", c.name, align, err)

@@ -1,8 +1,8 @@
 package core
 
-// Canonical pipeline stage names: the spans a traced Run emits, in
-// execution order. RunOnDie additionally emits "roi" (between generate
-// and acquire), Run with Options.Faults emits "inject" (before acquire),
+// Canonical pipeline stage names: the spans a traced RunCtx emits, in
+// execution order. RunOnDieCtx additionally emits "roi" (between generate
+// and acquire), RunCtx with Options.Faults emits "inject" (before acquire),
 // and an aligned reconstruction emits an "align/residual" estimate span
 // — none of which are part of the canonical set, because they are
 // conditional.
@@ -23,7 +23,7 @@ const (
 )
 
 // Stages returns the canonical stage names every default-configured
-// traced Run produces, in execution order. Tools validating a trace
+// traced RunCtx produces, in execution order. Tools validating a trace
 // (hifidram tracecheck, the trace-smoke CI target) require exactly this
 // set; conditional spans (inject, roi, align/residual) may appear in
 // addition.

@@ -58,17 +58,12 @@ func (o Options) validate() error {
 	return nil
 }
 
-// Chambolle denoises f with Chambolle's dual projection algorithm and
-// returns a new image. The dual step size is fixed at 1/8, the proven
-// convergence bound for the 4-neighbor discrete gradient.
-func Chambolle(f *img.Gray, o Options) (*img.Gray, error) {
-	return ChambolleCtx(context.Background(), f, o)
-}
-
-// ChambolleCtx is Chambolle with cooperative cancellation: the context
-// is checked once per outer iteration (the natural preemption point —
-// tens of milliseconds on pipeline-sized slices), and a cancelled run
-// returns ctx.Err() instead of a half-converged image.
+// ChambolleCtx denoises f with Chambolle's dual projection algorithm
+// and returns a new image. The dual step size is fixed at 1/8, the
+// proven convergence bound for the 4-neighbor discrete gradient. The
+// context is checked once per outer iteration (the natural preemption
+// point — tens of milliseconds on pipeline-sized slices), and a
+// cancelled run returns ctx.Err() instead of a half-converged image.
 func ChambolleCtx(ctx context.Context, f *img.Gray, o Options) (*img.Gray, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
@@ -83,15 +78,10 @@ func ChambolleCtx(ctx context.Context, f *img.Gray, o Options) (*img.Gray, error
 	return out, nil
 }
 
-// SplitBregman denoises f with the split-Bregman iteration for
+// SplitBregmanCtx denoises f with the split-Bregman iteration for
 // anisotropic TV. Each outer iteration alternates a Gauss-Seidel solve of
 // the quadratic subproblem, soft-thresholding of the auxiliary gradient
-// variables (shrinkage), and a Bregman update.
-func SplitBregman(f *img.Gray, o Options) (*img.Gray, error) {
-	return SplitBregmanCtx(context.Background(), f, o)
-}
-
-// SplitBregmanCtx is SplitBregman with cooperative cancellation, checked
+// variables (shrinkage), and a Bregman update. Cancellation is checked
 // once per outer iteration like ChambolleCtx.
 func SplitBregmanCtx(ctx context.Context, f *img.Gray, o Options) (*img.Gray, error) {
 	if err := o.validate(); err != nil {

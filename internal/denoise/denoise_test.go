@@ -49,10 +49,10 @@ func TestOptionsValidation(t *testing.T) {
 		{"-Inf tol", Options{Lambda: 1, Iterations: 5, Tol: math.Inf(-1)}},
 	}
 	for _, tc := range cases {
-		if _, err := Chambolle(g, tc.o); err == nil {
+		if _, err := ChambolleCtx(context.Background(), g, tc.o); err == nil {
 			t.Errorf("Chambolle: expected error for %s", tc.name)
 		}
-		if _, err := SplitBregman(g, tc.o); err == nil {
+		if _, err := SplitBregmanCtx(context.Background(), g, tc.o); err == nil {
 			t.Errorf("SplitBregman: expected error for %s", tc.name)
 		}
 	}
@@ -61,7 +61,7 @@ func TestOptionsValidation(t *testing.T) {
 func TestChambolleImprovesPSNR(t *testing.T) {
 	clean := stepImage(32, 32)
 	noisy := addNoise(clean, 0.15, 7)
-	den, err := Chambolle(noisy, DefaultOptions())
+	den, err := ChambolleCtx(context.Background(), noisy, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestChambolleImprovesPSNR(t *testing.T) {
 func TestSplitBregmanImprovesPSNR(t *testing.T) {
 	clean := stepImage(32, 32)
 	noisy := addNoise(clean, 0.15, 11)
-	den, err := SplitBregman(noisy, DefaultOptions())
+	den, err := SplitBregmanCtx(context.Background(), noisy, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +93,11 @@ func TestDenoisingReducesTV(t *testing.T) {
 	clean := stepImage(24, 24)
 	noisy := addNoise(clean, 0.2, 3)
 	tvNoisy := TotalVariation(noisy)
-	for name, fn := range map[string]func(*img.Gray, Options) (*img.Gray, error){
-		"chambolle":    Chambolle,
-		"splitbregman": SplitBregman,
+	for name, fn := range map[string]func(context.Context, *img.Gray, Options) (*img.Gray, error){
+		"chambolle":    ChambolleCtx,
+		"splitbregman": SplitBregmanCtx,
 	} {
-		den, err := fn(noisy, DefaultOptions())
+		den, err := fn(context.Background(), noisy, DefaultOptions())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -113,7 +113,7 @@ func TestEdgePreservation(t *testing.T) {
 	// in-region variation.
 	clean := stepImage(32, 32)
 	noisy := addNoise(clean, 0.1, 5)
-	den, err := Chambolle(noisy, DefaultOptions())
+	den, err := ChambolleCtx(context.Background(), noisy, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,11 +132,11 @@ func TestEdgePreservation(t *testing.T) {
 func TestConstantImageIsFixedPoint(t *testing.T) {
 	g := img.New(16, 16)
 	g.Fill(0.42)
-	for name, fn := range map[string]func(*img.Gray, Options) (*img.Gray, error){
-		"chambolle":    Chambolle,
-		"splitbregman": SplitBregman,
+	for name, fn := range map[string]func(context.Context, *img.Gray, Options) (*img.Gray, error){
+		"chambolle":    ChambolleCtx,
+		"splitbregman": SplitBregmanCtx,
 	} {
-		den, err := fn(g, DefaultOptions())
+		den, err := fn(context.Background(), g, DefaultOptions())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -150,7 +150,7 @@ func TestConstantImageIsFixedPoint(t *testing.T) {
 
 func TestHighLambdaApproachesIdentity(t *testing.T) {
 	noisy := addNoise(stepImage(16, 16), 0.05, 9)
-	den, err := Chambolle(noisy, Options{Lambda: 1e6, Iterations: 30})
+	den, err := ChambolleCtx(context.Background(), noisy, Options{Lambda: 1e6, Iterations: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,12 +166,12 @@ func TestHighLambdaApproachesIdentity(t *testing.T) {
 // number of iterations.
 func TestTolEarlyStop(t *testing.T) {
 	noisy := addNoise(stepImage(16, 16), 0.1, 2)
-	for name, fn := range map[string]func(*img.Gray, Options) (*img.Gray, error){
-		"chambolle":    Chambolle,
-		"splitbregman": SplitBregman,
+	for name, fn := range map[string]func(context.Context, *img.Gray, Options) (*img.Gray, error){
+		"chambolle":    ChambolleCtx,
+		"splitbregman": SplitBregmanCtx,
 	} {
 		m := obs.NewMetrics()
-		den, err := fn(noisy, Options{Lambda: 8, Iterations: 500, Tol: 1e-2, Obs: &obs.Observer{Metrics: m}})
+		den, err := fn(context.Background(), noisy, Options{Lambda: 8, Iterations: 500, Tol: 1e-2, Obs: &obs.Observer{Metrics: m}})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -179,7 +179,7 @@ func TestTolEarlyStop(t *testing.T) {
 		if iters <= 0 || iters >= 500 {
 			t.Fatalf("%s: tolerance did not stop early: %d iterations", name, iters)
 		}
-		ref, err := fn(noisy, Options{Lambda: 8, Iterations: int(iters)})
+		ref, err := fn(context.Background(), noisy, Options{Lambda: 8, Iterations: int(iters)})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -225,7 +225,7 @@ func TestShrinkOperator(t *testing.T) {
 func TestMeanPreservation(t *testing.T) {
 	f := func(seed int64) bool {
 		noisy := addNoise(stepImage(16, 16), 0.1, seed)
-		den, err := Chambolle(noisy, Options{Lambda: 8, Iterations: 40})
+		den, err := ChambolleCtx(context.Background(), noisy, Options{Lambda: 8, Iterations: 40})
 		if err != nil {
 			return false
 		}
@@ -241,7 +241,7 @@ func TestRangeStability(t *testing.T) {
 	f := func(seed int64) bool {
 		noisy := addNoise(stepImage(12, 12), 0.1, seed)
 		s0 := noisy.Statistics()
-		den, err := SplitBregman(noisy, Options{Lambda: 8, Iterations: 30})
+		den, err := SplitBregmanCtx(context.Background(), noisy, Options{Lambda: 8, Iterations: 30})
 		if err != nil {
 			return false
 		}
@@ -258,7 +258,7 @@ func BenchmarkChambolle64(b *testing.B) {
 	o := DefaultOptions()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Chambolle(noisy, o); err != nil {
+		if _, err := ChambolleCtx(context.Background(), noisy, o); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -269,35 +269,8 @@ func BenchmarkSplitBregman64(b *testing.B) {
 	o := DefaultOptions()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := SplitBregman(noisy, o); err != nil {
+		if _, err := SplitBregmanCtx(context.Background(), noisy, o); err != nil {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkChambolleSlice is the TV sweep kernel at workload size: one
-// 1857x39 slice, the cross section of chip B4's default extraction,
-// denoised with the pipeline's settings (lambda 25, 60 iterations, Tol
-// 1e-5) through a warm Scratch, as a streaming pipeline worker runs it.
-// The noise level keeps the tolerance from firing, as on real B4
-// slices; iters/op reports the iterations actually run.
-func BenchmarkChambolleSlice(b *testing.B) {
-	f := addNoise(stepImage(1857, 39), 0.05, 1)
-	dst := img.New(f.W, f.H)
-	m := obs.NewMetrics()
-	o := Options{Lambda: 25, Iterations: 60, Tol: 1e-5, Obs: &obs.Observer{Metrics: m}}
-	s := &Scratch{}
-	if err := ChambolleInto(context.Background(), dst, f, o, s); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := ChambolleInto(context.Background(), dst, f, o, s); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	c := m.Snapshot().Counters
-	b.ReportMetric(float64(c["denoise.iterations"])/float64(c["denoise.slices"]), "iters/op")
 }

@@ -1,6 +1,7 @@
 package denoise
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -130,7 +131,7 @@ func TestSplitBregmanMatchesReference(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := SplitBregman(tc.f, tc.o)
+			got, err := SplitBregmanCtx(context.Background(), tc.f, tc.o)
 			if err != nil {
 				t.Fatal(err)
 			}

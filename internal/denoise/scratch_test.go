@@ -46,10 +46,10 @@ func TestScratchMatchesFresh(t *testing.T) {
 		into  func(dst, f *img.Gray) error
 	}{
 		{"Chambolle",
-			func(f *img.Gray) (*img.Gray, error) { return Chambolle(f, o) },
+			func(f *img.Gray) (*img.Gray, error) { return ChambolleCtx(context.Background(), f, o) },
 			func(dst, f *img.Gray) error { return ChambolleInto(context.Background(), dst, f, o, s) }},
 		{"SplitBregman",
-			func(f *img.Gray) (*img.Gray, error) { return SplitBregman(f, o) },
+			func(f *img.Gray) (*img.Gray, error) { return SplitBregmanCtx(context.Background(), f, o) },
 			func(dst, f *img.Gray) error { return SplitBregmanInto(context.Background(), dst, f, o, s) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -125,11 +125,6 @@ type registry struct {
 
 var active atomic.Pointer[registry]
 
-// Enabled reports whether any failpoint spec is active.
-func Enabled() bool {
-	return active.Load() != nil
-}
-
 // Disable deactivates all failpoints (the startup default).
 func Disable() {
 	active.Store(nil)

@@ -16,9 +16,6 @@ func reset(t *testing.T) {
 
 func TestDisabledIsNil(t *testing.T) {
 	Disable()
-	if Enabled() {
-		t.Fatal("Enabled() true after Disable")
-	}
 	if err := Inject("any.site"); err != nil {
 		t.Fatalf("disabled Inject returned %v", err)
 	}
@@ -214,9 +211,6 @@ func TestEnableFromEnv(t *testing.T) {
 	if err := EnableFromEnv(); err != nil {
 		t.Fatal(err)
 	}
-	if !Enabled() {
-		t.Fatal("not enabled from env")
-	}
 	if err := Inject("e"); !errors.Is(err, ErrInjected) {
 		t.Fatalf("env-enabled site returned %v", err)
 	}
@@ -234,7 +228,7 @@ func TestEmptySpecDisables(t *testing.T) {
 	if err := Enable("  ", 1); err != nil {
 		t.Fatal(err)
 	}
-	if Enabled() {
-		t.Fatal("empty spec left failpoints enabled")
+	if err := Inject("x"); err != nil {
+		t.Fatalf("empty spec left failpoints enabled: Inject returned %v", err)
 	}
 }

@@ -104,11 +104,6 @@ func (p Plan) Validate() error {
 	return nil
 }
 
-// TotalRate is the summed per-model rate.
-func (p Plan) TotalRate() float64 {
-	return p.DropRate + p.FlareRate + p.CurtainRate + p.DropoutRate + p.BurstRate
-}
-
 // Injection records one corrupted slice.
 type Injection struct {
 	Index int
@@ -130,15 +125,6 @@ func (r *Report) ByIndex() map[int]Kind {
 		m[inj.Index] = inj.Kind
 	}
 	return m
-}
-
-// Indices returns the corrupted slice indices in ascending order.
-func (r *Report) Indices() []int {
-	out := make([]int, len(r.Injected))
-	for i, inj := range r.Injected {
-		out[i] = inj.Index
-	}
-	return out
 }
 
 // Corruption strengths. These are deliberately severe: the injector

@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -208,9 +207,6 @@ func TestInjectValidation(t *testing.T) {
 	tiny := testAcq(3, 30, 30, 1)
 	if _, err := Inject(tiny, DefaultPlan()); err == nil {
 		t.Errorf("too-short stack should error")
-	}
-	if got := DefaultPlan().TotalRate(); math.Abs(got-0.15) > 1e-12 {
-		t.Errorf("default total rate = %v", got)
 	}
 }
 

@@ -34,28 +34,3 @@ func FromCell(c *layout.Cell) (Structure, error) {
 	}
 	return s, nil
 }
-
-// FromLibrary converts a layout library (cells only; instances are
-// flattened into a single top structure) into a GDSII library.
-func FromLibrary(lib *layout.Library) (*Library, error) {
-	out := NewLibrary(lib.Top)
-	for _, c := range lib.Cells {
-		s, err := FromCell(c)
-		if err != nil {
-			return nil, fmt.Errorf("gds: cell %q: %w", c.Name, err)
-		}
-		out.Structs = append(out.Structs, s)
-	}
-	if len(lib.Instances) > 0 {
-		top := &layout.Cell{Name: lib.Top + "_flat"}
-		for _, sh := range lib.FlattenAll() {
-			top.Add(sh)
-		}
-		s, err := FromCell(top)
-		if err != nil {
-			return nil, err
-		}
-		out.Structs = append(out.Structs, s)
-	}
-	return out, nil
-}

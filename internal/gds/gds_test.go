@@ -197,36 +197,6 @@ func TestFromCellOverflow(t *testing.T) {
 	}
 }
 
-func TestFromLibraryFlattensInstances(t *testing.T) {
-	ll := layout.NewLibrary("top")
-	c := &layout.Cell{Name: "unit"}
-	c.AddRect(layout.LayerM1, geom.R(0, 0, 10, 10), "", "")
-	ll.AddCell(c)
-	if err := ll.Place("unit", geom.Transform{Offset: geom.Pt(100, 0)}); err != nil {
-		t.Fatal(err)
-	}
-	g, err := FromLibrary(ll)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One structure for the cell, one flat top.
-	if len(g.Structs) != 2 {
-		t.Fatalf("structs = %d", len(g.Structs))
-	}
-	var flat *Structure
-	for i := range g.Structs {
-		if g.Structs[i].Name == "top_flat" {
-			flat = &g.Structs[i]
-		}
-	}
-	if flat == nil {
-		t.Fatal("missing flattened top structure")
-	}
-	if flat.Boundaries[0].XY[0] != [2]int32{100, 0} {
-		t.Errorf("instance offset not applied: %v", flat.Boundaries[0].XY[0])
-	}
-}
-
 func TestEndToEndLayoutGDSRoundTrip(t *testing.T) {
 	c := &layout.Cell{Name: "region"}
 	for i := int64(0); i < 8; i++ {

@@ -20,23 +20,8 @@ func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
 // Sub returns p minus q.
 func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 
-// Scale returns p with both coordinates multiplied by k.
-func (p Point) Scale(k int64) Point { return Point{p.X * k, p.Y * k} }
-
-// ManhattanDist returns the L1 distance between p and q.
-func (p Point) ManhattanDist(q Point) int64 {
-	return absInt64(p.X-q.X) + absInt64(p.Y-q.Y)
-}
-
 // String implements fmt.Stringer.
 func (p Point) String() string { return fmt.Sprintf("(%d,%d)", p.X, p.Y) }
-
-func absInt64(v int64) int64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
 
 // Rect is an axis-aligned rectangle. A Rect is canonical when
 // Min.X <= Max.X and Min.Y <= Max.Y; the Canon method produces the
@@ -88,22 +73,6 @@ func (r Rect) Center() Point {
 // Translate returns r shifted by d.
 func (r Rect) Translate(d Point) Rect {
 	return Rect{r.Min.Add(d), r.Max.Add(d)}
-}
-
-// Inset returns r shrunk by n units on every side. A negative n grows the
-// rectangle. The result is canonical; over-insetting yields an empty rect
-// centered where r was.
-func (r Rect) Inset(n int64) Rect {
-	out := Rect{Point{r.Min.X + n, r.Min.Y + n}, Point{r.Max.X - n, r.Max.Y - n}}
-	if out.Min.X > out.Max.X {
-		c := (out.Min.X + out.Max.X) / 2
-		out.Min.X, out.Max.X = c, c
-	}
-	if out.Min.Y > out.Max.Y {
-		c := (out.Min.Y + out.Max.Y) / 2
-		out.Min.Y, out.Max.Y = c, c
-	}
-	return out
 }
 
 // Intersect returns the intersection of r and s; the result is empty if

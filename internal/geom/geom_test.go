@@ -14,12 +14,6 @@ func TestPointArithmetic(t *testing.T) {
 	if got := q.Sub(p); got != Pt(7, 6) {
 		t.Errorf("Sub = %v", got)
 	}
-	if got := p.Scale(-2); got != Pt(-6, 8) {
-		t.Errorf("Scale = %v", got)
-	}
-	if got := p.ManhattanDist(q); got != 13 {
-		t.Errorf("ManhattanDist = %d", got)
-	}
 }
 
 func TestRectCanon(t *testing.T) {
@@ -82,19 +76,6 @@ func TestRectUnion(t *testing.T) {
 	}
 }
 
-func TestRectInset(t *testing.T) {
-	a := R(0, 0, 10, 10)
-	if got := a.Inset(2); got != R(2, 2, 8, 8) {
-		t.Errorf("Inset = %v", got)
-	}
-	if got := a.Inset(-3); got != R(-3, -3, 13, 13) {
-		t.Errorf("grow = %v", got)
-	}
-	if got := a.Inset(7); !got.Empty() {
-		t.Errorf("over-inset should be empty, got %v", got)
-	}
-}
-
 func TestRectContains(t *testing.T) {
 	a := R(0, 0, 10, 10)
 	if !a.Contains(Pt(0, 0)) {
@@ -149,92 +130,6 @@ func TestRectTranslateCenter(t *testing.T) {
 	}
 }
 
-func TestPolygonArea(t *testing.T) {
-	sq := FromRect(R(0, 0, 4, 4))
-	if sq.Area() != 16 {
-		t.Errorf("square area = %d", sq.Area())
-	}
-	if sq.Area2() <= 0 {
-		t.Errorf("CCW ring should have positive signed area")
-	}
-	tri := Polygon{{0, 0}, {10, 0}, {0, 10}}
-	if tri.Area() != 50 {
-		t.Errorf("triangle area = %d", tri.Area())
-	}
-}
-
-func TestPolygonBoundsContains(t *testing.T) {
-	p := Polygon{{0, 0}, {10, 0}, {10, 10}, {5, 5}, {0, 10}}
-	if b := p.Bounds(); b != R(0, 0, 10, 10) {
-		t.Errorf("Bounds = %v", b)
-	}
-	if !p.ContainsPoint(Pt(2, 2)) {
-		t.Errorf("interior point should be inside")
-	}
-	if p.ContainsPoint(Pt(5, 8)) {
-		t.Errorf("notch point should be outside")
-	}
-	if p.ContainsPoint(Pt(20, 2)) {
-		t.Errorf("far point should be outside")
-	}
-	var empty Polygon
-	if !empty.Bounds().Empty() {
-		t.Errorf("empty polygon bounds should be empty")
-	}
-}
-
-func TestTransformOrientations(t *testing.T) {
-	p := Pt(2, 1)
-	cases := []struct {
-		o    Orientation
-		want Point
-	}{
-		{R0, Pt(2, 1)},
-		{R90, Pt(-1, 2)},
-		{R180, Pt(-2, -1)},
-		{R270, Pt(1, -2)},
-		{MX, Pt(2, -1)},
-		{MY, Pt(-2, 1)},
-		{MX90, Pt(1, 2)},
-		{MY90, Pt(-1, -2)},
-	}
-	for _, c := range cases {
-		got := Transform{Orient: c.o}.Apply(p)
-		if got != c.want {
-			t.Errorf("orient %d: %v, want %v", c.o, got, c.want)
-		}
-	}
-}
-
-func TestTransformOffsetAndRect(t *testing.T) {
-	tr := Transform{Orient: R90, Offset: Pt(100, 0)}
-	if got := tr.Apply(Pt(10, 0)); got != Pt(100, 10) {
-		t.Errorf("Apply = %v", got)
-	}
-	r := tr.ApplyRect(R(0, 0, 10, 4))
-	if r != R(96, 0, 100, 10) {
-		t.Errorf("ApplyRect = %v", r)
-	}
-}
-
-func TestComposeMatchesSequentialApplication(t *testing.T) {
-	pts := []Point{{0, 0}, {1, 0}, {0, 1}, {5, -3}, {-7, 11}}
-	for a := R0; a <= MY90; a++ {
-		for b := R0; b <= MY90; b++ {
-			t1 := Transform{Orient: a, Offset: Pt(3, -2)}
-			t2 := Transform{Orient: b, Offset: Pt(-1, 9)}
-			c := Compose(t1, t2)
-			for _, p := range pts {
-				want := t1.Apply(t2.Apply(p))
-				got := c.Apply(p)
-				if got != want {
-					t.Fatalf("compose(%d,%d) at %v: %v want %v", a, b, p, got, want)
-				}
-			}
-		}
-	}
-}
-
 // Property: intersection is commutative and contained in both operands.
 func TestIntersectProperties(t *testing.T) {
 	f := func(ax, ay, aw, ah, bx, by, bw, bh int16) bool {
@@ -284,17 +179,6 @@ func TestSeparationOverlapConsistency(t *testing.T) {
 			return false
 		}
 		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: polygon area of a rect polygon equals rect area.
-func TestPolygonRectAreaProperty(t *testing.T) {
-	f := func(x, y int16, w, h uint8) bool {
-		r := R(int64(x), int64(y), int64(x)+int64(w), int64(y)+int64(h))
-		return FromRect(r).Area() == r.Area()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -219,42 +219,3 @@ func sortWindow(v []float64) {
 func lessNaNFirst(a, b float64) bool {
 	return a < b || (a != a && b == b)
 }
-
-// SobelMagnitude returns the gradient magnitude of g computed with the
-// 3x3 Sobel operator. Used to locate feature-line direction when finding
-// the region of interest.
-func SobelMagnitude(g *Gray) *Gray {
-	out := New(g.W, g.H)
-	for y := 0; y < g.H; y++ {
-		for x := 0; x < g.W; x++ {
-			gx := -g.AtClamp(x-1, y-1) + g.AtClamp(x+1, y-1) +
-				-2*g.AtClamp(x-1, y) + 2*g.AtClamp(x+1, y) +
-				-g.AtClamp(x-1, y+1) + g.AtClamp(x+1, y+1)
-			gy := -g.AtClamp(x-1, y-1) - 2*g.AtClamp(x, y-1) - g.AtClamp(x+1, y-1) +
-				g.AtClamp(x-1, y+1) + 2*g.AtClamp(x, y+1) + g.AtClamp(x+1, y+1)
-			out.Set(x, y, math.Hypot(gx, gy))
-		}
-	}
-	return out
-}
-
-// BoxBlur returns g convolved with a (2r+1)² box filter, edge extended.
-func BoxBlur(g *Gray, r int) *Gray {
-	if r <= 0 {
-		return g.Clone()
-	}
-	out := New(g.W, g.H)
-	inv := 1.0 / float64((2*r+1)*(2*r+1))
-	for y := 0; y < g.H; y++ {
-		for x := 0; x < g.W; x++ {
-			var s float64
-			for dy := -r; dy <= r; dy++ {
-				for dx := -r; dx <= r; dx++ {
-					s += g.AtClamp(x+dx, y+dy)
-				}
-			}
-			out.Set(x, y, s*inv)
-		}
-	}
-	return out
-}

@@ -199,13 +199,6 @@ func (g *Gray) Add(o *Gray) error {
 	return nil
 }
 
-// ScaleBy multiplies every pixel by k.
-func (g *Gray) ScaleBy(k float64) {
-	for i := range g.Pix {
-		g.Pix[i] *= k
-	}
-}
-
 func errDims(a, b *Gray) error {
 	return fmt.Errorf("img: dimension mismatch %dx%d vs %dx%d", a.W, a.H, b.W, b.H)
 }

@@ -3,9 +3,6 @@ package img
 import (
 	"bufio"
 	"fmt"
-	"image"
-	"image/color"
-	"image/png"
 	"io"
 )
 
@@ -59,18 +56,6 @@ func ReadPGM(r io.Reader) (*Gray, error) {
 		}
 	}
 	return g, nil
-}
-
-// WritePNG encodes the image as an 8-bit grayscale PNG, mapping [0,1] to
-// [0,255] with clamping.
-func WritePNG(w io.Writer, g *Gray) error {
-	im := image.NewGray(image.Rect(0, 0, g.W, g.H))
-	for y := 0; y < g.H; y++ {
-		for x := 0; x < g.W; x++ {
-			im.SetGray(x, y, color.Gray{Y: quantize8(g.At(x, y))})
-		}
-	}
-	return png.Encode(w, im)
 }
 
 func quantize8(v float64) byte {

@@ -10,7 +10,6 @@ package layout
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/geom"
 )
@@ -111,126 +110,4 @@ func (c *Cell) Bounds() geom.Rect {
 		b = b.Union(s.Rect)
 	}
 	return b
-}
-
-// LayerArea returns the total shape area on a layer. Overlapping shapes
-// are counted once (union area), computed by coordinate-sweep over the
-// rectangles.
-func (c *Cell) LayerArea(l Layer) int64 {
-	var rects []geom.Rect
-	for _, s := range c.Shapes {
-		if s.Layer == l && !s.Rect.Empty() {
-			rects = append(rects, s.Rect)
-		}
-	}
-	return UnionArea(rects)
-}
-
-// UnionArea computes the area of the union of rectangles by sweeping X
-// boundaries and merging Y intervals per strip.
-func UnionArea(rects []geom.Rect) int64 {
-	if len(rects) == 0 {
-		return 0
-	}
-	xs := make([]int64, 0, 2*len(rects))
-	for _, r := range rects {
-		xs = append(xs, r.Min.X, r.Max.X)
-	}
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
-	xs = dedupInt64(xs)
-	var total int64
-	type span struct{ lo, hi int64 }
-	for i := 0; i+1 < len(xs); i++ {
-		x0, x1 := xs[i], xs[i+1]
-		if x0 == x1 {
-			continue
-		}
-		var spans []span
-		for _, r := range rects {
-			if r.Min.X <= x0 && r.Max.X >= x1 {
-				spans = append(spans, span{r.Min.Y, r.Max.Y})
-			}
-		}
-		if len(spans) == 0 {
-			continue
-		}
-		sort.Slice(spans, func(a, b int) bool { return spans[a].lo < spans[b].lo })
-		var covered int64
-		curLo, curHi := spans[0].lo, spans[0].hi
-		for _, s := range spans[1:] {
-			if s.lo > curHi {
-				covered += curHi - curLo
-				curLo, curHi = s.lo, s.hi
-			} else if s.hi > curHi {
-				curHi = s.hi
-			}
-		}
-		covered += curHi - curLo
-		total += covered * (x1 - x0)
-	}
-	return total
-}
-
-func dedupInt64(xs []int64) []int64 {
-	out := xs[:0]
-	for i, v := range xs {
-		if i == 0 || v != xs[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// Instance places a cell with a transform.
-type Instance struct {
-	Cell      *Cell
-	Transform geom.Transform
-}
-
-// Flatten returns the instance's shapes in parent coordinates.
-func (in Instance) Flatten() []Shape {
-	out := make([]Shape, len(in.Cell.Shapes))
-	for i, s := range in.Cell.Shapes {
-		out[i] = Shape{
-			Layer: s.Layer,
-			Rect:  in.Transform.ApplyRect(s.Rect),
-			Net:   s.Net,
-			Role:  s.Role,
-		}
-	}
-	return out
-}
-
-// Library is a set of cells plus a top-level arrangement of instances.
-type Library struct {
-	Cells     map[string]*Cell
-	Top       string
-	Instances []Instance
-}
-
-// NewLibrary returns an empty library with the given top cell name.
-func NewLibrary(top string) *Library {
-	return &Library{Cells: make(map[string]*Cell), Top: top}
-}
-
-// AddCell registers a cell, replacing any previous cell of that name.
-func (lib *Library) AddCell(c *Cell) { lib.Cells[c.Name] = c }
-
-// Place appends an instance of the named cell at the given transform.
-func (lib *Library) Place(cellName string, tr geom.Transform) error {
-	c, ok := lib.Cells[cellName]
-	if !ok {
-		return fmt.Errorf("layout: unknown cell %q", cellName)
-	}
-	lib.Instances = append(lib.Instances, Instance{Cell: c, Transform: tr})
-	return nil
-}
-
-// FlattenAll returns every placed shape in top-level coordinates.
-func (lib *Library) FlattenAll() []Shape {
-	var out []Shape
-	for _, in := range lib.Instances {
-		out = append(out, in.Flatten()...)
-	}
-	return out
 }

@@ -49,94 +49,6 @@ func TestCellShapesAndQueries(t *testing.T) {
 	}
 }
 
-func TestLayerAreaCountsUnionOnce(t *testing.T) {
-	c := &Cell{Name: "x"}
-	c.AddRect(LayerM1, geom.R(0, 0, 10, 10), "", "")
-	c.AddRect(LayerM1, geom.R(5, 0, 15, 10), "", "") // overlaps by 5x10
-	if a := c.LayerArea(LayerM1); a != 150 {
-		t.Errorf("union area = %d, want 150", a)
-	}
-	if a := c.LayerArea(LayerM2); a != 0 {
-		t.Errorf("empty layer area = %d", a)
-	}
-}
-
-func TestUnionAreaDisjointAndNested(t *testing.T) {
-	if a := UnionArea(nil); a != 0 {
-		t.Errorf("empty union = %d", a)
-	}
-	rects := []geom.Rect{geom.R(0, 0, 4, 4), geom.R(10, 10, 12, 12)}
-	if a := UnionArea(rects); a != 20 {
-		t.Errorf("disjoint union = %d", a)
-	}
-	nested := []geom.Rect{geom.R(0, 0, 10, 10), geom.R(2, 2, 5, 5)}
-	if a := UnionArea(nested); a != 100 {
-		t.Errorf("nested union = %d", a)
-	}
-}
-
-// Property: union area is between max individual area and sum of areas.
-func TestUnionAreaBoundsProperty(t *testing.T) {
-	f := func(coords [6]int8) bool {
-		var rects []geom.Rect
-		var sum, maxA int64
-		for i := 0; i+2 < len(coords); i += 3 {
-			x, y := int64(coords[i]), int64(coords[i+1])
-			w := int64(coords[i+2]%10) + 1
-			r := geom.R(x, y, x+w, y+w)
-			rects = append(rects, r)
-			sum += r.Area()
-			if r.Area() > maxA {
-				maxA = r.Area()
-			}
-		}
-		u := UnionArea(rects)
-		return u >= maxA && u <= sum
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestInstanceFlatten(t *testing.T) {
-	c := &Cell{Name: "unit"}
-	c.AddRect(LayerM1, geom.R(0, 0, 10, 2), "n", "wire")
-	in := Instance{Cell: c, Transform: geom.Transform{Orient: geom.R90, Offset: geom.Pt(100, 0)}}
-	fs := in.Flatten()
-	if len(fs) != 1 {
-		t.Fatalf("flatten count %d", len(fs))
-	}
-	if fs[0].Rect != geom.R(98, 0, 100, 10) {
-		t.Errorf("flattened rect %v", fs[0].Rect)
-	}
-	if fs[0].Net != "n" || fs[0].Role != "wire" {
-		t.Errorf("labels not preserved")
-	}
-}
-
-func TestLibraryPlaceAndFlatten(t *testing.T) {
-	lib := NewLibrary("top")
-	c := &Cell{Name: "sa"}
-	c.AddRect(LayerM1, geom.R(0, 0, 5, 5), "", "")
-	lib.AddCell(c)
-	if err := lib.Place("sa", geom.Transform{Offset: geom.Pt(10, 0)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := lib.Place("sa", geom.Transform{Offset: geom.Pt(20, 0)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := lib.Place("missing", geom.Transform{}); err == nil {
-		t.Errorf("expected error for unknown cell")
-	}
-	all := lib.FlattenAll()
-	if len(all) != 2 {
-		t.Fatalf("flatten count %d", len(all))
-	}
-	if all[0].Rect != geom.R(10, 0, 15, 5) || all[1].Rect != geom.R(20, 0, 25, 5) {
-		t.Errorf("placement wrong: %v %v", all[0].Rect, all[1].Rect)
-	}
-}
-
 func TestDRCWidth(t *testing.T) {
 	rules := DefaultRules(20)
 	shapes := []Shape{

@@ -83,16 +83,6 @@ func TotalMeasurements(stats map[chips.Element]ElementStats) int {
 	return n
 }
 
-// Effective returns the effective spacing dimensions: the measured means
-// plus the process safety margin (Section V-B "Effective sizes").
-func Effective(stats map[chips.Element]ElementStats, marginNM float64) map[chips.Element]chips.Dims {
-	out := make(map[chips.Element]chips.Dims, len(stats))
-	for e, s := range stats {
-		out[e] = chips.Dims{W: s.W.Mean + marginNM, L: s.L.Mean + marginNM}
-	}
-	return out
-}
-
 // Comparison scores one element's measured dimensions against ground
 // truth.
 type Comparison struct {

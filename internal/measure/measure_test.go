@@ -56,18 +56,6 @@ func TestTotalMeasurements(t *testing.T) {
 	}
 }
 
-func TestEffectiveAddsMargin(t *testing.T) {
-	res, _ := extractFor(t, "C4")
-	stats := FromTransistors(res.Transistors)
-	eff := Effective(stats, 32)
-	for e, s := range stats {
-		d := eff[e]
-		if math.Abs(d.W-(s.W.Mean+32)) > 1e-9 || math.Abs(d.L-(s.L.Mean+32)) > 1e-9 {
-			t.Errorf("%s: effective dims %v", e, d)
-		}
-	}
-}
-
 func TestCompareToTruthPerfect(t *testing.T) {
 	for _, id := range []string{"C4", "A4", "B5"} {
 		res, truth := extractFor(t, id)

@@ -5,19 +5,6 @@ import (
 	"repro/internal/layout"
 )
 
-// ToCell converts a plan into a layout cell — the reverse-engineered
-// physical layout, ready for GDSII export (the paper releases its
-// extracted layouts in this format).
-func (p *Plan) ToCell(name string) *layout.Cell {
-	c := &layout.Cell{Name: name}
-	for _, l := range layout.Layers() {
-		for _, r := range p.ByLayer[l] {
-			c.AddRect(l, r, "", "")
-		}
-	}
-	return c
-}
-
 // AnnotatedCell converts a plan into a layout cell with the extraction's
 // findings recorded as roles on the transistor gates and actives, so the
 // exported layout carries the circuit identification.

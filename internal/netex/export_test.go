@@ -10,13 +10,18 @@ import (
 	"repro/internal/layout"
 )
 
-func TestToCellRoundTrip(t *testing.T) {
+// The annotated cell keeps every shape of the plan, and survives a
+// GDSII round trip.
+func TestAnnotatedCellRoundTrip(t *testing.T) {
 	p, _ := planFor(t, "C4")
-	cell := p.ToCell("extracted_C4")
+	res, err := Extract(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell := res.AnnotatedCell(p, "extracted_C4")
 	if len(cell.Shapes) != shapeCount(p) {
 		t.Errorf("cell shapes = %d, want %d", len(cell.Shapes), shapeCount(p))
 	}
-	// The extracted layout must survive a GDSII round trip.
 	s, err := gds.FromCell(cell)
 	if err != nil {
 		t.Fatal(err)

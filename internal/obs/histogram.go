@@ -40,14 +40,6 @@ var histBounds = func() [HistBuckets]float64 {
 	return b
 }()
 
-// HistBounds returns the finite bucket upper bounds in seconds (a
-// copy; the scheme itself is fixed).
-func HistBounds() []float64 {
-	b := make([]float64, HistBuckets)
-	copy(b, histBounds[:])
-	return b
-}
-
 // Histogram is a fixed-bucket exponential histogram of nonnegative
 // values (canonically: durations in seconds). The zero value is ready
 // to use. A Histogram is NOT internally locked: standalone users

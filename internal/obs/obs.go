@@ -261,14 +261,6 @@ func (t *Trace) Start(name string) *Span {
 	return t.start(name, nil, 0, nil)
 }
 
-// Child opens a sub-span on the same lane.
-func (s *Span) Child(name string) *Span {
-	if s == nil {
-		return nil
-	}
-	return s.trace.start(name, s, s.lane, s.log)
-}
-
 // ChildWorker opens a per-worker sub-span on the given lane. Worker
 // spans are excluded from the stage summary (they overlap their stage);
 // long-lived pipeline workers that are not driven through ForEachCtx use

@@ -85,20 +85,6 @@ func (p *PromScrape) Series(name string) []PromSample {
 	return out
 }
 
-// Names returns the sorted set of distinct sample names.
-func (p *PromScrape) Names() []string {
-	seen := map[string]bool{}
-	for _, s := range p.Samples {
-		seen[s.Name] = true
-	}
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // HistQuantile computes the q-quantile of the named histogram family
 // (pass the family base, e.g. "serve_run_duration_seconds") restricted
 // to samples matching the given labels, by linear interpolation within

@@ -119,7 +119,7 @@ func TestMIKernelMatchesCropReference(t *testing.T) {
 	}
 }
 
-// Align on a pair whose candidates bind several tables must select the
+// AlignCtx on a pair whose candidates bind several tables must select the
 // reference argmax at any worker count.
 func TestAlignDistinctExtremaMatchesReference(t *testing.T) {
 	o := Options{MaxShift: 4, MaxShiftY: 2, Bins: 32, Margin: 1}
@@ -136,7 +136,7 @@ func TestAlignDistinctExtremaMatchesReference(t *testing.T) {
 	wantS, wantMI := pickBest(cands, ref)
 	for _, workers := range []int{1, 2, 4} {
 		o.Workers = workers
-		s, mi, err := Align(fixed, moving, o)
+		s, mi, err := AlignCtx(context.Background(), fixed, moving, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +175,7 @@ func TestMIKernelAllocFree(t *testing.T) {
 
 // A warm search at production geometry (a 4 nm B4 slice: 1857x39, the
 // default pipeline's 9x5 window) draws its kernel, bin tables and
-// histograms from the pools: a single-worker Align allocates only its
+// histograms from the pools: a single-worker AlignCtx allocates only its
 // small per-call slices and fan-out state, never an image-sized table.
 // The race detector makes sync.Pool drop items at random, so race
 // builds skip it; make alloc-check runs it without -race.
@@ -187,14 +187,14 @@ func TestSearchBinTablesAllocFree(t *testing.T) {
 	fixed := texture(1857, 39, 8)
 	moving := fixed.Translate(2, -1)
 	align := func() {
-		if _, _, err := Align(fixed, moving, o); err != nil {
+		if _, _, err := AlignCtx(context.Background(), fixed, moving, o); err != nil {
 			t.Fatal(err)
 		}
 	}
 	align()
-	// Before the shared tables a warm Align allocated 9 objects.
+	// Before the shared tables a warm AlignCtx allocated 9 objects.
 	if allocs := testing.AllocsPerRun(20, align); allocs > 9 {
-		t.Errorf("warm Align allocates %.0f objects, want <= 9", allocs)
+		t.Errorf("warm AlignCtx allocates %.0f objects, want <= 9", allocs)
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	align()
@@ -207,7 +207,7 @@ func TestSearchBinTablesAllocFree(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	table := uint64(len(moving.Pix)) // one uint8 bin per pixel
 	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= table {
-		t.Errorf("warm Align allocates %d bytes, at least one %d-byte bin table", per, table)
+		t.Errorf("warm AlignCtx allocates %d bytes, at least one %d-byte bin table", per, table)
 	}
 }
 
@@ -224,7 +224,7 @@ func TestMinMaxInAllocFree(t *testing.T) {
 
 // A widened retry rescans the full window (inner candidates score
 // differently on the widened overlap geometry and can win the rescan),
-// keeping AlignRobust byte-identical to its historical output: the
+// keeping AlignRobustCtx byte-identical to its historical output: the
 // accepted (shift, MI) must equal a crop-based full-window pickBest at
 // the widened geometry.
 func TestWidenRetryFullRescanByDefault(t *testing.T) {
@@ -235,7 +235,7 @@ func TestWidenRetryFullRescanByDefault(t *testing.T) {
 	o.WidenRetries = 2
 	ob := &obs.Observer{Metrics: obs.NewMetrics()}
 	o.Obs = ob
-	got, err := AlignRobust(base, moving, o)
+	got, err := AlignRobustCtx(context.Background(), base, moving, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,14 +273,14 @@ func TestWidenRetryDeterministicAcrossWorkers(t *testing.T) {
 	ref.MaxShift, ref.MaxShiftY = 3, 3
 	ref.WidenRetries = 2
 	ref.Workers = 1
-	want, err := AlignRobust(base, moving, ref)
+	want, err := AlignRobustCtx(context.Background(), base, moving, ref)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 8} {
 		o := ref
 		o.Workers = workers
-		got, err := AlignRobust(base, moving, o)
+		got, err := AlignRobustCtx(context.Background(), base, moving, o)
 		if err != nil {
 			t.Fatal(err)
 		}

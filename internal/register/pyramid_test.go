@@ -23,7 +23,7 @@ func TestAlignPyramidRecoversKnownShift(t *testing.T) {
 	base := aperiodic(128, 96, 3)
 	for _, want := range []Shift{{0, 0}, {2, 0}, {0, -3}, {-4, 2}, {7, 7}, {-8, -8}} {
 		moved := base.Translate(want.DX, want.DY)
-		got, mi, err := Align(base, moved, pyrOptions())
+		got, mi, err := AlignCtx(context.Background(), base, moved, pyrOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,7 +35,7 @@ func TestAlignPyramidRecoversKnownShift(t *testing.T) {
 
 func TestAlignPyramidIdentityOnFlatSurface(t *testing.T) {
 	flat := img.New(128, 96)
-	s, _, err := Align(flat, flat.Clone(), pyrOptions())
+	s, _, err := AlignCtx(context.Background(), flat, flat.Clone(), pyrOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestAlignPyramidMIMatchesExhaustiveAtShift(t *testing.T) {
 	base := aperiodic(128, 96, 17)
 	moved := base.Translate(5, -4)
 	o := pyrOptions()
-	s, mi, err := Align(base, moved, o)
+	s, mi, err := AlignCtx(context.Background(), base, moved, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,12 +72,12 @@ func TestAlignPyramidClampsLevelsOnSmallImages(t *testing.T) {
 	base := texture(24, 18, 7)
 	moved := base.Translate(1, -1)
 	o := Options{MaxShift: 2, MaxShiftY: 2, Bins: 16, Margin: 1}
-	wantS, wantMI, err := Align(base, moved, o)
+	wantS, wantMI, err := AlignCtx(context.Background(), base, moved, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	o.Pyramid = 5
-	gotS, gotMI, err := Align(base, moved, o)
+	gotS, gotMI, err := AlignCtx(context.Background(), base, moved, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,14 +91,14 @@ func TestAlignPyramidDeterministicAcrossWorkers(t *testing.T) {
 	moved := base.Translate(-6, 5)
 	ref := pyrOptions()
 	ref.Workers = 1
-	wantS, wantMI, err := Align(base, moved, ref)
+	wantS, wantMI, err := AlignCtx(context.Background(), base, moved, ref)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 8} {
 		o := pyrOptions()
 		o.Workers = workers
-		gotS, gotMI, err := Align(base, moved, o)
+		gotS, gotMI, err := AlignCtx(context.Background(), base, moved, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +110,7 @@ func TestAlignPyramidDeterministicAcrossWorkers(t *testing.T) {
 
 func TestPyramidOptionValidation(t *testing.T) {
 	g := texture(40, 40, 1)
-	if _, _, err := Align(g, g, Options{MaxShift: 2, Bins: 8, Pyramid: -1}); err == nil {
+	if _, _, err := AlignCtx(context.Background(), g, g, Options{MaxShift: 2, Bins: 8, Pyramid: -1}); err == nil {
 		t.Errorf("expected Pyramid validation error")
 	}
 }
@@ -139,13 +139,13 @@ func TestPyramidMatchesExhaustiveOnChips(t *testing.T) {
 			so.Detector = c.Detector
 			so.DwellUS = 12
 			so.DriftSigmaPx = 0.5
-			acq, err := sem.AcquireStack(vol, so)
+			acq, err := sem.AcquireStackCtx(context.Background(), vol, so)
 			if err != nil {
 				t.Fatal(err)
 			}
 			exh := DefaultOptions()
 			exh.Workers = 1
-			_, want, err := AlignStack(acq.Slices, exh)
+			_, want, err := AlignStackCtx(context.Background(), acq.Slices, exh)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -153,7 +153,7 @@ func TestPyramidMatchesExhaustiveOnChips(t *testing.T) {
 				pyr := DefaultOptions()
 				pyr.Pyramid = 3
 				pyr.Workers = workers
-				_, got, err := AlignStack(acq.Slices, pyr)
+				_, got, err := AlignStackCtx(context.Background(), acq.Slices, pyr)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -97,22 +97,22 @@ type Options struct {
 	// region so that edge-extension artifacts do not bias the measure.
 	Margin int
 	// Workers bounds the goroutines evaluating candidate shifts inside
-	// Align. Values below 1 mean runtime.NumCPU(). The stack-level
+	// AlignCtx. Values below 1 mean runtime.NumCPU(). The stack-level
 	// alignment stays sequential (each slice registers to its
 	// predecessor); only the per-candidate mutual-information search is
 	// fanned out, and the result is identical for any worker count.
 	Workers int
-	// MinConfidence is the MI floor (nats) below which AlignRobust does
+	// MinConfidence is the MI floor (nats) below which AlignRobustCtx does
 	// not trust the peak: a corrupted slice produces a flat similarity
 	// surface whose argmax is noise, and anchoring the stack to it drags
 	// every later slice off target. Zero disables the check.
 	MinConfidence float64
-	// WidenRetries caps how many times AlignRobust doubles the search
+	// WidenRetries caps how many times AlignRobustCtx doubles the search
 	// window when the peak is untrustworthy (below MinConfidence or
 	// sitting on the window boundary, the signature of a drift burst
 	// larger than the window). After the cap the identity shift is
 	// substituted and flagged. Zero disables widening; with both
-	// MinConfidence and WidenRetries zero, AlignRobust is exactly Align.
+	// MinConfidence and WidenRetries zero, AlignRobustCtx is exactly AlignCtx.
 	WidenRetries int
 	// Pyramid enables the coarse-to-fine search: levels counts pyramid
 	// levels, each a further 2x box downsample, so level l searches at
@@ -176,20 +176,14 @@ func (o Options) robust() bool {
 	return o.MinConfidence > 0 || o.WidenRetries > 0
 }
 
-// Align finds the integer shift of moving that maximizes mutual
+// AlignCtx finds the integer shift of moving that maximizes mutual
 // information with fixed, by exhaustive search over the window
 // [-MaxShift, MaxShift]^2 evaluated on the shrinking overlap region.
 // Applying the returned shift to moving (img.Gray.Translate) brings it
-// into registration with fixed.
-func Align(fixed, moving *img.Gray, o Options) (Shift, float64, error) {
-	return AlignCtx(context.Background(), fixed, moving, o)
-}
-
-// AlignCtx is Align with cooperative cancellation: the candidate-shift
-// fan-out checks the context between candidates (via par.ForEachCtx), so
-// a cancelled search aborts within one MI evaluation. With
-// Options.Pyramid > 1 the exhaustive scan is replaced by the
-// coarse-to-fine pyramid search.
+// into registration with fixed. The candidate-shift fan-out checks the
+// context between candidates (via par.ForEachCtx), so a cancelled search
+// aborts within one MI evaluation. With Options.Pyramid > 1 the
+// exhaustive scan is replaced by the coarse-to-fine pyramid search.
 func AlignCtx(ctx context.Context, fixed, moving *img.Gray, o Options) (Shift, float64, error) {
 	if err := o.validate(); err != nil {
 		return Shift{}, 0, err
@@ -320,25 +314,20 @@ func absInt(v int) int {
 }
 
 // maxWindow returns the largest (MaxShift, MaxShiftY) the image can
-// support under Align's minimum-overlap requirement.
+// support under AlignCtx's minimum-overlap requirement.
 func maxWindow(g *img.Gray, margin int) (int, int) {
 	return (g.W-4)/2 - margin, (g.H-4)/2 - margin
 }
 
-// AlignRobust is Align with graceful degradation for corrupted or
+// AlignRobustCtx is AlignCtx with graceful degradation for corrupted or
 // heavily drifted slices. A peak is rejected when its MI is below
 // Options.MinConfidence or it sits on the search-window boundary; on
 // rejection the window doubles (capped by the image size) and the search
 // reruns, up to Options.WidenRetries times. When no acceptable peak is
 // found the identity shift is returned with Fallback set, so a poisoned
 // pair degrades to "no correction" instead of a garbage anchor. With
-// MinConfidence == 0 and WidenRetries == 0 it reduces exactly to Align.
-func AlignRobust(fixed, moving *img.Gray, o Options) (AlignResult, error) {
-	return AlignRobustCtx(context.Background(), fixed, moving, o)
-}
-
-// AlignRobustCtx is AlignRobust with cooperative cancellation threaded
-// into every widening retry's candidate search.
+// MinConfidence == 0 and WidenRetries == 0 it reduces exactly to
+// AlignCtx. Cancellation reaches every widening retry's candidate search.
 func AlignRobustCtx(ctx context.Context, fixed, moving *img.Gray, o Options) (AlignResult, error) {
 	s, mi, err := AlignCtx(ctx, fixed, moving, o)
 	if err != nil {
@@ -414,16 +403,12 @@ func (r StackResult) Fallbacks() int {
 	return n
 }
 
-// AlignStack sequentially aligns each slice to its predecessor, as the
+// AlignStackCtx sequentially aligns each slice to its predecessor, as the
 // paper describes ("each slide is aligned with respect to the previous
 // one"), accumulating the per-pair shifts into absolute corrections, and
-// returns the aligned copies alongside the shift report.
-func AlignStack(slices []*img.Gray, o Options) ([]*img.Gray, StackResult, error) {
-	return AlignStackCtx(context.Background(), slices, o)
-}
-
-// AlignStackCtx is AlignStack with cooperative cancellation between
-// slice pairs (and, through AlignRobustCtx, between MI candidates).
+// returns the aligned copies alongside the shift report. Cancellation
+// is checked between slice pairs (and, through AlignRobustCtx, between
+// MI candidates).
 func AlignStackCtx(ctx context.Context, slices []*img.Gray, o Options) ([]*img.Gray, StackResult, error) {
 	if len(slices) == 0 {
 		return nil, StackResult{}, fmt.Errorf("register: empty stack")
@@ -439,8 +424,8 @@ func AlignStackCtx(ctx context.Context, slices []*img.Gray, o Options) ([]*img.G
 	for i := 1; i < len(slices); i++ {
 		// Pairwise on the raw slices keeps each shift within the search
 		// window even when drift accumulates across the stack; the
-		// absolute correction is the running sum. AlignRobust reduces
-		// exactly to Align unless MinConfidence/WidenRetries are set.
+		// absolute correction is the running sum. AlignRobustCtx reduces
+		// exactly to AlignCtx unless MinConfidence/WidenRetries are set.
 		r, err := AlignRobustCtx(ctx, slices[i-1], slices[i], o)
 		if err != nil {
 			return nil, StackResult{}, fmt.Errorf("register: slice %d: %w", i, err)
@@ -454,15 +439,10 @@ func AlignStackCtx(ctx context.Context, slices []*img.Gray, o Options) ([]*img.G
 	return out, res, nil
 }
 
-// ResidualDrift estimates the residual alignment error of an aligned
+// ResidualDriftCtx estimates the residual alignment error of an aligned
 // stack as the mean magnitude of the per-pair shifts that a re-alignment
 // would still apply. A well-aligned stack reports a value near zero.
-func ResidualDrift(slices []*img.Gray, o Options) (float64, error) {
-	return ResidualDriftCtx(context.Background(), slices, o)
-}
-
-// ResidualDriftCtx is ResidualDrift with cooperative cancellation
-// between slice pairs.
+// Cancellation is checked between slice pairs.
 func ResidualDriftCtx(ctx context.Context, slices []*img.Gray, o Options) (float64, error) {
 	if len(slices) < 2 {
 		return 0, nil

@@ -1,6 +1,7 @@
 package register
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -103,7 +104,7 @@ func TestAlignRecoversKnownShift(t *testing.T) {
 	base := texture(48, 48, 3)
 	for _, want := range []Shift{{0, 0}, {2, 0}, {0, -3}, {-4, 2}, {5, 5}} {
 		moved := base.Translate(want.DX, want.DY)
-		got, mi, err := Align(base, moved, symOptions())
+		got, mi, err := AlignCtx(context.Background(), base, moved, symOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +122,7 @@ func TestAlignWithNoiseAndContrastChange(t *testing.T) {
 	for i, v := range moved.Pix {
 		moved.Pix[i] = 0.9*v + 0.05 + 0.03*rng.NormFloat64()
 	}
-	got, _, err := Align(base, moved, symOptions())
+	got, _, err := AlignCtx(context.Background(), base, moved, symOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestAlignWithNoiseAndContrastChange(t *testing.T) {
 
 func TestAlignIdentityOnSameImage(t *testing.T) {
 	g := texture(40, 40, 6)
-	s, _, err := Align(g, g, DefaultOptions())
+	s, _, err := AlignCtx(context.Background(), g, g, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,13 +160,13 @@ func TestAlignValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, _, err := Align(tc.fixed, tc.moving, tc.o); err == nil {
+			if _, _, err := AlignCtx(context.Background(), tc.fixed, tc.moving, tc.o); err == nil {
 				t.Errorf("Align accepted %+v", tc.o)
 			}
 		})
 	}
 	// The largest bin count the kernel's index types hold is accepted.
-	if _, _, err := Align(g, g, Options{MaxShift: 2, Bins: maxBins}); err != nil {
+	if _, _, err := AlignCtx(context.Background(), g, g, Options{MaxShift: 2, Bins: maxBins}); err != nil {
 		t.Errorf("Bins = %d rejected: %v", maxBins, err)
 	}
 }
@@ -177,7 +178,7 @@ func TestAlignStackCorrectsCumulativeDrift(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		stack = append(stack, base.Translate(i, 0))
 	}
-	aligned, res, err := AlignStack(stack, DefaultOptions())
+	aligned, res, err := AlignStackCtx(context.Background(), stack, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestAlignStackCorrectsCumulativeDrift(t *testing.T) {
 			t.Errorf("slice %d: shift %v, want {-%d 0}", i, res.Shifts[i], i)
 		}
 	}
-	drift, err := ResidualDrift(aligned, DefaultOptions())
+	drift, err := ResidualDriftCtx(context.Background(), aligned, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +200,7 @@ func TestAlignStackCorrectsCumulativeDrift(t *testing.T) {
 }
 
 func TestAlignStackEmpty(t *testing.T) {
-	if _, _, err := AlignStack(nil, DefaultOptions()); err == nil {
+	if _, _, err := AlignStackCtx(context.Background(), nil, DefaultOptions()); err == nil {
 		t.Errorf("expected error for empty stack")
 	}
 }
@@ -207,14 +208,14 @@ func TestAlignStackEmpty(t *testing.T) {
 func TestResidualDriftDetectsMisalignment(t *testing.T) {
 	base := texture(48, 48, 9)
 	stack := []*img.Gray{base, base.Translate(4, 0), base.Translate(8, 0)}
-	drift, err := ResidualDrift(stack, DefaultOptions())
+	drift, err := ResidualDriftCtx(context.Background(), stack, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(drift-4) > 0.5 {
 		t.Errorf("drift = %v, want ~4", drift)
 	}
-	single, err := ResidualDrift(stack[:1], DefaultOptions())
+	single, err := ResidualDriftCtx(context.Background(), stack[:1], DefaultOptions())
 	if err != nil || single != 0 {
 		t.Errorf("single-slice drift should be 0, got %v (%v)", single, err)
 	}
@@ -227,7 +228,7 @@ func TestAlignInvertsTranslationProperty(t *testing.T) {
 		dx := int(dx8)%5 - 2
 		dy := int(dy8)%5 - 2
 		moved := base.Translate(dx, dy)
-		got, _, err := Align(base, moved, symOptions())
+		got, _, err := AlignCtx(context.Background(), base, moved, symOptions())
 		if err != nil {
 			return false
 		}
@@ -259,14 +260,14 @@ func TestAlignParallelMatchesSerial(t *testing.T) {
 	for _, tc := range cases {
 		serial := symOptions()
 		serial.Workers = 1
-		wantS, wantMI, err := Align(tc.fixed, tc.moving, serial)
+		wantS, wantMI, err := AlignCtx(context.Background(), tc.fixed, tc.moving, serial)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 3, 8} {
 			o := symOptions()
 			o.Workers = workers
-			gotS, gotMI, err := Align(tc.fixed, tc.moving, o)
+			gotS, gotMI, err := AlignCtx(context.Background(), tc.fixed, tc.moving, o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -286,13 +287,13 @@ func TestAlignStackParallelMatchesSerial(t *testing.T) {
 	}
 	serial := symOptions()
 	serial.Workers = 1
-	wantImgs, wantRes, err := AlignStack(stack, serial)
+	wantImgs, wantRes, err := AlignStackCtx(context.Background(), stack, serial)
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := symOptions()
 	o.Workers = 8
-	gotImgs, gotRes, err := AlignStack(stack, o)
+	gotImgs, gotRes, err := AlignStackCtx(context.Background(), stack, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +337,7 @@ func aperiodic(w, h int, seed int64) *img.Gray {
 	return g
 }
 
-// AlignRobust acceptance behaviour, covering the low-confidence floor,
+// AlignRobustCtx acceptance behaviour, covering the low-confidence floor,
 // window-edge peaks, the widened-retry recovery and fallback exhaustion.
 func TestAlignRobustTable(t *testing.T) {
 	base := aperiodic(64, 64, 41)
@@ -402,7 +403,7 @@ func TestAlignRobustTable(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			o := symOptions()
 			tc.opts(&o)
-			got, err := AlignRobust(base, tc.moving, o)
+			got, err := AlignRobustCtx(context.Background(), base, tc.moving, o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -417,22 +418,22 @@ func TestAlignRobustTable(t *testing.T) {
 	}
 }
 
-// With robust options off, AlignRobust must agree bit-for-bit with Align
+// With robust options off, AlignRobustCtx must agree bit-for-bit with AlignCtx
 // so the default pipeline path is untouched.
 func TestAlignRobustMatchesAlignWhenDisabled(t *testing.T) {
 	base := texture(48, 48, 19)
 	moved := base.Translate(3, -1)
 	o := symOptions()
-	wantS, wantMI, err := Align(base, moved, o)
+	wantS, wantMI, err := AlignCtx(context.Background(), base, moved, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := AlignRobust(base, moved, o)
+	got, err := AlignRobustCtx(context.Background(), base, moved, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Shift != wantS || got.MI != wantMI || got.Fallback || got.Widened != 0 {
-		t.Errorf("AlignRobust = %+v, want Align's (%v, %v)", got, wantS, wantMI)
+		t.Errorf("AlignRobustCtx = %+v, want AlignCtx's (%v, %v)", got, wantS, wantMI)
 	}
 }
 
@@ -444,7 +445,7 @@ func TestAlignStackFlagsFallbackSlices(t *testing.T) {
 	o := symOptions()
 	o.MinConfidence = 0.5
 	o.WidenRetries = 1
-	aligned, res, err := AlignStack(stack, o)
+	aligned, res, err := AlignStackCtx(context.Background(), stack, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +485,7 @@ func TestRobustOptionValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := AlignRobust(g, g, tc.o); err == nil {
+			if _, err := AlignRobustCtx(context.Background(), g, g, tc.o); err == nil {
 				t.Errorf("AlignRobust accepted %+v", tc.o)
 			}
 		})
@@ -498,7 +499,7 @@ func BenchmarkAlign48(b *testing.B) {
 	o.Workers = 1
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Align(base, moved, o); err != nil {
+		if _, _, err := AlignCtx(context.Background(), base, moved, o); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -513,7 +514,7 @@ func BenchmarkAlign48Parallel(b *testing.B) {
 	o.Workers = 0 // NumCPU
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Align(base, moved, o); err != nil {
+		if _, _, err := AlignCtx(context.Background(), base, moved, o); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,20 +3,15 @@ package segment
 // Run is a horizontal run of set pixels.
 type run struct{ x0, x1 int }
 
-// Decompose splits a binary mask into axis-aligned rectangles by merging
-// identical horizontal runs of consecutive rows. For rectilinear layouts
-// (everything the SA region contains) this recovers the drawn rectangles
+// DecomposeTol splits a binary mask into axis-aligned rectangles by
+// merging horizontal runs of consecutive rows. For rectilinear layouts
+// (everything the SA region contains) tol 0 recovers the drawn rectangles
 // exactly; an L-shaped component becomes two rectangles that still touch.
-// Each rectangle is [x0, y0, x1, y1) in pixels.
-func Decompose(mask []bool, w int) [][4]int {
-	return DecomposeTol(mask, w, 0)
-}
-
-// DecomposeTol is Decompose with an edge tolerance: a run whose endpoints
-// differ from an open rectangle's by at most tol pixels extends it, and
-// the rectangle keeps the union extent. This absorbs the corner rounding
-// that morphological opening and beam blur introduce (otherwise a single
-// wire decomposes into a stack of slivers).
+// Each rectangle is [x0, y0, x1, y1) in pixels. With tol > 0 a run whose
+// endpoints differ from an open rectangle's by at most tol pixels extends
+// it, and the rectangle keeps the union extent. This absorbs the corner
+// rounding that beam blur introduces (otherwise a single wire decomposes
+// into a stack of slivers).
 func DecomposeTol(mask []bool, w, tol int) [][4]int {
 	if w <= 0 || len(mask)%w != 0 {
 		return nil

@@ -31,7 +31,7 @@ func sortRects(rs [][4]int) {
 
 func TestDecomposeSingleRect(t *testing.T) {
 	m := maskFromRects(10, 8, [][4]int{{2, 1, 7, 6}})
-	got := Decompose(m, 10)
+	got := DecomposeTol(m, 10, 0)
 	if !rectsEqual(got, [][4]int{{2, 1, 7, 6}}) {
 		t.Errorf("decompose = %v", got)
 	}
@@ -40,7 +40,7 @@ func TestDecomposeSingleRect(t *testing.T) {
 func TestDecomposeLShape(t *testing.T) {
 	// An L decomposes into two touching rectangles.
 	m := maskFromRects(10, 10, [][4]int{{0, 0, 3, 8}, {0, 8, 8, 10}})
-	got := Decompose(m, 10)
+	got := DecomposeTol(m, 10, 0)
 	if len(got) != 2 {
 		t.Fatalf("L-shape rects = %v", got)
 	}
@@ -48,20 +48,20 @@ func TestDecomposeLShape(t *testing.T) {
 
 func TestDecomposeSeparateRects(t *testing.T) {
 	m := maskFromRects(20, 10, [][4]int{{0, 0, 5, 5}, {10, 2, 15, 9}})
-	got := Decompose(m, 20)
+	got := DecomposeTol(m, 20, 0)
 	if !rectsEqual(got, [][4]int{{0, 0, 5, 5}, {10, 2, 15, 9}}) {
 		t.Errorf("decompose = %v", got)
 	}
 }
 
 func TestDecomposeEmptyAndInvalid(t *testing.T) {
-	if got := Decompose(make([]bool, 12), 4); len(got) != 0 {
+	if got := DecomposeTol(make([]bool, 12), 4, 0); len(got) != 0 {
 		t.Errorf("empty mask = %v", got)
 	}
-	if got := Decompose(make([]bool, 10), 3); got != nil {
+	if got := DecomposeTol(make([]bool, 10), 3, 0); got != nil {
 		t.Errorf("invalid width should return nil")
 	}
-	if got := Decompose(nil, 0); got != nil {
+	if got := DecomposeTol(nil, 0, 0); got != nil {
 		t.Errorf("zero width should return nil")
 	}
 }
@@ -81,7 +81,7 @@ func TestDecomposeTolAbsorbsCornerRounding(t *testing.T) {
 			m[y*w+x] = true
 		}
 	}
-	exact := Decompose(m, w)
+	exact := DecomposeTol(m, w, 0)
 	if len(exact) != 3 {
 		t.Fatalf("exact decompose should split the rounded wire: %v", exact)
 	}
@@ -114,7 +114,7 @@ func TestDecomposeCoversProperty(t *testing.T) {
 			s = s*6364136223846793005 + 1
 			m[i] = s>>62 == 0
 		}
-		rects := Decompose(m, w)
+		rects := DecomposeTol(m, w, 0)
 		cover := make([]int, w*h)
 		for _, r := range rects {
 			for y := r[1]; y < r[3]; y++ {

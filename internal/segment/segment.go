@@ -1,18 +1,12 @@
-// Package segment turns reconstructed planar-view images into discrete
-// components: intensity thresholding (Otsu), k-means clustering for
-// multi-class intensity maps, 4-connected component labeling, and
-// morphological cleanup. It is the first stage of the circuit
-// reverse-engineering methodology of Section V-A ("determine color
-// intensities that correspond to gates, wires and vias").
+// Package segment turns reconstructed planar-view images into
+// rectangles: intensity thresholding (Otsu) and the decomposition of the
+// binary mask into axis-aligned rectangles (DecomposeTol). It is the
+// first stage of the circuit reverse-engineering methodology of Section
+// V-A ("determine color intensities that correspond to gates, wires and
+// vias").
 package segment
 
-import (
-	"fmt"
-	"math"
-	"sort"
-
-	"repro/internal/img"
-)
+import "repro/internal/img"
 
 // Otsu computes the threshold maximizing between-class variance over a
 // 256-bin histogram of the image intensities (after normalizing to the
@@ -61,173 +55,4 @@ func Threshold(g *img.Gray, thr float64) []bool {
 		mask[i] = v > thr
 	}
 	return mask
-}
-
-// KMeans1D clusters the image intensities into k classes and returns the
-// sorted cluster centers and the per-pixel class indices (classes ordered
-// by ascending center). It uses deterministic quantile initialization and
-// Lloyd iterations.
-func KMeans1D(g *img.Gray, k, iterations int) ([]float64, []int, error) {
-	if k < 2 {
-		return nil, nil, fmt.Errorf("segment: need k >= 2, got %d", k)
-	}
-	if iterations <= 0 {
-		iterations = 20
-	}
-	sorted := append([]float64(nil), g.Pix...)
-	sort.Float64s(sorted)
-	centers := make([]float64, k)
-	for i := range centers {
-		q := (float64(i) + 0.5) / float64(k)
-		centers[i] = sorted[int(q*float64(len(sorted)-1))]
-	}
-	assign := make([]int, len(g.Pix))
-	for it := 0; it < iterations; it++ {
-		changed := false
-		for i, v := range g.Pix {
-			best := 0
-			bestD := math.Abs(v - centers[0])
-			for c := 1; c < k; c++ {
-				if d := math.Abs(v - centers[c]); d < bestD {
-					bestD = d
-					best = c
-				}
-			}
-			if assign[i] != best {
-				assign[i] = best
-				changed = true
-			}
-		}
-		sums := make([]float64, k)
-		counts := make([]int, k)
-		for i, c := range assign {
-			sums[c] += g.Pix[i]
-			counts[c]++
-		}
-		for c := range centers {
-			if counts[c] > 0 {
-				centers[c] = sums[c] / float64(counts[c])
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	return centers, assign, nil
-}
-
-// Component is a 4-connected region of a binary mask.
-type Component struct {
-	// Bounds in pixel coordinates: [X0, X1) x [Y0, Y1).
-	X0, Y0, X1, Y1 int
-	// Area is the pixel count.
-	Area int
-	// Fill is Area over bounding-box area; near 1 for rectangles.
-	Fill float64
-}
-
-// W and H return the bounding-box extent.
-func (c Component) W() int { return c.X1 - c.X0 }
-
-// H returns the bounding-box height.
-func (c Component) H() int { return c.Y1 - c.Y0 }
-
-// Components labels the mask (width w, height h = len(mask)/w) with
-// 4-connectivity and returns the components with at least minArea pixels,
-// sorted by (Y0, X0).
-func Components(mask []bool, w int, minArea int) ([]Component, error) {
-	if w <= 0 || len(mask)%w != 0 {
-		return nil, fmt.Errorf("segment: mask length %d not divisible by width %d", len(mask), w)
-	}
-	h := len(mask) / w
-	labels := make([]int32, len(mask))
-	var comps []Component
-	var stack []int
-	for start := range mask {
-		if !mask[start] || labels[start] != 0 {
-			continue
-		}
-		id := int32(len(comps) + 1)
-		comp := Component{X0: w, Y0: h}
-		stack = append(stack[:0], start)
-		labels[start] = id
-		for len(stack) > 0 {
-			p := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			x, y := p%w, p/w
-			comp.Area++
-			if x < comp.X0 {
-				comp.X0 = x
-			}
-			if y < comp.Y0 {
-				comp.Y0 = y
-			}
-			if x+1 > comp.X1 {
-				comp.X1 = x + 1
-			}
-			if y+1 > comp.Y1 {
-				comp.Y1 = y + 1
-			}
-			for _, q := range [4]int{p - 1, p + 1, p - w, p + w} {
-				if q < 0 || q >= len(mask) {
-					continue
-				}
-				// Horizontal neighbors must stay on the same row.
-				if (q == p-1 || q == p+1) && q/w != y {
-					continue
-				}
-				if mask[q] && labels[q] == 0 {
-					labels[q] = id
-					stack = append(stack, q)
-				}
-			}
-		}
-		if comp.Area >= minArea {
-			comp.Fill = float64(comp.Area) / float64(comp.W()*comp.H())
-			comps = append(comps, comp)
-		}
-	}
-	sort.Slice(comps, func(i, j int) bool {
-		if comps[i].Y0 != comps[j].Y0 {
-			return comps[i].Y0 < comps[j].Y0
-		}
-		return comps[i].X0 < comps[j].X0
-	})
-	return comps, nil
-}
-
-// Open performs a morphological opening (erosion then dilation) with a
-// 3x3 cross element, removing isolated noise pixels from a mask.
-func Open(mask []bool, w int) []bool {
-	h := len(mask) / w
-	at := func(m []bool, x, y int) bool {
-		if x < 0 || x >= w || y < 0 || y >= h {
-			return false
-		}
-		return m[y*w+x]
-	}
-	eroded := make([]bool, len(mask))
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			eroded[y*w+x] = at(mask, x, y) && at(mask, x-1, y) && at(mask, x+1, y) &&
-				at(mask, x, y-1) && at(mask, x, y+1)
-		}
-	}
-	dilated := make([]bool, len(mask))
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			dilated[y*w+x] = at(eroded, x, y) || at(eroded, x-1, y) || at(eroded, x+1, y) ||
-				at(eroded, x, y-1) || at(eroded, x, y+1)
-		}
-	}
-	return dilated
-}
-
-// ExtractLayer segments one planar layer image into components: Otsu
-// threshold, morphological opening, then labeling. minArea prunes noise
-// specks.
-func ExtractLayer(g *img.Gray, minArea int) ([]Component, error) {
-	thr := Otsu(g)
-	mask := Open(Threshold(g, thr), g.W)
-	return Components(mask, g.W, minArea)
 }

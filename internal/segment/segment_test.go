@@ -3,7 +3,6 @@ package segment
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/img"
 )
@@ -53,47 +52,6 @@ func TestThreshold(t *testing.T) {
 	}
 }
 
-func TestKMeans1D(t *testing.T) {
-	g := img.New(30, 1)
-	for i := range g.Pix {
-		switch i % 3 {
-		case 0:
-			g.Pix[i] = 0.1
-		case 1:
-			g.Pix[i] = 0.5
-		default:
-			g.Pix[i] = 0.9
-		}
-	}
-	centers, assign, err := KMeans1D(g, 3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(centers) != 3 {
-		t.Fatalf("centers = %v", centers)
-	}
-	for i := 1; i < 3; i++ {
-		if centers[i] < centers[i-1] {
-			t.Errorf("centers not sorted: %v", centers)
-		}
-	}
-	wants := []float64{0.1, 0.5, 0.9}
-	for i, c := range centers {
-		if diff := c - wants[i]; diff > 0.05 || diff < -0.05 {
-			t.Errorf("center %d = %v, want ~%v", i, c, wants[i])
-		}
-	}
-	for i, a := range assign {
-		if a != i%3 {
-			t.Errorf("pixel %d assigned %d", i, a)
-			break
-		}
-	}
-	if _, _, err := KMeans1D(g, 1, 5); err == nil {
-		t.Errorf("k=1 should error")
-	}
-}
-
 func maskFromRects(w, h int, rects [][4]int) []bool {
 	m := make([]bool, w*h)
 	for _, r := range rects {
@@ -104,183 +62,4 @@ func maskFromRects(w, h int, rects [][4]int) []bool {
 		}
 	}
 	return m
-}
-
-func TestComponentsBasic(t *testing.T) {
-	m := maskFromRects(20, 10, [][4]int{{1, 1, 5, 4}, {10, 2, 18, 8}})
-	comps, err := Components(m, 20, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(comps) != 2 {
-		t.Fatalf("components = %d", len(comps))
-	}
-	a := comps[0]
-	if a.X0 != 1 || a.Y0 != 1 || a.X1 != 5 || a.Y1 != 4 {
-		t.Errorf("bounds = %+v", a)
-	}
-	if a.Area != 12 || a.Fill != 1 {
-		t.Errorf("area/fill = %d/%v", a.Area, a.Fill)
-	}
-	if a.W() != 4 || a.H() != 3 {
-		t.Errorf("W/H = %d/%d", a.W(), a.H())
-	}
-}
-
-func TestComponentsTouchingMerge(t *testing.T) {
-	// Two rects sharing an edge are one component (like a strap
-	// touching a bitline).
-	m := maskFromRects(20, 10, [][4]int{{0, 4, 20, 6}, {8, 0, 10, 5}})
-	comps, err := Components(m, 20, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(comps) != 1 {
-		t.Fatalf("touching rects should merge: %d components", len(comps))
-	}
-	if comps[0].Fill >= 1 {
-		t.Errorf("L-shape fill should be < 1")
-	}
-}
-
-func TestComponentsDiagonalNotConnected(t *testing.T) {
-	// 4-connectivity: diagonal touch does not merge.
-	m := make([]bool, 16)
-	m[0] = true // (0,0)
-	m[5] = true // (1,1)
-	comps, err := Components(m, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(comps) != 2 {
-		t.Errorf("diagonal pixels merged: %d components", len(comps))
-	}
-}
-
-func TestComponentsRowWrapNotConnected(t *testing.T) {
-	// Last pixel of row 0 and first of row 1 are adjacent in memory but
-	// not in the image.
-	m := make([]bool, 8) // 4x2
-	m[3] = true          // (3,0)
-	m[4] = true          // (0,1)
-	comps, err := Components(m, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(comps) != 2 {
-		t.Errorf("row-wrapped pixels merged")
-	}
-}
-
-func TestComponentsMinArea(t *testing.T) {
-	m := maskFromRects(10, 10, [][4]int{{0, 0, 1, 1}, {4, 4, 8, 8}})
-	comps, err := Components(m, 10, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(comps) != 1 {
-		t.Errorf("minArea should prune the speck: %d", len(comps))
-	}
-}
-
-func TestComponentsErrors(t *testing.T) {
-	if _, err := Components(make([]bool, 10), 3, 1); err == nil {
-		t.Errorf("non-divisible mask should error")
-	}
-	if _, err := Components(nil, 0, 1); err == nil {
-		t.Errorf("zero width should error")
-	}
-}
-
-func TestOpenRemovesSpecks(t *testing.T) {
-	m := maskFromRects(20, 20, [][4]int{{5, 5, 15, 15}})
-	m[0] = true // isolated speck
-	opened := Open(m, 20)
-	if opened[0] {
-		t.Errorf("speck should be removed")
-	}
-	// Interior of the block survives.
-	if !opened[10*20+10] {
-		t.Errorf("block interior should survive opening")
-	}
-}
-
-func TestExtractLayerEndToEnd(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	g := img.New(64, 32)
-	// Three bright wires on dark background, with noise.
-	for y := 0; y < 32; y++ {
-		for x := 0; x < 64; x++ {
-			v := 0.1
-			if y >= 4 && y < 8 || y >= 14 && y < 18 || y >= 24 && y < 28 {
-				v = 0.85
-			}
-			g.Set(x, y, v+rng.NormFloat64()*0.05)
-		}
-	}
-	comps, err := ExtractLayer(g, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(comps) != 3 {
-		t.Fatalf("wires = %d, want 3", len(comps))
-	}
-	for _, c := range comps {
-		if c.W() < 60 {
-			t.Errorf("wire truncated: %+v", c)
-		}
-		if c.H() < 3 || c.H() > 6 {
-			t.Errorf("wire height %d distorted", c.H())
-		}
-	}
-}
-
-// Property: total component area never exceeds mask popcount, and every
-// component fits in the image.
-func TestComponentsAreaProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		w, h := 24, 16
-		m := make([]bool, w*h)
-		on := 0
-		for i := range m {
-			if rng.Float64() < 0.3 {
-				m[i] = true
-				on++
-			}
-		}
-		comps, err := Components(m, w, 1)
-		if err != nil {
-			return false
-		}
-		total := 0
-		for _, c := range comps {
-			total += c.Area
-			if c.X0 < 0 || c.Y0 < 0 || c.X1 > w || c.Y1 > h {
-				return false
-			}
-			if c.Fill <= 0 || c.Fill > 1 {
-				return false
-			}
-		}
-		return total == on
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
-func BenchmarkComponents(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	w, h := 256, 256
-	m := make([]bool, w*h)
-	for i := range m {
-		m[i] = rng.Float64() < 0.4
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Components(m, w, 4); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

@@ -190,16 +190,11 @@ type Acquisition struct {
 	Options Options
 }
 
-// AcquireStack mills through the volume along Z, imaging every SliceStep
-// voxels with the configured artifacts.
-func AcquireStack(v *chipgen.MatVolume, o Options) (*Acquisition, error) {
-	return AcquireStackCtx(context.Background(), v, o)
-}
-
-// AcquireStackCtx is AcquireStack with cooperative cancellation between
-// slices: acquisition is the pipeline's longest stage (the paper's real
-// campaigns run >24 h), so a cancelled run must stop at the next FIB cut
-// rather than mill the remaining volume.
+// AcquireStackCtx mills through the volume along Z, imaging every
+// SliceStep voxels with the configured artifacts. Cancellation is
+// checked between slices: acquisition is the pipeline's longest stage
+// (the paper's real campaigns run >24 h), so a cancelled run must stop
+// at the next FIB cut rather than mill the remaining volume.
 func AcquireStackCtx(ctx context.Context, v *chipgen.MatVolume, o Options) (*Acquisition, error) {
 	acq := &Acquisition{Options: o}
 	err := StreamStackCtx(ctx, v, o, func(i, z int, g *img.Gray, drift [2]float64) error {

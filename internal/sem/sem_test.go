@@ -1,6 +1,7 @@
 package sem
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -89,7 +90,7 @@ func TestAcquireStackShapeAndDeterminism(t *testing.T) {
 	v := regionVolume(t, "B4", 8)
 	o := DefaultOptions()
 	o.SliceStep = 2
-	a1, err := AcquireStack(v, o)
+	a1, err := AcquireStackCtx(context.Background(), v, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestAcquireStackShapeAndDeterminism(t *testing.T) {
 	if len(a1.SliceZ) != len(a1.Slices) || len(a1.TrueDrift) != len(a1.Slices) {
 		t.Errorf("metadata lengths inconsistent")
 	}
-	a2, err := AcquireStack(v, o)
+	a2, err := AcquireStackCtx(context.Background(), v, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestAcquireStackShapeAndDeterminism(t *testing.T) {
 	}
 	// Different seed differs.
 	o.Seed = 99
-	a3, _ := AcquireStack(v, o)
+	a3, _ := AcquireStackCtx(context.Background(), v, o)
 	m, _ := img.MSE(a1.Slices[1], a3.Slices[1])
 	if m == 0 {
 		t.Errorf("different seeds should differ")
@@ -123,7 +124,7 @@ func TestAcquireValidatesOptions(t *testing.T) {
 	v := regionVolume(t, "B4", 16)
 	o := DefaultOptions()
 	o.Detector = "Z"
-	if _, err := AcquireStack(v, o); err == nil {
+	if _, err := AcquireStackCtx(context.Background(), v, o); err == nil {
 		t.Errorf("expected validation error")
 	}
 }
@@ -140,7 +141,7 @@ func TestDwellTimeControlsNoise(t *testing.T) {
 		o.DriftSigmaPx = 0
 		o.ChargeSigma = 0
 		o.BlurSigmaPx = 0
-		a, err := AcquireStack(v, o)
+		a, err := AcquireStackCtx(context.Background(), v, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +159,7 @@ func TestDriftAccumulates(t *testing.T) {
 	v := regionVolume(t, "B4", 8)
 	o := DefaultOptions()
 	o.DriftSigmaPx = 1.5
-	a, err := AcquireStack(v, o)
+	a, err := AcquireStackCtx(context.Background(), v, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestDriftAccumulates(t *testing.T) {
 		t.Errorf("drift should accumulate across the stack")
 	}
 	o.DriftSigmaPx = 0
-	a0, _ := AcquireStack(v, o)
+	a0, _ := AcquireStackCtx(context.Background(), v, o)
 	for _, d := range a0.TrueDrift {
 		if d != [2]float64{0, 0} {
 			t.Errorf("zero drift option produced drift %v", d)
@@ -181,7 +182,7 @@ func TestDriftAccumulates(t *testing.T) {
 func TestCostHoursScalesWithDwell(t *testing.T) {
 	v := regionVolume(t, "B4", 16)
 	o := DefaultOptions()
-	a, err := AcquireStack(v, o)
+	a, err := AcquireStackCtx(context.Background(), v, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestCostHoursScalesWithDwell(t *testing.T) {
 		t.Errorf("cost must be positive")
 	}
 	o.DwellUS = 6
-	a2, _ := AcquireStack(v, o)
+	a2, _ := AcquireStackCtx(context.Background(), v, o)
 	if a2.CostHours() <= c1 {
 		t.Errorf("doubling dwell must raise cost")
 	}
@@ -304,7 +305,7 @@ func BenchmarkAcquireStack(b *testing.B) {
 	o := DefaultOptions()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := AcquireStack(v, o); err != nil {
+		if _, err := AcquireStackCtx(context.Background(), v, o); err != nil {
 			b.Fatal(err)
 		}
 	}

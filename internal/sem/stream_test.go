@@ -32,7 +32,7 @@ func TestStreamMatchesAcquire(t *testing.T) {
 	o := DefaultOptions()
 	o.SliceStep = 2
 	o.DriftTrendPx = 0.05
-	want, err := AcquireStack(v, o)
+	want, err := AcquireStackCtx(context.Background(), v, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestStreamHonorsCancellation(t *testing.T) {
 
 func TestCostHoursForMatchesMethod(t *testing.T) {
 	v := testVolume(t)
-	acq, err := AcquireStack(v, DefaultOptions())
+	acq, err := AcquireStackCtx(context.Background(), v, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1162,11 +1162,6 @@ func (s *Server) Recovered() int {
 	return s.recovered
 }
 
-// Journaled reports whether the server runs with a job journal.
-func (s *Server) Journaled() bool {
-	return s.journal != nil
-}
-
 // FleetSnapshot returns the server-wide metric totals (every finished
 // job merged in, plus the serve.* scheduling counters).
 func (s *Server) FleetSnapshot() *obs.Snapshot {

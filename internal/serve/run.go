@@ -69,9 +69,25 @@ const (
 	ArtifactGDS    = "extracted.gds"
 )
 
+// Bounds on the numeric overrides a client may submit. Without them one
+// request could make the server generate and image an arbitrarily large
+// region inside its own process.
+const (
+	// maxUnits caps Request.Units. The generated region carries 4 bitlines
+	// per unit, and generation, imaging and reconstruction time grow
+	// linearly with it. 8 is four times the default profile's 2 units and
+	// twice the largest value any test, smoke run or benchmark submits.
+	maxUnits = 8
+	// minVoxelNM floors Request.VoxelNM. Voxel count grows with the cube
+	// of 1/VoxelNM, so halving the voxel costs 8x the work and memory of
+	// the same region. 4 nm is the default profile's voxel, the finest
+	// any test, smoke run or benchmark uses.
+	minVoxelNM = 4
+)
+
 // resolve validates the request and returns the chip, the resolved
-// result-affecting options (detector included, exactly as a Run would
-// key its checkpoints) and the cache unit.
+// result-affecting options (detector included, exactly as core.RunCtx
+// would key its checkpoints) and the cache unit.
 func (r Request) resolve() (*chips.Chip, core.Options, string, error) {
 	c := chips.ByID(r.Chip)
 	if c == nil {
@@ -82,6 +98,12 @@ func (r Request) resolve() (*chips.Chip, core.Options, string, error) {
 	}
 	if r.Units < 0 || r.VoxelNM < 0 || r.DwellUS < 0 || r.Pyramid < 0 {
 		return nil, core.Options{}, "", fmt.Errorf("negative option override")
+	}
+	if r.Units > maxUnits {
+		return nil, core.Options{}, "", fmt.Errorf("units %d above the cap of %d", r.Units, maxUnits)
+	}
+	if r.VoxelNM > 0 && r.VoxelNM < minVoxelNM {
+		return nil, core.Options{}, "", fmt.Errorf("voxel_nm %d below the floor of %d", r.VoxelNM, minVoxelNM)
 	}
 	if r.DeadlineMS < 0 {
 		return nil, core.Options{}, "", fmt.Errorf("negative deadline_ms")

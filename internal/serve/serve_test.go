@@ -84,6 +84,39 @@ func stubArtifacts(tag string) map[string][]byte {
 	}
 }
 
+// TestSubmitBoundsOverrides pins the numeric override bounds: units
+// above maxUnits and voxel_nm below minVoxelNM are the client's fault
+// (ErrBadRequest), while every value the repository's tests, smokes and
+// profiles submit is still queued. The stub runner generates nothing.
+func TestSubmitBoundsOverrides(t *testing.T) {
+	s := newTestServer(t, Config{Jobs: 1}, okRunner)
+	for _, tc := range []struct {
+		units int
+		voxel int64
+		ok    bool
+	}{
+		{units: 1, ok: true},
+		{units: 4, ok: true},
+		{units: maxUnits, ok: true},
+		{voxel: minVoxelNM, ok: true},
+		{voxel: 16, ok: true},
+		{units: maxUnits, voxel: minVoxelNM, ok: true},
+		{units: maxUnits + 1},
+		{units: 1000000},
+		{voxel: minVoxelNM - 1},
+		{voxel: 1},
+	} {
+		req := Request{Chip: "B4", Profile: "fast", Units: tc.units, VoxelNM: tc.voxel}
+		_, err := s.Submit(req)
+		if tc.ok && err != nil {
+			t.Errorf("units=%d voxel_nm=%d: rejected: %v", tc.units, tc.voxel, err)
+		}
+		if !tc.ok && !errors.Is(err, ErrBadRequest) {
+			t.Errorf("units=%d voxel_nm=%d: err = %v, want ErrBadRequest", tc.units, tc.voxel, err)
+		}
+	}
+}
+
 // TestQueueUnderLoad fills the queue behind a blocked worker: the
 // bounded queue accepts exactly QueueDepth pending jobs, rejects the
 // next with ErrQueueFull, and drains everything once the worker frees.
@@ -732,7 +765,7 @@ func stageCalls(ob *obs.Observer, stage string) int {
 // TestServeViewsOneReconstruction pins the views job contract: the
 // planar views ride along with the extraction, so a views job images
 // the stack once and denoises each slice once, and its PGMs are what
-// PlanarViews renders from a freshly acquired stack. A views job that
+// PlanarViewsCtx renders from a freshly acquired stack. A views job that
 // follows a plain job with the same fingerprint resumes from the plain
 // job's extraction checkpoint and images nothing. The report is the
 // same bytes whichever way it was computed: fresh, resumed by the views
@@ -859,7 +892,7 @@ func TestServeViewsOneReconstruction(t *testing.T) {
 }
 
 // planarPGMs renders req's planar views independently of the run:
-// acquire the region, reconstruct its views with PlanarViews, normalize
+// acquire the region, reconstruct its views with PlanarViewsCtx, normalize
 // each and encode it as PGM.
 func planarPGMs(t *testing.T, req Request) map[string][]byte {
 	t.Helper()
@@ -877,11 +910,11 @@ func planarPGMs(t *testing.T, req Request) map[string][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acq, err := sem.AcquireStack(vol, o.SEM)
+	acq, err := sem.AcquireStackCtx(context.Background(), vol, o.SEM)
 	if err != nil {
 		t.Fatal(err)
 	}
-	views, err := core.PlanarViews(acq, o)
+	views, err := core.PlanarViewsCtx(context.Background(), acq, o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,11 +111,6 @@ type TransientOptions struct {
 	InitialV map[string]float64
 }
 
-// DefaultTransient returns solver settings adequate for the SA circuits.
-func DefaultTransient(stop float64) TransientOptions {
-	return TransientOptions{Dt: stop / 4000, Stop: stop, MaxNewton: 80, Tol: 1e-6}
-}
-
 // Trace is a recorded waveform.
 type Trace struct {
 	Node string

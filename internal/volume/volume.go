@@ -1,8 +1,8 @@
 // Package volume provides 3-D scalar volumes assembled from FIB/SEM slice
-// stacks and the reslicing operations the HiFi-DRAM pipeline needs: the
-// microscope produces cross-section images (X = lateral, Y = depth into
-// the IC stack) at successive Z positions (FIB milling direction), and
-// the reverse-engineering stage consumes planar (top-down) views, i.e.
+// stacks and their planar reslice (PlanarAverage): the microscope
+// produces cross-section images (X = lateral, Y = depth into the IC
+// stack) at successive Z positions (FIB milling direction), and the
+// reverse-engineering stage consumes planar (top-down) views, i.e.
 // slices at constant depth Y.
 //
 // Axis convention throughout:
@@ -16,7 +16,6 @@ package volume
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/img"
 )
@@ -45,25 +44,6 @@ func (v *Volume) At(x, y, z int) float64 {
 // Set writes the voxel at (x, y, z).
 func (v *Volume) Set(x, y, z int, val float64) {
 	v.Data[(z*v.NY+y)*v.NX+x] = val
-}
-
-// AtClamp returns the voxel at (x, y, z) with coordinates clamped to the
-// volume bounds.
-func (v *Volume) AtClamp(x, y, z int) float64 {
-	x = clamp(x, v.NX)
-	y = clamp(y, v.NY)
-	z = clamp(z, v.NZ)
-	return v.At(x, y, z)
-}
-
-func clamp(i, n int) int {
-	if i < 0 {
-		return 0
-	}
-	if i >= n {
-		return n - 1
-	}
-	return i
 }
 
 // SliceSizeError reports a slice whose dimensions differ from the first
@@ -110,48 +90,6 @@ func FromStack(slices []*img.Gray) (*Volume, error) {
 	return v, nil
 }
 
-// SliceZ extracts the cross-section image at the given z (a copy).
-func (v *Volume) SliceZ(z int) (*img.Gray, error) {
-	if z < 0 || z >= v.NZ {
-		return nil, fmt.Errorf("volume: z=%d out of [0,%d)", z, v.NZ)
-	}
-	g := img.New(v.NX, v.NY)
-	copy(g.Pix, v.Data[z*v.NX*v.NY:(z+1)*v.NX*v.NY])
-	return g, nil
-}
-
-// SliceY extracts the planar (top-down) view at constant depth y: the
-// result has width NX and height NZ, with image row z sampling slice z.
-// This is the point-of-view change from cross section to planar that
-// Section IV-C of the paper performs.
-func (v *Volume) SliceY(y int) (*img.Gray, error) {
-	if y < 0 || y >= v.NY {
-		return nil, fmt.Errorf("volume: y=%d out of [0,%d)", y, v.NY)
-	}
-	g := img.New(v.NX, v.NZ)
-	for z := 0; z < v.NZ; z++ {
-		for x := 0; x < v.NX; x++ {
-			g.Set(x, z, v.At(x, y, z))
-		}
-	}
-	return g, nil
-}
-
-// SliceX extracts the orthogonal cross-section at constant x: the result
-// has width NZ and height NY.
-func (v *Volume) SliceX(x int) (*img.Gray, error) {
-	if x < 0 || x >= v.NX {
-		return nil, fmt.Errorf("volume: x=%d out of [0,%d)", x, v.NX)
-	}
-	g := img.New(v.NZ, v.NY)
-	for y := 0; y < v.NY; y++ {
-		for z := 0; z < v.NZ; z++ {
-			g.Set(z, y, v.At(x, y, z))
-		}
-	}
-	return g, nil
-}
-
 // PlanarAverage returns the planar view averaged over the depth band
 // [y0, y1), which is how a metal layer of finite thickness is rendered as
 // a single planar image.
@@ -171,81 +109,4 @@ func (v *Volume) PlanarAverage(y0, y1 int) (*img.Gray, error) {
 		}
 	}
 	return g, nil
-}
-
-// Crop returns the sub-volume [x0,x1)×[y0,y1)×[z0,z1).
-func (v *Volume) Crop(x0, y0, z0, x1, y1, z1 int) (*Volume, error) {
-	if x0 < 0 || y0 < 0 || z0 < 0 || x1 > v.NX || y1 > v.NY || z1 > v.NZ ||
-		x0 >= x1 || y0 >= y1 || z0 >= z1 {
-		return nil, fmt.Errorf("volume: invalid crop [%d,%d)x[%d,%d)x[%d,%d) of %dx%dx%d",
-			x0, x1, y0, y1, z0, z1, v.NX, v.NY, v.NZ)
-	}
-	out := New(x1-x0, y1-y0, z1-z0)
-	for z := z0; z < z1; z++ {
-		for y := y0; y < y1; y++ {
-			srcOff := (z*v.NY+y)*v.NX + x0
-			dstOff := ((z-z0)*out.NY + (y - y0)) * out.NX
-			copy(out.Data[dstOff:dstOff+out.NX], v.Data[srcOff:srcOff+(x1-x0)])
-		}
-	}
-	return out, nil
-}
-
-// RotateZ returns the volume rotated by the given angle (radians) about
-// the Y axis (i.e. each planar view is rotated in the X-Z plane about the
-// volume center), resampled trilinearly within each depth plane. This is
-// the final misalignment-correction rotation of the post-processing step.
-func (v *Volume) RotateZ(angle float64) *Volume {
-	out := New(v.NX, v.NY, v.NZ)
-	cx := float64(v.NX-1) / 2
-	cz := float64(v.NZ-1) / 2
-	sin, cos := math.Sin(angle), math.Cos(angle)
-	for z := 0; z < v.NZ; z++ {
-		for x := 0; x < v.NX; x++ {
-			// Inverse mapping: rotate the output coordinate back.
-			fx := float64(x) - cx
-			fz := float64(z) - cz
-			sx := cos*fx + sin*fz + cx
-			sz := -sin*fx + cos*fz + cz
-			for y := 0; y < v.NY; y++ {
-				out.Set(x, y, z, v.bilinearXZ(sx, y, sz))
-			}
-		}
-	}
-	return out
-}
-
-// bilinearXZ samples the volume at real (x, z) within integer depth y.
-func (v *Volume) bilinearXZ(x float64, y int, z float64) float64 {
-	x0 := int(math.Floor(x))
-	z0 := int(math.Floor(z))
-	fx := x - float64(x0)
-	fz := z - float64(z0)
-	v00 := v.AtClamp(x0, y, z0)
-	v10 := v.AtClamp(x0+1, y, z0)
-	v01 := v.AtClamp(x0, y, z0+1)
-	v11 := v.AtClamp(x0+1, y, z0+1)
-	return v00*(1-fx)*(1-fz) + v10*fx*(1-fz) + v01*(1-fx)*fz + v11*fx*fz
-}
-
-// Stats summarizes the voxel intensity distribution.
-type Stats struct {
-	Min, Max, Mean float64
-}
-
-// Statistics computes min/max/mean over all voxels.
-func (v *Volume) Statistics() Stats {
-	s := Stats{Min: math.Inf(1), Max: math.Inf(-1)}
-	var sum float64
-	for _, val := range v.Data {
-		if val < s.Min {
-			s.Min = val
-		}
-		if val > s.Max {
-			s.Max = val
-		}
-		sum += val
-	}
-	s.Mean = sum / float64(len(v.Data))
-	return s
 }

@@ -2,20 +2,11 @@ package volume
 
 import (
 	"errors"
-	"math"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/img"
 )
-
-func seqVolume(nx, ny, nz int) *Volume {
-	v := New(nx, ny, nz)
-	for i := range v.Data {
-		v.Data[i] = float64(i)
-	}
-	return v
-}
 
 func TestNewPanics(t *testing.T) {
 	defer func() {
@@ -32,9 +23,6 @@ func TestAtSetRoundTrip(t *testing.T) {
 	if got := v.At(2, 3, 4); got != 7.5 {
 		t.Errorf("At = %v", got)
 	}
-	if got := v.AtClamp(99, -1, 4); got != v.At(2, 0, 4) {
-		t.Errorf("AtClamp = %v", got)
-	}
 }
 
 func TestFromStackAndSliceZ(t *testing.T) {
@@ -49,19 +37,11 @@ func TestFromStackAndSliceZ(t *testing.T) {
 	if v.NX != 4 || v.NY != 3 || v.NZ != 2 {
 		t.Fatalf("dims %dx%dx%d", v.NX, v.NY, v.NZ)
 	}
-	s0, err := v.SliceZ(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s0.At(1, 1) != 1 {
+	if v.At(1, 1, 0) != 1 {
 		t.Errorf("slice 0 content wrong")
 	}
-	s1, _ := v.SliceZ(1)
-	if s1.At(0, 0) != 2 {
+	if v.At(0, 0, 1) != 2 {
 		t.Errorf("slice 1 content wrong")
-	}
-	if _, err := v.SliceZ(2); err == nil {
-		t.Errorf("expected out-of-range error")
 	}
 }
 
@@ -117,6 +97,7 @@ func TestFromStackRejectsInvalidSlices(t *testing.T) {
 	}
 }
 
+// A one-voxel depth band is the planar view at that depth.
 func TestSliceYIsPlanarView(t *testing.T) {
 	// Volume where value encodes coordinates: v = 100z + 10y + x.
 	v := New(3, 3, 3)
@@ -127,7 +108,7 @@ func TestSliceYIsPlanarView(t *testing.T) {
 			}
 		}
 	}
-	p, err := v.SliceY(1)
+	p, err := v.PlanarAverage(1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,25 +119,7 @@ func TestSliceYIsPlanarView(t *testing.T) {
 	if got := p.At(2, 1); got != 112 {
 		t.Errorf("planar sample = %v, want 112", got)
 	}
-	if _, err := v.SliceY(3); err == nil {
-		t.Errorf("expected out-of-range error")
-	}
-}
-
-func TestSliceX(t *testing.T) {
-	v := New(2, 3, 4)
-	v.Set(1, 2, 3, 42)
-	s, err := v.SliceX(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.W != 4 || s.H != 3 {
-		t.Fatalf("dims %dx%d", s.W, s.H)
-	}
-	if s.At(3, 2) != 42 {
-		t.Errorf("content wrong: %v", s.At(3, 2))
-	}
-	if _, err := v.SliceX(-1); err == nil {
+	if _, err := v.PlanarAverage(3, 4); err == nil {
 		t.Errorf("expected out-of-range error")
 	}
 }
@@ -185,61 +148,7 @@ func TestPlanarAverage(t *testing.T) {
 	}
 }
 
-func TestCrop(t *testing.T) {
-	v := seqVolume(4, 4, 4)
-	c, err := v.Crop(1, 1, 1, 3, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.NX != 2 || c.NY != 3 || c.NZ != 1 {
-		t.Fatalf("crop dims %dx%dx%d", c.NX, c.NY, c.NZ)
-	}
-	if c.At(0, 0, 0) != v.At(1, 1, 1) {
-		t.Errorf("crop origin wrong")
-	}
-	if c.At(1, 2, 0) != v.At(2, 3, 1) {
-		t.Errorf("crop far corner wrong")
-	}
-	if _, err := v.Crop(0, 0, 0, 5, 4, 4); err == nil {
-		t.Errorf("expected out-of-range error")
-	}
-}
-
-func TestRotateZIdentity(t *testing.T) {
-	v := seqVolume(5, 2, 5)
-	r := v.RotateZ(0)
-	for i := range v.Data {
-		if math.Abs(r.Data[i]-v.Data[i]) > 1e-12 {
-			t.Fatalf("identity rotation changed voxel %d", i)
-		}
-	}
-}
-
-func TestRotateZQuarterTurn(t *testing.T) {
-	// A marked voxel off-center should move to the rotated position.
-	v := New(5, 1, 5)
-	v.Set(4, 0, 2, 1) // at (x,z) = (4,2): offset (+2, 0) from center (2,2)
-	r := v.RotateZ(math.Pi / 2)
-	// Forward rotation by +90° maps offset (dx,dz) to (-dz,dx):
-	// (+2,0) -> (0,+2), i.e. (x,z) = (2,4).
-	if got := r.At(2, 0, 4); math.Abs(got-1) > 1e-9 {
-		t.Errorf("rotated voxel = %v at expected position", got)
-	}
-	if got := r.At(4, 0, 2); got > 1e-9 {
-		t.Errorf("original position should be vacated, got %v", got)
-	}
-}
-
-func TestStatistics(t *testing.T) {
-	v := New(2, 1, 2)
-	copy(v.Data, []float64{1, 2, 3, 6})
-	s := v.Statistics()
-	if s.Min != 1 || s.Max != 6 || s.Mean != 3 {
-		t.Errorf("stats = %+v", s)
-	}
-}
-
-// Property: FromStack then SliceZ round-trips every slice.
+// Property: FromStack stores slice k as the plane z = k.
 func TestStackRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		n := int(seed%4) + 2
@@ -259,13 +168,11 @@ func TestStackRoundTripProperty(t *testing.T) {
 			return false
 		}
 		for k := 0; k < n; k++ {
-			s, err := v.SliceZ(k)
-			if err != nil {
-				return false
-			}
-			for i := range s.Pix {
-				if s.Pix[i] != slices[k].Pix[i] {
-					return false
+			for y := 0; y < 4; y++ {
+				for x := 0; x < 5; x++ {
+					if v.At(x, y, k) != slices[k].At(x, y) {
+						return false
+					}
 				}
 			}
 		}
@@ -276,7 +183,8 @@ func TestStackRoundTripProperty(t *testing.T) {
 	}
 }
 
-// Property: SliceY of FromStack equals reading row y of each slice.
+// Property: the one-voxel planar band at depth y of FromStack equals
+// reading row y of each slice.
 func TestPlanarConsistencyProperty(t *testing.T) {
 	f := func(seed uint8) bool {
 		slices := []*img.Gray{img.New(6, 5), img.New(6, 5), img.New(6, 5)}
@@ -290,7 +198,7 @@ func TestPlanarConsistencyProperty(t *testing.T) {
 			return false
 		}
 		y := int(seed) % 5
-		p, err := v.SliceY(y)
+		p, err := v.PlanarAverage(y, y+1)
 		if err != nil {
 			return false
 		}
@@ -305,23 +213,5 @@ func TestPlanarConsistencyProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
-	}
-}
-
-func BenchmarkSliceY(b *testing.B) {
-	v := seqVolume(128, 64, 128)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := v.SliceY(32); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRotateZ(b *testing.B) {
-	v := seqVolume(64, 16, 64)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		v.RotateZ(0.05)
 	}
 }
