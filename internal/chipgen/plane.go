@@ -7,54 +7,35 @@ import (
 	"repro/internal/layout"
 )
 
-// planeFill is one shape's rasterized footprint: the voxel box it paints
+// shapeBox is one shape's rasterized footprint: the voxel box it paints
 // (lateral columns [x0,x1), slicing positions [z0,z1), depth rows
-// [y0,y1)) and the material it paints with. Fills are stored in the
-// cell's shape order so later shapes overwrite earlier ones exactly as
-// Voxelize does.
-type planeFill struct {
+// [y0,y1)) and the material it paints with.
+type shapeBox struct {
 	x0, x1 int
 	z0, z1 int
 	y0, y1 int
 	m      Material
 }
 
-// PlaneSource rasterizes a cell one FIB plane at a time instead of
-// materializing the full MatVolume. Its planes are byte-identical to
-// the corresponding MatVolume cross-sections (same validation, same
-// voxel arithmetic, same later-shape-wins overwrite order), but the
-// footprint is O(shapes + one plane) rather than O(nx·ny·nz) — the
-// streaming acquisition producer renders from it so an arbitrarily deep
-// slice stack never holds the whole volume in memory.
-type PlaneSource struct {
-	nx, nz   int
-	voxelNM  int64
-	boundsNM geom.Rect
-	fills    []planeFill
-	buf      []Material // reused by PlaneZ; see its doc comment
-}
-
-// NewPlaneSource prepares lazy plane rasterization of the cell within
-// the window at the given lateral voxel size. Validation and dimension
-// arithmetic match Voxelize exactly, so the two are interchangeable for
-// any valid input.
-func NewPlaneSource(cell *layout.Cell, window geom.Rect, voxelNM int64) (*PlaneSource, error) {
+// shapeBoxes validates a rasterization of the cell within the window at
+// the given lateral voxel size and returns the grid's lateral and
+// slicing dimensions with every banded shape's voxel box, in the cell's
+// shape order: painting the boxes in that order makes later shapes
+// overwrite earlier ones within their band. Layout X maps to volume X,
+// layout Y to volume Z, and the depth bands to volume Y.
+func shapeBoxes(cell *layout.Cell, window geom.Rect, voxelNM int64) (nx, nz int, boxes []shapeBox, err error) {
 	if voxelNM <= 0 {
-		return nil, fmt.Errorf("chipgen: non-positive voxel size %d", voxelNM)
+		return 0, 0, nil, fmt.Errorf("chipgen: non-positive voxel size %d", voxelNM)
 	}
 	if window.Empty() {
-		return nil, fmt.Errorf("chipgen: empty voxelization window")
+		return 0, 0, nil, fmt.Errorf("chipgen: empty voxelization window")
 	}
-	nx := int((window.W() + voxelNM - 1) / voxelNM)
-	nz := int((window.H() + voxelNM - 1) / voxelNM)
+	nx = int((window.W() + voxelNM - 1) / voxelNM)
+	nz = int((window.H() + voxelNM - 1) / voxelNM)
 	if nx <= 0 || nz <= 0 {
-		return nil, fmt.Errorf("chipgen: window too small for voxel size")
+		return 0, 0, nil, fmt.Errorf("chipgen: window too small for voxel size")
 	}
-	p := &PlaneSource{
-		nx: nx, nz: nz,
-		voxelNM: voxelNM, boundsNM: window,
-		buf: make([]Material, nx*StackDepth),
-	}
+	boxes = make([]shapeBox, 0, len(cell.Shapes))
 	for _, s := range cell.Shapes {
 		band, ok := depthBands[s.Layer]
 		if !ok {
@@ -64,23 +45,47 @@ func NewPlaneSource(cell *layout.Cell, window geom.Rect, voxelNM int64) (*PlaneS
 		if r.Empty() {
 			continue
 		}
-		m := MaterialOf(s.Layer)
-		x0 := int((r.Min.X - window.Min.X) / voxelNM)
-		x1 := int((r.Max.X - window.Min.X + voxelNM - 1) / voxelNM)
-		z0 := int((r.Min.Y - window.Min.Y) / voxelNM)
-		z1 := int((r.Max.Y - window.Min.Y + voxelNM - 1) / voxelNM)
-		if x1 > nx {
-			x1 = nx
-		}
-		if z1 > nz {
-			z1 = nz
-		}
-		p.fills = append(p.fills, planeFill{
-			x0: x0, x1: x1, z0: z0, z1: z1,
-			y0: band.Y0, y1: band.Y1, m: m,
+		boxes = append(boxes, shapeBox{
+			x0: int((r.Min.X - window.Min.X) / voxelNM),
+			x1: min(int((r.Max.X-window.Min.X+voxelNM-1)/voxelNM), nx),
+			z0: int((r.Min.Y - window.Min.Y) / voxelNM),
+			z1: min(int((r.Max.Y-window.Min.Y+voxelNM-1)/voxelNM), nz),
+			y0: band.Y0, y1: band.Y1,
+			m: MaterialOf(s.Layer),
 		})
 	}
-	return p, nil
+	return nx, nz, boxes, nil
+}
+
+// PlaneSource rasterizes a cell one FIB plane at a time instead of
+// materializing the full MatVolume. It paints the same shapeBoxes as
+// Voxelize, plane by plane, so its planes equal the volume's
+// cross-sections byte for byte, but its footprint is O(shapes + one
+// plane) rather than O(nx·ny·nz) — the streaming acquisition producer
+// renders from it so an arbitrarily deep slice stack never holds the
+// whole volume in memory.
+type PlaneSource struct {
+	nx, nz   int
+	voxelNM  int64
+	boundsNM geom.Rect
+	boxes    []shapeBox
+	buf      []Material // reused by PlaneZ; see its doc comment
+}
+
+// NewPlaneSource prepares lazy plane rasterization of the cell within
+// the window at the given lateral voxel size; it accepts and rejects
+// exactly the inputs Voxelize does.
+func NewPlaneSource(cell *layout.Cell, window geom.Rect, voxelNM int64) (*PlaneSource, error) {
+	nx, nz, boxes, err := shapeBoxes(cell, window, voxelNM)
+	if err != nil {
+		return nil, err
+	}
+	return &PlaneSource{
+		nx: nx, nz: nz,
+		voxelNM: voxelNM, boundsNM: window,
+		boxes: boxes,
+		buf:   make([]Material, nx*StackDepth),
+	}, nil
 }
 
 // Dims returns the voxel dimensions (nx lateral, ny depth, nz slicing
@@ -102,14 +107,14 @@ func (p *PlaneSource) PlaneZ(z int) ([]Material, error) {
 	for i := range p.buf {
 		p.buf[i] = MatOxide
 	}
-	for _, f := range p.fills {
-		if z < f.z0 || z >= f.z1 {
+	for _, b := range p.boxes {
+		if z < b.z0 || z >= b.z1 {
 			continue
 		}
-		for y := f.y0; y < f.y1; y++ {
+		for y := b.y0; y < b.y1; y++ {
 			row := p.buf[y*p.nx : (y+1)*p.nx]
-			for x := f.x0; x < f.x1; x++ {
-				row[x] = f.m
+			for x := b.x0; x < b.x1; x++ {
+				row[x] = b.m
 			}
 		}
 	}

@@ -10,26 +10,43 @@ import (
 
 // TestPlaneSourceMatchesVoxelize pins the streaming acquisition's
 // ground-truth contract: every lazily rasterized plane must be
-// byte-identical to the same plane of the fully materialized volume.
+// byte-identical to the same plane of the fully materialized volume,
+// on the SA region PlaneSource serves and on the die strip (row
+// drivers, MATs and SA region) that is Voxelize's production input.
 func TestPlaneSourceMatchesVoxelize(t *testing.T) {
 	r, err := Generate(DefaultConfig(chips.ByID("B4")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, voxel := range []int64{8, 5} {
-		v, err := Voxelize(r.Cell, r.Truth.RegionBounds, voxel)
+	die, err := GenerateDie(DefaultConfig(chips.ByID("B4")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		cell   *layout.Cell
+		window geom.Rect
+		voxel  int64
+	}{
+		{"region", r.Cell, r.Truth.RegionBounds, 8},
+		{"region", r.Cell, r.Truth.RegionBounds, 5},
+		{"die", die.Cell, die.Cell.Bounds(), 8},
+	}
+	for _, c := range cases {
+		voxel := c.voxel
+		v, err := Voxelize(c.cell, c.window, voxel)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := NewPlaneSource(r.Cell, r.Truth.RegionBounds, voxel)
+		p, err := NewPlaneSource(c.cell, c.window, voxel)
 		if err != nil {
 			t.Fatal(err)
 		}
 		pnx, pny, pnz := p.Dims()
 		vnx, vny, vnz := v.Dims()
 		if pnx != vnx || pny != vny || pnz != vnz {
-			t.Fatalf("voxel=%d dims: plane source %dx%dx%d, volume %dx%dx%d",
-				voxel, pnx, pny, pnz, vnx, vny, vnz)
+			t.Fatalf("%s voxel=%d dims: plane source %dx%dx%d, volume %dx%dx%d",
+				c.name, voxel, pnx, pny, pnz, vnx, vny, vnz)
 		}
 		for z := 0; z < vnz; z++ {
 			want, err := v.PlaneZ(z)
@@ -41,12 +58,12 @@ func TestPlaneSourceMatchesVoxelize(t *testing.T) {
 				t.Fatal(err)
 			}
 			if len(got) != len(want) {
-				t.Fatalf("voxel=%d z=%d: plane length %d, want %d", voxel, z, len(got), len(want))
+				t.Fatalf("%s voxel=%d z=%d: plane length %d, want %d", c.name, voxel, z, len(got), len(want))
 			}
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("voxel=%d z=%d: plane[%d] = %v, want %v (x=%d y=%d)",
-						voxel, z, i, got[i], want[i], i%vnx, i/vnx)
+					t.Fatalf("%s voxel=%d z=%d: plane[%d] = %v, want %v (x=%d y=%d)",
+						c.name, voxel, z, i, got[i], want[i], i%vnx, i/vnx)
 				}
 			}
 		}

@@ -106,50 +106,23 @@ func (v *MatVolume) set(x, y, z int, m Material) {
 }
 
 // Voxelize rasterizes the shapes of a cell within the window into a
-// material volume with the given lateral voxel size. Layout X maps to
-// volume X, layout Y to volume Z, and the depth bands to volume Y. Later
-// shapes overwrite earlier ones within their band; oxide fills the rest.
+// material volume with the given lateral voxel size, painting each
+// shape's box from shapeBoxes in shape order; oxide fills the rest.
 func Voxelize(cell *layout.Cell, window geom.Rect, voxelNM int64) (*MatVolume, error) {
-	if voxelNM <= 0 {
-		return nil, fmt.Errorf("chipgen: non-positive voxel size %d", voxelNM)
-	}
-	if window.Empty() {
-		return nil, fmt.Errorf("chipgen: empty voxelization window")
-	}
-	nx := int((window.W() + voxelNM - 1) / voxelNM)
-	nz := int((window.H() + voxelNM - 1) / voxelNM)
-	if nx <= 0 || nz <= 0 {
-		return nil, fmt.Errorf("chipgen: window too small for voxel size")
+	nx, nz, boxes, err := shapeBoxes(cell, window, voxelNM)
+	if err != nil {
+		return nil, err
 	}
 	v := &MatVolume{
 		NX: nx, NY: StackDepth, NZ: nz,
 		VoxelNM: voxelNM, BoundsNM: window,
 		Data: make([]Material, nx*StackDepth*nz),
 	}
-	for _, s := range cell.Shapes {
-		band, ok := depthBands[s.Layer]
-		if !ok {
-			continue
-		}
-		r := s.Rect.Intersect(window)
-		if r.Empty() {
-			continue
-		}
-		m := MaterialOf(s.Layer)
-		x0 := int((r.Min.X - window.Min.X) / voxelNM)
-		x1 := int((r.Max.X - window.Min.X + voxelNM - 1) / voxelNM)
-		z0 := int((r.Min.Y - window.Min.Y) / voxelNM)
-		z1 := int((r.Max.Y - window.Min.Y + voxelNM - 1) / voxelNM)
-		if x1 > nx {
-			x1 = nx
-		}
-		if z1 > nz {
-			z1 = nz
-		}
-		for z := z0; z < z1; z++ {
-			for y := band.Y0; y < band.Y1; y++ {
-				for x := x0; x < x1; x++ {
-					v.set(x, y, z, m)
+	for _, b := range boxes {
+		for z := b.z0; z < b.z1; z++ {
+			for y := b.y0; y < b.y1; y++ {
+				for x := b.x0; x < b.x1; x++ {
+					v.set(x, y, z, b.m)
 				}
 			}
 		}

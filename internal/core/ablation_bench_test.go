@@ -8,6 +8,7 @@ package core
 
 import (
 	"context"
+	"strconv"
 	"testing"
 
 	"repro/internal/chips"
@@ -53,13 +54,26 @@ func BenchmarkAblationDwell(b *testing.B) {
 }
 
 // BenchmarkAblationDenoiser compares the two TV algorithms the paper
-// names against no denoising, at the default (noisy) dwell time.
+// names against no denoising, at the default (noisy) dwell time, with
+// the pipeline's fidelity weight λ=25 and (the "_lambda_8" arms) the
+// denoise package's default λ=8.
 func BenchmarkAblationDenoiser(b *testing.B) {
-	for _, den := range []string{"none", "chambolle", "split-bregman"} {
-		b.Run(den, func(b *testing.B) {
+	arms := []struct {
+		name, denoiser string
+		lambda         float64
+	}{
+		{"none", "none", 25},
+		{"chambolle", "chambolle", 25},
+		{"split-bregman", "split-bregman", 25},
+		{"chambolle_lambda_8", "chambolle", 8},
+		{"split-bregman_lambda_8", "split-bregman", 8},
+	}
+	for _, arm := range arms {
+		b.Run(arm.name, func(b *testing.B) {
 			o := ablationOptions()
 			o.SEM.DwellUS = 3
-			o.Denoiser = den
+			o.Denoiser = arm.denoiser
+			o.Denoise.Lambda = arm.lambda
 			var errPct, ok float64
 			for i := 0; i < b.N; i++ {
 				errPct, _, ok = runOnce(b, o)
@@ -97,21 +111,7 @@ func BenchmarkAblationAlignment(b *testing.B) {
 
 func benchName(prefix string, v float64) string {
 	if v == float64(int(v)) {
-		return prefix + "_" + itoa(int(v))
+		return prefix + "_" + strconv.Itoa(int(v))
 	}
-	return prefix + "_" + itoa(int(v*10)) + "e-1"
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
+	return prefix + "_" + strconv.Itoa(int(v*10)) + "e-1"
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 
 	"repro/internal/denoise"
@@ -16,6 +15,7 @@ import (
 	"repro/internal/par"
 	"repro/internal/register"
 	"repro/internal/sem"
+	"repro/internal/volume"
 )
 
 // streamSource produces the raw slice stack in ascending index order,
@@ -229,30 +229,26 @@ func streamCore(ctx context.Context, n int, src streamSource, dwellUS float64, o
 }
 
 // streamFold folds denoised slices into the reconstruction's per-layer
-// planar views as they arrive: pairwise alignment against the previous
-// denoised slice, residual-drift estimation on the aligned pair, and
-// the depth-band column sums of the planar average — all without ever
+// planar views as they arrive: a register.Stacker aligns each slice to
+// the previous denoised slice, register.PairResidual measures the
+// residual drift of each aligned pair, and volume.BandMeanRow adds the
+// slice's row to every layer's planar average — all without ever
 // materializing the denoised stack, the aligned stack or the volume.
-// The arithmetic mirrors AlignStackCtx, ResidualDriftCtx and
-// volume.PlanarAverage operation for operation (same accumulation
-// order, same multiply-by-reciprocal), so the folded views are
-// bit-identical to reslicing the materialized aligned stack.
+// These are the functions AlignStackCtx, ResidualDriftCtx and
+// volume.PlanarAverage run, so the folded views equal reslicing the
+// materialized aligned stack bit for bit.
 type streamFold struct {
-	o       Options
 	regOpts register.Options
 	pool    *img.Pool
 	doAlign bool
 	n       int
+	stack   *register.Stacker
 
 	layers []layout.Layer
 	bands  [][2]int
-	inv    []float64
 	views  []*img.Gray
-	w, h   int
 
-	prevDen     *img.Gray // last denoised slice (alignment reference)
 	prevAligned *img.Gray // last aligned slice (residual reference)
-	acc         register.Shift
 	fallbacks   int
 	residSum    float64
 }
@@ -273,92 +269,57 @@ func (f *streamFold) consume(ctx context.Context, i int, den *img.Gray) error {
 		f.pool.Put(den)
 		return nil
 	}
-	if i == 0 {
-		// AlignStackCtx emits slice 0 as a clone with zero shift.
-		a := f.pool.Get(den.W, den.H)
-		copy(a.Pix, den.Pix)
-		f.prevDen = den
-		f.fold(0, a)
-		f.prevAligned = a
-		return nil
-	}
-	// Pairwise on the raw denoised slices, exactly like AlignStackCtx:
-	// the absolute correction is the running shift sum.
-	r, err := register.AlignRobustCtx(ctx, f.prevDen, den, f.regOpts)
+	a, r, err := f.stack.Push(ctx, den)
 	if err != nil {
-		f.pool.Put(den)
-		return fmt.Errorf("core: align: %w", fmt.Errorf("register: slice %d: %w", i, err))
+		return fmt.Errorf("core: align: %w", err)
 	}
-	f.acc = f.acc.Add(r.Shift)
 	if r.Fallback {
 		f.fallbacks++
 	}
-	f.pool.Put(f.prevDen)
-	f.prevDen = den
-	a := f.pool.Get(den.W, den.H)
-	if err := den.TranslateInto(a, f.acc.DX, f.acc.DY); err != nil {
-		f.pool.Put(a)
-		return err
+	if i > 0 {
+		d, err := register.PairResidual(ctx, f.prevAligned, a, f.regOpts)
+		if err != nil {
+			f.pool.Put(a)
+			return fmt.Errorf("core: residual: %w", err)
+		}
+		f.residSum += d
 	}
-	// Residual drift re-aligns the *aligned* pair, ascending, exactly
-	// like ResidualDriftCtx.
-	s, _, err := register.AlignCtx(ctx, f.prevAligned, a, f.regOpts)
-	if err != nil {
-		f.pool.Put(a)
-		return fmt.Errorf("core: residual: %w", err)
-	}
-	f.residSum += math.Hypot(float64(s.DX), float64(s.DY))
 	f.fold(i, a)
-	f.pool.Put(f.prevAligned)
+	if f.prevAligned != nil {
+		f.pool.Put(f.prevAligned)
+	}
 	f.prevAligned = a
 	return nil
 }
 
 // initViews sizes the views from slice 0's dimensions and checks every
-// layer's depth band against the slice height exactly as PlanFromVolumeCtx
-// would.
+// layer's depth band against the slice height, as PlanFromVolumeCtx
+// does through PlanarAverage.
 func (f *streamFold) initViews(w, h int) error {
-	f.w, f.h = w, h
 	f.views = make([]*img.Gray, len(f.layers))
 	f.bands = make([][2]int, len(f.layers))
-	f.inv = make([]float64, len(f.layers))
 	for li, layer := range f.layers {
 		y0, y1 := bandInterior(layer)
-		if y0 < 0 || y1 > f.h || y0 >= y1 {
-			return fmt.Errorf("core: planar view of %s: %w", layer,
-				fmt.Errorf("volume: depth band [%d,%d) out of [0,%d)", y0, y1, f.h))
+		if err := volume.CheckBand(y0, y1, h); err != nil {
+			return fmt.Errorf("core: planar view of %s: %w", layer, err)
 		}
 		f.bands[li] = [2]int{y0, y1}
-		f.inv[li] = 1.0 / float64(y1-y0)
-		f.views[li] = img.New(f.w, f.n)
+		f.views[li] = img.New(w, f.n)
 	}
 	return nil
 }
 
-// fold accumulates slice z into every layer view: per column, the
-// ascending-y sum over the band times the precomputed reciprocal —
-// volume.PlanarAverage's exact expression, one z row at a time.
+// fold writes slice z's row of every layer view.
 func (f *streamFold) fold(z int, g *img.Gray) {
-	for li := range f.layers {
-		y0, y1 := f.bands[li][0], f.bands[li][1]
-		view, inv := f.views[li], f.inv[li]
-		for x := 0; x < f.w; x++ {
-			var s float64
-			for y := y0; y < y1; y++ {
-				s += g.Pix[y*f.w+x]
-			}
-			view.Set(x, z, s*inv)
-		}
+	for li, view := range f.views {
+		volume.BandMeanRow(view.Pix[z*view.W:(z+1)*view.W], g.Pix, f.bands[li][0], f.bands[li][1])
 	}
 }
 
 // release returns the fold's held references to the pool; safe to call
 // on any partial state.
 func (f *streamFold) release() {
-	if f.prevDen != nil {
-		f.pool.Put(f.prevDen)
-		f.prevDen = nil
-	}
+	f.stack.Release()
 	if f.prevAligned != nil {
 		f.pool.Put(f.prevAligned)
 		f.prevAligned = nil
@@ -407,13 +368,13 @@ func foldStream(ctx context.Context, n int, src streamSource, dwellUS float64, o
 	defer alignSp.End()
 
 	f := &streamFold{
-		o:       o,
 		regOpts: regOptions(o),
 		pool:    o.Pool,
 		doAlign: doAlign,
 		n:       n,
 		layers:  bandedLayers(),
 	}
+	f.stack = register.NewStacker(f.regOpts, o.Pool)
 	rep, err := streamCore(ctx, n, src, dwellUS, o, o.Pool, f.consume)
 	f.release()
 	if err != nil {

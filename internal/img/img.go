@@ -257,19 +257,14 @@ func (g *Gray) Histogram(n int, lo, hi float64) []int {
 // extension: the pixel at (x,y) of the result samples g at (x-dx, y-dy).
 func (g *Gray) Translate(dx, dy int) *Gray {
 	out := New(g.W, g.H)
-	for y := 0; y < g.H; y++ {
-		for x := 0; x < g.W; x++ {
-			out.Set(x, y, g.AtClamp(x-dx, y-dy))
-		}
-	}
+	g.TranslateInto(out, dx, dy) // cannot fail: out matches g
 	return out
 }
 
 // TranslateInto is Translate writing into a caller-provided destination
 // (which must match g's dimensions), so a pooled buffer can absorb the
 // shifted image without a fresh allocation. Every pixel of dst is
-// overwritten; the sampling order and edge clamping are exactly
-// Translate's, so the result is bit-identical.
+// overwritten.
 func (g *Gray) TranslateInto(dst *Gray, dx, dy int) error {
 	if dst.W != g.W || dst.H != g.H || len(dst.Pix) != dst.W*dst.H {
 		return fmt.Errorf("img: translate dst %dx%d does not match source %dx%d",

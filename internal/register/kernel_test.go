@@ -211,6 +211,53 @@ func TestSearchBinTablesAllocFree(t *testing.T) {
 	}
 }
 
+// A warm Stacker.Push with a warm pool, at the same production geometry
+// and with the pipeline's robust options, takes its aligned buffer from
+// the pool: it allocates no more objects than the warm AlignCtx above
+// and fewer bytes than one slice. The race detector makes sync.Pool
+// drop items at random, so race builds skip it; make alloc-check runs
+// it without -race.
+func TestStackerPushAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	o := Options{MaxShift: 4, MaxShiftY: 2, Bins: 32, Margin: 1, Workers: 1,
+		MinConfidence: 0.05, WidenRetries: 2}
+	src := []*img.Gray{texture(1857, 39, 8), texture(1857, 39, 8).Translate(2, -1)}
+	pool := img.NewPool()
+	st := NewStacker(o, pool)
+	defer st.Release()
+	i := 0
+	push := func() {
+		g := pool.Get(src[i%2].W, src[i%2].H)
+		copy(g.Pix, src[i%2].Pix)
+		i++
+		a, _, err := st.Push(context.Background(), g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool.Put(a)
+	}
+	push()
+	push()
+	if allocs := testing.AllocsPerRun(20, push); allocs > 9 {
+		t.Errorf("warm Push allocates %.0f objects, want <= 9", allocs)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	push()
+	var before, after runtime.MemStats
+	const runs = 20
+	runtime.ReadMemStats(&before)
+	for r := 0; r < runs; r++ {
+		push()
+	}
+	runtime.ReadMemStats(&after)
+	slice := uint64(8 * len(src[0].Pix))
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= slice {
+		t.Errorf("warm Push allocates %d bytes, at least one %d-byte slice", per, slice)
+	}
+}
+
 // img.MinMaxIn is on the per-search path and must not allocate either.
 func TestMinMaxInAllocFree(t *testing.T) {
 	g := texture(96, 48, 7)

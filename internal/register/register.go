@@ -403,12 +403,63 @@ func (r StackResult) Fallbacks() int {
 	return n
 }
 
-// AlignStackCtx sequentially aligns each slice to its predecessor, as the
-// paper describes ("each slide is aligned with respect to the previous
-// one"), accumulating the per-pair shifts into absolute corrections, and
-// returns the aligned copies alongside the shift report. Cancellation
-// is checked between slice pairs (and, through AlignRobustCtx, between
-// MI candidates).
+// Stacker aligns a stack one slice at a time, as the paper describes
+// ("each slide is aligned with respect to the previous one"): each
+// pushed slice registers to its raw predecessor, which keeps every pair
+// within the search window however far drift accumulates, and the
+// running sum of the pair shifts is its correction to slice 0's frame.
+// AlignStackCtx and the streaming reconstruction both align through it.
+type Stacker struct {
+	o    Options
+	pool *img.Pool
+	n    int       // index of the next slice
+	prev *img.Gray // last pushed raw slice, the next pair's reference
+	acc  Shift
+}
+
+// NewStacker returns a stacker that draws its aligned slices from pool
+// (nil allocates each one).
+func NewStacker(o Options, pool *img.Pool) *Stacker {
+	return &Stacker{o: o, pool: pool}
+}
+
+// Push aligns g to the previous slice with AlignRobustCtx (slice 0 gets
+// a zero result), adds the pair's shift to the running correction and
+// returns g translated by it in a pool buffer. Push owns g: it keeps g
+// as the next reference and returns the previous one to the pool, or
+// returns g to the pool on error.
+func (s *Stacker) Push(ctx context.Context, g *img.Gray) (*img.Gray, AlignResult, error) {
+	var r AlignResult
+	if s.prev != nil {
+		var err error
+		if r, err = AlignRobustCtx(ctx, s.prev, g, s.o); err != nil {
+			s.pool.Put(g)
+			return nil, r, fmt.Errorf("register: slice %d: %w", s.n, err)
+		}
+		s.acc = s.acc.Add(r.Shift)
+		s.pool.Put(s.prev)
+	}
+	s.prev = g
+	s.n++
+	a := s.pool.Get(g.W, g.H)
+	g.TranslateInto(a, s.acc.DX, s.acc.DY) // cannot fail: a matches g
+	return a, r, nil
+}
+
+// Shift returns the correction applied to the last pushed slice.
+func (s *Stacker) Shift() Shift { return s.acc }
+
+// Release returns the held reference slice to the pool.
+func (s *Stacker) Release() {
+	if s.prev != nil {
+		s.pool.Put(s.prev)
+		s.prev = nil
+	}
+}
+
+// AlignStackCtx pushes the stack through a Stacker and returns the
+// aligned copies alongside the shift report. Cancellation reaches every
+// pair's candidate search.
 func AlignStackCtx(ctx context.Context, slices []*img.Gray, o Options) ([]*img.Gray, StackResult, error) {
 	if len(slices) == 0 {
 		return nil, StackResult{}, fmt.Errorf("register: empty stack")
@@ -419,41 +470,45 @@ func AlignStackCtx(ctx context.Context, slices []*img.Gray, o Options) ([]*img.G
 		Fallback: make([]bool, len(slices)),
 	}
 	out := make([]*img.Gray, len(slices))
-	out[0] = slices[0].Clone()
-	acc := Shift{}
-	for i := 1; i < len(slices); i++ {
-		// Pairwise on the raw slices keeps each shift within the search
-		// window even when drift accumulates across the stack; the
-		// absolute correction is the running sum. AlignRobustCtx reduces
-		// exactly to AlignCtx unless MinConfidence/WidenRetries are set.
-		r, err := AlignRobustCtx(ctx, slices[i-1], slices[i], o)
+	st := NewStacker(o, nil)
+	for i, g := range slices {
+		a, r, err := st.Push(ctx, g)
 		if err != nil {
-			return nil, StackResult{}, fmt.Errorf("register: slice %d: %w", i, err)
+			return nil, StackResult{}, err
 		}
-		acc = acc.Add(r.Shift)
-		res.Shifts[i] = acc
+		out[i] = a
+		res.Shifts[i] = st.Shift()
 		res.PairMI[i] = r.MI
 		res.Fallback[i] = r.Fallback
-		out[i] = slices[i].Translate(acc.DX, acc.DY)
 	}
 	return out, res, nil
 }
 
+// PairResidual is the magnitude of the shift a re-alignment of the
+// aligned pair (prev, cur) would still apply.
+func PairResidual(ctx context.Context, prev, cur *img.Gray, o Options) (float64, error) {
+	s, _, err := AlignCtx(ctx, prev, cur, o)
+	if err != nil {
+		return 0, err
+	}
+	return math.Hypot(float64(s.DX), float64(s.DY)), nil
+}
+
 // ResidualDriftCtx estimates the residual alignment error of an aligned
-// stack as the mean magnitude of the per-pair shifts that a re-alignment
-// would still apply. A well-aligned stack reports a value near zero.
-// Cancellation is checked between slice pairs.
+// stack as the mean PairResidual over its adjacent pairs. A
+// well-aligned stack reports a value near zero. Cancellation reaches
+// every pair's candidate search.
 func ResidualDriftCtx(ctx context.Context, slices []*img.Gray, o Options) (float64, error) {
 	if len(slices) < 2 {
 		return 0, nil
 	}
 	var sum float64
 	for i := 1; i < len(slices); i++ {
-		s, _, err := AlignCtx(ctx, slices[i-1], slices[i], o)
+		d, err := PairResidual(ctx, slices[i-1], slices[i], o)
 		if err != nil {
 			return 0, err
 		}
-		sum += math.Hypot(float64(s.DX), float64(s.DY))
+		sum += d
 	}
 	return sum / float64(len(slices)-1), nil
 }

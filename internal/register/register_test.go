@@ -199,6 +199,42 @@ func TestAlignStackCorrectsCumulativeDrift(t *testing.T) {
 	}
 }
 
+// A pooled Stacker owns every slice pushed into it: with the aligned
+// outputs put back and the stacker released, the pool holds nothing,
+// after a successful stack and after a failed pair alike, and the
+// pooled outputs equal AlignStackCtx's.
+func TestStackerPoolOwnership(t *testing.T) {
+	base := texture(48, 48, 7)
+	stack := []*img.Gray{base, base.Translate(1, 0), base.Translate(3, -1)}
+	want, _, err := AlignStackCtx(context.Background(), stack, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := img.NewPool()
+	st := NewStacker(DefaultOptions(), pool)
+	for i, s := range stack {
+		g := pool.Get(s.W, s.H)
+		copy(g.Pix, s.Pix)
+		a, _, err := st.Push(context.Background(), g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range a.Pix {
+			if a.Pix[k] != want[i].Pix[k] {
+				t.Fatalf("slice %d: pooled Push differs from AlignStackCtx at pixel %d", i, k)
+			}
+		}
+		pool.Put(a)
+	}
+	if _, _, err := st.Push(context.Background(), pool.Get(47, 48)); err == nil {
+		t.Fatal("Push accepted a slice of another size")
+	}
+	st.Release()
+	if live := pool.Stats().Live; live != 0 {
+		t.Errorf("%d pooled buffers still outstanding", live)
+	}
+}
+
 func TestAlignStackEmpty(t *testing.T) {
 	if _, _, err := AlignStackCtx(context.Background(), nil, DefaultOptions()); err == nil {
 		t.Errorf("expected error for empty stack")

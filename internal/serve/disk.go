@@ -38,7 +38,8 @@ const (
 	diskHard = 2
 )
 
-// defaultDiskPoll is DiskPoll's zero-value default.
+// defaultDiskPoll is the free-space probe interval (Config.diskPoll
+// overrides it in tests).
 const defaultDiskPoll = 2 * time.Second
 
 // diskGuardEnabled reports whether any watermark is configured.
@@ -61,7 +62,7 @@ func (s *Server) diskPath() string {
 // diskWatch polls the watermarks until shutdown.
 func (s *Server) diskWatch() {
 	defer s.wg.Done()
-	poll := s.cfg.DiskPoll
+	poll := s.cfg.diskPoll
 	if poll <= 0 {
 		poll = defaultDiskPoll
 	}

@@ -370,7 +370,7 @@ func TestRequestIDMinted(t *testing.T) {
 // cursors must ignore them.
 func TestEventsKeepalive(t *testing.T) {
 	release := make(chan struct{})
-	s := newTestServer(t, Config{Jobs: 1, EventKeepalive: 20 * time.Millisecond},
+	s := newTestServer(t, Config{Jobs: 1, eventKeepalive: 20 * time.Millisecond},
 		func(ctx context.Context, req Request, _ int, _ *obs.Observer) (map[string][]byte, error) {
 			<-release
 			return stubArtifacts(req.Chip), nil

@@ -203,7 +203,7 @@ func TestBrownoutDegradesDefaultProfile(t *testing.T) {
 	s := newTestServer(t, Config{
 		Jobs: 1, QueueDepth: 8,
 		JournalPath:   filepath.Join(t.TempDir(), "journal.db"),
-		DiskSoftBytes: 5_000, DiskHardBytes: 100, DiskPoll: 5 * time.Millisecond,
+		DiskSoftBytes: 5_000, DiskHardBytes: 100, diskPoll: 5 * time.Millisecond,
 		diskFree: func(string) (int64, error) { return free.Load(), nil },
 	}, func(ctx context.Context, req Request, _ int, _ *obs.Observer) (map[string][]byte, error) {
 		return stubArtifacts(req.Chip), nil
@@ -269,7 +269,7 @@ func TestDiskHardWatermarkRejectsAndRecovers(t *testing.T) {
 	s := newTestServer(t, Config{
 		Jobs: 1, QueueDepth: 8,
 		JournalPath:   filepath.Join(t.TempDir(), "journal.db"),
-		DiskSoftBytes: 5_000, DiskHardBytes: 100, DiskPoll: 5 * time.Millisecond,
+		DiskSoftBytes: 5_000, DiskHardBytes: 100, diskPoll: 5 * time.Millisecond,
 		diskFree: func(string) (int64, error) { return free.Load(), nil },
 	}, func(ctx context.Context, req Request, _ int, _ *obs.Observer) (map[string][]byte, error) {
 		return stubArtifacts(req.Chip), nil
@@ -297,7 +297,7 @@ func TestDiskHardWatermarkHTTP507(t *testing.T) {
 	s := newTestServer(t, Config{
 		Jobs: 1, QueueDepth: 8,
 		JournalPath:   filepath.Join(t.TempDir(), "journal.db"),
-		DiskHardBytes: 100, DiskPoll: time.Hour,
+		DiskHardBytes: 100, diskPoll: time.Hour,
 		diskFree: func(string) (int64, error) { return 50, nil },
 	}, func(ctx context.Context, req Request, _ int, _ *obs.Observer) (map[string][]byte, error) {
 		return stubArtifacts(req.Chip), nil
@@ -337,7 +337,7 @@ func TestDiskFreeFailpoint(t *testing.T) {
 	s := newTestServer(t, Config{
 		Jobs: 1, QueueDepth: 8,
 		JournalPath:   filepath.Join(t.TempDir(), "journal.db"),
-		DiskHardBytes: 100, DiskPoll: time.Hour,
+		DiskHardBytes: 100, diskPoll: time.Hour,
 		diskFree: func(string) (int64, error) { return 1 << 40, nil },
 	}, func(ctx context.Context, req Request, _ int, _ *obs.Observer) (map[string][]byte, error) {
 		return stubArtifacts(req.Chip), nil
@@ -914,7 +914,7 @@ func TestOverloadGaugesExported(t *testing.T) {
 	s := newTestServer(t, Config{
 		Jobs: 1, QueueDepth: 8, ShedTarget: time.Second,
 		JournalPath:   filepath.Join(t.TempDir(), "journal.db"),
-		DiskHardBytes: 1, DiskPoll: time.Hour,
+		DiskHardBytes: 1, diskPoll: time.Hour,
 		diskFree: func(string) (int64, error) { return 1 << 30, nil },
 	}, func(ctx context.Context, req Request, _ int, _ *obs.Observer) (map[string][]byte, error) {
 		return stubArtifacts(req.Chip), nil

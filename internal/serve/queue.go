@@ -83,11 +83,6 @@ type Config struct {
 	// the "default" entry covers tenants without their own. Empty
 	// disables SLO tracking and its gauges.
 	SLOs map[string]SLOObjective
-	// EventKeepalive is the idle interval after which the events stream
-	// emits a keepalive frame (a seq-less NDJSON record) so proxies and
-	// clients can distinguish a quiet job from a dead connection. Zero
-	// means the 15s default; negative disables keepalives.
-	EventKeepalive time.Duration
 	// ShedTarget enables the adaptive overload controller: when the
 	// standing queue delay (windowed minimum of measured waits, or the
 	// head-of-line age) exceeds it, new default-profile submissions are
@@ -107,16 +102,20 @@ type Config struct {
 	// on the journal/cache filesystem: below soft, the server sweeps the
 	// cache and forces the brownout notch; below hard, submissions are
 	// rejected with 507 while reads and /metrics stay alive. Zero
-	// disables a watermark. DiskPoll is the probe interval (0 = 2s).
+	// disables a watermark. The free space is probed every 2s.
 	DiskSoftBytes int64
 	DiskHardBytes int64
-	DiskPoll      time.Duration
 	// runner overrides the pipeline runner. Test-only (unexported): it
 	// must be in place before the worker pool starts, because recovery
 	// can hand workers jobs before NewServer returns.
 	runner func(ctx context.Context, req Request, inner int, ob *obs.Observer) (map[string][]byte, error)
-	// diskFree overrides the free-space probe. Test-only (unexported).
+	// diskFree overrides the free-space probe and diskPoll its 2s
+	// interval. Test-only (unexported).
 	diskFree func(path string) (int64, error)
+	diskPoll time.Duration
+	// eventKeepalive overrides the 15s idle interval after which the
+	// events stream emits a keepalive frame. Test-only (unexported).
+	eventKeepalive time.Duration
 }
 
 // ErrQueueFull rejects a submission when the pending queue is at

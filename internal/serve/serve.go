@@ -300,8 +300,8 @@ type keepaliveFrame struct {
 	Time      time.Time `json:"time"`
 }
 
-// defaultEventKeepalive is the idle interval before a keepalive frame
-// when Config.EventKeepalive is zero.
+// defaultEventKeepalive is the idle interval before a keepalive frame;
+// only tests shorten it (Config.eventKeepalive).
 const defaultEventKeepalive = 15 * time.Second
 
 // handleEvents streams the job's event log as NDJSON: a replay of
@@ -326,21 +326,13 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
-	ka := s.cfg.EventKeepalive
-	if ka == 0 {
+	ka := s.cfg.eventKeepalive
+	if ka <= 0 {
 		ka = defaultEventKeepalive
 	}
-	var timer *time.Timer
-	var kaC <-chan time.Time
-	if ka > 0 {
-		timer = time.NewTimer(ka)
-		defer timer.Stop()
-		kaC = timer.C
-	}
+	timer := time.NewTimer(ka)
+	defer timer.Stop()
 	resetKA := func() {
-		if timer == nil {
-			return
-		}
 		if !timer.Stop() {
 			select {
 			case <-timer.C:
@@ -371,7 +363,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		select {
 		case <-next:
-		case <-kaC:
+		case <-timer.C:
 			if err := enc.Encode(keepaliveFrame{Keepalive: true, Time: time.Now()}); err != nil {
 				return
 			}

@@ -94,19 +94,36 @@ func FromStack(slices []*img.Gray) (*Volume, error) {
 // [y0, y1), which is how a metal layer of finite thickness is rendered as
 // a single planar image.
 func (v *Volume) PlanarAverage(y0, y1 int) (*img.Gray, error) {
-	if y0 < 0 || y1 > v.NY || y0 >= y1 {
-		return nil, fmt.Errorf("volume: depth band [%d,%d) out of [0,%d)", y0, y1, v.NY)
+	if err := CheckBand(y0, y1, v.NY); err != nil {
+		return nil, err
 	}
 	g := img.New(v.NX, v.NZ)
-	inv := 1.0 / float64(y1-y0)
-	for z := 0; z < v.NZ; z++ {
-		for x := 0; x < v.NX; x++ {
-			var s float64
-			for y := y0; y < y1; y++ {
-				s += v.At(x, y, z)
-			}
-			g.Set(x, z, s*inv)
-		}
+	for z, p := 0, v.NX*v.NY; z < v.NZ; z++ {
+		BandMeanRow(g.Pix[z*v.NX:(z+1)*v.NX], v.Data[z*p:(z+1)*p], y0, y1)
 	}
 	return g, nil
+}
+
+// CheckBand reports whether [y0, y1) is a non-empty depth band of a
+// cross-section ny rows deep.
+func CheckBand(y0, y1, ny int) error {
+	if y0 < 0 || y1 > ny || y0 >= y1 {
+		return fmt.Errorf("volume: depth band [%d,%d) out of [0,%d)", y0, y1, ny)
+	}
+	return nil
+}
+
+// BandMeanRow writes one planar-view row: row[x] is the mean over the
+// depth band [y0, y1), which must pass CheckBand, of column x of a
+// cross-section plane indexed plane[y*len(row)+x].
+func BandMeanRow(row, plane []float64, y0, y1 int) {
+	w := len(row)
+	inv := 1.0 / float64(y1-y0)
+	for x := range row {
+		var s float64
+		for y := y0; y < y1; y++ {
+			s += plane[y*w+x]
+		}
+		row[x] = s * inv
+	}
 }
