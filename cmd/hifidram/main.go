@@ -42,8 +42,7 @@
 // defaults to 12 us; the dwell is part of the checkpoint key, so planar
 // resumes from extract's checkpoint only after "extract -dwell 3" with
 // the same -ckpt-dir. extract additionally
-// takes -timeout (per-chip per-attempt deadline) and -retries
-// (transient-failure retry budget); with -all each chip runs supervised
+// takes -timeout (per-chip deadline); with -all each chip runs supervised
 // and isolated — one failure never aborts the rest — with per-chip
 // status lines after the table. SIGINT/SIGTERM cancel cooperatively:
 // the run stops at the next unit of work, flushes checkpoints and
@@ -156,7 +155,7 @@ commands:
               polls, /v1/jobs/{id}/artifacts/{name} fetches report.json,
               extracted.gds or views/<layer>.pgm; identical submissions
               dedupe to one computation via -cache-dir (-workers, -jobs,
-              -queue, -timeout, -retries, -pprof, -v). -journal FILE
+              -queue, -timeout, -pprof, -v). -journal FILE
               makes accepted jobs durable: every submission is fsynced
               to the write-ahead journal before it is acknowledged, and
               on restart unfinished jobs are recovered and resubmitted.
@@ -211,8 +210,7 @@ and the crash-safety flags:
                 checksummed)
   -resume       load a verified checkpoint from -ckpt-dir instead of
                 recomputing; corrupt or stale entries are recomputed
-  -timeout D    per-chip per-attempt deadline (extract; e.g. 10m)
-  -retries N    retry attempts for transiently failing chips (extract)
+  -timeout D    per-chip deadline (extract; e.g. 10m)
 
 SIGINT/SIGTERM cancel the run at the next unit of work, flush
 checkpoints and trace, and exit with status 130.
@@ -437,8 +435,7 @@ func runExtract(ctx context.Context, args []string) (retErr error) {
 	faultSeed := fs.Int64("fault-seed", 1, "fault injection seed (with -faults)")
 	ckptDir := fs.String("ckpt-dir", "", "checkpoint the finished extraction into this directory (atomic, checksummed)")
 	resume := fs.Bool("resume", false, "load verified checkpoints from -ckpt-dir instead of recomputing; corrupt or missing ones are recomputed")
-	timeout := fs.Duration("timeout", 0, "per-chip per-attempt deadline (0 = none)")
-	retries := fs.Int("retries", 0, "retry attempts for chips failing with transient (retryable) errors")
+	timeout := fs.Duration("timeout", 0, "per-chip deadline (0 = none)")
 	workers := workersFlag(fs)
 	pyramid := pyramidFlag(fs)
 	obf := addObsFlags(fs)
@@ -489,8 +486,6 @@ func runExtract(ctx context.Context, args []string) (retErr error) {
 	// changes results).
 	pool := img.NewPool()
 	statuses, runErr := supervise.Run(ctx, names, func(ctx context.Context, i int) error {
-		// A retried attempt rebuilds its row from scratch.
-		rows[i].Reset()
 		c := list[i]
 		o := core.DefaultOptions()
 		o.VoxelNM = *voxel
@@ -549,10 +544,7 @@ func runExtract(ctx context.Context, args []string) (retErr error) {
 			fmt.Fprintf(&rows[i], "(element order: %v)\n", res.Extraction.Blocks)
 		}
 		return nil
-	}, supervise.Options{
-		Timeout: *timeout, Retries: *retries, Workers: fan,
-		JitterSeed: 1, Obs: ob,
-	})
+	}, supervise.Options{Timeout: *timeout, Workers: fan, Obs: ob})
 	// The table and per-chip statuses always print: a partial campaign's
 	// successes are results, not collateral of the failures.
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
@@ -603,19 +595,19 @@ func openStore(dir string, resume bool) (*ckpt.Store, error) {
 }
 
 // printStatuses renders the supervisor's per-chip report: one line per
-// chip with attempts, wall time and outcome.
+// chip with wall time and outcome.
 func printStatuses(w io.Writer, statuses []supervise.Status) {
 	fmt.Fprintln(w, "status:")
 	for _, st := range statuses {
 		switch {
 		case st.Err == nil:
-			fmt.Fprintf(w, "  %-4s ok      (%d attempt(s), %v)\n",
-				st.Name, st.Attempts, st.Duration.Round(time.Millisecond))
-		case st.Attempts == 0:
+			fmt.Fprintf(w, "  %-4s ok      (%v)\n",
+				st.Name, st.Duration.Round(time.Millisecond))
+		case !st.Started:
 			fmt.Fprintf(w, "  %-4s skipped (%v)\n", st.Name, st.Err)
 		default:
-			fmt.Fprintf(w, "  %-4s FAILED  (%d attempt(s), %v): %v\n",
-				st.Name, st.Attempts, st.Duration.Round(time.Millisecond), st.Err)
+			fmt.Fprintf(w, "  %-4s FAILED  (%v): %v\n",
+				st.Name, st.Duration.Round(time.Millisecond), st.Err)
 		}
 	}
 }
@@ -938,8 +930,7 @@ func runServe(ctx context.Context, args []string) (retErr error) {
 	tenantBurst := fs.Int("tenant-burst", 0, "per-tenant rate-limit burst size (0 = one second of -tenant-rate)")
 	tenantInflight := fs.Int("tenant-inflight", 0, "per-tenant cap on live (queued+running) jobs; over it gets HTTP 429 (0 = unlimited)")
 	tenantWeights := fs.String("tenant-weights", "", "fair-dequeue weights as tenant=N pairs, comma-separated (e.g. \"alice=3,bob=1\"; unlisted tenants weigh 1)")
-	timeout := fs.Duration("timeout", 0, "per-job per-attempt deadline (0 = none)")
-	retries := fs.Int("retries", 0, "retry attempts for jobs failing with transient (retryable) errors")
+	timeout := fs.Duration("timeout", 0, "per-job deadline (0 = none)")
 	metrics := fs.Bool("metrics", false, "record fleet latency histograms and per-tenant labeled series (GET /metrics serves the exposition either way; this flag adds the histogram families)")
 	sloSpec := fs.String("slo", "", `per-tenant SLOs as semicolon-separated "tenant=availability[/latency]" entries with availability in percent (e.g. "default=99.9/5m;alice=99.99"); exports error-budget and burn-rate gauges on /metrics`)
 	shedTarget := fs.Duration("shed-target", 0, "adaptive overload target for standing queue delay: above it default-profile submissions brown out to the fast profile, above twice it fresh computations are shed with 503 (0 = disabled)")
@@ -958,7 +949,7 @@ func runServe(ctx context.Context, args []string) (retErr error) {
 		return fmt.Errorf("usage: hifidram serve [flags] ADDR (e.g. localhost:8080)")
 	}
 	addr := fs.Arg(0)
-	weights, err := parseTenantWeights(*tenantWeights)
+	weights, err := serve.ParseTenantWeights(*tenantWeights)
 	if err != nil {
 		return err
 	}
@@ -1011,7 +1002,7 @@ func runServe(ctx context.Context, args []string) (retErr error) {
 		Cache: store, CacheBytes: *cacheBytes, JournalPath: *journalPath,
 		TenantRate: *tenantRate, TenantBurst: *tenantBurst,
 		TenantInflight: *tenantInflight, TenantWeights: weights,
-		Timeout: *timeout, Retries: *retries, Obs: ob,
+		Timeout: *timeout, Obs: ob,
 		Metrics: *metrics, SLOs: slos,
 		ShedTarget:       *shedTarget,
 		BreakerThreshold: *breakerThreshold, BreakerCooldown: *breakerCooldown,
@@ -1054,24 +1045,4 @@ func runServe(ctx context.Context, args []string) (retErr error) {
 	}
 	// Exit 130 like the other commands on signal cancellation.
 	return context.Canceled
-}
-
-// parseTenantWeights parses "alice=3,bob=1" into a weight map.
-func parseTenantWeights(s string) (map[string]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	weights := make(map[string]int)
-	for _, pair := range strings.Split(s, ",") {
-		name, val, ok := strings.Cut(strings.TrimSpace(pair), "=")
-		if !ok {
-			return nil, fmt.Errorf("bad -tenant-weights entry %q (want tenant=N)", pair)
-		}
-		var w int
-		if _, err := fmt.Sscanf(val, "%d", &w); err != nil || w < 1 {
-			return nil, fmt.Errorf("bad -tenant-weights weight %q for %q (want a positive integer)", val, name)
-		}
-		weights[name] = w
-	}
-	return weights, nil
 }

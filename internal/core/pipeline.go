@@ -113,10 +113,13 @@ func DefaultOptions() Options {
 	reg.MinConfidence = 0.05
 	reg.WidenRetries = 2
 	den := denoise.DefaultOptions()
-	// Gentler fidelity weight than the denoise package default: the
-	// cross sections carry 2-4 px features (contacts, fine gates) that
-	// stronger TV smoothing erodes before the planar median gets to
-	// help.
+	// Fidelity weight 25 instead of the denoise package's 8, i.e.
+	// less smoothing. What is measured is BenchmarkAblationDenoiser (B4,
+	// 8 nm voxels, 3 us dwell, 25 iterations): mean dimension error
+	// 13.07% at λ=25 vs 13.34% at λ=8 with Chambolle, 11.64% vs 13.78%
+	// with split-Bregman, and every element extracted at both weights.
+	// No run shows λ=8 losing a feature. λ is fingerprinted, so the
+	// goldens pin this value.
 	den.Lambda = 25
 	return Options{
 		Units:    2,

@@ -1,7 +1,7 @@
 // Package failpoint is a deterministic fault-injection registry for the
 // service's I/O and control plane: named sites compiled into production
 // code paths (checkpoint store writes, journal append/fsync, artifact
-// publish, supervised attempts, disk-capacity probes, the streaming
+// publish, per-chip serve runs, disk-capacity probes, the streaming
 // engine's quality gate and denoise workers) that normally cost
 // one atomic load and a nil check, and — when activated with a spec —
 // inject the failure modes crashes and full disks really produce: error

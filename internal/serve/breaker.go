@@ -12,7 +12,7 @@ import (
 // Per-(unit, profile) circuit breaker. A unit whose computations keep
 // failing — a poisoned chip, a profile that deterministically blows its
 // deadline — should fast-fail fresh submissions instead of burning a
-// worker and its retry budget on every one, degrading every tenant.
+// worker on every one, degrading every tenant.
 //
 // State machine per key (key = unit + "|" + profile):
 //

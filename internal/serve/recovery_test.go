@@ -227,22 +227,22 @@ func TestRecoverPreservesTerminalJobs(t *testing.T) {
 	}
 }
 
-// TestShutdownMidRetryJournalsInterrupted: a unit failing with a
-// retryable error whose backoff is cut short by server shutdown is
-// journaled as interrupted — not failed — and the successor resubmits
-// it exactly once.
-func TestShutdownMidRetryJournalsInterrupted(t *testing.T) {
+// TestShutdownMidAttemptJournalsInterrupted: a supervised unit still
+// running when the server shuts down is journaled as interrupted — not
+// failed — and the successor resubmits it exactly once.
+func TestShutdownMidAttemptJournalsInterrupted(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "jobs.journal")
-	attempted := make(chan struct{}, 1)
+	running := make(chan struct{}, 1)
 	a := newTestServer(t, Config{Jobs: 1, JournalPath: journal},
 		func(ctx context.Context, req Request, inner int, ob *obs.Observer) (map[string][]byte, error) {
 			sts, err := supervise.Run(ctx, []string{req.Chip}, func(ctx context.Context, i int) error {
 				select {
-				case attempted <- struct{}{}:
+				case running <- struct{}{}:
 				default:
 				}
-				return supervise.MarkRetryable(errors.New("flaky dependency"))
-			}, supervise.Options{Retries: 5, Backoff: time.Hour, Workers: 1})
+				<-ctx.Done()
+				return ctx.Err()
+			}, supervise.Options{Workers: 1})
 			if sts[0].Interrupted {
 				return nil, fmt.Errorf("unit interrupted: %w", err)
 			}
@@ -253,12 +253,12 @@ func TestShutdownMidRetryJournalsInterrupted(t *testing.T) {
 		t.Fatal(err)
 	}
 	select {
-	case <-attempted:
+	case <-running:
 	case <-time.After(10 * time.Second):
-		t.Fatal("first attempt never ran")
+		t.Fatal("the unit never started")
 	}
-	// The unit is now in (or headed into) its hour-long retry backoff;
-	// shut the server down underneath it.
+	// The unit is blocked inside its one attempt; shut the server down
+	// underneath it.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := a.Close(ctx); err != nil {

@@ -25,10 +25,12 @@ import (
 type Request struct {
 	// Chip is the chip ID (A4, B4, C4, A5, B5, C5). Required.
 	Chip string `json:"chip"`
-	// Profile selects the base options: "default" (the CLI's
-	// extraction options) or "fast" (coarser preview-quality settings —
-	// one SA unit, 8 nm voxels, fewer denoise iterations). Empty means
-	// "default".
+	// Profile selects the base options. "default" (or empty) is
+	// core.DefaultOptions(): 2 SA units, 4 nm voxels, a 3 us dwell,
+	// 0.5 px drift, Chambolle at λ=25 with up to 60 iterations. "fast"
+	// is the same with 1 SA unit, 8 nm voxels, 0.4 px drift and 8
+	// iterations. Both image at 3 us, where extract images at 12 us
+	// (its -dwell default); DwellUS 12 reproduces extract's acquisition.
 	Profile string `json:"profile,omitempty"`
 	// Tenant is an opaque client label, surfaced in per-tenant job
 	// counters; it never affects the computation or the cache key.
@@ -249,8 +251,8 @@ func ExtractedGDSBytes(res *core.Result) ([]byte, error) {
 }
 
 // runPipeline is the production runner: it drives the job as a
-// one-unit supervised campaign (per-attempt deadline, retry taxonomy,
-// panic isolation — the same contract extract -all gives each chip) and
+// one-unit supervised campaign (deadline, panic isolation, interruption
+// on shutdown — the same contract extract -all gives each chip) and
 // assembles the artifact set. inner is the job's worker budget from the
 // server's par.SplitBudget split; ob is the job's private observer.
 func (s *Server) runPipeline(ctx context.Context, req Request, inner int, ob *obs.Observer) (map[string][]byte, error) {
@@ -276,9 +278,9 @@ func (s *Server) runPipeline(ctx context.Context, req Request, inner int, ob *ob
 	var dres *core.DieResult
 	_, err = supervise.Run(ctx, []string{chip.ID}, func(ctx context.Context, _ int) error {
 		// Per-unit poisoning: a "serve.run.<chip>=error" failpoint makes
-		// exactly this unit fail deterministically (not retryable — a
-		// deterministic pipeline error), which is how the breaker smoke
-		// opens a circuit on one chip without touching the others.
+		// exactly this unit fail deterministically, which is how the
+		// breaker smoke opens a circuit on one chip without touching
+		// the others.
 		if ferr := failpoint.Inject("serve.run." + chip.ID); ferr != nil {
 			return ferr
 		}
@@ -296,10 +298,7 @@ func (s *Server) runPipeline(ctx context.Context, req Request, inner int, ob *ob
 		}
 		res = r
 		return nil
-	}, supervise.Options{
-		Timeout: s.cfg.Timeout, Retries: s.cfg.Retries,
-		Workers: 1, JitterSeed: 1, Obs: ob,
-	})
+	}, supervise.Options{Timeout: s.cfg.Timeout, Workers: 1, Obs: ob})
 	if err != nil {
 		return nil, err
 	}

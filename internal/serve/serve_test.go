@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -81,6 +82,23 @@ func stubArtifacts(tag string) map[string][]byte {
 	return map[string][]byte{
 		ArtifactReport: []byte(`{"tag":"` + tag + `"}` + "\n"),
 		ArtifactGDS:    []byte("GDS:" + tag),
+	}
+}
+
+// TestConfigFieldCount pins the exported fields of Config; the
+// unexported test hooks do not count. Each exported field is a server
+// setting the CLI, tests and benchmarks must cover, so a new one changes
+// this pin together with the reason a deployment needs it.
+func TestConfigFieldCount(t *testing.T) {
+	const want = 19
+	got := 0
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Config{})) {
+		if f.IsExported() {
+			got++
+		}
+	}
+	if got != want {
+		t.Errorf("Config has %d exported fields, want %d", got, want)
 	}
 }
 

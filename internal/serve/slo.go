@@ -89,6 +89,41 @@ func ParseSLOs(spec string) (map[string]SLOObjective, error) {
 	return out, nil
 }
 
+// ParseTenantWeights parses the -tenant-weights grammar,
+// comma-separated tenant=N entries with N a positive integer, e.g.
+//
+//	alice=3,bob=1
+//
+// into Config.TenantWeights. The fair queue looks weights up by the
+// sanitized tenant label, so a name sanitization would rewrite (a stray
+// space, a character outside [A-Za-z0-9._-], more than 32 bytes) could
+// never match a tenant and is rejected instead of silently ignored. An
+// empty spec means no weights.
+func ParseTenantWeights(spec string) (map[string]int, error) {
+	if spec == "" {
+		return nil, nil
+	}
+	out := make(map[string]int)
+	for _, entry := range strings.Split(spec, ",") {
+		name, val, ok := strings.Cut(strings.TrimSpace(entry), "=")
+		if !ok || name == "" {
+			return nil, fmt.Errorf("serve: bad tenant weight entry %q (want tenant=N)", entry)
+		}
+		if sanitizeTenant(name) != name {
+			return nil, fmt.Errorf("serve: bad tenant weight name %q (want at most %d of [A-Za-z0-9._-])", name, maxTenantLen)
+		}
+		w, err := strconv.Atoi(val)
+		if err != nil || w < 1 {
+			return nil, fmt.Errorf("serve: bad tenant weight %q for %q (want a positive integer)", val, name)
+		}
+		if _, dup := out[name]; dup {
+			return nil, fmt.Errorf("serve: duplicate tenant weight for %q", name)
+		}
+		out[name] = w
+	}
+	return out, nil
+}
+
 // sloSlots is the ring length: one slot per minute over one hour.
 const (
 	sloSlotLen = time.Minute

@@ -34,6 +34,53 @@ func TestSanitizeTenant(t *testing.T) {
 	}
 }
 
+// TestParseTenantWeights: weights parse as whole positive integers and
+// are keyed by names the fair queue can actually match — a name that
+// sanitizeTenant would rewrite is rejected, not silently ignored.
+func TestParseTenantWeights(t *testing.T) {
+	max := strings.Repeat("a", 32)
+	cases := []struct {
+		spec string
+		want map[string]int // nil with ok=false means rejected
+		ok   bool
+	}{
+		{"", nil, true},
+		{"alice=3,bob=1", map[string]int{"alice": 3, "bob": 1}, true},
+		{" alice=3 , team.ml-infra_2=2", map[string]int{"alice": 3, "team.ml-infra_2": 2}, true},
+		{max + "=2", map[string]int{max: 2}, true},
+		{"alice=3x", nil, false},
+		{"alice=3.5", nil, false},
+		{"alice= 3", nil, false},
+		{"alice=0", nil, false},
+		{"alice=-2", nil, false},
+		{"alice=", nil, false},
+		{"alice", nil, false},
+		{"=3", nil, false},
+		{"alice =3", nil, false},
+		{"we!rd=3", nil, false},
+		{"émoji=3", nil, false},
+		{max + "b=2", nil, false},
+		{"alice=3,", nil, false},
+		{"alice=3,alice=2", nil, false},
+	}
+	for _, c := range cases {
+		got, err := ParseTenantWeights(c.spec)
+		if (err == nil) != c.ok {
+			t.Errorf("ParseTenantWeights(%q) err = %v, want ok=%v", c.spec, err, c.ok)
+			continue
+		}
+		if len(got) != len(c.want) {
+			t.Errorf("ParseTenantWeights(%q) = %v, want %v", c.spec, got, c.want)
+			continue
+		}
+		for name, w := range c.want {
+			if got[name] != w {
+				t.Errorf("ParseTenantWeights(%q)[%q] = %d, want %d", c.spec, name, got[name], w)
+			}
+		}
+	}
+}
+
 // TestTenantMetricUsesSanitizedLabel (satellite: queue.go's raw
 // req.Tenant metric key): a hostile label must not mint a metric
 // series.

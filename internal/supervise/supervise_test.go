@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -14,9 +14,8 @@ import (
 	"repro/internal/par"
 )
 
-// fastBackoff keeps retry sleeps out of the test wall clock.
-func fastBackoff() Options {
-	return Options{Backoff: time.Microsecond, Workers: 2}
+func twoWorkers() Options {
+	return Options{Workers: 2}
 }
 
 func TestAllUnitsSucceed(t *testing.T) {
@@ -25,7 +24,7 @@ func TestAllUnitsSucceed(t *testing.T) {
 	sts, err := Run(context.Background(), names, func(ctx context.Context, i int) error {
 		ran.Add(1)
 		return nil
-	}, fastBackoff())
+	}, twoWorkers())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +32,7 @@ func TestAllUnitsSucceed(t *testing.T) {
 		t.Errorf("ran %d units, want 3", got)
 	}
 	for i, st := range sts {
-		if st.Name != names[i] || st.Attempts != 1 || st.Err != nil {
+		if st.Name != names[i] || !st.Started || st.Err != nil {
 			t.Errorf("status[%d] = %+v", i, st)
 		}
 	}
@@ -48,7 +47,7 @@ func TestFailureIsolated(t *testing.T) {
 			return boom
 		}
 		return nil
-	}, fastBackoff())
+	}, twoWorkers())
 	if !errors.Is(err, boom) {
 		t.Fatalf("campaign err = %v, want wrapped boom", err)
 	}
@@ -63,15 +62,17 @@ func TestFailureIsolated(t *testing.T) {
 	}
 }
 
-// A panicking unit is confined to its status as a *par.PanicError; the
-// process and the sibling units survive.
+// A panicking unit is confined to its status as a *par.PanicError and
+// counted; the process and the sibling units survive.
 func TestPanicIsolated(t *testing.T) {
+	o := twoWorkers()
+	o.Obs = &obs.Observer{Metrics: obs.NewMetrics()}
 	sts, err := Run(context.Background(), []string{"a", "b"}, func(ctx context.Context, i int) error {
 		if i == 0 {
 			panic("poisoned unit")
 		}
 		return nil
-	}, fastBackoff())
+	}, o)
 	if err == nil {
 		t.Fatal("campaign error is nil despite panic")
 	}
@@ -82,80 +83,21 @@ func TestPanicIsolated(t *testing.T) {
 	if p.Stack == "" {
 		t.Error("panic stack not captured")
 	}
-	if sts[0].Attempts != 1 {
-		t.Errorf("panicked unit retried: %d attempts", sts[0].Attempts)
+	if n := o.Obs.Snapshot().Counters["supervise.panics"]; n != 1 {
+		t.Errorf("supervise.panics = %d, want 1", n)
 	}
 	if sts[1].Err != nil {
 		t.Errorf("sibling unit affected: %v", sts[1].Err)
 	}
 }
 
-// Retryable errors are retried up to Options.Retries with counted
-// attempts; success on a later attempt clears the unit's error.
-func TestRetryableRetriedUntilSuccess(t *testing.T) {
-	var calls atomic.Int32
-	o := fastBackoff()
-	o.Retries = 3
-	o.Obs = &obs.Observer{Metrics: obs.NewMetrics()}
-	sts, err := Run(context.Background(), []string{"flaky"}, func(ctx context.Context, i int) error {
-		if calls.Add(1) < 3 {
-			return MarkRetryable(errors.New("transient"))
-		}
-		return nil
-	}, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sts[0].Attempts != 3 || sts[0].Err != nil {
-		t.Errorf("status = %+v, want 3 attempts and success", sts[0])
-	}
-	if n := o.Obs.Snapshot().Counters["supervise.retries"]; n != 2 {
-		t.Errorf("supervise.retries = %d, want 2", n)
-	}
-}
-
-func TestRetriesExhausted(t *testing.T) {
-	o := fastBackoff()
-	o.Retries = 2
-	var calls atomic.Int32
-	sts, err := Run(context.Background(), []string{"down"}, func(ctx context.Context, i int) error {
-		calls.Add(1)
-		return MarkRetryable(errors.New("still broken"))
-	}, o)
-	if err == nil {
-		t.Fatal("exhausted retries reported success")
-	}
-	if got := calls.Load(); got != 3 {
-		t.Errorf("ran %d attempts, want 3 (1 + 2 retries)", got)
-	}
-	if sts[0].Attempts != 3 {
-		t.Errorf("status attempts = %d, want 3", sts[0].Attempts)
-	}
-}
-
-// Unmarked errors are terminal: one attempt, no backoff.
-func TestTerminalErrorNotRetried(t *testing.T) {
-	o := fastBackoff()
-	o.Retries = 5
-	var calls atomic.Int32
-	_, err := Run(context.Background(), []string{"det"}, func(ctx context.Context, i int) error {
-		calls.Add(1)
-		return errors.New("deterministic failure")
-	}, o)
-	if err == nil {
-		t.Fatal("want campaign error")
-	}
-	if got := calls.Load(); got != 1 {
-		t.Errorf("terminal error retried: %d attempts", got)
-	}
-}
-
-// The per-attempt deadline cancels the unit's context and surfaces as a
-// terminal context.DeadlineExceeded even when the unit wraps it.
+// The deadline cancels the unit's context and surfaces as
+// context.DeadlineExceeded even when the unit wraps it; the unit is
+// counted and runs once.
 func TestPerAttemptTimeout(t *testing.T) {
-	o := fastBackoff()
+	o := twoWorkers()
 	o.Timeout = 10 * time.Millisecond
-	o.Retries = 3
+	o.Obs = &obs.Observer{Metrics: obs.NewMetrics()}
 	var calls atomic.Int32
 	sts, err := Run(context.Background(), []string{"slow"}, func(ctx context.Context, i int) error {
 		calls.Add(1)
@@ -169,7 +111,13 @@ func TestPerAttemptTimeout(t *testing.T) {
 		t.Errorf("status err = %v, want DeadlineExceeded", sts[0].Err)
 	}
 	if got := calls.Load(); got != 1 {
-		t.Errorf("timed-out unit retried: %d attempts", got)
+		t.Errorf("timed-out unit ran %d times, want 1", got)
+	}
+	if sts[0].Interrupted {
+		t.Errorf("timed-out unit marked interrupted: %+v", sts[0])
+	}
+	if n := o.Obs.Snapshot().Counters["supervise.timeouts"]; n != 1 {
+		t.Errorf("supervise.timeouts = %d, want 1", n)
 	}
 }
 
@@ -184,7 +132,7 @@ func TestCampaignCancellation(t *testing.T) {
 	for i := range names {
 		names[i] = fmt.Sprintf("u%02d", i)
 	}
-	o := Options{Workers: 2, Backoff: time.Microsecond}
+	o := twoWorkers()
 	started := make(chan struct{}, 1)
 	sts, err := Run(ctx, names, func(ctx context.Context, i int) error {
 		select {
@@ -200,7 +148,7 @@ func TestCampaignCancellation(t *testing.T) {
 	}
 	var notStarted int
 	for _, st := range sts {
-		if st.Attempts == 0 {
+		if !st.Started {
 			notStarted++
 			if st.Err == nil || !strings.Contains(st.Err.Error(), "not started") {
 				t.Errorf("queued unit %s has status %v", st.Name, st.Err)
@@ -212,103 +160,13 @@ func TestCampaignCancellation(t *testing.T) {
 	}
 }
 
-// A retry loop in progress gives up promptly when the campaign is
-// cancelled instead of sleeping through its backoff.
-func TestCancellationStopsRetries(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	o := Options{Workers: 1, Retries: 1000, Backoff: time.Hour, JitterSeed: 1}
-	done := make(chan struct{})
-	var sts []Status
-	go func() {
-		sts, _ = Run(ctx, []string{"flaky"}, func(ctx context.Context, i int) error {
-			return MarkRetryable(errors.New("transient"))
-		}, o)
-		close(done)
-	}()
-	time.Sleep(20 * time.Millisecond)
-	cancel()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("supervisor kept sleeping through backoff after cancellation")
-	}
-	if sts[0].Attempts == 0 {
-		t.Error("unit never attempted")
-	}
-}
-
-// Jitter is deterministic: equal seeds give equal backoff sequences,
-// different seeds diverge.
-func TestBackoffJitterDeterministic(t *testing.T) {
-	seq := func(seed int64) []time.Duration {
-		rng := rand.New(rand.NewSource(seed))
-		out := make([]time.Duration, 5)
-		for a := 1; a <= 5; a++ {
-			out[a-1] = backoff(time.Second, 30*time.Second, a, rng)
-		}
-		return out
-	}
-	a, b := seq(7), seq(7)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged at %d: %v != %v", i, a[i], b[i])
-		}
-		lo := time.Duration(float64(time.Second<<i) * 0.75)
-		hi := time.Duration(float64(time.Second<<i) * 1.25)
-		if a[i] < lo || a[i] > hi {
-			t.Errorf("backoff %d = %v outside [%v, %v]", i, a[i], lo, hi)
-		}
-	}
-	c := seq(8)
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Error("different seeds produced identical jitter")
-	}
-}
-
-// The exponential doubling must stay positive and capped for any
-// attempt count (regression: base << (attempts-1) overflowed
-// time.Duration past ~63 doublings, and a negative delay makes timers
-// fire immediately — backoff degenerated into a hot retry loop).
-func TestBackoffBoundedAtLargeAttemptCounts(t *testing.T) {
-	const max = 30 * time.Second
-	rng := rand.New(rand.NewSource(1))
-	for _, attempts := range []int{1, 2, 10, 34, 35, 62, 63, 64, 65, 100, 1 << 20, 1 << 30} {
-		d := backoff(time.Second, max, attempts, rng)
-		if d <= 0 {
-			t.Errorf("backoff(attempts=%d) = %v, want > 0", attempts, d)
-		}
-		if d > max {
-			t.Errorf("backoff(attempts=%d) = %v exceeds cap %v", attempts, d, max)
-		}
-	}
-	// Large bases must not overflow either, even at attempt 2.
-	huge := time.Duration(1) << 62
-	if d := backoff(huge, max, 2, rng); d <= 0 || d > max {
-		t.Errorf("backoff(huge base) = %v, want in (0, %v]", d, max)
-	}
-	// The cap applies to the jittered value, not just the nominal one.
-	rng = rand.New(rand.NewSource(2))
-	for i := 0; i < 100; i++ {
-		if d := backoff(max, max, 1, rng); d > max {
-			t.Errorf("jittered backoff %v exceeds cap %v", d, max)
-		}
-	}
-}
-
 // Status.Duration reports the unit's real wall time (regression: a
 // mis-scoped defer used to leave it zero on every path).
 func TestStatusDurationStamped(t *testing.T) {
 	sts, err := Run(context.Background(), []string{"timed"}, func(ctx context.Context, i int) error {
 		time.Sleep(5 * time.Millisecond)
 		return nil
-	}, fastBackoff())
+	}, twoWorkers())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,57 +175,8 @@ func TestStatusDurationStamped(t *testing.T) {
 	}
 }
 
-func TestMarkRetryable(t *testing.T) {
-	if MarkRetryable(nil) != nil {
-		t.Error("MarkRetryable(nil) != nil")
-	}
-	base := errors.New("x")
-	wrapped := fmt.Errorf("outer: %w", MarkRetryable(base))
-	if !IsRetryable(wrapped) {
-		t.Error("retryable mark lost through wrapping")
-	}
-	if !errors.Is(wrapped, base) {
-		t.Error("base error lost through marking")
-	}
-	if IsRetryable(base) {
-		t.Error("unmarked error reported retryable")
-	}
-}
-
-// TestInterruptedDuringRetryBackoff: a unit that earned a retry but is
-// canceled mid-backoff is interrupted, not failed — the distinction a
-// journaling caller needs to resubmit the unit after restart instead of
-// recording a terminal failure.
-func TestInterruptedDuringRetryBackoff(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	attempted := make(chan struct{}, 1)
-	boom := errors.New("transient")
-	done := make(chan struct{})
-	var sts []Status
-	go func() {
-		defer close(done)
-		sts, _ = Run(ctx, []string{"u"}, func(ctx context.Context, i int) error {
-			select {
-			case attempted <- struct{}{}:
-			default:
-			}
-			return MarkRetryable(boom)
-		}, Options{Backoff: time.Hour, Retries: 5, Workers: 1})
-	}()
-	<-attempted // the unit failed once and is now sleeping in backoff
-	cancel()    // shutdown lands mid-retry
-	<-done
-	st := sts[0]
-	if !st.Interrupted {
-		t.Fatalf("status not marked interrupted: %+v", st)
-	}
-	if st.Attempts != 1 || !errors.Is(st.Err, boom) {
-		t.Fatalf("unexpected status %+v", st)
-	}
-}
-
-// TestInterruptedMidAttempt: cancellation while the attempt itself is
-// running is an interruption too.
+// TestInterruptedMidAttempt: cancellation while the unit is running is
+// an interruption too.
 func TestInterruptedMidAttempt(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	running := make(chan struct{})
@@ -415,7 +224,7 @@ func TestNotStartedUnitsInterrupted(t *testing.T) {
 		if st.Interrupted {
 			interrupted++
 		}
-		if st.Attempts == 0 && !st.Interrupted {
+		if !st.Started && !st.Interrupted {
 			t.Fatalf("never-started unit %s not interrupted: %+v", st.Name, st)
 		}
 	}
@@ -429,18 +238,18 @@ func TestNotStartedUnitsInterrupted(t *testing.T) {
 func TestTerminalFailureNotInterrupted(t *testing.T) {
 	sts, _ := Run(context.Background(), []string{"u"}, func(ctx context.Context, i int) error {
 		return errors.New("deterministic")
-	}, fastBackoff())
+	}, twoWorkers())
 	if sts[0].Interrupted {
 		t.Fatalf("terminal failure marked interrupted: %+v", sts[0])
 	}
-	// Exhausted retries are a verdict, not an interruption.
-	sts, _ = Run(context.Background(), []string{"u"}, func(ctx context.Context, i int) error {
-		return MarkRetryable(errors.New("transient"))
-	}, Options{Backoff: time.Microsecond, Retries: 2, Workers: 1})
-	if sts[0].Interrupted {
-		t.Fatalf("exhausted retries marked interrupted: %+v", sts[0])
-	}
-	if sts[0].Attempts != 3 {
-		t.Fatalf("attempts %d, want 3", sts[0].Attempts)
+}
+
+// TestOptionsFieldCount pins the exported fields of Options. Each one
+// multiplies the configurations callers and tests must cover, so a new
+// field changes this pin together with the reason a caller needs it.
+func TestOptionsFieldCount(t *testing.T) {
+	const want = 3
+	if got := len(reflect.VisibleFields(reflect.TypeOf(Options{}))); got != want {
+		t.Errorf("Options has %d fields, want %d", got, want)
 	}
 }
