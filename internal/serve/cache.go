@@ -2,7 +2,6 @@ package serve
 
 import (
 	"encoding/json"
-	"sort"
 	"strings"
 
 	"repro/internal/ckpt"
@@ -10,158 +9,72 @@ import (
 	"repro/internal/obs"
 )
 
-// The artifact cache stores each finished artifact as one checksummed
-// ckpt entry under stage "serve.<name>", plus a "serve.manifest" entry
-// (a JSON name list) written last. The manifest-last order makes the
-// cache crash-safe without transactions: a manifest only ever names
-// artifacts whose entries were durably written before it, so a crash
-// mid-publish leaves at worst an unlisted (and therefore invisible)
-// artifact entry. Entries share the run's unit/fingerprint prefix, so
-// a cached result sits beside the stage checkpoints that produced it.
+// The artifact cache stores each finished artifact set as one
+// checksummed ckpt entry: a JSON object from artifact name to bytes,
+// under the job's identity key (Request.identity). ckpt.Store.Put
+// publishes an entry with temp file, fsync and rename, so a crash
+// leaves either the whole set or none of it — never a partial one. The
+// entry shares the run's unit/fingerprint prefix, so a cached result
+// sits beside the netex checkpoint that produced it.
 //
-// Stage names stay slash-free: the store's on-disk key format joins
-// unit/fingerprint/stage with "/" and recovers the stage as the last
-// element, so a slashed stage (e.g. the views/<layer>.pgm artifact
-// name used verbatim) would fail key verification on read. Artifact
-// names are flattened with "_" instead; the manifest preserves the
-// real names.
-const manifestStage = "serve.manifest"
+// A views job's set is a superset of the plain job's, so the two are
+// stored under separate stages and a plain lookup falls back to the
+// views entry; a views lookup never reads the plain one.
+const (
+	stageResult      = "serve.result"
+	stageResultViews = "serve.result.views"
+)
 
-func artifactStage(name string) string {
-	return "serve." + strings.ReplaceAll(name, "/", "_")
-}
-
-// cacheKey builds the store key for one stage of a job identity.
-func cacheKey(unit, fp, stage string) ckpt.Key {
-	return ckpt.Key{Unit: unit, Fingerprint: fp, Stage: stage}
-}
-
-// cacheLookup fetches the full artifact set for an identity, or nil on
-// any miss. A verified-corrupt entry is deleted so the recompute can
-// heal it; an unreadable entry (ckpt.StateUnreadable) is left in place
-// — its bytes may be fine once the I/O fault clears — and just treated
-// as a miss. A manifest naming a missing artifact is treated as a
-// corrupt manifest. req.Views widens the demanded set: a cached
-// non-views result does not satisfy a views request (the run still
-// resumes from its stage checkpoints).
-func cacheLookup(store *ckpt.Store, unit, fp string, views bool, ob *obs.Observer) map[string][]byte {
-	if store == nil {
-		return nil
+// cacheLookup fetches the artifact set for an identity, or nil on any
+// miss. A plain identity that misses its own entry is served from the
+// views entry with the views filtered out.
+func cacheLookup(store *ckpt.Store, k ckpt.Key, ob *obs.Observer) map[string][]byte {
+	if artifacts := readResult(store, k, ob); artifacts != nil || k.Stage != stageResult {
+		return artifacts
 	}
-	mk := cacheKey(unit, fp, manifestStage)
-	payload, state := store.Get(mk)
-	switch state {
-	case ckpt.StateHit:
-	case ckpt.StateCorrupt:
-		ob.Count("serve.cache_corrupt", 1)
-		_ = store.Delete(mk)
-		return nil
-	case ckpt.StateUnreadable:
-		ob.Count("serve.cache_unreadable", 1)
-		return nil
-	default:
-		return nil
-	}
-	var names []string
-	if err := json.Unmarshal(payload, &names); err != nil {
-		ob.Count("serve.cache_corrupt", 1)
-		_ = store.Delete(mk)
-		return nil
-	}
-	if views && !containsViews(names) {
-		return nil
-	}
-	artifacts := make(map[string][]byte, len(names))
-	for _, name := range names {
-		if !views && isViewArtifact(name) {
-			// A views manifest satisfies a plain request; just don't
-			// serve the extra artifacts.
-			continue
-		}
-		k := cacheKey(unit, fp, artifactStage(name))
-		data, st := store.Get(k)
-		switch st {
-		case ckpt.StateHit:
-			artifacts[name] = data
-		case ckpt.StateCorrupt:
-			ob.Count("serve.cache_corrupt", 1)
-			_ = store.Delete(k)
-			_ = store.Delete(mk)
-			return nil
-		case ckpt.StateUnreadable:
-			ob.Count("serve.cache_unreadable", 1)
-			return nil
-		default: // miss: manifest names an absent entry
-			ob.Count("serve.cache_corrupt", 1)
-			_ = store.Delete(mk)
-			return nil
+	k.Stage = stageResultViews
+	artifacts := readResult(store, k, ob)
+	for name := range artifacts {
+		if strings.HasPrefix(name, "views/") {
+			delete(artifacts, name)
 		}
 	}
 	return artifacts
 }
 
-// cacheStore publishes a finished artifact set: artifact entries first,
-// manifest last. An existing manifest is union-merged so a views run
-// never hides the plain artifacts (or vice versa) — the entries are
-// content-addressed by the same fingerprint, so a name collision is by
-// construction the same bytes.
-func cacheStore(store *ckpt.Store, unit, fp string, artifacts map[string][]byte) error {
+// readResult reads one result entry. A verified-corrupt entry is
+// deleted so the recompute can heal it; an unreadable entry
+// (ckpt.StateUnreadable) is left in place — its bytes may be fine once
+// the I/O fault clears — and just treated as a miss.
+func readResult(store *ckpt.Store, k ckpt.Key, ob *obs.Observer) map[string][]byte {
+	payload, state := store.Get(k)
+	var artifacts map[string][]byte
+	if state == ckpt.StateHit && json.Unmarshal(payload, &artifacts) != nil {
+		state = ckpt.StateCorrupt
+	}
+	switch state {
+	case ckpt.StateHit:
+		return artifacts
+	case ckpt.StateCorrupt:
+		ob.Count("serve.cache_corrupt", 1)
+		_ = store.Delete(k)
+	case ckpt.StateUnreadable:
+		ob.Count("serve.cache_unreadable", 1)
+	}
+	return nil
+}
+
+// cacheStore publishes a finished artifact set as one entry under k.
+func cacheStore(store *ckpt.Store, k ckpt.Key, artifacts map[string][]byte) error {
 	if store == nil {
 		return nil
 	}
-	// The publish site fails the whole set before any entry is written;
-	// per-entry faults come from the ckpt.put site inside store.Put.
 	if err := failpoint.Inject("serve.publish"); err != nil {
 		return err
 	}
-	names := make([]string, 0, len(artifacts))
-	for name := range artifacts {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if err := store.Put(cacheKey(unit, fp, artifactStage(name)), artifacts[name]); err != nil {
-			return err
-		}
-	}
-	mk := cacheKey(unit, fp, manifestStage)
-	if prev, state := store.Get(mk); state == ckpt.StateHit {
-		var old []string
-		if json.Unmarshal(prev, &old) == nil {
-			names = unionSorted(names, old)
-		}
-	}
-	payload, err := json.Marshal(names)
+	payload, err := json.Marshal(artifacts)
 	if err != nil {
 		return err
 	}
-	return store.Put(mk, payload)
-}
-
-func isViewArtifact(name string) bool {
-	return strings.HasPrefix(name, "views/")
-}
-
-func containsViews(names []string) bool {
-	for _, n := range names {
-		if isViewArtifact(n) {
-			return true
-		}
-	}
-	return false
-}
-
-// unionSorted merges two sorted-ish name lists into one sorted,
-// deduplicated list.
-func unionSorted(a, b []string) []string {
-	seen := make(map[string]bool, len(a)+len(b))
-	out := make([]string, 0, len(a)+len(b))
-	for _, s := range append(append([]string(nil), a...), b...) {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	sort.Strings(out)
-	return out
+	return store.Put(k, payload)
 }

@@ -1,10 +1,14 @@
 package serve
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
+	"repro/internal/ckpt"
 	"repro/internal/obs"
 )
 
@@ -50,15 +54,14 @@ type Event struct {
 type job struct {
 	id  string
 	req Request
-	// unit and fp are the cache identity: unit names the pipeline input
-	// (chip ID, "/die"-suffixed for die runs) and fp is the
-	// core.FingerprintOptions hash of the result-affecting options —
-	// the same fingerprint the run's stage checkpoints are keyed by.
-	unit, fp string
-	// dedupe is the in-flight dedupe key (unit, fingerprint and views
-	// flag): two jobs with equal keys are guaranteed to produce
-	// identical artifact sets, so only one may compute at a time.
-	dedupe string
+	// key is the job's identity (Request.identity), derived from req
+	// at submit and again at recovery: the unit names the pipeline
+	// input (chip ID, "/die"-suffixed for die runs), the fingerprint is
+	// the core.FingerprintOptions hash the run's netex checkpoint is
+	// keyed by, and the stage is the result entry. Two jobs with equal
+	// keys produce identical artifact sets, so only one may compute at
+	// a time.
+	key ckpt.Key
 
 	state     State
 	err       error
@@ -184,7 +187,7 @@ func (j *job) statusLocked() JobStatus {
 		ID: j.id, State: j.state,
 		Chip: j.req.Chip, Die: j.req.Die, Views: j.req.Views,
 		Profile: j.req.Profile, Tenant: j.req.Tenant,
-		Fingerprint: j.fp,
+		Fingerprint: j.key.Fingerprint,
 		Correlation: j.corr,
 		Brownout:    j.brownout,
 		DeadlineMS:  j.req.DeadlineMS,
@@ -229,4 +232,13 @@ func (j *job) statusLocked() JobStatus {
 // newJobID renders the dense per-server job number.
 func newJobID(n int) string {
 	return fmt.Sprintf("job-%06d", n)
+}
+
+// sortJobIDs orders job IDs by number, which is submission order.
+// newJobID pads to six digits, so a longer ID is a larger number: from
+// job-1000000 on, a plain string sort would put the newest jobs first.
+func sortJobIDs(ids []string) {
+	slices.SortFunc(ids, func(a, b string) int {
+		return cmp.Or(cmp.Compare(len(a), len(b)), strings.Compare(a, b))
+	})
 }

@@ -52,8 +52,10 @@ const (
 
 // Journal ops.
 const (
-	// opAccept records a job's admission: identity, request and creation
-	// time. It is durably on disk before the client sees the job ID.
+	// opAccept records a job's admission: request, correlation ID and
+	// creation time. It is durably on disk before the client sees the job
+	// ID. The job's identity is not journaled: recovery derives it from
+	// the request, so it always matches the running build's fingerprint.
 	opAccept = "accept"
 	// opState records a lifecycle transition for an accepted job.
 	opState = "state"
@@ -67,9 +69,12 @@ const (
 // StateInterrupted is a journal-only state: the job was observed running
 // when the server shut down (or, implicitly, when it crashed — a job
 // whose last journaled state is "running" is equally interrupted).
-// Recovery resubmits interrupted jobs; they resume cheaply through the
-// stage checkpoints and the artifact cache their first run left behind.
-// It never appears in the HTTP API's job table.
+// Recovery resubmits interrupted jobs. One whose result reached the
+// cache completes from it without a run, and one that got past
+// extraction resumes from its netex checkpoint; a run killed earlier,
+// mid-reconstruction, starts over from acquisition, because netex is
+// the only stage checkpoint. It never appears in the HTTP API's job
+// table.
 const StateInterrupted State = "interrupted"
 
 // JournalRecord is one journal entry's payload.
@@ -80,11 +85,8 @@ type JournalRecord struct {
 	// Accept fields. Corr is the job's correlation ID (the request ID
 	// of the HTTP submission); it rides the accept record so a
 	// recovered job keeps the ID its first life was submitted under.
-	Req         *Request `json:"req,omitempty"`
-	Unit        string   `json:"unit,omitempty"`
-	Fingerprint string   `json:"fp,omitempty"`
-	Dedupe      string   `json:"dedupe,omitempty"`
-	Corr        string   `json:"corr,omitempty"`
+	Req  *Request `json:"req,omitempty"`
+	Corr string   `json:"corr,omitempty"`
 	// State fields.
 	State State  `json:"state,omitempty"`
 	Cause string `json:"cause,omitempty"`
@@ -119,6 +121,11 @@ func frameRecord(rec JournalRecord) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: journal: %w", err)
 	}
+	return framePayload(payload), nil
+}
+
+// framePayload wraps one JSON payload in the frame header.
+func framePayload(payload []byte) []byte {
 	buf := make([]byte, 0, journalFrameHeader+len(payload))
 	buf = append(buf, journalMagic...)
 	buf = binary.LittleEndian.AppendUint32(buf, journalVersion)
@@ -126,7 +133,7 @@ func frameRecord(rec JournalRecord) ([]byte, error) {
 	sum := sha256.Sum256(payload)
 	buf = append(buf, sum[:]...)
 	buf = append(buf, payload...)
-	return buf, nil
+	return buf
 }
 
 // parseFrame verifies one frame at the head of data and returns the
@@ -445,9 +452,7 @@ func compactRecords(jobs map[string]*replayedJob) []JournalRecord {
 	for id := range jobs {
 		ids = append(ids, id)
 	}
-	// Job IDs are zero-padded ("job-000042"), so lexicographic order is
-	// submission order.
-	sort.Strings(ids)
+	sortJobIDs(ids)
 	// Count terminals from the newest end to find the retention cutoff.
 	keep := make(map[string]bool, len(ids))
 	terminals := 0

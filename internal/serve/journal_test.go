@@ -1,17 +1,18 @@
 package serve
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 )
 
 func acceptRec(id string, req Request) JournalRecord {
-	unit, fp, dedupe, _ := req.identity()
 	return JournalRecord{
 		Op: opAccept, ID: id, Time: time.Now().UTC().Truncate(time.Millisecond),
-		Req: &req, Unit: unit, Fingerprint: fp, Dedupe: dedupe,
+		Req: &req,
 	}
 }
 
@@ -249,4 +250,65 @@ func TestReplayAndCompact(t *testing.T) {
 			t.Fatalf("job %s: state %v after recompaction, want %v", id, again[id], want)
 		}
 	}
+}
+
+// TestJobIDOrderPastSixDigits: job IDs sort by number across newJobID's
+// six-digit padding, both where recovery orders its requeues and where
+// compaction picks the newest journalKeepTerminal terminal jobs to keep.
+func TestJobIDOrderPastSixDigits(t *testing.T) {
+	for _, tc := range []struct{ in, want []string }{
+		{[]string{"job-000002", "job-000001"}, []string{"job-000001", "job-000002"}},
+		{[]string{"job-1000000", "job-999999"}, []string{"job-999999", "job-1000000"}},
+		{
+			[]string{"job-1000001", "job-000010", "job-10000000", "job-1000000", "job-999999"},
+			[]string{"job-000010", "job-999999", "job-1000000", "job-1000001", "job-10000000"},
+		},
+	} {
+		got := append([]string(nil), tc.in...)
+		sortJobIDs(got)
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("sortJobIDs(%v) = %v, want %v", tc.in, got, tc.want)
+		}
+	}
+
+	// One terminal job too many, the newest being job-1000000: the
+	// oldest is the one compaction drops.
+	const last = 1000000
+	jobs := make(map[string]*replayedJob)
+	for n := last - journalKeepTerminal; n <= last; n++ {
+		id := newJobID(n)
+		jobs[id] = &replayedJob{accept: acceptRec(id, reqN(1)), state: StateDone}
+	}
+	var kept []string
+	for _, rec := range compactRecords(jobs) {
+		if rec.Op == opAccept {
+			kept = append(kept, rec.ID)
+		}
+	}
+	first, newest := newJobID(last-journalKeepTerminal+1), newJobID(last)
+	if len(kept) != journalKeepTerminal || kept[0] != first || kept[len(kept)-1] != newest {
+		t.Fatalf("compaction kept %d jobs %s..%s, want %d jobs %s..%s",
+			len(kept), kept[0], kept[len(kept)-1], journalKeepTerminal, first, newest)
+	}
+}
+
+// writeLegacyJournal writes raw JSON accept payloads through the journal
+// framing — records a build whose JournalRecord had other fields wrote.
+func writeLegacyJournal(t *testing.T, path string, payloads ...string) {
+	t.Helper()
+	var data []byte
+	for _, p := range payloads {
+		data = append(data, framePayload([]byte(p))...)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// legacyAccept renders an accept record in the form older builds
+// journaled, with the job's unit, fingerprint and dedupe key copied
+// beside the request.
+func legacyAccept(id, req, fp string) string {
+	return fmt.Sprintf(`{"op":"accept","id":%q,"time":"2026-01-02T03:04:05Z","req":%s,"unit":"B4","fp":%q,"dedupe":"B4/%s"}`,
+		id, req, fp, fp)
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -32,10 +31,10 @@ type Config struct {
 	// (ErrQueueFull → HTTP 503) rather than buffered without bound.
 	QueueDepth int
 	// Cache is the shared content-addressed store. It plays two roles:
-	// pipeline stage checkpoints during a run, and the finished
-	// artifact cache keyed by the same options fingerprint — identical
-	// submissions dedupe to one computation across server restarts.
-	// Nil disables both.
+	// the run's netex checkpoint, and the finished artifact cache — one
+	// entry per result, keyed by the job's identity under the same
+	// options fingerprint — so identical submissions dedupe to one
+	// computation across server restarts. Nil disables both.
 	Cache *ckpt.Store
 	// CacheBytes, when positive, is the byte budget for Cache: after
 	// each artifact publish (and once at startup) the server sweeps the
@@ -190,8 +189,8 @@ type Server struct {
 
 	mu        sync.Mutex
 	jobs      map[string]*job
-	order     []string        // submission order, for List
-	inflight  map[string]*job // dedupe key -> leader job
+	order     []string          // submission order, for List
+	inflight  map[ckpt.Key]*job // identity -> leader job
 	nextID    int
 	recovered int // jobs re-enqueued from the journal at startup
 	closed    bool
@@ -228,7 +227,7 @@ func New(cfg Config) *Server {
 		ctx:      ctx,
 		stop:     stop,
 		jobs:     make(map[string]*job),
-		inflight: make(map[string]*job),
+		inflight: make(map[ckpt.Key]*job),
 	}
 	s.diskFree.Store(-1)
 	s.runner = s.runPipeline
@@ -302,12 +301,16 @@ func (s *Server) Ready() bool {
 
 // recoverJournal replays the journal into the job table, compacts the
 // file and requeues every job that was acknowledged but not finished:
-// first the ones that were running when the last life ended (their
-// stage checkpoints are warmest), then the queued ones, in submission
-// order. A recovered job whose artifacts already reached the cache —
-// the crash landed between publish and the done record — completes
-// immediately without rerunning. Runs before the worker pool starts, so
-// no locking is needed.
+// first the ones that were running when the last life ended (the fair
+// queue had already dispatched them, so they keep their turn ahead of
+// jobs still waiting), then the queued ones, in submission order. Each
+// job's identity is derived anew from its journaled request, so it
+// dedupes and caches under the running build's fingerprint; a live job
+// whose request this build rejects fails with that error. A recovered
+// job whose artifacts already reached the cache — the crash landed
+// between publish and the done record — completes immediately without
+// rerunning. Runs before the worker pool starts, so no locking is
+// needed.
 func (s *Server) recoverJournal(path string) error {
 	recs, _, torn, err := ReadJournal(path)
 	if err != nil {
@@ -343,9 +346,9 @@ func (s *Server) recoverJournal(path string) error {
 		if _, err := fmt.Sscanf(id, "job-%d", &n); err == nil && n > s.nextID {
 			s.nextID = n
 		}
+		key, kerr := r.accept.Req.identity()
 		j := &job{
-			id: id, req: *r.accept.Req,
-			unit: r.accept.Unit, fp: r.accept.Fingerprint, dedupe: r.accept.Dedupe,
+			id: id, req: *r.accept.Req, key: key,
 			tenantKey: sanitizeTenant(r.accept.Req.Tenant),
 			corr:      r.accept.Corr,
 			state:     StateQueued, created: r.accept.Time,
@@ -363,6 +366,13 @@ func (s *Server) recoverJournal(path string) error {
 		j.trace.SetCorrelation(j.corr)
 		s.jobs[id] = j
 		s.order = append(s.order, id)
+		if kerr != nil && !r.state.terminal() {
+			// Accepted by an older build whose bounds this one tightened
+			// (the maxUnits and minVoxelNM caps, say).
+			j.eventLocked("recovered", "request rejected by this build")
+			s.completeLocked(j, StateFailed, fmt.Errorf("%w: %v", ErrBadRequest, kerr), StateFailed)
+			continue
+		}
 		switch r.state {
 		case StateDone:
 			j.state = StateDone
@@ -370,7 +380,7 @@ func (s *Server) recoverJournal(path string) error {
 			// Best effort: the artifacts outlive the process only in the
 			// cache; a GC'd entry just means the job reports done with no
 			// downloadable artifacts, like any cache miss.
-			j.artifacts = cacheLookup(s.cfg.Cache, j.unit, j.fp, j.req.Views, s.cfg.Obs)
+			j.artifacts = cacheLookup(s.cfg.Cache, j.key, s.cfg.Obs)
 			j.eventLocked("recovered", "terminal in journal: done")
 		case StateFailed, StateCanceled:
 			j.state = r.state
@@ -399,7 +409,7 @@ func (s *Server) recoverJournal(path string) error {
 // is never bounced now). Caller is the single-threaded recovery path or
 // holds the mutex.
 func (s *Server) requeueRecoveredLocked(j *job) {
-	if cached := cacheLookup(s.cfg.Cache, j.unit, j.fp, j.req.Views, s.cfg.Obs); cached != nil {
+	if cached := cacheLookup(s.cfg.Cache, j.key, s.cfg.Obs); cached != nil {
 		j.cacheHit = true
 		j.artifacts = cached
 		j.metrics.Add("serve.cache_hit", 1)
@@ -419,13 +429,13 @@ func (s *Server) requeueRecoveredLocked(j *job) {
 	s.recovered++
 	s.adm.acquire(j.tenantKey, true)
 	j.admitted = true
-	if leader, ok := s.inflight[j.dedupe]; ok && leader != j {
+	if leader, ok := s.inflight[j.key]; ok && leader != j {
 		j.dedupedOf = leader.id
 		leader.followers = append(leader.followers, j)
 		j.eventLocked("deduped", "attached to recovered "+leader.id)
 		return
 	}
-	s.inflight[j.dedupe] = j
+	s.inflight[j.key] = j
 	if err := s.queue.push(j, true); err != nil {
 		// Only possible if the queue is already closed — recovery runs
 		// before Close can be called, so this is defensive.
@@ -503,7 +513,7 @@ func (s *Server) SubmitCorr(req Request, corr string) (JobStatus, error) {
 		req.Profile = "fast"
 		brownout = true
 	}
-	unit, fp, dedupe, err := req.identity()
+	key, err := req.identity()
 	if err != nil {
 		return JobStatus{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
@@ -517,7 +527,7 @@ func (s *Server) SubmitCorr(req Request, corr string) (JobStatus, error) {
 	}
 	// Cache probe outside the lock: it reads files, and a stale miss is
 	// harmless (the in-flight dedupe below still collapses duplicates).
-	cached := cacheLookup(s.cfg.Cache, unit, fp, req.Views, s.cfg.Obs)
+	cached := cacheLookup(s.cfg.Cache, key, s.cfg.Obs)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -526,8 +536,7 @@ func (s *Server) SubmitCorr(req Request, corr string) (JobStatus, error) {
 	}
 	s.nextID++
 	j := &job{
-		id: newJobID(s.nextID), req: req,
-		unit: unit, fp: fp, dedupe: dedupe,
+		id: newJobID(s.nextID), req: req, key: key,
 		tenantKey: tenant, corr: corr,
 		state: StateQueued, created: time.Now(),
 		update:  make(chan struct{}),
@@ -539,7 +548,7 @@ func (s *Server) SubmitCorr(req Request, corr string) (JobStatus, error) {
 	j.trace.SetCorrelation(corr)
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
-	j.eventLocked("queued", "fingerprint "+fp)
+	j.eventLocked("queued", "fingerprint "+key.Fingerprint)
 	if brownout {
 		j.brownout = true
 		j.metrics.Add("serve.brownout", 1)
@@ -569,7 +578,7 @@ func (s *Server) SubmitCorr(req Request, corr string) (JobStatus, error) {
 	// of its tenant's in-flight slots; a fresh leader additionally needs
 	// queue capacity. Capacity is checked before the journal write so an
 	// accepted record always corresponds to a job the server will run.
-	leader, hasLeader := s.inflight[j.dedupe]
+	leader, hasLeader := s.inflight[key]
 	if !hasLeader && s.queue.full() {
 		s.cfg.Obs.Count("serve.queue_full", 1)
 		s.forgetLocked(j)
@@ -586,12 +595,12 @@ func (s *Server) SubmitCorr(req Request, corr string) (JobStatus, error) {
 			return JobStatus{}, fmt.Errorf("%w (standing queue delay over %s)", ErrShed, 2*s.cfg.ShedTarget)
 		}
 		if s.brk.enabled() {
-			brkKey = breakerKeyOf(unit, req.Profile)
+			brkKey = breakerKeyOf(key.Unit, req.Profile)
 			if ra, ok := s.brk.allow(brkKey); !ok {
 				s.cfg.Obs.Count("serve.breaker_rejected", 1)
 				s.forgetLocked(j)
 				return JobStatus{}, &BreakerOpenError{
-					Unit: unit, Profile: effectiveProfile(req.Profile), RetryAfter: ra,
+					Unit: key.Unit, Profile: effectiveProfile(req.Profile), RetryAfter: ra,
 				}
 			}
 		}
@@ -622,7 +631,7 @@ func (s *Server) SubmitCorr(req Request, corr string) (JobStatus, error) {
 		j.eventLocked("deduped", "attached to in-flight "+leader.id)
 		return j.statusLocked(), nil
 	}
-	s.inflight[j.dedupe] = j
+	s.inflight[key] = j
 	// Cannot fail: capacity was verified above and every push runs under
 	// s.mu, so no competing push can steal the slot (pop only shrinks).
 	if err := s.queue.push(j, true); err != nil {
@@ -630,7 +639,7 @@ func (s *Server) SubmitCorr(req Request, corr string) (JobStatus, error) {
 			s.brk.cancelProbe(brkKey)
 		}
 		s.completeLocked(j, StateFailed, err, StateFailed)
-		delete(s.inflight, j.dedupe)
+		delete(s.inflight, key)
 		return JobStatus{}, err
 	}
 	return j.statusLocked(), nil
@@ -680,8 +689,7 @@ func (s *Server) journalAcceptLocked(j *job) error {
 	}
 	err := s.journal.Append(JournalRecord{
 		Op: opAccept, ID: j.id, Time: j.created,
-		Req: &j.req, Unit: j.unit, Fingerprint: j.fp, Dedupe: j.dedupe,
-		Corr: j.corr,
+		Req: &j.req, Corr: j.corr,
 	})
 	if err != nil {
 		s.cfg.Obs.Count("serve.journal_errors", 1)
@@ -732,7 +740,8 @@ func (s *Server) journalBreakerLocked(key, state string, fails int) {
 // journalStateLocked appends a state transition. Transition records are
 // best effort: the job already ran (or didn't), and failing the job
 // over a logging error would discard real work — recovery degrades to
-// rerunning it, which the stage checkpoints make cheap.
+// completing a done job from the cache entry it published, or to
+// rerunning the job.
 func (s *Server) journalStateLocked(j *job, state State, cause error) {
 	if s.journal == nil {
 		return
@@ -815,7 +824,7 @@ func (s *Server) fleetMetrics() *obs.Metrics {
 func (s *Server) execute(j *job) {
 	s.mu.Lock()
 	if j.state.terminal() { // canceled while queued
-		if s.inflight[j.dedupe] == j {
+		if s.inflight[j.key] == j {
 			s.promoteLocked(j)
 		}
 		s.mu.Unlock()
@@ -829,7 +838,7 @@ func (s *Server) execute(j *job) {
 		s.cfg.Obs.Count("serve.deadline_shed", 1)
 		j.eventLocked("deadline", "deadline expired while queued; shed without running")
 		s.completeLocked(j, StateCanceled, errDeadline, StateCanceled)
-		if s.inflight[j.dedupe] == j {
+		if s.inflight[j.key] == j {
 			s.promoteLocked(j)
 		}
 		s.mu.Unlock()
@@ -864,7 +873,7 @@ func (s *Server) execute(j *job) {
 
 	s.cfg.Obs.Count("serve.runs", 1)
 	s.cfg.Obs.Info("serve: job running", "job", j.id, "corr", j.corr,
-		"tenant", j.tenantKey, "chip", req.Chip, "fp", j.fp)
+		"tenant", j.tenantKey, "chip", req.Chip, "fp", j.key.Fingerprint)
 	artifacts, err := s.runner(ctx, req, s.inner, ob)
 	if s.ctx.Err() == nil {
 		// Feed the drain-rate EWMA with how long the worker was occupied
@@ -879,7 +888,7 @@ func (s *Server) execute(j *job) {
 		// the crash window — if the process dies after the publish but
 		// before the done record, recovery finds the artifacts in the
 		// cache and completes the job without rerunning it.
-		if serr := cacheStore(s.cfg.Cache, j.unit, j.fp, artifacts); serr != nil {
+		if serr := cacheStore(s.cfg.Cache, j.key, artifacts); serr != nil {
 			s.cfg.Obs.Info("serve: cache store failed", "job", j.id, "error", serr)
 		} else {
 			published = true
@@ -887,10 +896,10 @@ func (s *Server) execute(j *job) {
 	}
 
 	s.mu.Lock()
-	if s.inflight[j.dedupe] == j {
-		delete(s.inflight, j.dedupe)
+	if s.inflight[j.key] == j {
+		delete(s.inflight, j.key)
 	}
-	brkKey := breakerKeyOf(j.unit, req.Profile)
+	brkKey := breakerKeyOf(j.key.Unit, req.Profile)
 	switch {
 	case err == nil:
 		s.breakerResultLocked(brkKey, true)
@@ -955,7 +964,7 @@ func (s *Server) execute(j *job) {
 // Caller holds the mutex; the leader must already be terminal and out
 // of (or about to leave) the inflight table.
 func (s *Server) promoteLocked(old *job) {
-	delete(s.inflight, old.dedupe)
+	delete(s.inflight, old.key)
 	var live []*job
 	for _, f := range old.followers {
 		if !f.state.terminal() {
@@ -988,7 +997,7 @@ func (s *Server) promoteLocked(old *job) {
 		}
 		return
 	}
-	s.inflight[leader.dedupe] = leader
+	s.inflight[leader.key] = leader
 	leader.eventLocked("promoted", "leader "+old.id+" canceled; requeued")
 }
 
@@ -1015,7 +1024,7 @@ func (s *Server) Cancel(id string) (JobStatus, error) {
 			// worker that pops it skips terminal jobs and promotes any
 			// followers it accumulated meanwhile.
 			s.completeLocked(j, StateCanceled, errors.New("canceled by client"), StateCanceled)
-			if s.inflight[j.dedupe] == j {
+			if s.inflight[j.key] == j {
 				// Release the dedupe slot and promote a live follower
 				// now, so followers don't wait for the pop.
 				s.promoteLocked(j)
@@ -1043,16 +1052,17 @@ func (s *Server) detachFollowerLocked(j *job) bool {
 	return true
 }
 
-// pinnedSnapshot captures the (unit, fingerprint) pairs of jobs that
-// are not terminal: their stage checkpoints and any already-published
-// artifacts must survive a sweep, whatever the budget.
-func (s *Server) pinnedSnapshot() map[string]bool {
+// pinnedSnapshot captures the identities of jobs that are not terminal,
+// stage cleared: every entry under their unit/fingerprint prefix — the
+// netex checkpoint and any already-published result — must survive a
+// sweep, whatever the budget.
+func (s *Server) pinnedSnapshot() map[ckpt.Key]bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	pins := make(map[string]bool)
+	pins := make(map[ckpt.Key]bool)
 	for _, j := range s.jobs {
 		if !j.state.terminal() {
-			pins[j.unit+"\x00"+j.fp] = true
+			pins[ckpt.Key{Unit: j.key.Unit, Fingerprint: j.key.Fingerprint}] = true
 		}
 	}
 	return pins
@@ -1072,7 +1082,7 @@ func (s *Server) maybeGC() {
 	defer s.gcMu.Unlock()
 	pins := s.pinnedSnapshot()
 	res, err := s.cfg.Cache.GC(s.cfg.CacheBytes, func(k ckpt.Key) bool {
-		return pins[k.Unit+"\x00"+k.Fingerprint]
+		return pins[ckpt.Key{Unit: k.Unit, Fingerprint: k.Fingerprint}]
 	})
 	if err != nil {
 		s.cfg.Obs.Info("serve: cache gc failed", "error", err)
@@ -1238,12 +1248,6 @@ func (s *Server) mergeJobLocked(j *job) {
 		return
 	}
 	s.cfg.Obs.Metrics.Merge(j.metrics.Snapshot())
-}
-
-// sortJobIDs orders zero-padded job IDs ("job-000042") — lexicographic
-// is submission order.
-func sortJobIDs(ids []string) {
-	sort.Strings(ids)
 }
 
 func (s *Server) logger() *slog.Logger {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -128,7 +129,7 @@ func TestRecoverCompletesFromCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := reqN(1)
-	unit, fp, _, err := req.identity()
+	key, err := req.identity()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestRecoverCompletesFromCache(t *testing.T) {
 	}
 	// The dead server's publish completed; only the done record is
 	// missing.
-	if err := cacheStore(store, unit, fp, stubArtifacts("prev")); err != nil {
+	if err := cacheStore(store, key, stubArtifacts("prev")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -332,5 +333,59 @@ func TestJournalSurvivesDoubleRestart(t *testing.T) {
 	}
 	if got := runs.Load(); got != 1 {
 		t.Fatalf("job ran %d times across restarts, want 1", got)
+	}
+}
+
+// TestRecoverDerivesIdentityFromRequest: a job journaled by an older
+// build, whose accept record carries that build's fingerprint, recovers
+// under the identity this build derives from its request. An identical
+// fresh submission attaches to it as a follower, so the work runs once.
+// A journaled request this build rejects fails its job at recovery.
+func TestRecoverDerivesIdentityFromRequest(t *testing.T) {
+	dir := t.TempDir()
+	journal := filepath.Join(dir, "jobs.journal")
+	store, err := ckpt.Open(filepath.Join(dir, "cache"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := reqN(1)
+	writeLegacyJournal(t, journal,
+		legacyAccept("job-000001", `{"chip":"B4","profile":"fast","voxel_nm":12}`, "0123456789abcdef"),
+		legacyAccept("job-000002", `{"chip":"B4","profile":"fast","units":1000}`, "fedcba9876543210"))
+	release := make(chan struct{})
+	var runs atomic.Int64
+	s := newTestServer(t, Config{Jobs: 1, JournalPath: journal, Cache: store},
+		func(ctx context.Context, req Request, inner int, ob *obs.Observer) (map[string][]byte, error) {
+			runs.Add(1)
+			select {
+			case <-release:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+			return stubArtifacts(req.Chip), nil
+		})
+	rejected := waitState(t, s, "job-000002", StateFailed)
+	if !strings.Contains(rejected.Error, "above the cap") {
+		t.Errorf("rejected job error %q, want the units cap", rejected.Error)
+	}
+	fresh, err := s.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.DedupedOf != "job-000001" {
+		t.Errorf("fresh submission deduped_of %q, want the recovered job-000001", fresh.DedupedOf)
+	}
+	close(release)
+	recovered := waitState(t, s, "job-000001", StateDone)
+	waitState(t, s, fresh.ID, StateDone)
+	if got := runs.Load(); got != 1 {
+		t.Errorf("pipeline ran %d times for identical work, want 1", got)
+	}
+	key, err := req.identity()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recovered.Fingerprint != key.Fingerprint {
+		t.Errorf("recovered job fingerprint %q, want this build's %q", recovered.Fingerprint, key.Fingerprint)
 	}
 }

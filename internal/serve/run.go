@@ -7,6 +7,7 @@ import (
 	"fmt"
 
 	"repro/internal/chips"
+	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/failpoint"
 	"repro/internal/fault"
@@ -151,24 +152,25 @@ func (r Request) resolve() (*chips.Chip, core.Options, string, error) {
 	return c, o, unit, nil
 }
 
-// identity returns the job's cache identity: the checkpoint unit and
-// the options fingerprint, plus the in-flight dedupe key (the views
-// flag widens the artifact set, so views and non-views jobs must not
-// dedupe to each other).
-func (r Request) identity() (unit, fp, dedupe string, err error) {
+// identity returns the job's one identity key: the checkpoint unit, the
+// options fingerprint and the result stage. The views flag widens the
+// artifact set, so it selects its own stage and views and plain jobs
+// neither dedupe to each other nor share a cache entry. The key is the
+// in-flight dedupe key, the cache key and, stage aside, the GC pin.
+func (r Request) identity() (ckpt.Key, error) {
 	_, o, unit, err := r.resolve()
 	if err != nil {
-		return "", "", "", err
+		return ckpt.Key{}, err
 	}
-	fp, err = core.FingerprintOptions(o)
+	fp, err := core.FingerprintOptions(o)
 	if err != nil {
-		return "", "", "", err
+		return ckpt.Key{}, err
 	}
-	dedupe = unit + "/" + fp
+	stage := stageResult
 	if r.Views {
-		dedupe += "/views"
+		stage = stageResultViews
 	}
-	return unit, fp, dedupe, nil
+	return ckpt.Key{Unit: unit, Fingerprint: fp, Stage: stage}, nil
 }
 
 // Report is the report.json artifact: the same summary the extract

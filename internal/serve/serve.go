@@ -2,7 +2,7 @@
 // an HTTP/JSON API accepts chip/profile submissions, a bounded FIFO
 // queue feeds a worker pool of supervised pipeline campaigns, and a
 // shared content-addressed cache (the checkpoint store, keyed by the
-// same options fingerprint the stage checkpoints use) dedupes
+// same options fingerprint the netex checkpoint uses) dedupes
 // identical submissions down to a single computation — whether they
 // arrive concurrently (in-flight leader/follower attachment) or hours
 // apart (artifact cache hit).

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -450,58 +451,124 @@ func TestResultCacheAcrossServers(t *testing.T) {
 	}
 }
 
-// TestCacheCorruptEntryRecomputed: a bit-flipped cache entry is
-// detected, healed by deletion, and the job recomputes.
+// TestCacheCorruptEntryRecomputed pins the result-cache lookup rules,
+// one row each: a submission either completes at submit time from the
+// seeded entry (hit lists the artifacts it serves) or queues and runs.
+// The runner blocks until the row has inspected the store, so the
+// seeded entry's state after the lookup is seen before a recompute
+// could republish it. A corrupt entry is deleted, counted and
+// recomputed; an unreadable one is counted and kept.
 func TestCacheCorruptEntryRecomputed(t *testing.T) {
-	dir := t.TempDir()
-	store, err := ckpt.Open(dir)
-	if err != nil {
-		t.Fatal(err)
+	plain := reqN(0)
+	views := plain
+	views.Views = true
+	artifactsFor := func(req Request) map[string][]byte {
+		a := stubArtifacts("x")
+		if req.Views {
+			a["views/metal1.pgm"] = []byte("P5 metal1")
+		}
+		return a
 	}
-	var runs atomic.Int64
-	s := newTestServer(t, Config{Jobs: 1, Cache: store},
-		func(ctx context.Context, req Request, _ int, _ *obs.Observer) (map[string][]byte, error) {
-			runs.Add(1)
-			return stubArtifacts("x"), nil
+	flip := func(path string) error {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		data[len(data)-1] ^= 0x01
+		return os.WriteFile(path, data, 0o644)
+	}
+	// A directory at the entry's path fails the read without being
+	// absent, whatever uid runs the test.
+	unreadable := func(path string) error {
+		if err := os.Remove(path); err != nil {
+			return err
+		}
+		return os.Mkdir(path, 0o755)
+	}
+	for _, tc := range []struct {
+		name                string
+		seed, submit        Request
+		damage              func(path string) error
+		hit                 []string
+		corrupt, unreadable int64
+		after               ckpt.State
+	}{
+		{name: "views entry serves plain without views", seed: views, submit: plain,
+			hit: []string{ArtifactGDS, ArtifactReport}, after: ckpt.StateHit},
+		{name: "views entry serves views", seed: views, submit: views,
+			hit: []string{ArtifactGDS, ArtifactReport, "views/metal1.pgm"}, after: ckpt.StateHit},
+		{name: "plain entry never serves views", seed: plain, submit: views, after: ckpt.StateHit},
+		{name: "corrupt entry deleted and counted", seed: plain, submit: plain, damage: flip,
+			corrupt: 1, after: ckpt.StateMiss},
+		{name: "unreadable entry counted and kept", seed: plain, submit: plain, damage: unreadable,
+			unreadable: 1, after: ckpt.StateUnreadable},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store, err := ckpt.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			key, err := tc.seed.identity()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := cacheStore(store, key, artifactsFor(tc.seed)); err != nil {
+				t.Fatal(err)
+			}
+			if tc.damage != nil {
+				if err := tc.damage(entryPath(store, key)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			release := make(chan struct{})
+			var runs atomic.Int64
+			s := newTestServer(t, Config{Jobs: 1, Cache: store},
+				func(ctx context.Context, req Request, _ int, _ *obs.Observer) (map[string][]byte, error) {
+					runs.Add(1)
+					select {
+					case <-release:
+					case <-ctx.Done():
+						return nil, ctx.Err()
+					}
+					return artifactsFor(req), nil
+				})
+			st, err := s.Submit(tc.submit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, state := store.Get(key); state != tc.after {
+				t.Errorf("seeded entry after lookup: %v, want %v", state, tc.after)
+			}
+			if got := counter(s, "serve.cache_corrupt"); got != tc.corrupt {
+				t.Errorf("serve.cache_corrupt = %d, want %d", got, tc.corrupt)
+			}
+			if got := counter(s, "serve.cache_unreadable"); got != tc.unreadable {
+				t.Errorf("serve.cache_unreadable = %d, want %d", got, tc.unreadable)
+			}
+			close(release)
+			if tc.hit != nil {
+				if st.State != StateDone || !st.CacheHit || !reflect.DeepEqual(st.Artifacts, tc.hit) {
+					t.Fatalf("state %s cache_hit %v artifacts %v, want done from cache with %v",
+						st.State, st.CacheHit, st.Artifacts, tc.hit)
+				}
+				return
+			}
+			if st.State == StateDone {
+				t.Fatal("submission wrongly served from the cache")
+			}
+			waitState(t, s, st.ID, StateDone)
+			if runs.Load() != 1 {
+				t.Fatalf("runner executed %d times, want 1 (recompute on a miss)", runs.Load())
+			}
 		})
-	first, _ := s.Submit(reqN(0))
-	waitState(t, s, first.ID, StateDone)
-
-	// Corrupt the manifest entry on disk.
-	unit, fp, _, err := reqN(0).identity()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := corruptEntry(store, cacheKey(unit, fp, manifestStage)); err != nil {
-		t.Fatal(err)
-	}
-	second, err := s.Submit(reqN(0))
-	if err != nil {
-		t.Fatalf("resubmit: %v", err)
-	}
-	if second.State == StateDone {
-		t.Fatal("corrupt cache entry wrongly served")
-	}
-	waitState(t, s, second.ID, StateDone)
-	if runs.Load() != 2 {
-		t.Fatalf("runner executed %d times, want 2 (recompute after corruption)", runs.Load())
-	}
-	if got := counter(s, "serve.cache_corrupt"); got != 1 {
-		t.Fatalf("serve.cache_corrupt = %d, want 1", got)
 	}
 }
 
-// corruptEntry flips one payload byte of a store entry in place,
-// reconstructing the store's on-disk layout (dir/unit/fp/stage.ckpt).
-func corruptEntry(store *ckpt.Store, k ckpt.Key) error {
-	path := filepath.Join(store.Dir(), filepath.FromSlash(k.Unit),
+// entryPath reconstructs the store's on-disk layout
+// (dir/unit/fp/stage.ckpt) for one key.
+func entryPath(store *ckpt.Store, k ckpt.Key) string {
+	return filepath.Join(store.Dir(), filepath.FromSlash(k.Unit),
 		k.Fingerprint, filepath.FromSlash(k.Stage)+".ckpt")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	data[len(data)-1] ^= 0x01
-	return os.WriteFile(path, data, 0o644)
 }
 
 // TestHTTPAPI drives the full submit / poll / artifact / cancel /
@@ -681,6 +748,12 @@ func TestServeEndToEndCacheAndByteIdentity(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 	}
 
+	// One job leaves two entries: the run's netex checkpoint and the
+	// one result entry.
+	if got, want := storeStages(t, store), []string{core.CkptNetex, stageResult}; !reflect.DeepEqual(got, want) {
+		t.Errorf("store entries after one plain job: %v, want %v", got, want)
+	}
+
 	second, err := s.Submit(req)
 	if err != nil {
 		t.Fatalf("resubmit: %v", err)
@@ -720,6 +793,25 @@ func TestServeEndToEndCacheAndByteIdentity(t *testing.T) {
 	if !bytes.Equal(direct, served) {
 		t.Fatalf("served GDS (%d bytes) differs from direct export (%d bytes)", len(served), len(direct))
 	}
+}
+
+// storeStages lists the stage of every store entry, sorted, failing
+// the test on an entry that does not verify.
+func storeStages(t *testing.T, store *ckpt.Store) []string {
+	t.Helper()
+	entries, err := store.Scan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stages []string
+	for _, e := range entries {
+		if e.Err != nil {
+			t.Fatalf("store entry %s: %v", e.Path, e.Err)
+		}
+		stages = append(stages, e.Key.Stage)
+	}
+	sort.Strings(stages)
+	return stages
 }
 
 // waitDone polls a real-pipeline job until it is done.
@@ -794,8 +886,10 @@ func TestServeViewsOneReconstruction(t *testing.T) {
 	}
 	// newServer returns a server running the real pipeline on a fresh
 	// cache, recording each job's observer.
+	var store *ckpt.Store
 	newServer := func() (*Server, func() []*obs.Observer) {
-		store, err := ckpt.Open(t.TempDir())
+		var err error
+		store, err = ckpt.Open(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -839,6 +933,9 @@ func TestServeViewsOneReconstruction(t *testing.T) {
 	}
 	if n := ob.Snapshot().Counters["denoise.slices"]; n != int64(rep.SliceCount) {
 		t.Errorf("views job denoised %d slices, want one reconstruction of %d", n, rep.SliceCount)
+	}
+	if got, want := storeStages(t, store), []string{core.CkptNetex, stageResultViews}; !reflect.DeepEqual(got, want) {
+		t.Errorf("store entries after one views job: %v, want %v", got, want)
 	}
 	want := planarPGMs(t, views)
 	if len(want) == 0 {

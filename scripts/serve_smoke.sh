@@ -11,7 +11,9 @@
 #     time (HTTP 200, cache_hit true — never a second computation), and
 #     its artifacts must be byte-identical to the first job's.
 #  5. /healthz must report exactly one pipeline run for the two jobs.
-#  6. Shut the server down with SIGTERM; it must exit 130 (graceful
+#  6. The cache must hold exactly one serve.* entry (the job's whole
+#     artifact set), and `hifidram ckpt -dir` must verify it clean.
+#  7. Shut the server down with SIGTERM; it must exit 130 (graceful
 #     signal exit, same convention as the other commands).
 set -eu
 
@@ -84,6 +86,11 @@ curl -fsS "$BASE/healthz" > "$WORK/health.json"
 grep -q '"runs": 1' "$WORK/health.json" || { echo "expected exactly 1 pipeline run:"; cat "$WORK/health.json"; exit 1; }
 grep -q '"cache_hits": 1' "$WORK/health.json" || { echo "expected 1 cache hit:"; cat "$WORK/health.json"; exit 1; }
 
+echo "serve-smoke: cache layout"
+NSERVE=$(find "$WORK/cache" -name 'serve.*.ckpt' -type f | wc -l)
+[ "$NSERVE" -eq 1 ] || { echo "cache holds $NSERVE serve.* entries, want 1:"; find "$WORK/cache" -name '*.ckpt'; exit 1; }
+"$BIN" ckpt -dir "$WORK/cache" > "$WORK/ckpt.txt" || { echo "cache does not verify:"; cat "$WORK/ckpt.txt"; exit 1; }
+
 echo "serve-smoke: graceful shutdown"
 kill -TERM "$SERVER_PID"
 RC=0
@@ -91,4 +98,4 @@ wait "$SERVER_PID" || RC=$?
 SERVER_PID=
 [ "$RC" = "130" ] || { echo "server exit status $RC, want 130"; cat "$WORK/server.log"; exit 1; }
 
-echo "serve-smoke: OK (job computed once, resubmission cache-hit, artifacts byte-identical)"
+echo "serve-smoke: OK (job computed once, resubmission cache-hit, artifacts byte-identical, one result entry)"
