@@ -23,6 +23,15 @@ import (
 // entries are orphaned, never misread, and "ckpt gc" sweeps them.
 const ckptSchema = 3
 
+// engineVersion names the engine's behaviour: what bytes a run produces
+// from given options. It is folded into the key fingerprint beside
+// ckptSchema, so a build whose results differ under unchanged options
+// never reads an older build's checkpoints or serve results; their
+// entries are orphaned and GC sweeps them. TestEngineVersionPinsGoldens
+// ties it to the committed goldens: re-pinning any of them fails that
+// test until this constant is bumped.
+const engineVersion = 1
+
 // CkptNetex names the one checkpointed artifact: the extraction that
 // RunCtx and RunOnDieCtx persist. It follows reconstruction, so nothing
 // stack-sized is ever persisted. A standalone ReconstructCtx or
@@ -55,13 +64,14 @@ type ckptRef struct {
 	obs    *obs.Observer
 }
 
-// fpOptions is the fingerprint input: the schema version plus a
-// sanitized Options copy. Everything that cannot influence the artifact
+// fpOptions is the fingerprint input: the schema and engine versions
+// plus a sanitized Options copy. Everything that cannot influence the artifact
 // bytes — worker counts, observability sinks, the checkpoint wiring
 // itself — is zeroed, so a resumed run hits the same keys at any worker
 // count and with any tracing flags.
 type fpOptions struct {
 	Schema int
+	Engine int
 	Opts   Options
 }
 
@@ -87,7 +97,7 @@ func FingerprintOptions(o Options) (string, error) {
 	// The pool changes allocation only, never artifact bytes, and holds
 	// runtime state that must never reach the fingerprint encoding.
 	clean.Pool = nil
-	fp, err := ckpt.Fingerprint(fpOptions{Schema: ckptSchema, Opts: clean})
+	fp, err := ckpt.Fingerprint(fpOptions{Schema: ckptSchema, Engine: engineVersion, Opts: clean})
 	if err != nil {
 		return "", fmt.Errorf("core: checkpoint fingerprint: %w", err)
 	}
