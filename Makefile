@@ -82,11 +82,13 @@ metrics-smoke:
 # overload-smoke proves the overload-resilience layer end to end with
 # deterministic failpoints: a wedged worker must shed fresh submissions
 # (503 + drain-rate Retry-After) and cancel queue-expired deadlines
-# without running them, soft disk pressure must brown default-profile
-# submissions out to the fast profile (flagged, opt-out honored), the
-# hard watermark must 507 while reads stay alive, and a poisoned chip
-# must trip its (chip,profile) circuit breaker — all visible in
-# `top -once` and asserted in /metrics via `metricscheck -require`.
+# without running them, soft disk pressure must sweep the cache while a
+# default-profile submission still runs as the default profile, the
+# hard watermark must 507 while reads stay alive, and a poisoned
+# chip's failed request must fail again at once from its stored
+# failure entry (also after a restart) while siblings and other chips
+# run — all visible in `top -once` and asserted in /metrics via
+# `metricscheck -require`.
 overload-smoke:
 	./scripts/overload_smoke.sh
 

@@ -170,14 +170,14 @@ commands:
               "tenant=avail[/latency];..." exports per-tenant error
               budget and burn-rate gauges, and -log-format json switches
               the -v/-vv logs to JSON lines. Overload resilience:
-              -shed-target D browns out then sheds when standing queue
-              delay exceeds D / 2D (503 + drain-rate Retry-After);
-              -breaker-threshold N / -breaker-cooldown D fence a
-              persistently failing (chip, profile) behind a journaled
-              circuit breaker; -disk-soft/-disk-hard BYTES guard the
-              journal filesystem (GC + brownout, then HTTP 507); a job's
-              deadline_ms field or X-Job-Deadline-Ms header sheds work
-              nobody is waiting for. -failpoints SPEC (testing) injects
+              -shed-target D sheds fresh computations while standing
+              queue delay exceeds 2D (503 + drain-rate Retry-After);
+              -disk-soft/-disk-hard BYTES guard the journal filesystem
+              (cache sweep, then HTTP 507); a job's deadline_ms field or
+              X-Job-Deadline-Ms header sheds work nobody is waiting for.
+              With -cache-dir, a run that fails deterministically stores
+              its error, and an identical request fails at once without
+              a run. -failpoints SPEC (testing) injects
               deterministic faults at named sites
   top         live fleet view of a serve instance: poll ADDR's /metrics
               and render queue occupancy, throughput and per-tenant
@@ -933,10 +933,8 @@ func runServe(ctx context.Context, args []string) (retErr error) {
 	timeout := fs.Duration("timeout", 0, "per-job deadline (0 = none)")
 	metrics := fs.Bool("metrics", false, "record fleet latency histograms and per-tenant labeled series (GET /metrics serves the exposition either way; this flag adds the histogram families)")
 	sloSpec := fs.String("slo", "", `per-tenant SLOs as semicolon-separated "tenant=availability[/latency]" entries with availability in percent (e.g. "default=99.9/5m;alice=99.99"); exports error-budget and burn-rate gauges on /metrics`)
-	shedTarget := fs.Duration("shed-target", 0, "adaptive overload target for standing queue delay: above it default-profile submissions brown out to the fast profile, above twice it fresh computations are shed with 503 (0 = disabled)")
-	breakerThreshold := fs.Int("breaker-threshold", 0, "consecutive non-deadline failures that open a per-(chip,profile) circuit breaker, fast-failing its submissions (0 = disabled)")
-	breakerCooldown := fs.Duration("breaker-cooldown", 0, "open-circuit period before a single probe submission is admitted (0 = 30s)")
-	diskSoft := fs.Int64("disk-soft", 0, "soft disk watermark in free bytes on the journal/cache filesystem: below it the server sweeps the cache and browns out new work (0 = disabled)")
+	shedTarget := fs.Duration("shed-target", 0, "adaptive overload target for standing queue delay: above twice it fresh computations are shed with 503 (0 = disabled)")
+	diskSoft := fs.Int64("disk-soft", 0, "soft disk watermark in free bytes on the journal/cache filesystem: below it the server sweeps the cache down to -cache-bytes (0 = disabled)")
 	diskHard := fs.Int64("disk-hard", 0, "hard disk watermark in free bytes: below it submissions get HTTP 507 while reads and /metrics stay up (0 = disabled)")
 	failpoints := fs.String("failpoints", "", `fault-injection spec "SITE=KIND[(ARG)][:MOD=V];..." (e.g. "journal.sync=enospc:times=3"); testing only — overrides `+failpoint.EnvSpec)
 	failpointSeed := fs.Int64("failpoint-seed", 1, "deterministic seed for probabilistic failpoints")
@@ -1004,8 +1002,7 @@ func runServe(ctx context.Context, args []string) (retErr error) {
 		TenantInflight: *tenantInflight, TenantWeights: weights,
 		Timeout: *timeout, Obs: ob,
 		Metrics: *metrics, SLOs: slos,
-		ShedTarget:       *shedTarget,
-		BreakerThreshold: *breakerThreshold, BreakerCooldown: *breakerCooldown,
+		ShedTarget:    *shedTarget,
 		DiskSoftBytes: *diskSoft, DiskHardBytes: *diskHard,
 	})
 	// The listener comes up before Start so /healthz and /readyz answer

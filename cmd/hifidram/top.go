@@ -120,23 +120,18 @@ func renderFleet(url string, now time.Time, scr, prev *obs.PromScrape, dt time.D
 		}
 		fmt.Fprintf(&b, "throughput: %.2f submitted/s, %.2f done/s over the last %s\n",
 			rate("serve_jobs_submitted_total"), rate("serve_jobs_done_total"), dt.Round(time.Millisecond))
-		fmt.Fprintf(&b, "overload: %s | %.2f shed/s, %.2f brownout/s (totals: shed %d, brownout %d, deadline-shed %d, breaker-rejected %d)\n",
-			overloadName(int(val("serve_shed_level"))),
-			rate("serve_shed_total"), rate("serve_brownout_total"),
-			int64(val("serve_shed_total")), int64(val("serve_brownout_total")),
-			int64(val("serve_deadline_shed_total")), int64(val("serve_breaker_rejected_total")))
+		fmt.Fprintf(&b, "overload: %s | %.2f shed/s (totals: shed %d, deadline-shed %d, failure hits %d)\n",
+			overloadName(int(val("serve_shed_level"))), rate("serve_shed_total"),
+			int64(val("serve_shed_total")), int64(val("serve_deadline_shed_total")),
+			int64(val("serve_failure_hits_total")))
 	} else {
-		fmt.Fprintf(&b, "overload: %s | shed %d | brownout %d | deadline-shed %d | breaker-rejected %d\n",
-			overloadName(int(val("serve_shed_level"))),
-			int64(val("serve_shed_total")), int64(val("serve_brownout_total")),
-			int64(val("serve_deadline_shed_total")), int64(val("serve_breaker_rejected_total")))
+		fmt.Fprintf(&b, "overload: %s | shed %d | deadline-shed %d | failure hits %d\n",
+			overloadName(int(val("serve_shed_level"))), int64(val("serve_shed_total")),
+			int64(val("serve_deadline_shed_total")), int64(val("serve_failure_hits_total")))
 	}
 	if free, ok := scr.Value("serve_disk_free_bytes"); ok {
 		fmt.Fprintf(&b, "disk: %.1f MiB free (pressure %s)\n",
 			free/(1<<20), diskPressureName(int(val("serve_disk_pressure"))))
-	}
-	if brk := renderBreakers(scr); brk != "" {
-		fmt.Fprintf(&b, "breakers: %s\n", brk)
 	}
 	if pool := renderImgPool(scr); pool != "" {
 		fmt.Fprintf(&b, "img pool: %s\n", pool)
@@ -184,14 +179,10 @@ func renderFleet(url string, now time.Time, scr, prev *obs.PromScrape, dt time.D
 
 // overloadName renders the serve_shed_level gauge.
 func overloadName(level int) string {
-	switch level {
-	case 2:
+	if level == 1 {
 		return "SHEDDING"
-	case 1:
-		return "brownout"
-	default:
-		return "healthy"
 	}
+	return "healthy"
 }
 
 // diskPressureName renders the serve_disk_pressure gauge.
@@ -204,27 +195,6 @@ func diskPressureName(level int) string {
 	default:
 		return "ok"
 	}
-}
-
-// renderBreakers lists every non-closed circuit from the
-// serve_breaker_state gauge family ("" when all circuits are closed or
-// the family is absent).
-func renderBreakers(scr *obs.PromScrape) string {
-	var parts []string
-	for _, s := range scr.Series("serve_breaker_state") {
-		state := "closed"
-		switch int(s.Value) {
-		case 2:
-			state = "OPEN"
-		case 1:
-			state = "half-open"
-		default:
-			continue
-		}
-		parts = append(parts, fmt.Sprintf("%s/%s=%s", s.Label("unit"), s.Label("profile"), state))
-	}
-	sort.Strings(parts)
-	return strings.Join(parts, " ")
 }
 
 // renderImgPool summarizes the shared image-buffer pool gauges

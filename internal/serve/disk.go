@@ -12,12 +12,11 @@ import (
 // Disk-pressure guard: a watchdog over the filesystem holding the
 // journal and cache. The journal's whole contract — never ack a job it
 // couldn't fsync — turns a silently filling disk into a hard outage, so
-// the guard degrades in two watermarks before that point:
+// the guard acts at two watermarks before that point:
 //
-//	soft (free < DiskSoftBytes)  trigger a cache GC sweep and force the
-//	                             brownout notch (new default-profile work
-//	                             degrades to fast, shrinking the bytes a
-//	                             job writes)
+//	soft (free < DiskSoftBytes)  trigger a cache GC sweep down to
+//	                             CacheBytes; jobs still compute exactly
+//	                             what they ask for
 //	hard (free < DiskHardBytes)  reject every submission with 507 (even
 //	                             would-be cache hits journal an accept
 //	                             record); /metrics, job reads and

@@ -14,8 +14,9 @@ import (
 
 // State is a job's lifecycle position. Transitions are strictly
 // forward: queued -> running -> {done, failed, canceled}, with two
-// shortcuts that never reach a worker — a cache hit completes a job at
-// submit time, and a queued job may be canceled before it runs.
+// shortcuts that never reach a worker — a cache hit (a stored result or
+// a stored failure) completes a job at submit time, and a queued job may
+// be canceled before it runs.
 type State string
 
 const (
@@ -80,10 +81,6 @@ type job struct {
 	// none was requested): created + DeadlineMS, journaled implicitly via
 	// the request's relative field.
 	deadline time.Time
-	// brownout marks a submission the overload controller degraded from
-	// the default profile to fast; surfaced in JobStatus so clients can
-	// tell a browned-out artifact from the one they asked for.
-	brownout bool
 
 	// tenantKey is the sanitized tenant label — the admission bucket,
 	// fair-queue lane and metric key this job charges against.
@@ -141,7 +138,6 @@ type JobStatus struct {
 	Tenant      string           `json:"tenant,omitempty"`
 	Fingerprint string           `json:"fingerprint"`
 	Correlation string           `json:"correlation,omitempty"`
-	Brownout    bool             `json:"brownout,omitempty"`
 	DeadlineMS  int64            `json:"deadline_ms,omitempty"`
 	CacheHit    bool             `json:"cache_hit"`
 	DedupedOf   string           `json:"deduped_of,omitempty"`
@@ -189,7 +185,6 @@ func (j *job) statusLocked() JobStatus {
 		Profile: j.req.Profile, Tenant: j.req.Tenant,
 		Fingerprint: j.key.Fingerprint,
 		Correlation: j.corr,
-		Brownout:    j.brownout,
 		DeadlineMS:  j.req.DeadlineMS,
 		CacheHit:    j.cacheHit,
 		DedupedOf:   j.dedupedOf,

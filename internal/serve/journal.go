@@ -10,7 +10,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -59,11 +58,6 @@ const (
 	opAccept = "accept"
 	// opState records a lifecycle transition for an accepted job.
 	opState = "state"
-	// opBreaker records a circuit-breaker transition (open or closed) for
-	// a (unit, profile) key, so a persistently failing unit stays fenced
-	// across a restart. Last writer wins on replay; compaction keeps one
-	// record per non-closed key.
-	opBreaker = "breaker"
 )
 
 // StateInterrupted is a journal-only state: the job was observed running
@@ -90,11 +84,6 @@ type JournalRecord struct {
 	// State fields.
 	State State  `json:"state,omitempty"`
 	Cause string `json:"cause,omitempty"`
-	// Breaker fields (op "breaker"): the key ("unit|profile"), the new
-	// state name and the consecutive-failure count at the transition.
-	Breaker      string `json:"breaker,omitempty"`
-	BreakerState string `json:"breaker_state,omitempty"`
-	Fails        int    `json:"fails,omitempty"`
 }
 
 // Journal is an open append handle. Append serializes, writes and
@@ -386,7 +375,9 @@ type replayedJob struct {
 
 // replayJournal folds records into the per-job last-writer-wins state.
 // State records for unknown IDs are dropped (their accept record was in
-// a tail an earlier recovery truncated — the job was never acked).
+// a tail an earlier recovery truncated — the job was never acked), and
+// so are records of any other op, such as the "breaker" records older
+// builds wrote.
 func replayJournal(recs []JournalRecord) map[string]*replayedJob {
 	jobs := make(map[string]*replayedJob)
 	for _, rec := range recs {
@@ -407,38 +398,6 @@ func replayJournal(recs []JournalRecord) map[string]*replayedJob {
 		}
 	}
 	return jobs
-}
-
-// replayBreakers folds breaker records into the per-key last-writer-wins
-// state, dropping keys whose final state is closed.
-func replayBreakers(recs []JournalRecord) map[string]JournalRecord {
-	out := make(map[string]JournalRecord)
-	for _, rec := range recs {
-		if rec.Op != opBreaker || rec.Breaker == "" {
-			continue
-		}
-		if rec.BreakerState == BreakerClosed {
-			delete(out, rec.Breaker)
-			continue
-		}
-		out[rec.Breaker] = rec
-	}
-	return out
-}
-
-// compactBreakers renders one record per surviving (non-closed) breaker
-// key, in key order.
-func compactBreakers(breakers map[string]JournalRecord) []JournalRecord {
-	keys := make([]string, 0, len(breakers))
-	for k := range breakers {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	recs := make([]JournalRecord, 0, len(keys))
-	for _, k := range keys {
-		recs = append(recs, breakers[k])
-	}
-	return recs
 }
 
 // compactRecords renders the minimal journal for a replayed table: one

@@ -19,16 +19,6 @@ var ErrShed = errors.New("serve: overloaded, load shed")
 // Maps to HTTP 400; everything not otherwise classified maps to 500.
 var ErrBadRequest = errors.New("serve: bad request")
 
-// Overload levels. The controller degrades in notches: at levelBrownout
-// new default-profile submissions are degraded to the fast profile; at
-// levelShed fresh computations are rejected outright (cache hits and
-// dedupe followers still ride).
-const (
-	levelHealthy  = 0
-	levelBrownout = 1
-	levelShed     = 2
-)
-
 // overloadController is a CoDel-style detector on measured queue delay.
 //
 // The load signal is the *minimum* queue wait observed over a sliding
@@ -41,18 +31,16 @@ const (
 // has waited): both are lower bounds on the delay the next admitted job
 // will see.
 //
-// Control law: standing delay d vs target T (ShedTarget).
-//
-//	d <= T   healthy
-//	d >  T   brownout (degrade default profile to fast)
-//	d > 2T   shed (reject fresh leader submissions, 503)
+// Control law: while the standing delay exceeds twice the target
+// (ShedTarget), fresh leader submissions are shed with 503; cache hits
+// and dedupe followers still ride.
 //
 // The controller also owns the drain-rate estimate behind honest
 // Retry-After values: an EWMA of per-job service time, scaled by queue
 // length over worker count.
 type overloadController struct {
 	mu     sync.Mutex
-	target time.Duration // 0 disables shedding/brownout
+	target time.Duration // 0 disables shedding
 	window time.Duration
 	now    func() time.Time
 
@@ -126,12 +114,12 @@ func (c *overloadController) observeService(d time.Duration) {
 	c.svcEWMA = (1-alpha)*c.svcEWMA + alpha*s
 }
 
-// level evaluates the control law against the current standing delay.
-// headAge is the age of the oldest still-queued job (0 when the queue
-// is empty).
-func (c *overloadController) level(headAge time.Duration) int {
+// shedding evaluates the control law against the current standing
+// delay. headAge is the age of the oldest still-queued job (0 when the
+// queue is empty).
+func (c *overloadController) shedding(headAge time.Duration) bool {
 	if c == nil || c.target <= 0 {
-		return levelHealthy
+		return false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -148,14 +136,7 @@ func (c *overloadController) level(headAge time.Duration) int {
 	if winOK && winMin > d {
 		d = winMin
 	}
-	switch {
-	case d > 2*c.target:
-		return levelShed
-	case d > c.target:
-		return levelBrownout
-	default:
-		return levelHealthy
-	}
+	return d > 2*c.target
 }
 
 // retryAfter estimates how many seconds until the queue has drained

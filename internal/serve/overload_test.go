@@ -16,6 +16,7 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/failpoint"
 	"repro/internal/obs"
+	"repro/internal/par"
 )
 
 // --- Retry-After estimation (replaces the hardcoded 5s hint) ---
@@ -108,42 +109,42 @@ func TestQueueFullRetryAfterHeader(t *testing.T) {
 	close(release)
 }
 
-// --- Overload level control law ---
+// --- Shedding control law ---
 
 func TestOverloadLevelControlLaw(t *testing.T) {
 	c := newOverloadController(10 * time.Millisecond)
-	if got := c.level(0); got != levelHealthy {
-		t.Fatalf("empty controller level = %d, want healthy", got)
+	if c.shedding(0) {
+		t.Fatal("empty controller sheds")
 	}
-	// Head-of-line age alone lifts the level (a stalled pool measures no
-	// dequeues).
-	if got := c.level(15 * time.Millisecond); got != levelBrownout {
-		t.Fatalf("level(15ms) = %d, want brownout", got)
+	// Head-of-line age alone lifts the verdict (a stalled pool measures
+	// no dequeues), but only past twice the target.
+	if c.shedding(15 * time.Millisecond) {
+		t.Fatal("shedding at 15ms, below 2x the 10ms target")
 	}
-	if got := c.level(25 * time.Millisecond); got != levelShed {
-		t.Fatalf("level(25ms) = %d, want shed", got)
+	if !c.shedding(25 * time.Millisecond) {
+		t.Fatal("not shedding at 25ms, above 2x the 10ms target")
 	}
-	// A windowed minimum above target also lifts it, even with an empty
-	// queue right now.
-	c.observeDelay(12 * time.Millisecond)
-	if got := c.level(0); got != levelBrownout {
-		t.Fatalf("level after min 12ms = %d, want brownout", got)
+	// A windowed minimum above 2x the target also lifts it, even with an
+	// empty queue right now.
+	c.observeDelay(22 * time.Millisecond)
+	if !c.shedding(0) {
+		t.Fatal("not shedding after a 22ms windowed minimum")
 	}
 	// The minimum, not the maximum: one slow dequeue among fast ones is a
 	// burst, not a standing queue.
 	c2 := newOverloadController(10 * time.Millisecond)
 	c2.observeDelay(500 * time.Millisecond)
 	c2.observeDelay(1 * time.Millisecond)
-	if got := c2.level(0); got != levelHealthy {
-		t.Fatalf("level after burst = %d, want healthy (min wins)", got)
+	if c2.shedding(0) {
+		t.Fatal("shedding after a burst (min wins)")
 	}
 }
 
 func TestOverloadDisabledWhenNoTarget(t *testing.T) {
 	c := newOverloadController(0)
 	c.observeDelay(time.Hour)
-	if got := c.level(time.Hour); got != levelHealthy {
-		t.Fatalf("disabled controller level = %d, want healthy", got)
+	if c.shedding(time.Hour) {
+		t.Fatal("disabled controller sheds")
 	}
 }
 
@@ -192,62 +193,58 @@ func TestShedFreshLeadersUnderStandingDelay(t *testing.T) {
 	waitState(t, s, fol.ID, StateDone)
 }
 
-// --- Brownout ---
+// --- Soft disk pressure ---
 
-// TestBrownoutDegradesDefaultProfile uses soft disk pressure (the
-// deterministic brownout source) to check a default-profile submission
-// is degraded to fast, flagged, and that NoBrownout opts out.
-func TestBrownoutDegradesDefaultProfile(t *testing.T) {
+// TestSoftDiskPressureSweepsWithoutDegrading drops free space under the
+// soft watermark: the server sweeps the cache, and a default-profile B4
+// submission still runs as the default profile, under the same identity
+// it has on a healthy disk.
+func TestSoftDiskPressureSweepsWithoutDegrading(t *testing.T) {
 	free := atomic.Int64{}
 	free.Store(10_000)
+	store, err := ckpt.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	profiles := make(chan string, 1)
 	s := newTestServer(t, Config{
-		Jobs: 1, QueueDepth: 8,
+		Jobs: 1, QueueDepth: 8, Cache: store, CacheBytes: 1 << 30,
 		JournalPath:   filepath.Join(t.TempDir(), "journal.db"),
 		DiskSoftBytes: 5_000, DiskHardBytes: 100, diskPoll: 5 * time.Millisecond,
 		diskFree: func(string) (int64, error) { return free.Load(), nil },
 	}, func(ctx context.Context, req Request, _ int, _ *obs.Observer) (map[string][]byte, error) {
+		profiles <- req.Profile
 		return stubArtifacts(req.Chip), nil
 	})
-
-	st, err := s.Submit(Request{Chip: "B4"})
+	req := Request{Chip: "B4"}
+	key, err := req.identity()
 	if err != nil {
-		t.Fatalf("healthy submit: %v", err)
+		t.Fatal(err)
 	}
-	if st.Brownout || st.Profile != "" {
-		t.Fatalf("healthy submit browned out: %+v", st)
-	}
+	sweeps := counter(s, "serve.gc_runs")
 
 	free.Store(2_000) // under soft, above hard
 	waitDiskPressure(t, s, diskSoft)
+	deadline := time.Now().Add(5 * time.Second)
+	for counter(s, "serve.gc_runs") == sweeps {
+		if time.Now().After(deadline) {
+			t.Fatal("soft disk pressure never swept the cache")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 
-	st, err = s.Submit(Request{Chip: "B4"})
+	st, err := s.Submit(req)
 	if err != nil {
 		t.Fatalf("soft-pressure submit: %v", err)
 	}
-	if !st.Brownout || st.Profile != "fast" {
-		t.Fatalf("soft-pressure submit: Brownout=%v Profile=%q, want true/fast", st.Brownout, st.Profile)
+	if st.Profile != "" || st.Fingerprint != key.Fingerprint {
+		t.Fatalf("soft-pressure submit: profile %q fingerprint %s, want the default profile's %s",
+			st.Profile, st.Fingerprint, key.Fingerprint)
 	}
-	if counter(s, "serve.brownout") != 1 {
-		t.Fatalf("serve.brownout = %d, want 1", counter(s, "serve.brownout"))
+	if got := <-profiles; got != "" {
+		t.Fatalf("runner saw profile %q, want the default profile", got)
 	}
 	waitState(t, s, st.ID, StateDone)
-
-	// Opt-out: the client insists on the full profile.
-	st, err = s.Submit(Request{Chip: "B4", NoBrownout: true})
-	if err != nil {
-		t.Fatalf("opt-out submit: %v", err)
-	}
-	if st.Brownout || st.Profile != "" {
-		t.Fatalf("opt-out submit browned out: %+v", st)
-	}
-	// Non-default profiles are never touched.
-	st, err = s.Submit(Request{Chip: "B4", Profile: "fast", Units: 2})
-	if err != nil {
-		t.Fatalf("fast submit: %v", err)
-	}
-	if st.Brownout {
-		t.Fatal("fast-profile submit flagged as brownout")
-	}
 }
 
 func waitDiskPressure(t *testing.T, s *Server, want int32) {
@@ -347,198 +344,239 @@ func TestDiskFreeFailpoint(t *testing.T) {
 	}
 }
 
-// --- Circuit breaker ---
+// --- Failure entries ---
 
-func TestBreakerSetStateMachine(t *testing.T) {
-	now := time.Unix(1000, 0)
-	b := newBreakerSet(3, 30*time.Second)
-	b.now = func() time.Time { return now }
-	key := "B4|default"
+// errPoisoned is the deterministic engine error the failure-entry tests'
+// stub runners return for a poisoned request.
+var errPoisoned = errors.New("netex: no bitline-connected latch blocks")
 
-	for i := 0; i < 2; i++ {
-		if st, _, changed := b.onResult(key, false); changed {
-			t.Fatalf("fail %d journaled transition %q, want silent", i, st)
+// poisonedRunner fails every request equal to bad and builds stub
+// artifacts for every other, counting runs.
+func poisonedRunner(bad Request, runs *atomic.Int64) func(context.Context, Request, int, *obs.Observer) (map[string][]byte, error) {
+	return func(ctx context.Context, req Request, _ int, _ *obs.Observer) (map[string][]byte, error) {
+		runs.Add(1)
+		if req == bad {
+			return nil, errPoisoned
 		}
-		if _, ok := b.allow(key); !ok {
-			t.Fatalf("closed breaker rejected after %d fails", i+1)
-		}
-	}
-	st, fails, changed := b.onResult(key, false)
-	if !changed || st != BreakerOpen || fails != 3 {
-		t.Fatalf("third fail: (%q,%d,%v), want (open,3,true)", st, fails, changed)
-	}
-	if ra, ok := b.allow(key); ok || ra <= 0 {
-		t.Fatalf("open breaker admitted (ra %v)", ra)
-	}
-
-	now = now.Add(31 * time.Second)
-	if _, ok := b.allow(key); !ok {
-		t.Fatal("post-cooldown probe rejected")
-	}
-	// Only one probe at a time.
-	if _, ok := b.allow(key); ok {
-		t.Fatal("second concurrent probe admitted")
-	}
-	// Probe failure reopens for a full cooldown.
-	if st, _, changed := b.onResult(key, false); !changed || st != BreakerOpen {
-		t.Fatalf("failed probe: (%q,%v), want (open,true)", st, changed)
-	}
-	if _, ok := b.allow(key); ok {
-		t.Fatal("reopened breaker admitted immediately")
-	}
-	now = now.Add(31 * time.Second)
-	if _, ok := b.allow(key); !ok {
-		t.Fatal("second probe rejected")
-	}
-	if st, _, changed := b.onResult(key, true); !changed || st != BreakerClosed {
-		t.Fatalf("successful probe: (%q,%v), want (closed,true)", st, changed)
-	}
-	if _, ok := b.allow(key); !ok {
-		t.Fatal("closed breaker rejected")
-	}
-	if len(b.snapshot()) != 0 {
-		t.Fatalf("closed breaker still tracked: %+v", b.snapshot())
+		return stubArtifacts(req.Chip), nil
 	}
 }
 
-func TestBreakerCancelProbeFreesSlot(t *testing.T) {
-	now := time.Unix(1000, 0)
-	b := newBreakerSet(1, 10*time.Second)
-	b.now = func() time.Time { return now }
-	key := "B4|fast"
-	b.onResult(key, false) // opens
-	now = now.Add(11 * time.Second)
-	if _, ok := b.allow(key); !ok {
-		t.Fatal("probe rejected")
-	}
-	b.cancelProbe(key) // probe never ran (journal refused, tenant quota...)
-	if _, ok := b.allow(key); !ok {
-		t.Fatal("slot not freed after cancelProbe")
-	}
-}
-
-// TestBreakerIntegration opens a circuit by poisoning one chip via the
-// per-unit run failpoint, checks fast-fail with Retry-After, half-opens
-// after cooldown and closes on the successful probe.
-func TestBreakerIntegration(t *testing.T) {
-	defer failpoint.Disable()
-	if err := failpoint.Enable("serve.run.B4=error(poisoned)", 1); err != nil {
-		t.Fatalf("enable: %v", err)
-	}
-	s := newTestServer(t, Config{
-		Jobs: 1, QueueDepth: 8,
-		BreakerThreshold: 2, BreakerCooldown: 30 * time.Millisecond,
-	}, nil) // nil runner = real runPipeline, so the failpoint site fires
-	// Use the fast profile so a probe run after the failpoint clears is
-	// quick; vary FaultSeed to give each submission a distinct
-	// fingerprint without disturbing the geometry.
-	submit := func(n int) (JobStatus, error) {
-		return s.Submit(Request{Chip: "B4", Profile: "fast", FaultSeed: int64(n + 1)})
-	}
-	// Real-pipeline runs can be slow under the race detector; poll with a
-	// generous deadline instead of waitState's 10s.
-	waitLong := func(id string, want State) {
-		t.Helper()
-		deadline := time.Now().Add(3 * time.Minute)
-		for {
-			st, ok := s.Status(id)
-			if !ok {
-				t.Fatalf("job %s vanished", id)
-			}
-			if st.State == want {
-				return
-			}
-			if st.State.terminal() || time.Now().After(deadline) {
-				t.Fatalf("job %s: state %s, want %s (err %q)", id, st.State, want, st.Error)
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
-	for i := 0; i < 2; i++ {
-		st, err := submit(i)
-		if err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-		waitLong(st.ID, StateFailed)
-	}
-	var open *BreakerOpenError
-	if _, err := submit(2); !errors.As(err, &open) {
-		t.Fatalf("submit with open breaker: err = %v, want BreakerOpenError", err)
-	}
-	if open.Unit != "B4" || open.Profile != "fast" || open.RetryAfterSeconds() < 1 {
-		t.Fatalf("BreakerOpenError = %+v", open)
-	}
-	if counter(s, "serve.breaker_rejected") != 1 {
-		t.Fatalf("serve.breaker_rejected = %d, want 1", counter(s, "serve.breaker_rejected"))
-	}
-	// Other units are not fenced.
-	if _, err := s.Submit(Request{Chip: "C4", Profile: "fast"}); err != nil {
-		t.Fatalf("other unit rejected: %v", err)
-	}
-
-	failpoint.Disable()
-	time.Sleep(40 * time.Millisecond) // past cooldown
-	st, err := submit(3)              // the single probe
+func openStore(t *testing.T) *ckpt.Store {
+	t.Helper()
+	store, err := ckpt.Open(t.TempDir())
 	if err != nil {
-		t.Fatalf("probe submit: %v", err)
+		t.Fatal(err)
 	}
-	waitLong(st.ID, StateDone)
-	if counter(s, "serve.breaker_closed") != 1 {
-		t.Fatalf("serve.breaker_closed = %d, want 1", counter(s, "serve.breaker_closed"))
+	return store
+}
+
+// TestFailureEntryFailsIdenticalResubmission: a deterministic failure
+// becomes one serve.failure entry under the request's unit and
+// fingerprint, and an identical resubmission fails at submit time with
+// the same text — over HTTP as a 200 — without a run.
+func TestFailureEntryFailsIdenticalResubmission(t *testing.T) {
+	store := openStore(t)
+	bad := reqN(1)
+	var runs atomic.Int64
+	s := newTestServer(t, Config{Jobs: 1, Cache: store}, poisonedRunner(bad, &runs))
+	first, err := s.Submit(bad)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if gauges := s.MetricsSnapshot().Gauges; len(filterKeys(gauges, "serve.breaker_state")) != 0 {
-		t.Fatalf("breaker gauge still exported after close: %v", gauges)
+	failed := waitState(t, s, first.ID, StateFailed)
+	if failed.Error != errPoisoned.Error() {
+		t.Fatalf("first run error %q, want %q", failed.Error, errPoisoned)
+	}
+	key, _ := bad.identity()
+	if got := failureLookup(store, key, nil); got != failed.Error {
+		t.Fatalf("failure entry %q, want %q", got, failed.Error)
+	}
+	if got := counter(s, "serve.runs"); got != 1 {
+		t.Fatalf("serve.runs = %d after one failed run, want 1", got)
+	}
+
+	again, err := s.Submit(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.State != StateFailed || again.Error != failed.Error || again.RunMS != 0 {
+		t.Fatalf("identical resubmission: state %s error %q run_ms %v, want failed at once with %q",
+			again.State, again.Error, again.RunMS, failed.Error)
+	}
+	ts := httptest.NewServer(NewMux(s))
+	defer ts.Close()
+	body, _ := json.Marshal(bad)
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(string(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var viaHTTP JobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&viaHTTP); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || viaHTTP.State != StateFailed || viaHTTP.Error != failed.Error {
+		t.Fatalf("HTTP resubmission: %d %s %q, want 200 failed %q", resp.StatusCode, viaHTTP.State, viaHTTP.Error, failed.Error)
+	}
+	if got := counter(s, "serve.runs"); got != 1 {
+		t.Fatalf("serve.runs = %d after identical resubmissions, want 1", got)
+	}
+	if got := counter(s, "serve.failure_hits"); got != 2 {
+		t.Fatalf("serve.failure_hits = %d, want 2", got)
+	}
+	if runs.Load() != 1 {
+		t.Fatalf("runner called %d times, want 1", runs.Load())
 	}
 }
 
-func filterKeys(m map[string]float64, prefix string) []string {
-	var out []string
-	for k := range m {
-		if strings.HasPrefix(k, prefix) {
-			out = append(out, k)
+// TestFailureEntrySiblingsRun: the entry fences one identity, not a
+// chip or a profile. Another voxel size, another fault seed and another
+// chip each run.
+func TestFailureEntrySiblingsRun(t *testing.T) {
+	store := openStore(t)
+	bad := Request{Chip: "B4", Profile: "fast", Faults: true, FaultSeed: 3}
+	var runs atomic.Int64
+	s := newTestServer(t, Config{Jobs: 1, Cache: store}, poisonedRunner(bad, &runs))
+	st, err := s.Submit(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, st.ID, StateFailed)
+	voxel, seed, chip := bad, bad, bad
+	voxel.VoxelNM = 12
+	seed.FaultSeed = 4
+	chip.Chip = "C4"
+	for _, sib := range []Request{voxel, seed, chip} {
+		st, err := s.Submit(sib)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if st.State != StateQueued {
+			t.Fatalf("sibling %+v: state %s at submit (%q), want queued", sib, st.State, st.Error)
+		}
+		waitState(t, s, st.ID, StateDone)
 	}
-	return out
+	if runs.Load() != 4 {
+		t.Fatalf("runner called %d times, want 4 (the failure and three siblings)", runs.Load())
+	}
 }
 
-// TestBreakerSurvivesRestart journals an open circuit and checks the
-// next life still fast-fails the unit.
-func TestBreakerSurvivesRestart(t *testing.T) {
+// TestFailureEntryIntegration poisons one chip with the per-unit run
+// failpoint under the real runner: the failure is stored, an identical
+// request and a views request with the same options both fail at once
+// without a run, and another chip runs to done.
+func TestFailureEntryIntegration(t *testing.T) {
 	defer failpoint.Disable()
-	if err := failpoint.Enable("serve.run.B4=error(poisoned)", 1); err != nil {
+	if err := failpoint.Enable("serve.run.B4=error(poisoned chip)", 1); err != nil {
 		t.Fatalf("enable: %v", err)
 	}
+	store := openStore(t)
+	s := newTestServer(t, Config{Jobs: 1, QueueDepth: 8, Cache: store}, nil) // real runPipeline
+	plain := Request{Chip: "B4", Profile: "fast"}
+	st, err := s.Submit(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := waitState(t, s, st.ID, StateFailed)
+	if !strings.Contains(failed.Error, "poisoned chip") {
+		t.Fatalf("poisoned job error %q", failed.Error)
+	}
+	views := plain
+	views.Views = true
+	for _, req := range []Request{plain, views} {
+		again, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again.State != StateFailed || again.Error != failed.Error {
+			t.Fatalf("resubmission views=%v: state %s error %q, want failed at once with %q",
+				req.Views, again.State, again.Error, failed.Error)
+		}
+	}
+	if got := counter(s, "serve.runs"); got != 1 {
+		t.Fatalf("serve.runs = %d, want 1", got)
+	}
+	other, err := s.Submit(Request{Chip: "C4", Profile: "fast"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, s, other.ID)
+}
+
+// TestFailureEntrySurvivesRestart: the entry lives in the cache, so the
+// next life fails an identical request without a run, and a journaled
+// job still queued when the entry was written completes failed at
+// recovery, the way a job whose result was published completes done.
+func TestFailureEntrySurvivesRestart(t *testing.T) {
+	store := openStore(t)
 	journal := filepath.Join(t.TempDir(), "journal.db")
-	cfg := Config{
-		Jobs: 1, QueueDepth: 8, JournalPath: journal,
-		BreakerThreshold: 1, BreakerCooldown: time.Hour,
+	bad, queued := reqN(1), reqN(2)
+	release := make(chan struct{})
+	running := make(chan struct{}, 4)
+	cfg := Config{Jobs: 1, QueueDepth: 8, JournalPath: journal, Cache: store,
 		Obs: &obs.Observer{Metrics: obs.NewMetrics()},
+		runner: func(ctx context.Context, req Request, _ int, _ *obs.Observer) (map[string][]byte, error) {
+			if req == bad {
+				return nil, errPoisoned
+			}
+			running <- struct{}{}
+			select {
+			case <-release:
+				return stubArtifacts(req.Chip), nil
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		},
 	}
 	s, err := NewServer(cfg)
 	if err != nil {
-		t.Fatalf("NewServer: %v", err)
+		t.Fatal(err)
 	}
-	st, err := s.Submit(Request{Chip: "B4", Profile: "fast"})
+	st, err := s.Submit(bad)
 	if err != nil {
-		t.Fatalf("submit: %v", err)
+		t.Fatal(err)
 	}
-	waitState(t, s, st.ID, StateFailed)
+	failed := waitState(t, s, st.ID, StateFailed)
+	if _, err := s.Submit(reqN(0)); err != nil { // wedges the worker
+		t.Fatal(err)
+	}
+	<-running
+	live, err := s.Submit(queued)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Another life of the server stored queued's failure before this one
+	// got to run it.
+	queuedKey, _ := queued.identity()
+	if err := failureStore(store, queuedKey, errPoisoned); err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := s.Close(ctx); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 
+	var runs atomic.Int64
 	cfg.Obs = &obs.Observer{Metrics: obs.NewMetrics()}
 	s2 := newTestServer(t, cfg, func(ctx context.Context, req Request, _ int, _ *obs.Observer) (map[string][]byte, error) {
+		runs.Add(1)
 		return stubArtifacts(req.Chip), nil
 	})
-	var open *BreakerOpenError
-	if _, err := s2.Submit(Request{Chip: "B4", Profile: "fast", VoxelNM: 12}); !errors.As(err, &open) {
-		t.Fatalf("submit after restart: err = %v, want BreakerOpenError", err)
+	if got := waitState(t, s2, live.ID, StateFailed); got.Error != errPoisoned.Error() {
+		t.Fatalf("recovered job error %q, want %q", got.Error, errPoisoned)
 	}
-	if gauges := s2.MetricsSnapshot().Gauges; len(filterKeys(gauges, "serve.breaker_state")) != 1 {
-		t.Fatalf("restored breaker gauge missing: %v", gauges)
+	again, err := s2.Submit(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.State != StateFailed || again.Error != failed.Error {
+		t.Fatalf("submit after restart: state %s error %q, want failed at once with %q", again.State, again.Error, failed.Error)
+	}
+	waitState(t, s2, "job-000002", StateDone) // the wedged job reruns
+	if got := runs.Load(); got != 1 {
+		t.Fatalf("runner called %d times after restart, want 1 (only the interrupted job)", got)
 	}
 }
 
@@ -583,8 +621,10 @@ func TestDeadlineShedWhileQueued(t *testing.T) {
 }
 
 func TestDeadlineExpiresRunningJob(t *testing.T) {
-	s := newTestServer(t, Config{Jobs: 1, QueueDepth: 8, BreakerThreshold: 1},
+	var runs atomic.Int64
+	s := newTestServer(t, Config{Jobs: 1, QueueDepth: 8, Cache: openStore(t)},
 		func(ctx context.Context, req Request, _ int, _ *obs.Observer) (map[string][]byte, error) {
+			runs.Add(1)
 			<-ctx.Done()
 			return nil, ctx.Err()
 		})
@@ -598,10 +638,148 @@ func TestDeadlineExpiresRunningJob(t *testing.T) {
 	if !strings.Contains(fin.Error, context.DeadlineExceeded.Error()) {
 		t.Fatalf("cause = %q, want DeadlineExceeded", fin.Error)
 	}
-	// A client-deadline failure must not charge the breaker (threshold 1
-	// would have opened it).
-	if _, err := s.Submit(reqN(1)); err != nil {
-		t.Fatalf("submit after deadline failure: %v (breaker wrongly charged?)", err)
+	// A client's too-tight deadline says nothing about the request: the
+	// identical request runs again instead of failing from the cache.
+	again, err := s.Submit(q)
+	if err != nil {
+		t.Fatalf("resubmit: %v", err)
+	}
+	if again.State != StateQueued {
+		t.Fatalf("identical resubmission after a deadline: state %s (%q), want queued", again.State, again.Error)
+	}
+	waitState(t, s, again.ID, StateFailed)
+	if got := runs.Load(); got != 2 {
+		t.Fatalf("runner called %d times, want 2", got)
+	}
+}
+
+// TestNonDeterministicEndsStoreNoFailure: a client cancel, server
+// shutdown, a panic and Config.Timeout each end a run without a verdict
+// on the request, so none stores a failure entry and the identical
+// request runs again.
+func TestNonDeterministicEndsStoreNoFailure(t *testing.T) {
+	req := reqN(0)
+	key, _ := req.identity()
+	// blockingRunner runs until its context ends, then fails with an
+	// error that does not wrap the context's: the run's context, not
+	// the error, says the run was cut short. Later calls finish.
+	blockingRunner := func(runs *atomic.Int64, running chan<- struct{}) func(context.Context, Request, int, *obs.Observer) (map[string][]byte, error) {
+		return func(ctx context.Context, req Request, _ int, _ *obs.Observer) (map[string][]byte, error) {
+			if runs.Add(1) > 1 {
+				return stubArtifacts(req.Chip), nil
+			}
+			running <- struct{}{}
+			<-ctx.Done()
+			return nil, errors.New("core: stream aborted")
+		}
+	}
+	// rerun submits req again and checks it runs to done.
+	rerun := func(t *testing.T, s *Server, store *ckpt.Store) {
+		t.Helper()
+		if got := failureLookup(store, key, nil); got != "" {
+			t.Fatalf("failure entry stored: %q", got)
+		}
+		st, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != StateQueued {
+			t.Fatalf("identical resubmission: state %s (%q), want queued", st.State, st.Error)
+		}
+		waitState(t, s, st.ID, StateDone)
+	}
+
+	t.Run("cancel", func(t *testing.T) {
+		store := openStore(t)
+		var runs atomic.Int64
+		running := make(chan struct{}, 1)
+		s := newTestServer(t, Config{Jobs: 1, Cache: store}, blockingRunner(&runs, running))
+		st, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-running
+		if _, err := s.Cancel(st.ID); err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, s, st.ID, StateCanceled)
+		rerun(t, s, store)
+	})
+	t.Run("shutdown", func(t *testing.T) {
+		store := openStore(t)
+		var runs atomic.Int64
+		running := make(chan struct{}, 1)
+		s, err := NewServer(Config{Jobs: 1, Cache: store, Obs: &obs.Observer{Metrics: obs.NewMetrics()},
+			runner: blockingRunner(&runs, running)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Submit(req); err != nil {
+			t.Fatal(err)
+		}
+		<-running
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := s.Close(ctx); err != nil {
+			t.Fatal(err)
+		}
+		rerun(t, newTestServer(t, Config{Jobs: 1, Cache: store}, okRunner), store)
+	})
+	t.Run("panic", func(t *testing.T) {
+		store := openStore(t)
+		var runs atomic.Int64
+		s := newTestServer(t, Config{Jobs: 1, Cache: store},
+			func(ctx context.Context, req Request, _ int, _ *obs.Observer) (map[string][]byte, error) {
+				if runs.Add(1) == 1 {
+					return nil, fmt.Errorf("B4: %w", &par.PanicError{Index: 0, Value: "poisoned slice"})
+				}
+				return stubArtifacts(req.Chip), nil
+			})
+		st, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, s, st.ID, StateFailed)
+		rerun(t, s, store)
+	})
+	t.Run("timeout", func(t *testing.T) {
+		store := openStore(t)
+		s := newTestServer(t, Config{Jobs: 1, Cache: store, Timeout: time.Millisecond}, nil) // real runner
+		slow := Request{Chip: "B4", Profile: "fast"}
+		for i := 1; i <= 2; i++ {
+			st, err := s.Submit(slow)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.State != StateQueued {
+				t.Fatalf("submission %d: state %s (%q), want queued", i, st.State, st.Error)
+			}
+			fin := waitState(t, s, st.ID, StateFailed)
+			if !strings.Contains(fin.Error, context.DeadlineExceeded.Error()) {
+				t.Fatalf("submission %d: error %q, want DeadlineExceeded", i, fin.Error)
+			}
+		}
+		if got := counter(s, "serve.runs"); got != 2 {
+			t.Fatalf("serve.runs = %d, want 2", got)
+		}
+	})
+}
+
+// TestNoBrownoutFieldRejected pins the HTTP contract for the removed
+// no_brownout field: the body decoder disallows unknown fields, so a
+// client still sending it gets 400.
+func TestNoBrownoutFieldRejected(t *testing.T) {
+	s := newTestServer(t, Config{Jobs: 1}, okRunner)
+	ts := httptest.NewServer(NewMux(s))
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"chip":"B4","no_brownout":true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("no_brownout body: HTTP %d, want 400", resp.StatusCode)
 	}
 }
 
@@ -930,7 +1108,3 @@ func TestOverloadGaugesExported(t *testing.T) {
 		t.Fatalf("serve.disk_pressure = %v, want %d", g["serve.disk_pressure"], diskOK)
 	}
 }
-
-// fmt is referenced by helpers above in some configurations; keep the
-// import honest.
-var _ = fmt.Sprintf

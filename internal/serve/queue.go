@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -80,26 +79,19 @@ type Config struct {
 	// the "default" entry covers tenants without their own. Empty
 	// disables SLO tracking and its gauges.
 	SLOs map[string]SLOObjective
-	// ShedTarget enables the adaptive overload controller: when the
-	// standing queue delay (windowed minimum of measured waits, or the
-	// head-of-line age) exceeds it, new default-profile submissions are
-	// browned out to the fast profile; past twice the target, fresh
-	// computations are shed with 503 and a drain-rate Retry-After. Zero
-	// disables both notches (the honest Retry-After for a full queue
-	// still works).
+	// ShedTarget enables adaptive load shedding: while the standing
+	// queue delay (windowed minimum of measured waits, or the
+	// head-of-line age) exceeds twice the target, fresh computations are
+	// shed with 503 and a drain-rate Retry-After; cache hits and dedupe
+	// followers still ride. Zero disables shedding (the honest
+	// Retry-After for a full queue still works).
 	ShedTarget time.Duration
-	// BreakerThreshold enables the per-(unit, profile) circuit breaker:
-	// that many consecutive non-deadline failures open the circuit and
-	// fast-fail fresh submissions for the unit until a post-cooldown
-	// probe succeeds. Zero disables it. BreakerCooldown is the open
-	// period before a probe is admitted (0 = 30s).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	// DiskSoftBytes and DiskHardBytes are the disk-pressure watermarks
 	// on the journal/cache filesystem: below soft, the server sweeps the
-	// cache and forces the brownout notch; below hard, submissions are
-	// rejected with 507 while reads and /metrics stay alive. Zero
-	// disables a watermark. The free space is probed every 2s.
+	// cache down to CacheBytes; below hard, submissions are rejected with
+	// 507 while reads and /metrics stay alive. Neither changes what a
+	// job computes. Zero disables a watermark. The free space is probed
+	// every 2s.
 	DiskSoftBytes int64
 	DiskHardBytes int64
 	// runner overrides the pipeline runner. Test-only (unexported): it
@@ -159,7 +151,6 @@ type Server struct {
 	journal *Journal
 	slo     *sloTracker
 	ovl     *overloadController
-	brk     *breakerSet
 
 	// pool is the shared image-buffer pool handed to every job's
 	// reconstruction: slice buffers recycled across jobs instead of
@@ -222,7 +213,6 @@ func New(cfg Config) *Server {
 		adm:      newAdmission(cfg.TenantRate, cfg.TenantBurst, cfg.TenantInflight),
 		slo:      newSLOTracker(cfg.SLOs),
 		ovl:      newOverloadController(cfg.ShedTarget),
-		brk:      newBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown),
 		pool:     img.NewPool(),
 		ctx:      ctx,
 		stop:     stop,
@@ -309,8 +299,9 @@ func (s *Server) Ready() bool {
 // whose request this build rejects fails with that error. A recovered
 // job whose artifacts already reached the cache — the crash landed
 // between publish and the done record — completes immediately without
-// rerunning. Runs before the worker pool starts, so no locking is
-// needed.
+// rerunning, and one whose run already failed deterministically fails
+// again from its failure entry. Runs before the worker pool starts, so
+// no locking is needed.
 func (s *Server) recoverJournal(path string) error {
 	recs, _, torn, err := ReadJournal(path)
 	if err != nil {
@@ -321,18 +312,11 @@ func (s *Server) recoverJournal(path string) error {
 		s.cfg.Obs.Info("serve: truncating torn journal tail", "bytes", torn)
 	}
 	replayed := replayJournal(recs)
-	breakers := replayBreakers(recs)
 	// Compact first: the rewrite both truncates any torn tail and bounds
-	// the file before fresh records append behind it. Non-closed breaker
-	// states ride the compacted journal, one record per key.
-	s.journal, err = CreateJournal(path, append(compactRecords(replayed), compactBreakers(breakers)...))
+	// the file before fresh records append behind it.
+	s.journal, err = CreateJournal(path, compactRecords(replayed))
 	if err != nil {
 		return err
-	}
-	for key, rec := range breakers {
-		// A persistently failing unit stays fenced across the restart; the
-		// cooldown counts from the journaled transition time.
-		s.brk.restore(key, rec.BreakerState, rec.Fails, rec.Time)
 	}
 	ids := make([]string, 0, len(replayed))
 	for id := range replayed {
@@ -404,18 +388,17 @@ func (s *Server) recoverJournal(path string) error {
 }
 
 // requeueRecoveredLocked puts one recovered live job back in flight:
-// cache-complete if its previous life already published, otherwise
-// requeue past the depth and quota gates (it was acknowledged once; it
-// is never bounced now). Caller is the single-threaded recovery path or
-// holds the mutex.
+// complete it from the cache if its previous life already published a
+// result or a failure, otherwise requeue past the depth and quota gates
+// (it was acknowledged once; it is never bounced now). Caller is the
+// single-threaded recovery path or holds the mutex.
 func (s *Server) requeueRecoveredLocked(j *job) {
 	if cached := cacheLookup(s.cfg.Cache, j.key, s.cfg.Obs); cached != nil {
-		j.cacheHit = true
-		j.artifacts = cached
-		j.metrics.Add("serve.cache_hit", 1)
-		s.cfg.Obs.Count("serve.cache_hits", 1)
-		j.eventLocked("cache_hit", "published before crash; completed from cache")
-		s.completeLocked(j, StateDone, nil, StateDone)
+		s.completeCachedLocked(j, cached, "published before crash; completed from cache")
+		return
+	}
+	if failure := failureLookup(s.cfg.Cache, j.key, s.cfg.Obs); failure != "" {
+		s.completeFailureLocked(j, failure)
 		return
 	}
 	if !j.deadline.IsZero() && time.Now().After(j.deadline) {
@@ -478,11 +461,12 @@ func (s *Server) Close(ctx context.Context) error {
 }
 
 // Submit accepts a job. The returned status is the job's state at
-// return: done with artifacts on a cache hit, queued otherwise (either
-// in a tenant lane of the fair queue or attached to an identical
-// in-flight job). The accept record is durable before Submit returns —
-// when a journal is configured, an acknowledged job survives anything
-// short of losing the disk.
+// return: done with artifacts on a cache hit, failed when the identity
+// has a failure entry, queued otherwise (either in a tenant lane of the
+// fair queue or attached to an identical in-flight job). The accept
+// record is durable before Submit returns — when a journal is
+// configured, an acknowledged job survives anything short of losing
+// the disk.
 func (s *Server) Submit(req Request) (JobStatus, error) {
 	return s.SubmitCorr(req, "")
 }
@@ -503,16 +487,6 @@ func (s *Server) SubmitCorr(req Request, corr string) (JobStatus, error) {
 		s.cfg.Obs.Count("serve.disk_rejected", 1)
 		return JobStatus{}, fmt.Errorf("%w (%d bytes free on %s)", ErrDiskFull, s.diskFree.Load(), s.diskPath())
 	}
-	// Brownout: one notch before shedding (or under soft disk pressure),
-	// new default-profile work degrades to the fast profile unless the
-	// client opted out. Applied before identity resolution, so the
-	// browned-out job dedupes and caches as a genuine fast-profile run.
-	level := s.overloadLevel()
-	brownout := false
-	if level >= levelBrownout && !req.NoBrownout && effectiveProfile(req.Profile) == "default" {
-		req.Profile = "fast"
-		brownout = true
-	}
 	key, err := req.identity()
 	if err != nil {
 		return JobStatus{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
@@ -525,9 +499,14 @@ func (s *Server) SubmitCorr(req Request, corr string) (JobStatus, error) {
 		s.cfg.Obs.Count("serve.tenant_rejected", 1)
 		return JobStatus{}, lerr
 	}
-	// Cache probe outside the lock: it reads files, and a stale miss is
-	// harmless (the in-flight dedupe below still collapses duplicates).
+	// Cache probes outside the lock: they read files, and a stale miss
+	// is harmless (the in-flight dedupe below still collapses
+	// duplicates). The failure entry is probed only on a result miss.
 	cached := cacheLookup(s.cfg.Cache, key, s.cfg.Obs)
+	failure := ""
+	if cached == nil {
+		failure = failureLookup(s.cfg.Cache, key, s.cfg.Obs)
+	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -549,28 +528,21 @@ func (s *Server) SubmitCorr(req Request, corr string) (JobStatus, error) {
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 	j.eventLocked("queued", "fingerprint "+key.Fingerprint)
-	if brownout {
-		j.brownout = true
-		j.metrics.Add("serve.brownout", 1)
-		s.cfg.Obs.Count("serve.brownout", 1)
-		j.eventLocked("brownout", "default profile degraded to fast under overload")
-	}
 	s.cfg.Obs.Count("serve.jobs_submitted", 1)
 	if tenant != "" {
 		s.cfg.Obs.Count("serve.tenant."+tenant+".jobs", 1)
 	}
 
-	if cached != nil {
+	if cached != nil || failure != "" {
 		if err := s.journalAcceptLocked(j); err != nil {
 			s.forgetLocked(j)
 			return JobStatus{}, err
 		}
-		j.cacheHit = true
-		j.artifacts = cached
-		j.metrics.Add("serve.cache_hit", 1)
-		s.cfg.Obs.Count("serve.cache_hits", 1)
-		j.eventLocked("cache_hit", "served from result cache")
-		s.completeLocked(j, StateDone, nil, StateDone)
+		if cached != nil {
+			s.completeCachedLocked(j, cached, "served from result cache")
+		} else {
+			s.completeFailureLocked(j, failure)
+		}
 		return j.statusLocked(), nil
 	}
 
@@ -584,32 +556,16 @@ func (s *Server) SubmitCorr(req Request, corr string) (JobStatus, error) {
 		s.forgetLocked(j)
 		return JobStatus{}, fmt.Errorf("%w (depth %d)", ErrQueueFull, s.cfg.QueueDepth)
 	}
-	// Adaptive shedding and the circuit breaker gate only fresh leaders:
-	// cache hits cost no computation and a follower rides one already
-	// admitted, so rejecting either would refuse nearly free work.
-	brkKey := ""
-	if !hasLeader {
-		if level >= levelShed {
-			s.cfg.Obs.Count("serve.shed", 1)
-			s.forgetLocked(j)
-			return JobStatus{}, fmt.Errorf("%w (standing queue delay over %s)", ErrShed, 2*s.cfg.ShedTarget)
-		}
-		if s.brk.enabled() {
-			brkKey = breakerKeyOf(key.Unit, req.Profile)
-			if ra, ok := s.brk.allow(brkKey); !ok {
-				s.cfg.Obs.Count("serve.breaker_rejected", 1)
-				s.forgetLocked(j)
-				return JobStatus{}, &BreakerOpenError{
-					Unit: key.Unit, Profile: effectiveProfile(req.Profile), RetryAfter: ra,
-				}
-			}
-		}
+	// Adaptive shedding gates only fresh leaders: cache hits cost no
+	// computation and a follower rides one already admitted, so
+	// rejecting either would refuse nearly free work.
+	if !hasLeader && s.shedding() {
+		s.cfg.Obs.Count("serve.shed", 1)
+		s.forgetLocked(j)
+		return JobStatus{}, fmt.Errorf("%w (standing queue delay over %s)", ErrShed, 2*s.cfg.ShedTarget)
 	}
 	if lerr := s.adm.acquire(tenant, false); lerr != nil {
 		s.cfg.Obs.Count("serve.tenant_rejected", 1)
-		if brkKey != "" {
-			s.brk.cancelProbe(brkKey)
-		}
 		s.forgetLocked(j)
 		return JobStatus{}, lerr
 	}
@@ -617,9 +573,6 @@ func (s *Server) SubmitCorr(req Request, corr string) (JobStatus, error) {
 	if err := s.journalAcceptLocked(j); err != nil {
 		s.adm.release(tenant)
 		j.admitted = false
-		if brkKey != "" {
-			s.brk.cancelProbe(brkKey)
-		}
 		s.forgetLocked(j)
 		return JobStatus{}, err
 	}
@@ -635,9 +588,6 @@ func (s *Server) SubmitCorr(req Request, corr string) (JobStatus, error) {
 	// Cannot fail: capacity was verified above and every push runs under
 	// s.mu, so no competing push can steal the slot (pop only shrinks).
 	if err := s.queue.push(j, true); err != nil {
-		if brkKey != "" {
-			s.brk.cancelProbe(brkKey)
-		}
 		s.completeLocked(j, StateFailed, err, StateFailed)
 		delete(s.inflight, key)
 		return JobStatus{}, err
@@ -645,23 +595,34 @@ func (s *Server) SubmitCorr(req Request, corr string) (JobStatus, error) {
 	return j.statusLocked(), nil
 }
 
-// overloadLevel is the combined degradation notch: the adaptive
-// controller's verdict on standing queue delay, floored at brownout
-// while the disk is under the soft watermark (less written per job is
-// exactly what a filling disk needs).
-func (s *Server) overloadLevel() int {
-	level := levelHealthy
-	if s.ovl != nil {
-		var headAge time.Duration
-		if at, ok := s.queue.oldest(); ok {
-			headAge = time.Since(at)
-		}
-		level = s.ovl.level(headAge)
+// shedding reports the overload controller's verdict on the current
+// standing queue delay.
+func (s *Server) shedding() bool {
+	var headAge time.Duration
+	if at, ok := s.queue.oldest(); ok {
+		headAge = time.Since(at)
 	}
-	if s.diskPressure.Load() >= diskSoft && level < levelBrownout {
-		level = levelBrownout
-	}
-	return level
+	return s.ovl.shedding(headAge)
+}
+
+// completeCachedLocked completes a job from a cached artifact set
+// without a run. Caller holds the mutex.
+func (s *Server) completeCachedLocked(j *job, artifacts map[string][]byte, why string) {
+	j.cacheHit = true
+	j.artifacts = artifacts
+	j.metrics.Add("serve.cache_hit", 1)
+	s.cfg.Obs.Count("serve.cache_hits", 1)
+	j.eventLocked("cache_hit", why)
+	s.completeLocked(j, StateDone, nil, StateDone)
+}
+
+// completeFailureLocked fails a job with the error text its identity's
+// failure entry holds, without a run. Caller holds the mutex.
+func (s *Server) completeFailureLocked(j *job, text string) {
+	j.metrics.Add("serve.failure_hit", 1)
+	s.cfg.Obs.Count("serve.failure_hits", 1)
+	j.eventLocked("failure_hit", "failed before under this identity")
+	s.completeLocked(j, StateFailed, errors.New(text), StateFailed)
 }
 
 // retryAfterHint estimates the Retry-After seconds for a shed or
@@ -706,35 +667,6 @@ func (s *Server) journalAcceptLocked(j *job) error {
 		return fmt.Errorf("%w: %v", ErrJournal, err)
 	}
 	return nil
-}
-
-// breakerResultLocked feeds one completed run's verdict to the breaker
-// and, when the key's journaled state changed, counts, logs and
-// persists the transition. Caller holds the mutex.
-func (s *Server) breakerResultLocked(key string, success bool) {
-	state, fails, changed := s.brk.onResult(key, success)
-	if !changed {
-		return
-	}
-	unit, profile, _ := strings.Cut(key, "|")
-	s.cfg.Obs.Count("serve.breaker_"+state, 1)
-	s.cfg.Obs.Info("serve: breaker "+state, "unit", unit, "profile", profile, "fails", fails)
-	s.journalBreakerLocked(key, state, fails)
-}
-
-// journalBreakerLocked appends a breaker transition. Best effort, like
-// state transitions: the in-memory breaker is already correct, and a
-// logging failure must not fail the job that tripped it.
-func (s *Server) journalBreakerLocked(key, state string, fails int) {
-	if s.journal == nil {
-		return
-	}
-	rec := JournalRecord{Op: opBreaker, Time: time.Now(),
-		Breaker: key, BreakerState: state, Fails: fails}
-	if err := s.journal.Append(rec); err != nil {
-		s.cfg.Obs.Count("serve.journal_errors", 1)
-		s.cfg.Obs.Info("serve: journal breaker append failed", "key", key, "state", state, "error", err)
-	}
 }
 
 // journalStateLocked appends a state transition. Transition records are
@@ -881,15 +813,22 @@ func (s *Server) execute(j *job) {
 		s.ovl.observeService(time.Since(j.started))
 	}
 
+	// Publish before announcing: once any client can observe the job
+	// done (or failed), its cache entry is durable. The same ordering
+	// closes the crash window — if the process dies after the publish but
+	// before the terminal record, recovery finds the entry and completes
+	// the job without rerunning it.
 	published := false
-	if err == nil {
-		// Publish before announcing: once any client can observe the
-		// job done, the cache entry is durable. The same ordering closes
-		// the crash window — if the process dies after the publish but
-		// before the done record, recovery finds the artifacts in the
-		// cache and completes the job without rerunning it.
+	switch {
+	case err == nil:
 		if serr := cacheStore(s.cfg.Cache, j.key, artifacts); serr != nil {
 			s.cfg.Obs.Info("serve: cache store failed", "job", j.id, "error", serr)
+		} else {
+			published = true
+		}
+	case deterministic(ctx, err):
+		if serr := failureStore(s.cfg.Cache, j.key, err); serr != nil {
+			s.cfg.Obs.Info("serve: failure store failed", "job", j.id, "error", serr)
 		} else {
 			published = true
 		}
@@ -899,10 +838,8 @@ func (s *Server) execute(j *job) {
 	if s.inflight[j.key] == j {
 		delete(s.inflight, j.key)
 	}
-	brkKey := breakerKeyOf(j.key.Unit, req.Profile)
 	switch {
 	case err == nil:
-		s.breakerResultLocked(brkKey, true)
 		j.artifacts = artifacts
 		s.completeLocked(j, StateDone, nil, StateDone)
 		for _, f := range j.followers {
@@ -922,25 +859,16 @@ func (s *Server) execute(j *job) {
 		// its merits, so the next life resubmits it (supervise reports
 		// the same taxonomy via Status.Interrupted). Followers get no
 		// record: they replay as queued and re-attach on recovery.
-		s.brk.cancelProbe(brkKey)
 		s.completeLocked(j, StateCanceled, errShutdown, StateInterrupted)
 		for _, f := range j.followers {
 			s.completeLocked(f, StateCanceled, errShutdown, stateNone)
 		}
 	case j.cancelRequested:
-		s.brk.cancelProbe(brkKey)
 		s.completeLocked(j, StateCanceled, errors.New("canceled by client"), StateCanceled)
 		// The followers did not ask to be canceled: the first live one
 		// becomes the new leader and recomputes.
 		s.promoteLocked(j)
 	default:
-		if !j.deadline.IsZero() && errors.Is(err, context.DeadlineExceeded) {
-			// A client's too-tight deadline says nothing about the unit's
-			// health; don't charge the breaker for it.
-			s.brk.cancelProbe(brkKey)
-		} else {
-			s.breakerResultLocked(brkKey, false)
-		}
 		s.completeLocked(j, StateFailed, err, StateFailed)
 		// The computation is deterministic, so an identical submission
 		// fails identically: propagate rather than recompute.
@@ -958,6 +886,15 @@ func (s *Server) execute(j *job) {
 	if published {
 		s.maybeGC()
 	}
+}
+
+// deterministic reports whether a run's error is the engine's verdict on
+// its inputs, which an identical run would return again. It is not when
+// the run's context ended first (shutdown, a client cancel, the client
+// deadline), when Config.Timeout cut the run short, or when it panicked.
+func deterministic(ctx context.Context, err error) bool {
+	var panicked *par.PanicError
+	return ctx.Err() == nil && !errors.Is(err, context.DeadlineExceeded) && !errors.As(err, &panicked)
 }
 
 // promoteLocked hands a canceled leader's followers to a new leader.
@@ -1219,7 +1156,11 @@ func (s *Server) MetricsSnapshot() *obs.Snapshot {
 		snap.Gauges[obs.Series("serve.inflight",
 			obs.Label{Key: "tenant", Value: tenant})] = float64(n)
 	}
-	snap.Gauges["serve.shed_level"] = float64(s.overloadLevel())
+	shedLevel := 0.0
+	if s.shedding() {
+		shedLevel = 1
+	}
+	snap.Gauges["serve.shed_level"] = shedLevel
 	// Shared image-pool health at scrape time (authoritative and fresher
 	// than the per-job gauges merged at completion, which the same keys
 	// overwrite here).
@@ -1230,11 +1171,6 @@ func (s *Server) MetricsSnapshot() *obs.Snapshot {
 	if free := s.diskFree.Load(); free >= 0 {
 		snap.Gauges["serve.disk_free_bytes"] = float64(free)
 		snap.Gauges["serve.disk_pressure"] = float64(s.diskPressure.Load())
-	}
-	for _, b := range s.brk.snapshot() {
-		snap.Gauges[obs.Series("serve.breaker_state",
-			obs.Label{Key: "unit", Value: b.Unit},
-			obs.Label{Key: "profile", Value: b.Profile})] = float64(breakerStateNum(b.State))
 	}
 	s.slo.gauges(snap.Gauges)
 	return snap

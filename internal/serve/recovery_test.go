@@ -389,3 +389,46 @@ func TestRecoverDerivesIdentityFromRequest(t *testing.T) {
 		t.Errorf("recovered job fingerprint %q, want this build's %q", recovered.Fingerprint, key.Fingerprint)
 	}
 }
+
+// TestRecoverLegacyBreakerJournal replays a journal written by a build
+// with the circuit breaker and brownout: "breaker" records around the
+// jobs and an accept whose request carries no_brownout. Recovery runs
+// the live job as its request reads without the field, the terminal one
+// keeps its state, and compaction leaves only accept and state records.
+func TestRecoverLegacyBreakerJournal(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "jobs.journal")
+	breaker := func(state string) string {
+		return `{"op":"breaker","id":"","time":"2026-01-02T03:04:05Z","breaker":"B4|fast","breaker_state":"` + state + `","fails":2}`
+	}
+	writeLegacyJournal(t, journal,
+		breaker("open"),
+		`{"op":"accept","id":"job-000001","time":"2026-01-02T03:04:05Z","req":{"chip":"B4","profile":"fast","voxel_nm":12,"no_brownout":true}}`,
+		`{"op":"accept","id":"job-000002","time":"2026-01-02T03:04:05Z","req":{"chip":"B4","no_brownout":true}}`,
+		`{"op":"state","id":"job-000002","time":"2026-01-02T03:04:06Z","state":"failed","cause":"boom"}`,
+		breaker("half_open"))
+	var runs atomic.Int64
+	s := newTestServer(t, Config{Jobs: 1, JournalPath: journal},
+		func(ctx context.Context, req Request, _ int, _ *obs.Observer) (map[string][]byte, error) {
+			runs.Add(1)
+			if req != reqN(1) {
+				t.Errorf("recovered request %+v, want %+v", req, reqN(1))
+			}
+			return stubArtifacts(req.Chip), nil
+		})
+	waitState(t, s, "job-000001", StateDone)
+	if st, _ := s.Status("job-000002"); st.State != StateFailed || st.Error != "boom" {
+		t.Errorf("terminal job: state %s error %q, want failed boom", st.State, st.Error)
+	}
+	if got := runs.Load(); got != 1 {
+		t.Errorf("runs = %d, want 1", got)
+	}
+	recs, _, torn, err := ReadJournal(journal)
+	if err != nil || torn != 0 {
+		t.Fatalf("ReadJournal: %v (torn %d)", err, torn)
+	}
+	for _, rec := range recs {
+		if rec.Op != opAccept && rec.Op != opState {
+			t.Errorf("compacted journal kept a %q record", rec.Op)
+		}
+	}
+}

@@ -59,10 +59,6 @@ type Request struct {
 	// consuming a worker; a running one has its context expire
 	// (HTTP 504).
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
-	// NoBrownout opts this submission out of overload brownout: under
-	// pressure the server degrades default-profile submissions to the
-	// fast profile unless this is set.
-	NoBrownout bool `json:"no_brownout,omitempty"`
 }
 
 // Artifact names every completed job serves; views jobs add one
@@ -281,8 +277,8 @@ func (s *Server) runPipeline(ctx context.Context, req Request, inner int, ob *ob
 	_, err = supervise.Run(ctx, []string{chip.ID}, func(ctx context.Context, _ int) error {
 		// Per-unit poisoning: a "serve.run.<chip>=error" failpoint makes
 		// exactly this unit fail deterministically, which is how the
-		// breaker smoke opens a circuit on one chip without touching
-		// the others.
+		// overload smoke stores a failure entry for one chip without
+		// touching the others.
 		if ferr := failpoint.Inject("serve.run." + chip.ID); ferr != nil {
 			return ferr
 		}

@@ -185,19 +185,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	st, err := s.SubmitCorr(req, RequestID(r))
 	var limit *TenantLimitError
-	var open *BreakerOpenError
 	switch {
 	case errors.As(err, &limit):
 		// Per-tenant limit: 429, distinct from the global 503 — only
 		// this tenant needs to back off.
 		w.Header().Set("Retry-After", strconv.Itoa(limit.RetryAfterSeconds()))
 		writeError(w, http.StatusTooManyRequests, err)
-		return
-	case errors.As(err, &open):
-		// Circuit open for this (unit, profile): other units are fine,
-		// but retrying this one before the cooldown is pointless.
-		w.Header().Set("Retry-After", strconv.Itoa(open.RetryAfterSeconds()))
-		writeError(w, http.StatusServiceUnavailable, err)
 		return
 	case errors.Is(err, ErrNotReady):
 		w.Header().Set("Retry-After", "1")
@@ -230,10 +223,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	// A cache hit is complete at submit time; report it as 200 rather
-	// than 202 so scripted clients can skip the poll loop entirely.
+	// A cache hit (result or failure) is complete at submit time; report
+	// it as 200 rather than 202 so scripted clients can skip the poll
+	// loop entirely.
 	code := http.StatusAccepted
-	if st.State == StateDone {
+	if st.State.terminal() {
 		code = http.StatusOK
 	}
 	writeJSON(w, code, st)

@@ -10,17 +10,19 @@
 #     is canceled with a deadline cause without consuming the worker;
 #     `top -once` renders the SHEDDING state and `metricscheck
 #     -require` proves the overload gauges are exported.
-#  2. Brownout round: soft disk pressure (disk-free failpoint between
-#     the watermarks) degrades a default-profile submission to the fast
-#     profile with the brownout flag set in JobStatus, while an
-#     explicit no_brownout opt-out runs unmodified.
+#  2. Soft-pressure round: with the disk-free failpoint between the
+#     watermarks the server sweeps the cache, and a default-profile
+#     submission is accepted and runs as the default profile (no
+#     brownout key, two units' worth of bitlines in its report).
 #  3. Disk-full round: free space pinned below the hard watermark
 #     rejects submissions with 507 + Retry-After while /metrics and
 #     /readyz stay alive.
-#  4. Breaker round: a per-chip error failpoint fails enough runs to
-#     trip the (chip,profile) circuit; the next submission fast-fails
-#     503 with Retry-After, other chips are not fenced, and `top -once`
-#     shows the open circuit.
+#  4. Failure-entry round: a per-chip error failpoint fails a run,
+#     which stores its error in the cache; the identical request then
+#     fails at submit time with no run, a voxel_nm sibling and another
+#     chip still run, `top -once` shows the failure hits, and after a
+#     restart on the same cache without the failpoint the identical
+#     request still fails with zero runs.
 set -eu
 
 GO=${GO:-go}
@@ -64,6 +66,11 @@ submit() {
 
 job_id() {
     sed -n 's/.*"id": "\([^"]*\)".*/\1/p' "$1" | head -1
+}
+
+# runs -> the server's serve_runs_total (0 before the first run)
+runs() {
+    curl -fsS "$BASE/metrics" | sed -n 's/^serve_runs_total \([0-9]*\).*/\1/p' | grep . || echo 0
 }
 
 # wait_state JOB STATE POLLS
@@ -116,8 +123,8 @@ grep -q 'deadline' "$WORK/status.json" || { echo "canceled without deadline caus
 wait_state "$S1" done 120
 stop_server
 
-echo "overload-smoke: round 2 — brownout under soft disk pressure"
-"$BIN" serve -cache-dir "$WORK/cache2" -journal "$WORK/j2.journal" -jobs 1 \
+echo "overload-smoke: round 2 — soft disk pressure sweeps the cache, default profile runs as asked"
+"$BIN" serve -cache-dir "$WORK/cache2" -cache-bytes 100000000 -journal "$WORK/j2.journal" -jobs 1 \
     -disk-soft 1000000 -disk-hard 1000 \
     -failpoints 'serve.disk.free=value(500000)' "$ADDR" 2>> "$WORK/server.log" &
 SERVER_PID=$!
@@ -130,15 +137,15 @@ until curl -fsS "$BASE/metrics" | grep -q '^serve_disk_pressure 1'; do
     sleep 0.2
 done
 CODE=$(submit '{"chip":"B4"}' "$WORK/b1.json")
-case "$CODE" in 200 | 202) ;; *) echo "brownout submit returned $CODE:"; cat "$WORK/b1.json"; exit 1 ;; esac
-grep -q '"brownout": true' "$WORK/b1.json" || { echo "submission not browned out:"; cat "$WORK/b1.json"; exit 1; }
-grep -q '"profile": "fast"' "$WORK/b1.json" || { echo "brownout did not degrade profile:"; cat "$WORK/b1.json"; exit 1; }
+[ "$CODE" = "202" ] || { echo "soft-pressure submit returned $CODE, want 202:"; cat "$WORK/b1.json"; exit 1; }
+grep -q '"brownout"' "$WORK/b1.json" && { echo "JobStatus still carries a brownout key:"; cat "$WORK/b1.json"; exit 1; }
+grep -q '"profile"' "$WORK/b1.json" && { echo "default-profile submission changed profile:"; cat "$WORK/b1.json"; exit 1; }
 B1=$(job_id "$WORK/b1.json")
 wait_state "$B1" done 240
-CODE=$(submit '{"chip":"B4","no_brownout":true}' "$WORK/b2.json")
-case "$CODE" in 200 | 202) ;; *) echo "opt-out submit returned $CODE:"; cat "$WORK/b2.json"; exit 1 ;; esac
-grep -q '"brownout": true' "$WORK/b2.json" && { echo "no_brownout ignored:"; cat "$WORK/b2.json"; exit 1; }
-"$BIN" metricscheck -require 'serve_brownout_total,serve_disk_free_bytes,serve_disk_pressure' "$BASE/metrics"
+# The default profile images 2 SA units (8 bitlines); fast images 1 (4).
+curl -fsS "$BASE/v1/jobs/$B1/artifacts/report.json" > "$WORK/b1.report.json"
+grep -q '"bitlines_true": 8' "$WORK/b1.report.json" || { echo "report is not the default profile's:"; cat "$WORK/b1.report.json"; exit 1; }
+"$BIN" metricscheck -require 'serve_gc_runs_total,serve_disk_free_bytes,serve_disk_pressure' "$BASE/metrics"
 stop_server
 
 echo "overload-smoke: round 3 — hard disk watermark rejects with 507, reads stay alive"
@@ -163,28 +170,48 @@ curl -fsS "$BASE/v1/jobs" > /dev/null || { echo "job list down under hard pressu
 grep -q 'pressure HARD' "$WORK/top3.txt" || { echo "top does not show hard pressure:"; cat "$WORK/top3.txt"; exit 1; }
 stop_server
 
-echo "overload-smoke: round 4 — circuit breaker fences a poisoned chip"
+echo "overload-smoke: round 4 — a deterministic failure is stored under the request's key"
 "$BIN" serve -cache-dir "$WORK/cache4" -jobs 1 \
-    -breaker-threshold 2 -breaker-cooldown 1m \
     -failpoints 'serve.run.B4=error(poisoned chip)' "$ADDR" 2>> "$WORK/server.log" &
 SERVER_PID=$!
 wait_up
-for n in 1 2; do
-    CODE=$(submit "{\"chip\":\"B4\",\"profile\":\"fast\",\"voxel_nm\":$((4 + 4 * n))}" "$WORK/f$n.json")
-    [ "$CODE" = "202" ] || { echo "poisoned submit $n returned $CODE:"; cat "$WORK/f$n.json"; exit 1; }
-    F=$(job_id "$WORK/f$n.json")
-    wait_state "$F" failed 60
-done
-CODE=$(curl -sS -D "$WORK/f3.hdr" -o "$WORK/f3.json" -w '%{http_code}' -X POST \
-    -d '{"chip":"B4","profile":"fast","voxel_nm":16}' "$BASE/v1/jobs")
-[ "$CODE" = "503" ] || { echo "open-breaker submit returned $CODE, want 503:"; cat "$WORK/f3.json"; exit 1; }
-grep -qi '^retry-after:' "$WORK/f3.hdr" || { echo "breaker 503 lacks Retry-After:"; cat "$WORK/f3.hdr"; exit 1; }
-# Other chips are not fenced by B4's circuit.
+POISONED='{"chip":"B4","profile":"fast"}'
+CODE=$(submit "$POISONED" "$WORK/f1.json")
+[ "$CODE" = "202" ] || { echo "poisoned submit returned $CODE:"; cat "$WORK/f1.json"; exit 1; }
+wait_state "$(job_id "$WORK/f1.json")" failed 60
+RUNS=$(runs)
+[ "$RUNS" = "1" ] || { echo "serve_runs_total $RUNS after one run, want 1"; exit 1; }
+# The identical request fails at submit time, with the same error and
+# no run.
+CODE=$(submit "$POISONED" "$WORK/f2.json")
+[ "$CODE" = "200" ] || { echo "identical resubmission returned $CODE, want 200:"; cat "$WORK/f2.json"; exit 1; }
+grep -q '"state": "failed"' "$WORK/f2.json" || { echo "identical resubmission did not fail at once:"; cat "$WORK/f2.json"; exit 1; }
+grep -q 'poisoned chip' "$WORK/f2.json" || { echo "identical resubmission lacks the stored error:"; cat "$WORK/f2.json"; exit 1; }
+RUNS=$(runs)
+[ "$RUNS" = "1" ] || { echo "serve_runs_total moved to $RUNS on an identical resubmission"; exit 1; }
+# A sibling request (another voxel size) is another identity: it runs
+# (and fails on the poisoned chip); another chip runs to done.
+CODE=$(submit '{"chip":"B4","profile":"fast","voxel_nm":12}' "$WORK/f3.json")
+[ "$CODE" = "202" ] || { echo "voxel_nm sibling returned $CODE, want 202:"; cat "$WORK/f3.json"; exit 1; }
+wait_state "$(job_id "$WORK/f3.json")" failed 60
+RUNS=$(runs)
+[ "$RUNS" = "2" ] || { echo "serve_runs_total $RUNS after the sibling, want 2"; exit 1; }
 CODE=$(submit '{"chip":"C4","profile":"fast"}' "$WORK/c1.json")
-[ "$CODE" = "202" ] || { echo "healthy chip rejected with $CODE:"; cat "$WORK/c1.json"; exit 1; }
-"$BIN" metricscheck -require 'serve_breaker_rejected_total,serve_breaker_state' "$BASE/metrics"
+[ "$CODE" = "202" ] || { echo "healthy chip returned $CODE:"; cat "$WORK/c1.json"; exit 1; }
+wait_state "$(job_id "$WORK/c1.json")" done 240
+"$BIN" metricscheck -require 'serve_failure_hits_total,serve_runs_total' "$BASE/metrics"
 "$BIN" top -once "$ADDR" > "$WORK/top4.txt"
-grep -q 'B4/fast=OPEN' "$WORK/top4.txt" || { echo "top does not show the open circuit:"; cat "$WORK/top4.txt"; exit 1; }
+grep -q 'failure hits 1' "$WORK/top4.txt" || { echo "top does not show the failure hit:"; cat "$WORK/top4.txt"; exit 1; }
+stop_server
+# Next life, same cache, no failpoint: the entry still answers.
+"$BIN" serve -cache-dir "$WORK/cache4" -jobs 1 "$ADDR" 2>> "$WORK/server.log" &
+SERVER_PID=$!
+wait_up
+CODE=$(submit "$POISONED" "$WORK/f4.json")
+[ "$CODE" = "200" ] || { echo "resubmission after restart returned $CODE, want 200:"; cat "$WORK/f4.json"; exit 1; }
+grep -q '"state": "failed"' "$WORK/f4.json" || { echo "resubmission after restart did not fail at once:"; cat "$WORK/f4.json"; exit 1; }
+RUNS=$(runs)
+[ "$RUNS" = "0" ] || { echo "serve_runs_total $RUNS after restart, want 0"; exit 1; }
 stop_server
 
-echo "overload-smoke: OK (shed 503 + Retry-After, deadline shed, brownout flag + opt-out, 507 hard watermark, breaker fence + top/metrics views)"
+echo "overload-smoke: OK (shed 503 + Retry-After, deadline shed, soft-pressure sweep without degrading, 507 hard watermark, failure entry + top/metrics views)"
