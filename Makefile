@@ -47,8 +47,9 @@ trace-smoke:
 # a run is SIGKILLed mid-pipeline, one surviving checkpoint is torn in
 # half to fake an interrupted write, and the resumed run must detect the
 # damage (ckpt verify / recompute), finish from the surviving boundaries
-# and produce output identical to an uninterrupted run. See the recipe
-# for the step-by-step assertions.
+# and produce output identical to an uninterrupted run; a last run on the
+# healed store must load its checkpoint (ckpt.hit). See the recipe for
+# the step-by-step assertions.
 crash-smoke:
 	./scripts/crash_smoke.sh
 
@@ -71,7 +72,7 @@ serve-chaos-smoke:
 	./scripts/serve_chaos.sh
 
 # metrics-smoke proves the service observability layer end to end: a
-# metrics-enabled server must pass /readyz, complete a correlated job
+# server must pass /readyz, complete a correlated job
 # (X-Request-Id echoed, surfaced in the status, present in the JSON
 # access log), expose a strict-parseable Prometheus document containing
 # the labeled latency histograms and SLO burn-rate gauges
@@ -82,9 +83,9 @@ metrics-smoke:
 # overload-smoke proves the overload-resilience layer end to end with
 # deterministic failpoints: a wedged worker must shed fresh submissions
 # (503 + drain-rate Retry-After) and cancel queue-expired deadlines
-# without running them, soft disk pressure must sweep the cache while a
-# default-profile submission still runs as the default profile, the
-# hard watermark must 507 while reads stay alive, and a poisoned
+# without running them, a default-profile submission must run as the
+# default profile with the cache sweep after it, the disk watermark
+# must 507 while reads stay alive, and a poisoned
 # chip's failed request must fail again at once from its stored
 # failure entry (also after a restart) while siblings and other chips
 # run — all visible in `top -once` and asserted in /metrics via
@@ -105,7 +106,7 @@ alloc-check:
 # GOMEMLIMIT the whole-stack test reference's materialized stacks
 # exceed, with output byte-identical to an unlimited run of that
 # reference; then a B4 run wired like a serve job (buffer pool,
-# checkpoint store, resume) must complete under the same limit, fresh
+# checkpoint store) must complete under the same limit, fresh
 # and resumed, leave exactly one netex checkpoint and match its
 # committed golden.
 memory-smoke:

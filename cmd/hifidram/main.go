@@ -35,9 +35,11 @@
 //
 // Both also accept the crash-safety flags: -ckpt-dir DIR persists each
 // chip's finished extraction as an atomic, checksummed checkpoint and
-// -resume loads a verified one back (corrupt or stale entries are
-// recomputed, never served), so a repeated run images nothing and
-// produces byte-identical output. planar runs the same pipeline as
+// loads a verified one back (corrupt or stale entries are recomputed,
+// never served), so a repeated run images nothing and produces
+// byte-identical output. The store is always read: its key names the
+// engine version, so a build whose output differs must bump it or be
+// served the older build's bytes. planar runs the same pipeline as
 // extract but images at the 3 us default dwell, where extract's -dwell
 // defaults to 12 us; the dwell is part of the checkpoint key, so planar
 // resumes from extract's checkpoint only after "extract -dwell 3" with
@@ -149,7 +151,7 @@ commands:
               reconstructed planar views as PGM (-chip, -o, -voxel,
               -workers, -pyramid); it images at the 3 us default dwell
               and shares extract's checkpoint, so after "extract -dwell 3
-              -ckpt-dir D" a "planar -ckpt-dir D -resume" images nothing
+              -ckpt-dir D" a "planar -ckpt-dir D" images nothing
   serve       run the reconstruction job service on ADDR: POST /v1/jobs
               submits {"chip": ..., "profile": ...}, GET /v1/jobs/{id}
               polls, /v1/jobs/{id}/artifacts/{name} fetches report.json,
@@ -165,15 +167,15 @@ commands:
               429 + Retry-After) and -tenant-weights biases the fair
               dequeue ("alice=3,bob=1"). GET /metrics serves a
               Prometheus text exposition and /readyz reports readiness
-              (503 until journal recovery finishes); -metrics adds
-              latency histograms labeled by tenant and profile, -slo
+              (503 until journal recovery finishes), with latency
+              histograms labeled by tenant and profile; -slo
               "tenant=avail[/latency];..." exports per-tenant error
               budget and burn-rate gauges, and -log-format json switches
               the -v/-vv logs to JSON lines. Overload resilience:
               -shed-target D sheds fresh computations while standing
               queue delay exceeds 2D (503 + drain-rate Retry-After);
-              -disk-soft/-disk-hard BYTES guard the journal filesystem
-              (cache sweep, then HTTP 507); a job's deadline_ms field or
+              -disk-hard BYTES guards the journal filesystem (HTTP 507
+              and a cache sweep); a job's deadline_ms field or
               X-Job-Deadline-Ms header sheds work nobody is waiting for.
               With -cache-dir, a run that fails deterministically stores
               its error, and an identical request fails at once without
@@ -207,8 +209,7 @@ checkpoint fingerprint changes accordingly), and the observability flags:
 
 and the crash-safety flags:
   -ckpt-dir DIR checkpoint each finished extraction into DIR (atomic,
-                checksummed)
-  -resume       load a verified checkpoint from -ckpt-dir instead of
+                checksummed) and load a verified one back instead of
                 recomputing; corrupt or stale entries are recomputed
   -timeout D    per-chip deadline (extract; e.g. 10m)
 
@@ -433,8 +434,7 @@ func runExtract(ctx context.Context, args []string) (retErr error) {
 	die := fs.Bool("die", false, "run the full die-level flow: blind ROI identification, then extract the ROI only")
 	faults := fs.Bool("faults", false, "corrupt the acquisition with the default fault plan and score the quality gate")
 	faultSeed := fs.Int64("fault-seed", 1, "fault injection seed (with -faults)")
-	ckptDir := fs.String("ckpt-dir", "", "checkpoint the finished extraction into this directory (atomic, checksummed)")
-	resume := fs.Bool("resume", false, "load verified checkpoints from -ckpt-dir instead of recomputing; corrupt or missing ones are recomputed")
+	ckptDir := fs.String("ckpt-dir", "", "checkpoint the finished extraction into this directory (atomic, checksummed) and load a verified one back instead of recomputing")
 	timeout := fs.Duration("timeout", 0, "per-chip deadline (0 = none)")
 	workers := workersFlag(fs)
 	pyramid := pyramidFlag(fs)
@@ -442,7 +442,7 @@ func runExtract(ctx context.Context, args []string) (retErr error) {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	store, err := openStore(*ckptDir, *resume)
+	store, err := openStore(*ckptDir)
 	if err != nil {
 		return err
 	}
@@ -493,7 +493,6 @@ func runExtract(ctx context.Context, args []string) (retErr error) {
 		o.Workers = inner
 		o.Register.Pyramid = *pyramid
 		o.Ckpt = store
-		o.Resume = *resume
 		o.Pool = pool
 		if *faults {
 			p := fault.DefaultPlan()
@@ -578,13 +577,10 @@ func runExtract(ctx context.Context, args []string) (retErr error) {
 	return runErr
 }
 
-// openStore opens the checkpoint store named by -ckpt-dir, enforcing
-// that -resume has a store to load from.
-func openStore(dir string, resume bool) (*ckpt.Store, error) {
+// openStore opens the checkpoint store named by -ckpt-dir (nil when
+// it is empty).
+func openStore(dir string) (*ckpt.Store, error) {
 	if dir == "" {
-		if resume {
-			return nil, fmt.Errorf("-resume requires -ckpt-dir")
-		}
 		return nil, nil
 	}
 	store, err := ckpt.Open(dir)
@@ -741,15 +737,14 @@ func detectedFaults(res *core.Result) int {
 // planar views, one PGM per fabrication layer — the images of Fig. 7d.
 // The views are the Result's, so they come from the reconstruction the
 // fidelity score judges. planar images at the 3 us default dwell, so
-// -resume finds extract's checkpoint only when extract ran with
+// it finds extract's checkpoint only when extract ran with
 // -dwell 3 (and otherwise equal options).
 func runPlanar(ctx context.Context, args []string) (retErr error) {
 	fs := flag.NewFlagSet("planar", flag.ExitOnError)
 	id := chipFlag(fs)
 	out := fs.String("o", ".", "output directory")
 	voxel := fs.Int64("voxel", 4, "voxel size (nm)")
-	ckptDir := fs.String("ckpt-dir", "", "checkpoint the finished extraction into this directory (atomic, checksummed)")
-	resume := fs.Bool("resume", false, "load verified checkpoints from -ckpt-dir instead of recomputing; corrupt or missing ones are recomputed")
+	ckptDir := fs.String("ckpt-dir", "", "checkpoint the finished extraction into this directory (atomic, checksummed) and load a verified one back instead of recomputing")
 	workers := workersFlag(fs)
 	pyramid := pyramidFlag(fs)
 	obf := addObsFlags(fs)
@@ -760,7 +755,7 @@ func runPlanar(ctx context.Context, args []string) (retErr error) {
 	if err != nil {
 		return err
 	}
-	store, err := openStore(*ckptDir, *resume)
+	store, err := openStore(*ckptDir)
 	if err != nil {
 		return err
 	}
@@ -772,7 +767,6 @@ func runPlanar(ctx context.Context, args []string) (retErr error) {
 	o.Workers = *workers
 	o.Register.Pyramid = *pyramid
 	o.Ckpt = store
-	o.Resume = *resume
 	ob, finishObs := obf.build()
 	defer func() {
 		if err := finishObs(); err != nil && retErr == nil {
@@ -924,18 +918,16 @@ func runServe(ctx context.Context, args []string) (retErr error) {
 	jobs := fs.Int("jobs", 2, "jobs executing concurrently (the worker budget is split between them)")
 	queue := fs.Int("queue", 16, "pending-job queue depth; submissions beyond it get HTTP 503")
 	cacheDir := fs.String("cache-dir", "", "shared result + stage-checkpoint cache directory (empty disables caching and cross-restart dedupe)")
-	cacheBytes := fs.Int64("cache-bytes", 0, "byte budget for -cache-dir: sweep LRU-first after each publish, pinning live jobs' entries (0 = unbounded)")
+	cacheBytes := fs.Int64("cache-bytes", 0, "byte budget for -cache-dir: sweep LRU-first after each run, pinning live jobs' entries (0 = unbounded)")
 	journalPath := fs.String("journal", "", "write-ahead job journal file: accepted jobs are fsynced before acknowledgement and recovered on restart (empty = jobs die with the process)")
 	tenantRate := fs.Float64("tenant-rate", 0, "per-tenant submission rate limit in jobs/second; over it gets HTTP 429 (0 = unlimited)")
 	tenantBurst := fs.Int("tenant-burst", 0, "per-tenant rate-limit burst size (0 = one second of -tenant-rate)")
 	tenantInflight := fs.Int("tenant-inflight", 0, "per-tenant cap on live (queued+running) jobs; over it gets HTTP 429 (0 = unlimited)")
 	tenantWeights := fs.String("tenant-weights", "", "fair-dequeue weights as tenant=N pairs, comma-separated (e.g. \"alice=3,bob=1\"; unlisted tenants weigh 1)")
 	timeout := fs.Duration("timeout", 0, "per-job deadline (0 = none)")
-	metrics := fs.Bool("metrics", false, "record fleet latency histograms and per-tenant labeled series (GET /metrics serves the exposition either way; this flag adds the histogram families)")
 	sloSpec := fs.String("slo", "", `per-tenant SLOs as semicolon-separated "tenant=availability[/latency]" entries with availability in percent (e.g. "default=99.9/5m;alice=99.99"); exports error-budget and burn-rate gauges on /metrics`)
 	shedTarget := fs.Duration("shed-target", 0, "adaptive overload target for standing queue delay: above twice it fresh computations are shed with 503 (0 = disabled)")
-	diskSoft := fs.Int64("disk-soft", 0, "soft disk watermark in free bytes on the journal/cache filesystem: below it the server sweeps the cache down to -cache-bytes (0 = disabled)")
-	diskHard := fs.Int64("disk-hard", 0, "hard disk watermark in free bytes: below it submissions get HTTP 507 while reads and /metrics stay up (0 = disabled)")
+	diskHard := fs.Int64("disk-hard", 0, "disk watermark in free bytes on the journal/cache filesystem: below it submissions get HTTP 507 while reads and /metrics stay up, and the cache is swept down to -cache-bytes (0 = disabled)")
 	failpoints := fs.String("failpoints", "", `fault-injection spec "SITE=KIND[(ARG)][:MOD=V];..." (e.g. "journal.sync=enospc:times=3"); testing only — overrides `+failpoint.EnvSpec)
 	failpointSeed := fs.Int64("failpoint-seed", 1, "deterministic seed for probabilistic failpoints")
 	logFormat := fs.String("log-format", "text", `structured log line format for -v/-vv: "text" or "json"`)
@@ -1000,10 +992,8 @@ func runServe(ctx context.Context, args []string) (retErr error) {
 		Cache: store, CacheBytes: *cacheBytes, JournalPath: *journalPath,
 		TenantRate: *tenantRate, TenantBurst: *tenantBurst,
 		TenantInflight: *tenantInflight, TenantWeights: weights,
-		Timeout: *timeout, Obs: ob,
-		Metrics: *metrics, SLOs: slos,
-		ShedTarget:    *shedTarget,
-		DiskSoftBytes: *diskSoft, DiskHardBytes: *diskHard,
+		Timeout: *timeout, Obs: ob, SLOs: slos,
+		ShedTarget: *shedTarget, DiskHardBytes: *diskHard,
 	})
 	// The listener comes up before Start so /healthz and /readyz answer
 	// during journal recovery: the server reports itself live but not

@@ -130,8 +130,11 @@ func renderFleet(url string, now time.Time, scr, prev *obs.PromScrape, dt time.D
 			int64(val("serve_deadline_shed_total")), int64(val("serve_failure_hits_total")))
 	}
 	if free, ok := scr.Value("serve_disk_free_bytes"); ok {
-		fmt.Fprintf(&b, "disk: %.1f MiB free (pressure %s)\n",
-			free/(1<<20), diskPressureName(int(val("serve_disk_pressure"))))
+		pressure := "ok"
+		if val("serve_disk_pressure") == 1 {
+			pressure = "HARD"
+		}
+		fmt.Fprintf(&b, "disk: %.1f MiB free (pressure %s)\n", free/(1<<20), pressure)
 	}
 	if pool := renderImgPool(scr); pool != "" {
 		fmt.Fprintf(&b, "img pool: %s\n", pool)
@@ -149,7 +152,7 @@ func renderFleet(url string, now time.Time, scr, prev *obs.PromScrape, dt time.D
 		}
 	}
 	if len(tenants) == 0 {
-		b.WriteString("no per-tenant series yet (run jobs, or start serve with -metrics / -slo)\n")
+		b.WriteString("no per-tenant series yet (run jobs)\n")
 		return b.String()
 	}
 	names := make([]string, 0, len(tenants))
@@ -185,18 +188,6 @@ func overloadName(level int) string {
 	return "healthy"
 }
 
-// diskPressureName renders the serve_disk_pressure gauge.
-func diskPressureName(level int) string {
-	switch level {
-	case 2:
-		return "HARD"
-	case 1:
-		return "soft"
-	default:
-		return "ok"
-	}
-}
-
 // renderImgPool summarizes the shared image-buffer pool gauges
 // (img_pool_*) that streaming reconstructions publish at completion.
 // Each finished job re-reports the shared pool, so the series with the
@@ -229,8 +220,8 @@ func renderImgPool(scr *obs.PromScrape) string {
 }
 
 // topQuantile formats a latency quantile of the per-tenant job-latency
-// histogram, or "-" when the histogram family is absent (serve without
-// -metrics).
+// histogram, or "-" when the histogram family is absent (no job has
+// finished yet).
 func topQuantile(scr *obs.PromScrape, q float64, tenant obs.Label, have bool) string {
 	if !have {
 		return "-"

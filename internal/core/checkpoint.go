@@ -52,16 +52,15 @@ type netexArtifact struct {
 	Views      map[string]*img.Gray
 }
 
-// ckptRef is the resolved checkpoint binding for one run: the store,
-// the unit/fingerprint key prefix, and whether loading is enabled. A
-// nil *ckptRef disables checkpointing entirely (the no-store path costs
-// one nil check per boundary).
+// ckptRef is the resolved checkpoint binding for one run: the store
+// and the unit/fingerprint key prefix. A nil *ckptRef disables
+// checkpointing entirely (the no-store path costs one nil check per
+// boundary).
 type ckptRef struct {
-	store  *ckpt.Store
-	unit   string
-	fp     string
-	resume bool
-	obs    *obs.Observer
+	store *ckpt.Store
+	unit  string
+	fp    string
+	obs   *obs.Observer
 }
 
 // fpOptions is the fingerprint input: the schema and engine versions
@@ -90,7 +89,6 @@ func FingerprintOptions(o Options) (string, error) {
 	clean.Workers = 0
 	clean.Obs = nil
 	clean.Ckpt = nil
-	clean.Resume = false
 	clean.Denoise.Obs = nil
 	clean.Register.Obs = nil
 	clean.Register.Workers = 0
@@ -116,7 +114,7 @@ func newCkptRef(unit string, o Options) (*ckptRef, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ckptRef{store: o.Ckpt, unit: unit, fp: fp, resume: o.Resume, obs: o.Obs}, nil
+	return &ckptRef{store: o.Ckpt, unit: unit, fp: fp, obs: o.Obs}, nil
 }
 
 func (c *ckptRef) key(stage string) ckpt.Key {
@@ -124,7 +122,9 @@ func (c *ckptRef) key(stage string) ckpt.Key {
 }
 
 // load decodes the checkpoint for stage into v and reports whether the
-// stage can be skipped. Loading happens only under Resume; any
+// stage can be skipped. A store is always read: the fingerprint names
+// the engine version, so a verified entry is what a recompute would
+// return (a build whose output differs must bump engineVersion). Any
 // anomaly — missing file, torn write, checksum mismatch, stale version,
 // undecodable payload, unreadable file — counts into the telemetry
 // ("ckpt.miss", "ckpt.corrupt" or "ckpt.unreadable") and returns false
@@ -134,7 +134,7 @@ func (c *ckptRef) key(stage string) ckpt.Key {
 // validity is unknown — it too is recomputed, but a later run whose
 // read succeeds may still serve it.
 func (c *ckptRef) load(stage string, v any) bool {
-	if c == nil || !c.resume {
+	if c == nil {
 		return false
 	}
 	payload, state := c.store.Get(c.key(stage))

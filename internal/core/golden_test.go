@@ -85,7 +85,6 @@ func TestGoldenFingerprints(t *testing.T) {
 				o := goldenOptions(chip, faulted)
 				o.Workers = run.workers
 				o.Ckpt = run.store
-				o.Resume = run.store != nil
 				rc := goldenCase{Chip: chip.ID, Faults: faulted, Views: views}
 				res, err := RunCtx(context.Background(), chip, o)
 				if err != nil {

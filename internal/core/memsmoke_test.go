@@ -31,8 +31,8 @@ import (
 //	stack, in a process under a hard GOMEMLIMIT a reference-sized heap
 //	would thrash against;
 //	mode "run" (twice, fresh then resumed): RunCtx on B4 wired the way
-//	serve runs a job — a buffer pool, a checkpoint store in the "run-ckpt"
-//	directory next to the output file, and Resume — under the same
+//	serve runs a job — a buffer pool and a checkpoint store in the
+//	"run-ckpt" directory next to the output file — under the same
 //	limit;
 //
 // — each writing a canonical result fingerprint to the file named by
@@ -97,8 +97,8 @@ func memorySmokeStack(t *testing.T, mode string) string {
 }
 
 // memorySmokeRun runs B4 under the fast profile the way serve's
-// runPipeline does — a shared buffer pool, a checkpoint store and
-// Resume — against the store in dir. A store that already holds the
+// runPipeline does — a shared buffer pool and a checkpoint store —
+// against the store in dir. A store that already holds the
 // extraction must be resumed from; either way it must end up holding
 // exactly that one netex entry, and the result must be the committed
 // clean B4 golden.
@@ -115,7 +115,7 @@ func memorySmokeRun(t *testing.T, dir string) string {
 	o := goldenOptions(chip, false)
 	o.Workers = 4
 	o.Pool = img.NewPool()
-	o.Ckpt, o.Resume = store, true
+	o.Ckpt = store
 	o.Obs = &obs.Observer{Metrics: obs.NewMetrics()}
 	res, err := RunCtx(context.Background(), chip, o)
 	if err != nil {

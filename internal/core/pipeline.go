@@ -70,8 +70,12 @@ type Options struct {
 	// identical, and the counter values themselves are deterministic.
 	Obs *obs.Observer
 	// Ckpt, when non-nil, persists the extraction ("netex") of RunCtx and
-	// RunOnDieCtx into the store, so a finished computation is never
-	// repeated; only those two checkpoint. Acquisition is synthetic and
+	// RunOnDieCtx into the store and loads it back, so a finished
+	// computation is never repeated; only those two checkpoint. A
+	// verified checkpoint skips every imaging stage and yields
+	// byte-identical output to recomputing; a missing, torn or
+	// checksum-mismatched one is counted ("ckpt.miss" / "ckpt.corrupt")
+	// and transparently recomputed. Acquisition is synthetic and
 	// deterministic, so an interrupted run costs at most one
 	// reconstruction. Keys derive from the chip ID (RunCtx) or "<chip>/die"
 	// (RunOnDieCtx) plus a fingerprint of the result-affecting options —
@@ -82,13 +86,6 @@ type Options struct {
 	// checksummed; persistence failures degrade the run to
 	// non-resumable but never fail it.
 	Ckpt *ckpt.Store
-	// Resume enables loading from Ckpt in RunCtx and RunOnDieCtx: a verified
-	// checkpoint skips every imaging stage and yields byte-identical
-	// output to recomputing; a missing, torn or checksum-mismatched one
-	// is counted ("ckpt.miss" / "ckpt.corrupt") and transparently
-	// recomputed. With Resume false the run only writes checkpoints,
-	// never trusts existing ones.
-	Resume bool
 	// Pool, when non-nil, recycles the reconstruction's image
 	// buffers (denoised and aligned slices) across slices — and, when
 	// shared, across runs — instead of allocating each fresh. Pooling
@@ -180,9 +177,8 @@ type Result struct {
 // between its units of work (slices, candidate shifts, layers), so
 // cancellation — a deadline, SIGINT — is honored promptly and the error
 // unwraps to ctx.Err(). With Options.Ckpt set, the finished extraction
-// persists to the store, and with Options.Resume a later invocation
-// with equal options skips every imaging stage, producing a Result
-// byte-identical (Telemetry aside, which reflects the work actually
+// persists to the store, and a later invocation with equal options
+// skips every imaging stage, producing a Result byte-identical (Telemetry aside, which reflects the work actually
 // performed) to an uninterrupted run.
 func RunCtx(ctx context.Context, chip *chips.Chip, o Options) (*Result, error) {
 	if chip == nil {

@@ -212,7 +212,7 @@ func TestOptionsKnobCount(t *testing.T) {
 		}
 		return n
 	}
-	const want = 37
+	const want = 36
 	if got := count(reflect.TypeOf(Options{})); got != want {
 		t.Errorf("Options has %d settable values, want %d", got, want)
 	}

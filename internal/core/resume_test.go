@@ -73,7 +73,6 @@ func TestResumeDeterministicAtEveryBoundary(t *testing.T) {
 			ro := base
 			ro.Workers = workers
 			ro.Ckpt = populated
-			ro.Resume = true
 			ro.Obs = &obs.Observer{Metrics: obs.NewMetrics()}
 			got, gotCanon, err := run(ro)
 			if err != nil {
@@ -141,7 +140,6 @@ func TestResumeCorruptCheckpointRecomputed(t *testing.T) {
 
 	ro := base
 	ro.Ckpt = store
-	ro.Resume = true
 	ro.Obs = &obs.Observer{Metrics: obs.NewMetrics()}
 	got, err := RunCtx(context.Background(), chip, ro)
 	if err != nil {
@@ -212,7 +210,6 @@ func TestResumeUnreadableCheckpointRecomputed(t *testing.T) {
 
 	ro := base
 	ro.Ckpt = store
-	ro.Resume = true
 	ro.Obs = &obs.Observer{Metrics: obs.NewMetrics()}
 	got, err := RunCtx(context.Background(), chip, ro)
 	if err != nil {
@@ -237,8 +234,7 @@ func TestResumeUnreadableCheckpointRecomputed(t *testing.T) {
 
 // TestResumeIgnoresForeignFingerprint asserts the keying contract: a
 // checkpoint written under different result-affecting options must
-// never be loaded, even with Resume set — the fingerprint separates the
-// keyspaces and the run recomputes from scratch.
+// never be loaded — the fingerprint separates the keyspaces and the run recomputes from scratch.
 func TestResumeIgnoresForeignFingerprint(t *testing.T) {
 	chip := chips.ByID("B4")
 	store, err := ckpt.Open(t.TempDir())
@@ -255,7 +251,6 @@ func TestResumeIgnoresForeignFingerprint(t *testing.T) {
 	ro := resumeOptions()
 	ro.SEM.DwellUS = po.SEM.DwellUS * 2
 	ro.Ckpt = store
-	ro.Resume = true
 	ro.Obs = &obs.Observer{Metrics: obs.NewMetrics()}
 	got, err := RunCtx(context.Background(), chip, ro)
 	if err != nil {
@@ -344,7 +339,7 @@ func TestRunCtxCancelMidRun(t *testing.T) {
 // and RunOnDieCtx checkpoint: a standalone ReconstructCtx or PlanarViewsCtx
 // has no unit to key under — the options alone cannot reproduce the
 // acquisition it is handed — so it never touches the store, even with
-// Ckpt and Resume set.
+// Ckpt set.
 func TestStandaloneReconstructNoUnitNoCheckpoints(t *testing.T) {
 	acq, window := testAcquisition(t)
 	dir := t.TempDir()
@@ -355,7 +350,6 @@ func TestStandaloneReconstructNoUnitNoCheckpoints(t *testing.T) {
 	o := fastOptions()
 	o.Denoiser = "none"
 	o.Ckpt = store
-	o.Resume = true
 	o.Obs = &obs.Observer{Metrics: obs.NewMetrics()}
 	if _, _, err := ReconstructCtx(context.Background(), acq, window, o); err != nil {
 		t.Fatal(err)

@@ -197,7 +197,9 @@ func streamCore(ctx context.Context, n int, src streamSource, dwellUS float64, o
 			}
 			delete(pending, next)
 			<-credits
-			if err := consume(ectx, next, g); err != nil {
+			// The fold runs under par.Call too: a panic in it fails the
+			// run, waits for the feeder and drains the pool like an error.
+			if err := par.Call(next, func() error { return consume(ectx, next, g) }); err != nil {
 				fail(err)
 				break
 			}
@@ -267,7 +269,7 @@ func (f *streamFold) consume(ctx context.Context, i int, den *img.Gray) error {
 	if !f.doAlign {
 		f.fold(i, den)
 		f.pool.Put(den)
-		return nil
+		return failpoint.Inject("core.fold")
 	}
 	a, r, err := f.stack.Push(ctx, den)
 	if err != nil {
@@ -289,7 +291,9 @@ func (f *streamFold) consume(ctx context.Context, i int, den *img.Gray) error {
 		f.pool.Put(f.prevAligned)
 	}
 	f.prevAligned = a
-	return nil
+	// The fold's state owns every buffer here, so release() returns
+	// them all whatever the site does.
+	return failpoint.Inject("core.fold")
 }
 
 // initViews sizes the views from slice 0's dimensions and checks every

@@ -136,7 +136,7 @@ func TestRunStreamMatchesBarrierRun(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					so.Ckpt, so.Resume = store, true
+					so.Ckpt = store
 				}
 				got, err := RunCtx(context.Background(), chip, so)
 				if err != nil {
@@ -345,11 +345,12 @@ func TestStreamCancellationReleasesPool(t *testing.T) {
 	}
 }
 
-// TestStreamPanicReleasesPool panics inside the engine's own goroutines
-// — the quality gate on the feeder, a denoise worker — and verifies the
-// panic is confined: the run fails with a *par.PanicError (the feeder's
-// carries index -1, a worker's the slice it was denoising) and every
-// pooled buffer comes back, at one worker and at several.
+// TestStreamPanicReleasesPool panics inside the engine — the quality
+// gate on the feeder, a denoise worker, the alignment fold — and
+// verifies the panic is confined: the run fails with a *par.PanicError
+// (the feeder's carries index -1, a worker's the slice it was denoising,
+// the fold's the slice it was folding) and every pooled buffer comes
+// back, at one worker and at several.
 func TestStreamPanicReleasesPool(t *testing.T) {
 	defer failpoint.Disable()
 	const n, w, at = 64, 48, 20
@@ -358,7 +359,7 @@ func TestStreamPanicReleasesPool(t *testing.T) {
 	for _, c := range []struct {
 		site      string
 		wantIndex int
-	}{{"core.gate.push", -1}, {"core.denoise", at}} {
+	}{{"core.gate.push", -1}, {"core.denoise", at}, {"core.fold", at}} {
 		for _, workers := range []int{1, 3} {
 			if err := failpoint.Enable(fmt.Sprintf("%s=panic(poisoned):after=%d", c.site, at), 1); err != nil {
 				t.Fatal(err)

@@ -12,18 +12,14 @@ import (
 // Disk-pressure guard: a watchdog over the filesystem holding the
 // journal and cache. The journal's whole contract — never ack a job it
 // couldn't fsync — turns a silently filling disk into a hard outage, so
-// the guard acts at two watermarks before that point:
-//
-//	soft (free < DiskSoftBytes)  trigger a cache GC sweep down to
-//	                             CacheBytes; jobs still compute exactly
-//	                             what they ask for
-//	hard (free < DiskHardBytes)  reject every submission with 507 (even
-//	                             would-be cache hits journal an accept
-//	                             record); /metrics, job reads and
-//	                             artifact fetches stay alive
+// below the watermark (free < DiskHardBytes) the guard rejects every
+// submission with 507 (even would-be cache hits journal an accept
+// record) and sweeps the cache down to CacheBytes; /metrics, job reads
+// and artifact fetches stay alive. Above it nothing changes: the sweep
+// that runs after every job already keeps the cache at its budget.
 //
 // The free-bytes probe honors the "serve.disk.free" value failpoint, so
-// the smoke drives both watermarks deterministically on a healthy disk.
+// the smoke drives the watermark deterministically on a healthy disk.
 
 // ErrDiskFull rejects submissions while free space is under the hard
 // watermark. Maps to HTTP 507 Insufficient Storage; retryable once GC
@@ -33,17 +29,16 @@ var ErrDiskFull = errors.New("serve: disk full")
 // Disk pressure levels (the serve.disk_pressure gauge).
 const (
 	diskOK   = 0
-	diskSoft = 1
-	diskHard = 2
+	diskHard = 1
 )
 
 // defaultDiskPoll is the free-space probe interval (Config.diskPoll
 // overrides it in tests).
 const defaultDiskPoll = 2 * time.Second
 
-// diskGuardEnabled reports whether any watermark is configured.
+// diskGuardEnabled reports whether the watermark is configured.
 func (s *Server) diskGuardEnabled() bool {
-	return (s.cfg.DiskSoftBytes > 0 || s.cfg.DiskHardBytes > 0) && s.diskPath() != ""
+	return s.cfg.DiskHardBytes > 0 && s.diskPath() != ""
 }
 
 // diskPath is the directory whose filesystem the guard watches: the
@@ -58,7 +53,7 @@ func (s *Server) diskPath() string {
 	return ""
 }
 
-// diskWatch polls the watermarks until shutdown.
+// diskWatch polls the watermark until shutdown.
 func (s *Server) diskWatch() {
 	defer s.wg.Done()
 	poll := s.cfg.diskPoll
@@ -77,7 +72,7 @@ func (s *Server) diskWatch() {
 	}
 }
 
-// diskCheck measures free space and applies the watermarks. Also called
+// diskCheck measures free space and applies the watermark. Also called
 // synchronously from Start (a server started on a full disk must reject
 // from its first request) and after a journal ENOSPC.
 func (s *Server) diskCheck() {
@@ -88,19 +83,15 @@ func (s *Server) diskCheck() {
 	}
 	s.diskFree.Store(free)
 	level := int32(diskOK)
-	switch {
-	case s.cfg.DiskHardBytes > 0 && free < s.cfg.DiskHardBytes:
+	if free < s.cfg.DiskHardBytes {
 		level = diskHard
-	case s.cfg.DiskSoftBytes > 0 && free < s.cfg.DiskSoftBytes:
-		level = diskSoft
 	}
-	prev := s.diskPressure.Swap(level)
-	if level != prev {
+	if prev := s.diskPressure.Swap(level); level != prev {
 		s.cfg.Obs.Count(fmt.Sprintf("serve.disk_pressure_%d", level), 1)
 		s.cfg.Obs.Info("serve: disk pressure changed", "path", s.diskPath(),
 			"free_bytes", free, "level", level, "was", prev)
 	}
-	if level >= diskSoft {
+	if level == diskHard {
 		// Reclaim what the budgeted sweep can; pinned entries stay.
 		s.maybeGC()
 	}

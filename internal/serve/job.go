@@ -102,10 +102,7 @@ type job struct {
 	// followers are identical submissions attached to this job while it
 	// is queued or running; they complete when it does.
 	followers []*job
-	// cancelRequested is sticky: set by the cancel endpoint, observed
-	// by the worker to classify the runner's context error.
-	cancelRequested bool
-	cancel          func()
+	cancel    func()
 
 	events []Event
 	// update is the change broadcast: closed and replaced on every

@@ -81,12 +81,11 @@ func TestReadyz(t *testing.T) {
 	}
 }
 
-// TestMetricsEndpoint drives jobs through a metrics-enabled server and
-// validates the /metrics exposition: parseable, histogram invariants
+// TestMetricsEndpoint drives jobs through a server and validates the /metrics exposition: parseable, histogram invariants
 // hold, and the per-tenant latency series are present.
 func TestMetricsEndpoint(t *testing.T) {
 	s := newTestServer(t, Config{
-		Jobs: 1, Metrics: true,
+		Jobs: 1,
 		SLOs: map[string]SLOObjective{"default": {Availability: 0.999, Latency: 30 * time.Second}},
 	}, okRunner)
 	ts := httptest.NewServer(NewMux(s))
@@ -143,73 +142,40 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 // TestMetricsDocumentValidPerTenant scrapes /metrics after one job from
-// an anonymous and from a labeled tenant, with Metrics on and off. Every
-// document must validate: each family typed once, no bucket outside a
-// histogram, no repeated series. With Metrics on, the job's queue wait
-// is counted exactly once, in the tenant's histogram series; with it off
-// the family is absent.
+// an anonymous and from a labeled tenant. Every document must validate:
+// each family typed once, no bucket outside a histogram, no repeated
+// series. The job's queue wait is counted exactly once, in the tenant's
+// histogram series.
 func TestMetricsDocumentValidPerTenant(t *testing.T) {
-	for _, metrics := range []bool{false, true} {
-		for _, tenant := range []string{"", "alice"} {
-			t.Run(fmt.Sprintf("metrics=%v/tenant=%q", metrics, tenant), func(t *testing.T) {
-				s := newTestServer(t, Config{Jobs: 1, Metrics: metrics}, okRunner)
-				ts := httptest.NewServer(NewMux(s))
-				defer ts.Close()
-				req := reqN(1)
-				req.Tenant = tenant
-				st, err := s.Submit(req)
-				if err != nil {
-					t.Fatal(err)
-				}
-				waitState(t, s, st.ID, StateDone)
-				resp, err := http.Get(ts.URL + "/metrics")
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer resp.Body.Close()
-				scr, err := obs.ValidateProm(resp.Body)
-				if err != nil {
-					t.Fatalf("/metrics failed validation: %v", err)
-				}
-				fam, ok := scr.Families["serve_queue_wait_seconds"]
-				if !metrics {
-					if ok {
-						t.Errorf("metrics off but family %+v present", fam)
-					}
-					return
-				}
-				if fam.Type != "histogram" {
-					t.Errorf("serve_queue_wait_seconds type = %q, want histogram", fam.Type)
-				}
-				counts := scr.Series("serve_queue_wait_seconds_count")
-				if len(counts) != 1 || counts[0].Label("tenant") != tenant || counts[0].Value != 1 {
-					t.Errorf("serve_queue_wait_seconds_count series = %+v, want one series for tenant %q with value 1", counts, tenant)
-				}
-			})
-		}
-	}
-}
-
-// TestMetricsDisabledNoHistograms pins the no-perturbation contract's
-// metric half: with Metrics false the fleet registry accumulates no
-// histograms and no labeled series, only the counters it always had.
-func TestMetricsDisabledNoHistograms(t *testing.T) {
-	s := newTestServer(t, Config{Jobs: 1}, okRunner)
-	req := reqN(1)
-	req.Tenant = "alice"
-	st, err := s.Submit(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, s, st.ID, StateDone)
-	snap := s.FleetSnapshot()
-	if len(snap.Histograms) != 0 {
-		t.Errorf("metrics disabled but fleet registry has histograms: %v", snap.Histograms)
-	}
-	for name := range snap.Gauges {
-		if strings.Contains(name, "{") {
-			t.Errorf("metrics disabled but labeled gauge %q exists", name)
-		}
+	for _, tenant := range []string{"", "alice"} {
+		t.Run(fmt.Sprintf("tenant=%q", tenant), func(t *testing.T) {
+			s := newTestServer(t, Config{Jobs: 1}, okRunner)
+			ts := httptest.NewServer(NewMux(s))
+			defer ts.Close()
+			req := reqN(1)
+			req.Tenant = tenant
+			st, err := s.Submit(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitState(t, s, st.ID, StateDone)
+			resp, err := http.Get(ts.URL + "/metrics")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			scr, err := obs.ValidateProm(resp.Body)
+			if err != nil {
+				t.Fatalf("/metrics failed validation: %v", err)
+			}
+			if fam := scr.Families["serve_queue_wait_seconds"]; fam.Type != "histogram" {
+				t.Errorf("serve_queue_wait_seconds type = %q, want histogram", fam.Type)
+			}
+			counts := scr.Series("serve_queue_wait_seconds_count")
+			if len(counts) != 1 || counts[0].Label("tenant") != tenant || counts[0].Value != 1 {
+				t.Errorf("serve_queue_wait_seconds_count series = %+v, want one series for tenant %q with value 1", counts, tenant)
+			}
+		})
 	}
 }
 
@@ -455,7 +421,7 @@ func approxF(a, b, tol float64) bool {
 // CI smoke curls: render to a file the way the script sees it, parse it
 // back strictly.
 func TestMetricsSmokeWritesParseable(t *testing.T) {
-	s := newTestServer(t, Config{Jobs: 1, Metrics: true}, okRunner)
+	s := newTestServer(t, Config{Jobs: 1}, okRunner)
 	st, err := s.Submit(reqN(2))
 	if err != nil {
 		t.Fatal(err)

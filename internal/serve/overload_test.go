@@ -193,58 +193,50 @@ func TestShedFreshLeadersUnderStandingDelay(t *testing.T) {
 	waitState(t, s, fol.ID, StateDone)
 }
 
-// --- Soft disk pressure ---
+// --- The sweep after every run ---
 
-// TestSoftDiskPressureSweepsWithoutDegrading drops free space under the
-// soft watermark: the server sweeps the cache, and a default-profile B4
-// submission still runs as the default profile, under the same identity
-// it has on a healthy disk.
-func TestSoftDiskPressureSweepsWithoutDegrading(t *testing.T) {
-	free := atomic.Int64{}
-	free.Store(10_000)
-	store, err := ckpt.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	profiles := make(chan string, 1)
-	s := newTestServer(t, Config{
-		Jobs: 1, QueueDepth: 8, Cache: store, CacheBytes: 1 << 30,
-		JournalPath:   filepath.Join(t.TempDir(), "journal.db"),
-		DiskSoftBytes: 5_000, DiskHardBytes: 100, diskPoll: 5 * time.Millisecond,
-		diskFree: func(string) (int64, error) { return free.Load(), nil },
-	}, func(ctx context.Context, req Request, _ int, _ *obs.Observer) (map[string][]byte, error) {
-		profiles <- req.Profile
-		return stubArtifacts(req.Chip), nil
-	})
-	req := Request{Chip: "B4"}
+// TestSweepAfterRunWithoutPublish: a run that ends without publishing
+// still sweeps the cache once it is over. Its client cancels it after it
+// checkpointed under its key; the sweep then runs and evicts that entry,
+// which the finished job no longer pins.
+func TestSweepAfterRunWithoutPublish(t *testing.T) {
+	store := openStore(t)
+	req := reqN(0)
 	key, err := req.identity()
 	if err != nil {
 		t.Fatal(err)
 	}
+	netex := ckpt.Key{Unit: key.Unit, Fingerprint: key.Fingerprint, Stage: "netex"}
+	running := make(chan struct{})
+	s := newTestServer(t, Config{Jobs: 1, QueueDepth: 8, Cache: store, CacheBytes: 1},
+		func(ctx context.Context, req Request, _ int, _ *obs.Observer) (map[string][]byte, error) {
+			if err := store.Put(netex, []byte("checkpoint")); err != nil {
+				return nil, err
+			}
+			close(running)
+			<-ctx.Done()
+			return nil, ctx.Err()
+		})
 	sweeps := counter(s, "serve.gc_runs")
-
-	free.Store(2_000) // under soft, above hard
-	waitDiskPressure(t, s, diskSoft)
+	st, err := s.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-running
+	if _, err := s.Cancel(st.ID); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, st.ID, StateCanceled)
 	deadline := time.Now().Add(5 * time.Second)
 	for counter(s, "serve.gc_runs") == sweeps {
 		if time.Now().After(deadline) {
-			t.Fatal("soft disk pressure never swept the cache")
+			t.Fatal("a canceled run never swept the cache")
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-
-	st, err := s.Submit(req)
-	if err != nil {
-		t.Fatalf("soft-pressure submit: %v", err)
+	if _, state := store.Get(netex); state != ckpt.StateMiss {
+		t.Fatalf("unpinned entry of the canceled run: state %v after the sweep, want evicted", state)
 	}
-	if st.Profile != "" || st.Fingerprint != key.Fingerprint {
-		t.Fatalf("soft-pressure submit: profile %q fingerprint %s, want the default profile's %s",
-			st.Profile, st.Fingerprint, key.Fingerprint)
-	}
-	if got := <-profiles; got != "" {
-		t.Fatalf("runner saw profile %q, want the default profile", got)
-	}
-	waitState(t, s, st.ID, StateDone)
 }
 
 func waitDiskPressure(t *testing.T, s *Server, want int32) {
@@ -266,7 +258,7 @@ func TestDiskHardWatermarkRejectsAndRecovers(t *testing.T) {
 	s := newTestServer(t, Config{
 		Jobs: 1, QueueDepth: 8,
 		JournalPath:   filepath.Join(t.TempDir(), "journal.db"),
-		DiskSoftBytes: 5_000, DiskHardBytes: 100, diskPoll: 5 * time.Millisecond,
+		DiskHardBytes: 100, diskPoll: 5 * time.Millisecond,
 		diskFree: func(string) (int64, error) { return free.Load(), nil },
 	}, func(ctx context.Context, req Request, _ int, _ *obs.Observer) (map[string][]byte, error) {
 		return stubArtifacts(req.Chip), nil

@@ -270,7 +270,6 @@ func (s *Server) runPipeline(ctx context.Context, req Request, inner int, ob *ob
 	// imaging anything, and the finished artifacts are published into it
 	// under the same unit/fingerprint prefix by the worker.
 	o.Ckpt = s.cfg.Cache
-	o.Resume = s.cfg.Cache != nil
 
 	var res *core.Result
 	var dres *core.DieResult

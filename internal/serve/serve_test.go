@@ -91,7 +91,7 @@ func stubArtifacts(tag string) map[string][]byte {
 // setting the CLI, tests and benchmarks must cover, so a new one changes
 // this pin together with the reason a deployment needs it.
 func TestConfigFieldCount(t *testing.T) {
-	const want = 17
+	const want = 15
 	got := 0
 	for _, f := range reflect.VisibleFields(reflect.TypeOf(Config{})) {
 		if f.IsExported() {
@@ -388,6 +388,47 @@ func TestCancelPromotesFollower(t *testing.T) {
 	}
 	if fst.CacheHit {
 		t.Fatal("promoted follower wrongly reports cache_hit")
+	}
+}
+
+// TestLeaderDeadlinePromotesFollower: the leader's own client deadline
+// ending its run says nothing about the request, so a follower without a
+// deadline is promoted and recomputes instead of inheriting the
+// leader's context error.
+func TestLeaderDeadlinePromotesFollower(t *testing.T) {
+	running := make(chan struct{}, 8)
+	var runs atomic.Int64
+	s := newTestServer(t, Config{Jobs: 1},
+		func(ctx context.Context, req Request, _ int, _ *obs.Observer) (map[string][]byte, error) {
+			n := runs.Add(1)
+			running <- struct{}{}
+			if n == 1 { // leader: run until its deadline ends it
+				<-ctx.Done()
+				return nil, ctx.Err()
+			}
+			return stubArtifacts(req.Chip), nil
+		})
+	q := reqN(0)
+	q.DeadlineMS = 50
+	leader, err := s.Submit(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-running
+	follower, err := s.Submit(reqN(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if follower.DedupedOf != leader.ID {
+		t.Fatalf("follower deduped of %q, want %s", follower.DedupedOf, leader.ID)
+	}
+	lst := waitState(t, s, leader.ID, StateFailed)
+	if !strings.Contains(lst.Error, context.DeadlineExceeded.Error()) {
+		t.Fatalf("leader cause = %q, want DeadlineExceeded", lst.Error)
+	}
+	waitState(t, s, follower.ID, StateDone)
+	if got := runs.Load(); got != 2 {
+		t.Fatalf("runner executed %d times, want 2 (follower recomputes)", got)
 	}
 }
 

@@ -22,6 +22,10 @@
 #     (ckpt.corrupt counter), the run must succeed, and its report must
 #     be byte-identical to the reference.
 #  7. After the resume the store must verify healthy again (healed).
+#  8. Run once more on the healed store: it must load the checkpoint
+#     (ckpt.hit) instead of recomputing and match the reference.
+#
+# Every run reads the store it is given; there is no flag to ask for it.
 set -eu
 
 GO=${GO:-go}
@@ -55,7 +59,7 @@ mkdir -p "$WORK/ckpt"
 "$BIN" ckpt -dir "$WORK/ckpt"
 
 echo "crash-smoke: resume after the kill must recompute and match the reference"
-"$BIN" extract $FLAGS -ckpt-dir "$WORK/ckpt" -resume -stats > "$WORK/killed.txt" 2> "$WORK/killed-stats.txt"
+"$BIN" extract $FLAGS -ckpt-dir "$WORK/ckpt" -stats > "$WORK/killed.txt" 2> "$WORK/killed-stats.txt"
 if [ $KILLED = 1 ] && ! grep -q 'ckpt.miss' "$WORK/killed-stats.txt"; then
     echo "crash-smoke: FAIL — resume after the kill did not recompute (no ckpt.miss)"
     exit 1
@@ -82,7 +86,7 @@ fi
 grep -q CORRUPT "$WORK/verify.txt"
 
 echo "crash-smoke: resume must recompute the torn stage and match the reference"
-"$BIN" extract $FLAGS -ckpt-dir "$WORK/ckpt" -resume -stats > "$WORK/resumed.txt" 2> "$WORK/resumed-stats.txt"
+"$BIN" extract $FLAGS -ckpt-dir "$WORK/ckpt" -stats > "$WORK/resumed.txt" 2> "$WORK/resumed-stats.txt"
 grep -q 'ckpt.corrupt' "$WORK/resumed-stats.txt" || {
     echo "crash-smoke: FAIL — ckpt.corrupt counter not reported"
     exit 1
@@ -94,5 +98,16 @@ fi
 
 echo "crash-smoke: store must be healed after the resume"
 "$BIN" ckpt -dir "$WORK/ckpt"
+
+echo "crash-smoke: a run on the healed store must load it and match the reference"
+"$BIN" extract $FLAGS -ckpt-dir "$WORK/ckpt" -stats > "$WORK/healed.txt" 2> "$WORK/healed-stats.txt"
+grep -q 'ckpt.hit' "$WORK/healed-stats.txt" || {
+    echo "crash-smoke: FAIL — run on the healed store did not load its checkpoint (no ckpt.hit)"
+    exit 1
+}
+if ! diff "$WORK/ref.txt" "$WORK/healed.txt"; then
+    echo "crash-smoke: FAIL — output loaded from the healed store differs from reference"
+    exit 1
+fi
 
 echo "crash-smoke: ok"

@@ -15,7 +15,7 @@
 #     reference's materialized stacks exceed — and must complete with a
 #     fingerprint byte-identical to the reference's.
 #  4. Checkpointed runs: RunCtx on chip B4 wired the way every serve job
-#     runs — a buffer pool, a checkpoint store and resume on — under the
+#     runs — a buffer pool and a checkpoint store — under the
 #     same limit, twice against one store: fresh, then resumed. Each
 #     process asserts that the store holds exactly one netex entry and
 #     that its fingerprint is the committed clean B4 golden; the two

@@ -2,7 +2,8 @@
 # metrics-smoke: end-to-end validation of the service observability
 # layer (make metrics-smoke).
 #
-#  1. Start `hifidram serve` with -metrics, an SLO spec and JSON logs.
+#  1. Start `hifidram serve` with an SLO spec and JSON logs (the
+#     latency histograms need no flag).
 #  2. /readyz must report ready (and /healthz must agree).
 #  3. Submit a fast-profile job with an X-Request-Id and poll it to
 #     done; the correlation ID must be echoed on the response and
@@ -38,7 +39,7 @@ CORR="metrics-smoke-corr-1"
 $GO build -o "$BIN" ./cmd/hifidram
 
 echo "metrics-smoke: starting server on $ADDR"
-"$BIN" serve -jobs 1 -metrics -slo 'default=99/60s' -v -log-format json \
+"$BIN" serve -jobs 1 -slo 'default=99/60s' -v -log-format json \
     "$ADDR" 2> "$WORK/server.log" &
 SERVER_PID=$!
 

@@ -10,10 +10,9 @@
 #     is canceled with a deadline cause without consuming the worker;
 #     `top -once` renders the SHEDDING state and `metricscheck
 #     -require` proves the overload gauges are exported.
-#  2. Soft-pressure round: with the disk-free failpoint between the
-#     watermarks the server sweeps the cache, and a default-profile
-#     submission is accepted and runs as the default profile (no
-#     brownout key, two units' worth of bitlines in its report).
+#  2. Sweep round: a default-profile submission is accepted and runs
+#     as the default profile (no brownout key, two units' worth of
+#     bitlines in its report), and the cache sweep runs after it.
 #  3. Disk-full round: free space pinned below the hard watermark
 #     rejects submissions with 507 + Retry-After while /metrics and
 #     /readyz stay alive.
@@ -68,9 +67,13 @@ job_id() {
     sed -n 's/.*"id": "\([^"]*\)".*/\1/p' "$1" | head -1
 }
 
-# runs -> the server's serve_runs_total (0 before the first run)
+# counter NAME -> the server's NAME counter (0 before it first moves)
+counter() {
+    curl -fsS "$BASE/metrics" | sed -n "s/^$1 \([0-9]*\).*/\1/p" | grep . || echo 0
+}
+
 runs() {
-    curl -fsS "$BASE/metrics" | sed -n 's/^serve_runs_total \([0-9]*\).*/\1/p' | grep . || echo 0
+    counter serve_runs_total
 }
 
 # wait_state JOB STATE POLLS
@@ -123,21 +126,14 @@ grep -q 'deadline' "$WORK/status.json" || { echo "canceled without deadline caus
 wait_state "$S1" done 120
 stop_server
 
-echo "overload-smoke: round 2 — soft disk pressure sweeps the cache, default profile runs as asked"
+echo "overload-smoke: round 2 — default profile runs as asked, the cache is swept after the run"
 "$BIN" serve -cache-dir "$WORK/cache2" -cache-bytes 100000000 -journal "$WORK/j2.journal" -jobs 1 \
-    -disk-soft 1000000 -disk-hard 1000 \
-    -failpoints 'serve.disk.free=value(500000)' "$ADDR" 2>> "$WORK/server.log" &
+    "$ADDR" 2>> "$WORK/server.log" &
 SERVER_PID=$!
 wait_up
-# Wait for the watchdog to register soft pressure.
-bp_n=0
-until curl -fsS "$BASE/metrics" | grep -q '^serve_disk_pressure 1'; do
-    bp_n=$((bp_n + 1))
-    [ $bp_n -gt 50 ] && { echo "soft disk pressure never registered"; curl -fsS "$BASE/metrics" | grep disk; exit 1; }
-    sleep 0.2
-done
+SWEEPS=$(counter serve_gc_runs_total)
 CODE=$(submit '{"chip":"B4"}' "$WORK/b1.json")
-[ "$CODE" = "202" ] || { echo "soft-pressure submit returned $CODE, want 202:"; cat "$WORK/b1.json"; exit 1; }
+[ "$CODE" = "202" ] || { echo "default-profile submit returned $CODE, want 202:"; cat "$WORK/b1.json"; exit 1; }
 grep -q '"brownout"' "$WORK/b1.json" && { echo "JobStatus still carries a brownout key:"; cat "$WORK/b1.json"; exit 1; }
 grep -q '"profile"' "$WORK/b1.json" && { echo "default-profile submission changed profile:"; cat "$WORK/b1.json"; exit 1; }
 B1=$(job_id "$WORK/b1.json")
@@ -145,17 +141,23 @@ wait_state "$B1" done 240
 # The default profile images 2 SA units (8 bitlines); fast images 1 (4).
 curl -fsS "$BASE/v1/jobs/$B1/artifacts/report.json" > "$WORK/b1.report.json"
 grep -q '"bitlines_true": 8' "$WORK/b1.report.json" || { echo "report is not the default profile's:"; cat "$WORK/b1.report.json"; exit 1; }
-"$BIN" metricscheck -require 'serve_gc_runs_total,serve_disk_free_bytes,serve_disk_pressure' "$BASE/metrics"
+# The sweep follows the terminal state, so give it a moment.
+gc_n=0
+until [ "$(counter serve_gc_runs_total)" -gt "$SWEEPS" ]; do
+    gc_n=$((gc_n + 1))
+    [ $gc_n -gt 50 ] && { echo "serve_gc_runs_total stayed at $SWEEPS after the run"; exit 1; }
+    sleep 0.2
+done
 stop_server
 
 echo "overload-smoke: round 3 — hard disk watermark rejects with 507, reads stay alive"
 "$BIN" serve -cache-dir "$WORK/cache3" -journal "$WORK/j3.journal" -jobs 1 \
-    -disk-soft 1000000 -disk-hard 100000 \
+    -disk-hard 100000 \
     -failpoints 'serve.disk.free=value(50000)' "$ADDR" 2>> "$WORK/server.log" &
 SERVER_PID=$!
 wait_up
 hp_n=0
-until curl -fsS "$BASE/metrics" | grep -q '^serve_disk_pressure 2'; do
+until curl -fsS "$BASE/metrics" | grep -q '^serve_disk_pressure 1'; do
     hp_n=$((hp_n + 1))
     [ $hp_n -gt 50 ] && { echo "hard disk pressure never registered"; exit 1; }
     sleep 0.2
@@ -166,6 +168,7 @@ CODE=$(curl -sS -D "$WORK/d1.hdr" -o "$WORK/d1.json" -w '%{http_code}' -X POST \
 grep -qi '^retry-after:' "$WORK/d1.hdr" || { echo "507 lacks Retry-After:"; cat "$WORK/d1.hdr"; exit 1; }
 curl -fsS "$BASE/metrics" > /dev/null || { echo "/metrics down under hard pressure"; exit 1; }
 curl -fsS "$BASE/v1/jobs" > /dev/null || { echo "job list down under hard pressure"; exit 1; }
+"$BIN" metricscheck -require 'serve_disk_free_bytes,serve_disk_pressure' "$BASE/metrics"
 "$BIN" top -once "$ADDR" > "$WORK/top3.txt"
 grep -q 'pressure HARD' "$WORK/top3.txt" || { echo "top does not show hard pressure:"; cat "$WORK/top3.txt"; exit 1; }
 stop_server
@@ -214,4 +217,4 @@ RUNS=$(runs)
 [ "$RUNS" = "0" ] || { echo "serve_runs_total $RUNS after restart, want 0"; exit 1; }
 stop_server
 
-echo "overload-smoke: OK (shed 503 + Retry-After, deadline shed, soft-pressure sweep without degrading, 507 hard watermark, failure entry + top/metrics views)"
+echo "overload-smoke: OK (shed 503 + Retry-After, deadline shed, default profile + sweep after the run, 507 hard watermark, failure entry + top/metrics views)"
