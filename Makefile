@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet perfbench-vet fmt-check race alloc-check check faults-smoke trace-smoke crash-smoke serve-smoke serve-chaos-smoke metrics-smoke overload-smoke memory-smoke fuzz
+.PHONY: build test vet cross-vet perfbench-vet fmt-check race alloc-check bench-smoke check faults-smoke trace-smoke crash-smoke serve-smoke serve-chaos-smoke metrics-smoke overload-smoke memory-smoke fuzz
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,12 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# cross-vet compiles and vets every package for arm64, where the TV
+# sweep has no assembly and its Go loop is the only path: a missing
+# non-amd64 stub fails here, not on the first arm64 build.
+cross-vet:
+	GOARCH=arm64 $(GO) vet ./...
 
 # perfbench-vet compiles and vets the benchmark module. It is a Go module
 # of its own (replace repro => ../), so the root `go build ./...` never
@@ -101,6 +107,12 @@ overload-smoke:
 alloc-check:
 	$(GO) test ./internal/register ./internal/denoise -run 'AllocFree' -count=1
 
+# bench-smoke runs the kernel benchmarks once each (the TV sweep, the MI
+# pair, the reslice median), so a benchmark whose set-up breaks fails CI
+# rather than the next performance change that needs it.
+bench-smoke:
+	$(GO) test -run '^$$' -bench '^(BenchmarkChambolleSlice|BenchmarkAlignPairB4|BenchmarkResliceB4)$$' -benchtime 1x .
+
 # memory-smoke proves the streaming pipeline's bounded-memory contract
 # end to end: a 384-slice reconstruction must complete under a hard
 # GOMEMLIMIT the whole-stack test reference's materialized stacks
@@ -113,10 +125,11 @@ memory-smoke:
 	./scripts/memory_smoke.sh
 
 # check is the CI gate: formatting, static analysis (the benchmark
-# module included), the allocation regression tests, race-checked tests, and the fault-injection,
-# observability, crash-recovery, job-service, service-metrics,
-# overload-resilience and bounded-memory smoke runs.
-check: fmt-check vet perfbench-vet alloc-check race faults-smoke trace-smoke crash-smoke serve-smoke serve-chaos-smoke metrics-smoke overload-smoke memory-smoke
+# module and an arm64 build included), the allocation regression tests,
+# one pass of the kernel benchmarks, race-checked tests, and the
+# fault-injection, observability, crash-recovery, job-service,
+# service-metrics, overload-resilience and bounded-memory smoke runs.
+check: fmt-check vet cross-vet perfbench-vet alloc-check bench-smoke race faults-smoke trace-smoke crash-smoke serve-smoke serve-chaos-smoke metrics-smoke overload-smoke memory-smoke
 
 # fuzz exercises the fuzz targets briefly (the seed corpora always run
 # as part of `test`).

@@ -1,7 +1,9 @@
 package register
 
 import (
+	"encoding/binary"
 	"math"
+	"math/bits"
 	"sync"
 
 	"repro/internal/img"
@@ -11,6 +13,26 @@ import (
 // hold: a moving bin index (at most bins-1) fits a uint8, and a fixed
 // bin index premultiplied by bins (at most (bins-1)·bins) fits a uint16.
 const maxBins = 256
+
+// runCost is the cost of one run in countRuns, in pixel increments of
+// countPixels: a row is counted from its run forms when its fixed and
+// moving runs together, times runCost, are fewer than the window's
+// width. Measured over every candidate row of B4 pairs 0/1, 40/41, 96/97
+// and 150/151 at 12 us (9x5 window, 32 bins), with the run forms built
+// for every row: a run costs 3.2 to 5.0 pixel increments (about 5.5 ns
+// against 1.5 ns), and the run form is faster than the pixel loop up to
+// about one run per 3.8 pixels of window.
+const runCost = 4
+
+// minRunCands is the fewest candidates a bin table must serve for its
+// rows to be put in run form: the build is paid once per table and
+// saved once per candidate. B4 slice 150 at 12 us binds 24 tables for
+// its 45 candidates, 20 of them read by one candidate; building every
+// table's run forms made its search slower than the pixel loop alone
+// (10.4 against 8.4 ms, best of four alternating runs), building only
+// those of tables read by four or more brought it to 7.7 against
+// 8.7 ms. The 9x5 search's usual tables serve 9 or 27 candidates.
+const minRunCands = 4
 
 // maxTables bounds how many moving-bin tables a search keeps live. A
 // search whose candidates have more distinct window extrema evaluates in
@@ -34,7 +56,11 @@ const maxTables = 16
 //     binned once per distinct extrema pair into a read-only table the
 //     workers share (see bindCands);
 //   - the joint histogram is integer counts in a per-worker scratch
-//     buffer (miScratch), reused across candidates.
+//     buffer (miScratch), reused across candidates;
+//   - a row whose fixed and moving rows hold few runs of equal bins
+//     (piecewise-constant slices at long dwell) is counted run by run
+//     from their run forms (rowRuns, countRuns) instead of pixel by
+//     pixel; both count the same integers.
 //
 // Kernels are pooled, so a warm search allocates no index tables
 // (pinned by TestSearchBinTablesAllocFree), and steady-state candidate
@@ -49,8 +75,12 @@ type miKernel struct {
 	n              float64 // pixel count of the window
 	// fixedBins holds the fixed window's per-pixel bin indices, row-major
 	// over the window, each multiplied by bins: the offset of the pixel's
-	// row in the joint histogram.
-	fixedBins []uint16
+	// row in the joint histogram. fixedRuns holds the same rows in run
+	// form, in window columns, and minFixedRuns is the fewest runs of any
+	// of them.
+	fixedBins    []uint16
+	fixedRuns    rowRuns
+	minFixedRuns int32
 
 	// Per-search candidate binding (bindCands): each candidate's window
 	// extrema, the distinct extrema pairs in order of first appearance,
@@ -63,7 +93,7 @@ type miKernel struct {
 	first     []int
 	// tables[t % maxTables] is the moving image binned under keys[t]
 	// while pair t's batch is evaluated.
-	tables [][]uint8
+	tables []binTab
 
 	// Extrema scratch, one W-wide row each: the column extrema of the
 	// rows every candidate window shares, the column extrema of one dy's
@@ -96,15 +126,25 @@ func newMIKernel(fixed, moving *img.Gray, nx, ny, margin, bins int) *miKernel {
 	k.x0, k.y0, k.x1, k.y1 = mx, my, fixed.W-mx, fixed.H-my
 	k.n = float64((k.x1 - k.x0) * (k.y1 - k.y0))
 	lo, hi := fixed.MinMaxIn(k.x0, k.y0, k.x1, k.y1)
-	k.fixedBins = resized(k.fixedBins, (k.x1-k.x0)*(k.y1-k.y0))
+	width := k.x1 - k.x0
+	k.fixedBins = resized(k.fixedBins, width*(k.y1-k.y0))
+	k.fixedRuns.n = resized(k.fixedRuns.n, k.y1-k.y0)[:0]
+	k.minFixedRuns = math.MaxInt32
 	fi := 0
 	for y := k.y0; y < k.y1; y++ {
 		row := fixed.Pix[y*fixed.W+k.x0 : y*fixed.W+k.x1]
+		n, prev := int32(0), -1
 		for _, v := range row {
-			k.fixedBins[fi] = uint16(img.BinIndex(v, lo, hi, bins) * bins)
+			b := img.BinIndex(v, lo, hi, bins) * bins
+			k.fixedBins[fi] = uint16(b)
+			n += isNew(b, prev)
+			prev = b
 			fi++
 		}
+		k.fixedRuns.n = append(k.fixedRuns.n, n)
+		k.minFixedRuns = min(k.minFixedRuns, n)
 	}
+	buildRuns(&k.fixedRuns, k.fixedBins, width, width, 1) // a moving row has a run
 	w := moving.W
 	for _, buf := range []*[]float64{&k.coreMin, &k.coreMax, &k.colMin, &k.colMax,
 		&k.preMin, &k.preMax, &k.sufMin, &k.sufMax} {
@@ -163,8 +203,18 @@ func (k *miKernel) bindCands(cands []Shift) {
 	}
 	nt := len(k.keys)
 	if len(k.tables) < min(nt, maxTables) {
-		k.tables = append(k.tables, make([][]uint8, min(nt, maxTables)-len(k.tables))...)
+		k.tables = append(k.tables, make([]binTab, min(nt, maxTables)-len(k.tables))...)
 	}
+}
+
+// binTab is one batch slot: the moving image binned under one extrema
+// pair (pix) and, when hasRuns is set, its rows in run form, in image
+// columns, where a row has few enough runs to qualify against the fixed
+// row with the fewest.
+type binTab struct {
+	pix     []uint8
+	hasRuns bool
+	runs    rowRuns
 }
 
 // binTable bins the whole moving image under pair t's extrema into its
@@ -173,23 +223,120 @@ func (k *miKernel) bindCands(cands []Shift) {
 // reference index, and out-of-window pixels are never read by a
 // candidate whose extrema differ.
 func (k *miKernel) binTable(t int) {
-	buf := resized(k.tables[t%maxTables], len(k.moving.Pix))
-	k.tables[t%maxTables] = buf
+	tab := &k.tables[t%maxTables]
+	buf := resized(tab.pix, len(k.moving.Pix))
+	tab.pix = buf
 	bins := k.bins
 	mlo, mhi := k.keys[t][0], k.keys[t][1]
-	if mhi <= mlo {
-		clear(buf)
-		return
-	}
 	scale := float64(bins)
-	for i, v := range k.moving.Pix {
-		kb := int(scale * (v - mlo) / (mhi - mlo))
-		if kb < 0 {
-			kb = 0
-		} else if kb >= bins {
-			kb = bins - 1
+	w, width := k.moving.W, k.x1-k.x0
+	tab.hasRuns = k.first[t+1]-k.first[t] >= minRunCands
+	tab.runs.n = resized(tab.runs.n, k.moving.H)[:0]
+	for y := 0; y < k.moving.H; y++ {
+		row := buf[y*w : (y+1)*w]
+		if mhi <= mlo {
+			clear(row)
+		} else {
+			for x, v := range k.moving.Pix[y*w : (y+1)*w] {
+				kb := int(scale * (v - mlo) / (mhi - mlo))
+				if kb < 0 {
+					kb = 0
+				} else if kb >= bins {
+					kb = bins - 1
+				}
+				row[x] = uint8(kb)
+			}
 		}
-		buf[i] = uint8(kb)
+		if tab.hasRuns {
+			tab.runs.n = append(tab.runs.n, runCount(row))
+		}
+	}
+	if tab.hasRuns {
+		buildRuns(&tab.runs, buf, w, width, k.minFixedRuns)
+	}
+}
+
+// runCount returns the number of runs of equal bins in row. It compares
+// eight neighbouring pairs per step: the XOR of the row read at x and at
+// x-1 has a nonzero byte exactly where a run starts.
+func runCount(row []uint8) int32 {
+	const low = 0x0101010101010101
+	n, x := 1, 1
+	for ; x+8 <= len(row); x += 8 {
+		v := binary.LittleEndian.Uint64(row[x:]) ^ binary.LittleEndian.Uint64(row[x-1:])
+		v |= v >> 4 // fold each byte into its low bit
+		v |= v >> 2
+		v |= v >> 1
+		n += bits.OnesCount64(v & low)
+	}
+	for ; x < len(row); x++ {
+		if row[x] != row[x-1] {
+			n++
+		}
+	}
+	return int32(n)
+}
+
+// isNew is 1 when b differs from prev and 0 otherwise, without a branch
+// (a run count's branch would mispredict on every noisy row).
+func isNew(b, prev int) int32 {
+	d := int32(b - prev)
+	return int32(uint32(d|-d) >> 31)
+}
+
+// rowRuns holds rows of bin indices in run form: each run as its
+// exclusive end column and its bin. n[r] is row r's run count; the row's
+// runs are end[off[r]:off[r+1]] and bin[off[r]:off[r+1]] when it was
+// built, and off[r+1] == off[r] when it was not.
+type rowRuns struct {
+	n, off []int32
+	end    []int32
+	bin    []uint16
+}
+
+// runs returns row i's run form.
+func (r *rowRuns) runs(i int) ([]int32, []uint16) {
+	a, b := r.off[i], r.off[i+1]
+	return r.end[a:b], r.bin[a:b]
+}
+
+// runsFit reports whether a window row whose fixed and moving rows hold
+// runs runs between them is cheaper to count by countRuns than by
+// countPixels, in a window of the given width.
+func runsFit(runs int32, width int) bool {
+	return int(runs)*runCost < width
+}
+
+// buildRuns puts the rows of pix (each rowLen long, their run counts in
+// r.n) in run form where they can take countRuns in a window of the
+// given width, other being the fewest runs the rows they pair with can
+// have; rows of noisy, short-dwell slices never qualify and cost only
+// their count. The storage holds exactly the runs kept and is reused.
+func buildRuns[T uint8 | uint16](r *rowRuns, pix []T, rowLen, width int, other int32) {
+	total := 0
+	for _, n := range r.n {
+		if runsFit(n+other, width) {
+			total += int(n)
+		}
+	}
+	r.end, r.bin = resized(r.end, total), resized(r.bin, total)
+	r.off = append(resized(r.off, len(r.n)+1)[:0], 0)
+	o := int32(0)
+	for y, n := range r.n {
+		if runsFit(n+other, width) {
+			// Write run i's end at every column and step i past it only
+			// where the next run starts: no data-dependent branch.
+			row := pix[y*rowLen : (y+1)*rowLen]
+			end, bin := r.end[o:o+n], r.bin[o:o+n]
+			i := int32(0)
+			for x := 1; x < len(row); x++ {
+				end[i], bin[i] = int32(x), uint16(row[x-1])
+				i += isNew(int(row[x]), int(row[x-1]))
+			}
+			end[n-1], bin[n-1] = int32(len(row)), uint16(row[len(row)-1])
+			o += n
+		}
+		r.off = append(r.off, o)
 	}
 }
 
@@ -345,37 +492,30 @@ func (k *miKernel) getScratch() *miScratch {
 }
 
 // eval computes MI at candidate shift (dx, dy), whose moving window is
-// binned in mb, using s as scratch. The result is bit-identical to
+// binned in tab, using s as scratch. The result is bit-identical to
 // MutualInformation over the fixed and (shifted) moving crops: extrema,
 // bin indices, histogram counts and the marginal/MI accumulation orders
 // all match the reference.
-func (k *miKernel) eval(dx, dy int, mb []uint8, s *miScratch) float64 {
+func (k *miKernel) eval(dx, dy int, tab *binTab, s *miScratch) float64 {
 	bins := k.bins
-	// Joint histogram over the overlap, counted into four sub-histograms
-	// by pixel position and summed afterwards: neighbouring pixels of a
-	// piecewise-constant slice often hit the same bin, and separate
-	// copies keep one increment from waiting on the store of the last.
-	// The copies interleave (lane l of bin b is j[4b+l]), so one slice
-	// header serves all four. Integer counts do not depend on the order
-	// they are added in.
+	// Joint histogram over the overlap: each row counted pixel by pixel
+	// (countPixels) or, when its fixed and moving rows hold few runs, run
+	// by run (countRuns). Both count the same integers, and integer
+	// counts do not depend on the order they are added in.
 	j := s.joint
 	clear(j)
 	w := k.moving.W
-	fb := k.fixedBins
+	width := k.x1 - k.x0
+	s0 := k.x0 - dx // the moving window's first column
 	for y := k.y0; y < k.y1; y++ {
-		mrow := mb[(y-dy)*w+k.x0-dx : (y-dy)*w+k.x1-dx]
-		frow := fb[:len(mrow)]
-		fb = fb[len(mrow):]
-		x := 0
-		for ; x+3 < len(mrow); x += 4 {
-			j[4*(int(frow[x])+int(mrow[x]))]++
-			j[4*(int(frow[x+1])+int(mrow[x+1]))+1]++
-			j[4*(int(frow[x+2])+int(mrow[x+2]))+2]++
-			j[4*(int(frow[x+3])+int(mrow[x+3]))+3]++
+		r, my := y-k.y0, y-dy
+		if tab.hasRuns && runsFit(k.fixedRuns.n[r]+tab.runs.n[my], width) {
+			fe, fb := k.fixedRuns.runs(r)
+			me, mb := tab.runs.runs(my)
+			countRuns(j, fe, fb, me, mb, int32(s0))
+			continue
 		}
-		for ; x < len(mrow); x++ {
-			j[4*(int(frow[x])+int(mrow[x]))]++
-		}
+		countPixels(j, k.fixedBins[r*width:(r+1)*width], tab.pix[my*w+s0:my*w+s0+width])
 	}
 	// Fold the lanes in place: bin b's total lands in j[b], which bins
 	// below b have already read. Then marginals and MI in the reference
@@ -416,4 +556,48 @@ func (k *miKernel) eval(dx, dy int, mb []uint8, s *miScratch) float64 {
 		}
 	}
 	return mi
+}
+
+// countPixels adds one row's pixel pairs to the joint histogram j,
+// counted into four sub-histograms by pixel position and summed
+// afterwards: neighbouring pixels of a piecewise-constant slice often
+// hit the same bin, and separate copies keep one increment from waiting
+// on the store of the last. The copies interleave (lane l of bin b is
+// j[4b+l]), so one slice header serves all four.
+func countPixels(j []int32, frow []uint16, mrow []uint8) {
+	frow = frow[:len(mrow)]
+	x := 0
+	for ; x+3 < len(mrow); x += 4 {
+		j[4*(int(frow[x])+int(mrow[x]))]++
+		j[4*(int(frow[x+1])+int(mrow[x+1]))+1]++
+		j[4*(int(frow[x+2])+int(mrow[x+2]))+2]++
+		j[4*(int(frow[x+3])+int(mrow[x+3]))+3]++
+	}
+	for ; x < len(mrow); x++ {
+		j[4*(int(frow[x])+int(mrow[x]))]++
+	}
+}
+
+// countRuns adds the same counts as countPixels from the rows' run
+// forms: the fixed row's runs (fe, fb) in window columns, and the moving
+// row's (me, mb) in image columns, whose window starts at column s. It
+// merges the two lists of run ends and adds each segment's length to its
+// joint bin, in lane 0. The merge has no data-dependent branch: e is the
+// nearer of the two ends, and each list steps past its run when e is
+// that run's end (a branchy merge mispredicts on nearly every segment).
+func countRuns(j []int32, fe []int32, fb []uint16, me []int32, mb []uint16, s int32) {
+	mi := 0
+	for me[mi] <= s {
+		mi++
+	}
+	fi := 0
+	for pos, end := s, fe[len(fe)-1]+s; pos < end; {
+		ef, em := fe[fi]+s, me[mi]
+		d := ef - em
+		e := em + d&(d>>31)
+		j[4*(int(fb[fi])+int(mb[mi]))] += e - pos
+		pos = e
+		fi += int(1 + (e-ef)>>31)
+		mi += int(1 + (e-em)>>31)
+	}
 }

@@ -165,7 +165,7 @@ func TestMIKernelAllocFree(t *testing.T) {
 	i := 0
 	allocs := testing.AllocsPerRun(200, func() {
 		c := cands[i]
-		k.eval(c.DX, c.DY, k.tables[k.candTable[i]], s)
+		k.eval(c.DX, c.DY, &k.tables[k.candTable[i]], s)
 		i = 1 - i
 	})
 	if allocs != 0 {

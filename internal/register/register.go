@@ -249,7 +249,7 @@ func searchCands(ctx context.Context, fixed, moving *img.Gray, o Options, nx, ny
 				scratch[worker] = s
 			}
 			i := batch[j]
-			mis[i] = k.eval(cands[i].DX, cands[i].DY, k.tables[k.candTable[i]%maxTables], s)
+			mis[i] = k.eval(cands[i].DX, cands[i].DY, &k.tables[k.candTable[i]%maxTables], s)
 			return nil
 		})
 		if err != nil {
