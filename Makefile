@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet cross-vet perfbench-vet fmt-check race alloc-check bench-smoke check faults-smoke trace-smoke crash-smoke serve-smoke serve-chaos-smoke metrics-smoke overload-smoke memory-smoke fuzz
+.PHONY: build test vet cross-vet perfbench-vet fmt-check race alloc-check bench-smoke residual-check check faults-smoke trace-smoke crash-smoke serve-smoke serve-chaos-smoke metrics-smoke overload-smoke memory-smoke fuzz
 
 build:
 	$(GO) build ./...
@@ -108,10 +108,19 @@ alloc-check:
 	$(GO) test ./internal/register ./internal/denoise -run 'AllocFree' -count=1
 
 # bench-smoke runs the kernel benchmarks once each (the TV sweep, the MI
-# pair, the reslice median), so a benchmark whose set-up breaks fails CI
-# rather than the next performance change that needs it.
+# pair, the residual drift, the reslice median), so a benchmark whose
+# set-up breaks fails CI rather than the next performance change that
+# needs it.
 bench-smoke:
-	$(GO) test -run '^$$' -bench '^(BenchmarkChambolleSlice|BenchmarkAlignPairB4|BenchmarkResliceB4)$$' -benchtime 1x .
+	$(GO) test -run '^$$' -bench '^(BenchmarkChambolleSlice|BenchmarkAlignPairB4|BenchmarkResidualB4|BenchmarkResliceB4)$$' -benchtime 1x .
+
+# residual-check runs the residual population: six chips, clean and at
+# fault seeds 1-3, under dwell 12, serve's default and serve's fast
+# profile (72 runs). Every run must report the residual drift and the
+# plan that a full MI search on every aligned pair gives. It takes a few
+# minutes, so it is built only under the residualcheck tag.
+residual-check:
+	$(GO) test -tags residualcheck ./internal/core -run '^TestResidualPopulation$$' -count=1 -timeout 30m
 
 # memory-smoke proves the streaming pipeline's bounded-memory contract
 # end to end: a 384-slice reconstruction must complete under a hard
@@ -126,10 +135,11 @@ memory-smoke:
 
 # check is the CI gate: formatting, static analysis (the benchmark
 # module and an arm64 build included), the allocation regression tests,
-# one pass of the kernel benchmarks, race-checked tests, and the
+# one pass of the kernel benchmarks, race-checked tests, the residual
+# population, and the
 # fault-injection, observability, crash-recovery, job-service,
 # service-metrics, overload-resilience and bounded-memory smoke runs.
-check: fmt-check vet cross-vet perfbench-vet alloc-check bench-smoke race faults-smoke trace-smoke crash-smoke serve-smoke serve-chaos-smoke metrics-smoke overload-smoke memory-smoke
+check: fmt-check vet cross-vet perfbench-vet alloc-check bench-smoke race residual-check faults-smoke trace-smoke crash-smoke serve-smoke serve-chaos-smoke metrics-smoke overload-smoke memory-smoke
 
 # fuzz exercises the fuzz targets briefly (the seed corpora always run
 # as part of `test`).

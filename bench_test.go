@@ -305,6 +305,48 @@ func BenchmarkAlignPairB4(b *testing.B) {
 	}
 }
 
+// E5i — the residual drift at production geometry: register.
+// ResidualDriftCtx over 16 consecutive aligned pairs of B4 (slices 40 to
+// 56, denoised with the pipeline's settings and aligned as a stack) at
+// the 12 us dwell extract uses, one worker. Pairs 1 and 9 take the full
+// search (the sampled pairs), the others the ±1 search unless it
+// escalates; ns/pair and evals/pair report the mix.
+func BenchmarkResidualB4(b *testing.B) {
+	o := core.DefaultOptions()
+	o.SEM.DwellUS = 12
+	var idx []int
+	for i := 40; i <= 56; i++ {
+		idx = append(idx, i)
+	}
+	slices := b4Slices(b, o, idx...)
+	for i, g := range slices {
+		d, err := denoise.ChambolleCtx(context.Background(), g, o.Denoise)
+		if err != nil {
+			b.Fatal(err)
+		}
+		slices[i] = d
+	}
+	ro := o.Register
+	ro.Workers = 1
+	aligned, _, err := register.AlignStackCtx(context.Background(), slices, ro)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ob := &obs.Observer{Metrics: obs.NewMetrics()}
+	ro.Obs = ob
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := register.ResidualDriftCtx(context.Background(), aligned, ro); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	pairs := float64(b.N * (len(aligned) - 1))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/pairs, "ns/pair")
+	b.ReportMetric(float64(ob.Snapshot().Counters["register.mi_evals"])/pairs, "evals/pair")
+}
+
 // E5h — the TV sweep at production geometry: ChambolleInto with the
 // pipeline's denoise settings (lambda 25, 60 iterations, Tol 1e-5) and a
 // warm Scratch, as a streaming worker runs it, over six raw B4 slices

@@ -30,7 +30,13 @@ const ckptSchema = 3
 // entries are orphaned and GC sweeps them. TestEngineVersionPinsGoldens
 // ties it to the committed goldens: re-pinning any of them fails that
 // test until this constant is bumped.
-const engineVersion = 1
+//
+// v2: the residual drift re-aligns a pair over the ±1 neighbourhood of
+// the zero shift and takes the full search only where register.Residual
+// says so; on a pair where zero is the best of its neighbourhood but
+// not of the window, and no rule flags it, the residual differs from
+// v1's.
+const engineVersion = 2
 
 // CkptNetex names the one checkpointed artifact: the extraction that
 // RunCtx and RunOnDieCtx persist. It follows reconstruction, so nothing

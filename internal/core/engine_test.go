@@ -18,6 +18,11 @@ var engineGoldens = map[int]map[string]string{
 		"testdata/golden_fast.json":          "d5cedc2130e8999bb6baa84117b60efcbca6790a7ddcdf82ff05aeba26d5102a",
 		"../denoise/testdata/tv_golden.json": "f03c91581d30648db31dc45ba358c2f2fe9f637094a5e9bf3779995ef9c42232",
 	},
+	2: {
+		"testdata/golden_default.json":       "1ef53180201e3ae86902748adbe0125d25911768a4688c87a0050dd8e7b9f06f",
+		"testdata/golden_fast.json":          "d5cedc2130e8999bb6baa84117b60efcbca6790a7ddcdf82ff05aeba26d5102a",
+		"../denoise/testdata/tv_golden.json": "f03c91581d30648db31dc45ba358c2f2fe9f637094a5e9bf3779995ef9c42232",
+	},
 }
 
 // TestEngineVersionPinsGoldens fails when a golden changes without an

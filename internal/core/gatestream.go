@@ -62,7 +62,7 @@ type gateStream struct {
 	o          Options
 	n          int
 	noiseFloor float64
-	emit       func(i int, g *img.Gray) error
+	emit       func(i int, g *img.Gray, repaired bool) error
 
 	raw     []*img.Gray // windowed: nil once released
 	w0, h0  int         // slice 0's dimensions, which every slice must share
@@ -94,8 +94,9 @@ type gatePairMI struct {
 }
 
 // newGateStream prepares the gate for an n-slice stack. dwellUS is the
-// acquisition dwell time the shot-noise floor derives from.
-func newGateStream(o Options, n int, dwellUS float64, emit func(int, *img.Gray) error) *gateStream {
+// acquisition dwell time the shot-noise floor derives from. emit
+// receives each slice with whether the gate flagged and repaired it.
+func newGateStream(o Options, n int, dwellUS float64, emit func(int, *img.Gray, bool) error) *gateStream {
 	if dwellUS <= 0 {
 		dwellUS = sem.DefaultOptions().DwellUS
 	}
@@ -142,7 +143,7 @@ func (s *gateStream) push(i int, g *img.Gray) error {
 		})
 	}
 	if s.n < 3 {
-		return s.emit(i, g)
+		return s.emit(i, g, false)
 	}
 	s.raw[i] = g
 	s.feats[i] = features(g)
@@ -484,7 +485,7 @@ func (s *gateStream) advanceEmit() error {
 				s.raw[s.lastUnflagged] = nil
 			}
 			s.lastUnflagged = i
-			if err := s.emit(i, g); err != nil {
+			if err := s.emit(i, g, false); err != nil {
 				return err
 			}
 			s.emitted++
@@ -525,7 +526,7 @@ func (s *gateStream) advanceEmit() error {
 		})
 		s.o.Obs.Debug("quality gate repaired", "slice", i, "kind", s.flagged[i].String(), "action", action)
 		s.raw[i] = nil
-		if err := s.emit(i, out); err != nil {
+		if err := s.emit(i, out, true); err != nil {
 			return err
 		}
 		s.emitted++

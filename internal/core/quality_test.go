@@ -47,7 +47,7 @@ func chipAcquisition(t *testing.T, id string, o Options) (*sem.Acquisition, geom
 func streamGate(t *testing.T, acq *sem.Acquisition, o Options) (RepairReport, []*img.Gray) {
 	t.Helper()
 	out := make([]*img.Gray, len(acq.Slices))
-	s := newGateStream(o, len(acq.Slices), acq.Options.DwellUS, func(i int, g *img.Gray) error {
+	s := newGateStream(o, len(acq.Slices), acq.Options.DwellUS, func(i int, g *img.Gray, _ bool) error {
 		out[i] = g
 		return nil
 	})

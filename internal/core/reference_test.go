@@ -27,7 +27,9 @@ import (
 )
 
 // referenceReconstruct is ReconstructCtx on the reference path: the gated,
-// denoised and aligned stack, the residual drift over it, the assembled
+// denoised and aligned stack, the residual drift over it (a pair that
+// touches a repaired slice or whose alignment fell back is flagged, as
+// the fold flags it), the assembled
 // volume and PlanFromVolumeCtx. It also returns the raw planar views of
 // the volume, averaged over each band's interior exactly as PlanarViewsCtx
 // always has.
@@ -39,11 +41,20 @@ func referenceReconstruct(ctx context.Context, acq *sem.Acquisition, window geom
 	info := ReconInfo{Repairs: pre.repairs, AlignFallbacks: pre.alignFallbacks}
 	if pre.didAlign {
 		sp := o.Obs.StartSpan("align/residual")
-		info.ResidualDriftPx, err = register.ResidualDriftCtx(ctx, pre.slices, regOptions(o))
-		sp.End()
-		if err != nil {
-			return nil, ReconInfo{}, nil, fmt.Errorf("core: residual: %w", err)
+		repaired := make([]bool, len(pre.slices))
+		for _, r := range pre.repairs.Repairs {
+			repaired[r.Index] = true
 		}
+		resid := register.NewResidual(regOptions(o))
+		for i := 1; i < len(pre.slices); i++ {
+			flagged := repaired[i-1] || repaired[i] || pre.fallback[i]
+			if _, err := resid.Pair(ctx, pre.slices[i-1], pre.slices[i], flagged); err != nil {
+				sp.End()
+				return nil, ReconInfo{}, nil, fmt.Errorf("core: residual: %w", err)
+			}
+		}
+		sp.End()
+		info.ResidualDriftPx = resid.Mean()
 	}
 	sp := o.Obs.StartSpan(StageAssemble)
 	vol, err := volume.FromStack(pre.slices)
@@ -71,6 +82,16 @@ func referenceReconstruct(ctx context.Context, acq *sem.Acquisition, window geom
 // and acquired whole, faults are injected in place on the materialized
 // acquisition, and the stack is reconstructed by referenceReconstruct.
 func referenceRun(ctx context.Context, chip *chips.Chip, o Options) (*Result, error) {
+	acq, truth, window, injected, err := referenceAcquire(ctx, chip, o)
+	if err != nil {
+		return nil, err
+	}
+	return referenceFinish(ctx, chip, truth, acq, injected, window, o)
+}
+
+// referenceAcquire generates and voxelizes chip's region as RunCtx
+// does, acquires it whole and injects o.Faults in place.
+func referenceAcquire(ctx context.Context, chip *chips.Chip, o Options) (*sem.Acquisition, chipgen.GroundTruth, geom.Rect, *fault.Report, error) {
 	cfg := chipgen.DefaultConfig(chip)
 	cfg.Units = o.Units
 	cfg.JitterPct = o.JitterPct
@@ -79,27 +100,38 @@ func referenceRun(ctx context.Context, chip *chips.Chip, o Options) (*Result, er
 	region, err := chipgen.Generate(cfg)
 	if err != nil {
 		sp.End()
-		return nil, err
+		return nil, chipgen.GroundTruth{}, geom.Rect{}, nil, err
 	}
 	window := region.Cell.Bounds()
 	vol, err := chipgen.Voxelize(region.Cell, window, o.VoxelNM)
 	sp.End()
 	if err != nil {
-		return nil, err
+		return nil, chipgen.GroundTruth{}, geom.Rect{}, nil, err
 	}
-	return referenceRunOn(ctx, chip, region.Truth, vol, window, o)
+	acq, injected, err := referenceAcquireVol(ctx, chip, vol, o)
+	return acq, region.Truth, window, injected, err
 }
 
 // referenceRunOn acquires vol whole, injects o.Faults in place and
 // finishes the pipeline on the reference path.
 func referenceRunOn(ctx context.Context, chip *chips.Chip, truth chipgen.GroundTruth,
 	vol *chipgen.MatVolume, window geom.Rect, o Options) (*Result, error) {
+	acq, injected, err := referenceAcquireVol(ctx, chip, vol, o)
+	if err != nil {
+		return nil, err
+	}
+	return referenceFinish(ctx, chip, truth, acq, injected, window, o)
+}
+
+// referenceAcquireVol acquires vol whole with the chip's detector and
+// injects o.Faults in place.
+func referenceAcquireVol(ctx context.Context, chip *chips.Chip, vol *chipgen.MatVolume, o Options) (*sem.Acquisition, *fault.Report, error) {
 	o.SEM.Detector = chip.Detector
 	sp := o.Obs.StartSpan(StageAcquire)
 	acq, err := sem.AcquireStackCtx(ctx, vol, o.SEM)
 	sp.End()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var injected *fault.Report
 	if o.Faults != nil {
@@ -107,9 +139,17 @@ func referenceRunOn(ctx context.Context, chip *chips.Chip, truth chipgen.GroundT
 		injected, err = fault.InjectObserved(acq, *o.Faults, o.Obs)
 		sp.End()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
+	return acq, injected, nil
+}
+
+// referenceFinish reconstructs acq on the reference path and extracts
+// and scores the result.
+func referenceFinish(ctx context.Context, chip *chips.Chip, truth chipgen.GroundTruth,
+	acq *sem.Acquisition, injected *fault.Report, window geom.Rect, o Options) (*Result, error) {
+	o.SEM.Detector = chip.Detector
 	plan, info, views, err := referenceReconstruct(ctx, acq, window, o)
 	if err != nil {
 		return nil, err
@@ -148,6 +188,7 @@ type preOut struct {
 	didAlign       bool
 	repairs        RepairReport
 	alignFallbacks int
+	fallback       []bool // per slice, when didAlign
 }
 
 // preprocessCtx is the reference screen + denoise + align prologue: the
@@ -195,6 +236,7 @@ func preprocessCtx(ctx context.Context, acq *sem.Acquisition, o Options) (preOut
 		}
 		out.slices, out.didAlign = aligned, true
 		out.alignFallbacks = sres.Fallbacks()
+		out.fallback = sres.Fallback
 		if out.alignFallbacks > 0 {
 			ob.Info("alignment degraded", "fallbacks", out.alignFallbacks)
 		}

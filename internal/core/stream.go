@@ -59,10 +59,12 @@ func denoiseSliceInto(ctx context.Context, dst, src *img.Gray, o Options, s *den
 	}
 }
 
-// streamItem is one slice in flight between pipeline stages.
+// streamItem is one slice in flight between pipeline stages, with
+// whether the quality gate repaired it.
 type streamItem struct {
-	i int
-	g *img.Gray
+	i        int
+	g        *img.Gray
+	repaired bool
 }
 
 // streamCore is the bounded-memory screen + denoise engine: a feeder
@@ -79,15 +81,16 @@ type streamItem struct {
 // or a descheduled worker stalls the producer instead of letting
 // slices pile up.
 //
-// consume owns each buffer it is handed (Put it back, keep it, or pass
-// it on) — including on the call that returns an error. Buffers still
-// in flight when the pipeline aborts are returned to the pool here.
+// consume is handed each slice with whether the gate repaired it. It
+// owns each buffer it is handed (Put it back, keep it, or pass it on) —
+// including on the call that returns an error. Buffers still in flight
+// when the pipeline aborts are returned to the pool here.
 //
 // The output is byte-identical to the whole-stack reference for any
 // worker count: the gate is sequential, each slice's denoise result
 // depends only on that slice, and consume observes ascending order.
 func streamCore(ctx context.Context, n int, src streamSource, dwellUS float64, o Options, pool *img.Pool,
-	consume func(ctx context.Context, i int, g *img.Gray) error) (RepairReport, error) {
+	consume func(ctx context.Context, i int, g *img.Gray, repaired bool) error) (RepairReport, error) {
 	ob := o.Obs
 	W := par.Count(o.Workers)
 	window := 2*W + 2
@@ -106,14 +109,14 @@ func streamCore(ctx context.Context, n int, src streamSource, dwellUS float64, o
 	gateCh := make(chan streamItem, window)
 	denCh := make(chan streamItem, window)
 
-	send := func(i int, g *img.Gray) error {
+	send := func(i int, g *img.Gray, repaired bool) error {
 		select {
 		case credits <- struct{}{}:
 		case <-ectx.Done():
 			return ectx.Err()
 		}
 		select {
-		case gateCh <- streamItem{i, g}:
+		case gateCh <- streamItem{i, g, repaired}:
 			return nil
 		case <-ectx.Done():
 			return ectx.Err()
@@ -169,7 +172,7 @@ func streamCore(ctx context.Context, n int, src streamSource, dwellUS float64, o
 					return
 				}
 				select {
-				case denCh <- streamItem{item.i, dst}:
+				case denCh <- streamItem{item.i, dst, item.repaired}:
 				case <-ectx.Done():
 					pool.Put(dst)
 					return
@@ -182,16 +185,16 @@ func streamCore(ctx context.Context, n int, src streamSource, dwellUS float64, o
 		close(denCh)
 	}()
 
-	pending := make(map[int]*img.Gray, window)
+	pending := make(map[int]streamItem, window)
 	next := 0
 	for item := range denCh {
 		if ectx.Err() != nil {
 			pool.Put(item.g)
 			continue
 		}
-		pending[item.i] = item.g
+		pending[item.i] = item
 		for {
-			g, ok := pending[next]
+			it, ok := pending[next]
 			if !ok {
 				break
 			}
@@ -199,7 +202,7 @@ func streamCore(ctx context.Context, n int, src streamSource, dwellUS float64, o
 			<-credits
 			// The fold runs under par.Call too: a panic in it fails the
 			// run, waits for the feeder and drains the pool like an error.
-			if err := par.Call(next, func() error { return consume(ectx, next, g) }); err != nil {
+			if err := par.Call(next, func() error { return consume(ectx, next, it.g, it.repaired) }); err != nil {
 				fail(err)
 				break
 			}
@@ -207,8 +210,8 @@ func streamCore(ctx context.Context, n int, src streamSource, dwellUS float64, o
 		}
 	}
 	denSp.End()
-	for _, g := range pending {
-		pool.Put(g)
+	for _, it := range pending {
+		pool.Put(it.g)
 	}
 	// A worker that fails, or sees the run cancelled, exits without
 	// waiting for the feeder, so denCh can close while the feeder is
@@ -232,7 +235,7 @@ func streamCore(ctx context.Context, n int, src streamSource, dwellUS float64, o
 
 // streamFold folds denoised slices into the reconstruction's per-layer
 // planar views as they arrive: a register.Stacker aligns each slice to
-// the previous denoised slice, register.PairResidual measures the
+// the previous denoised slice, a register.Residual measures the
 // residual drift of each aligned pair, and volume.BandMeanRow adds the
 // slice's row to every layer's planar average — all without ever
 // materializing the denoised stack, the aligned stack or the volume.
@@ -250,16 +253,19 @@ type streamFold struct {
 	bands  [][2]int
 	views  []*img.Gray
 
-	prevAligned *img.Gray // last aligned slice (residual reference)
-	fallbacks   int
-	residSum    float64
+	resid        *register.Residual
+	prevAligned  *img.Gray // last aligned slice (residual reference)
+	prevRepaired bool      // whether the gate repaired that slice
+	fallbacks    int
 }
 
 // consume implements the streamCore contract: it owns den on every
 // path, returning it to the pool once no longer needed (or on error).
 // The gate has already validated every slice and checked that all
-// share slice 0's dimensions, which denoising and translation keep.
-func (f *streamFold) consume(ctx context.Context, i int, den *img.Gray) error {
+// share slice 0's dimensions, which denoising and translation keep. A
+// pair that touches a repaired slice, or whose alignment fell back,
+// takes the residual's full search.
+func (f *streamFold) consume(ctx context.Context, i int, den *img.Gray, repaired bool) error {
 	if i == 0 {
 		if err := f.initViews(den.W, den.H); err != nil {
 			f.pool.Put(den)
@@ -279,18 +285,17 @@ func (f *streamFold) consume(ctx context.Context, i int, den *img.Gray) error {
 		f.fallbacks++
 	}
 	if i > 0 {
-		d, err := register.PairResidual(ctx, f.prevAligned, a, f.regOpts)
-		if err != nil {
+		flagged := repaired || f.prevRepaired || r.Fallback
+		if _, err := f.resid.Pair(ctx, f.prevAligned, a, flagged); err != nil {
 			f.pool.Put(a)
 			return fmt.Errorf("core: residual: %w", err)
 		}
-		f.residSum += d
 	}
 	f.fold(i, a)
 	if f.prevAligned != nil {
 		f.pool.Put(f.prevAligned)
 	}
-	f.prevAligned = a
+	f.prevAligned, f.prevRepaired = a, repaired
 	// The fold's state owns every buffer here, so release() returns
 	// them all whatever the site does.
 	return failpoint.Inject("core.fold")
@@ -379,6 +384,7 @@ func foldStream(ctx context.Context, n int, src streamSource, dwellUS float64, o
 		layers:  bandedLayers(),
 	}
 	f.stack = register.NewStacker(f.regOpts, o.Pool)
+	f.resid = register.NewResidual(f.regOpts)
 	rep, err := streamCore(ctx, n, src, dwellUS, o, o.Pool, f.consume)
 	f.release()
 	if err != nil {
@@ -393,7 +399,7 @@ func foldStream(ctx context.Context, n int, src streamSource, dwellUS float64, o
 		if f.fallbacks > 0 {
 			ob.Info("alignment degraded", "fallbacks", f.fallbacks)
 		}
-		info.ResidualDriftPx = f.residSum / float64(n-1)
+		info.ResidualDriftPx = f.resid.Mean()
 	}
 	if pool := o.Pool; pool != nil {
 		st := pool.Stats()

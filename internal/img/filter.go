@@ -27,36 +27,43 @@ func GaussianKernel(sigma float64) []float64 {
 
 // GaussianBlur returns g convolved with a separable Gaussian of the given
 // standard deviation, using edge extension at the boundaries. Where the
-// whole stencil lies inside the image the taps read Pix directly;
-// AtClamp serves only the border. Every output pixel sums the same taps
-// in the same order either way.
+// whole stencil lies inside the image the taps read Pix directly, one
+// tap across the whole interior at a time; AtClamp serves only the
+// border. Every output pixel's sum starts at +0 and adds the same taps in
+// the same ascending order either way.
 func GaussianBlur(g *Gray, sigma float64) *Gray {
 	k := GaussianKernel(sigma)
 	r := len(k) / 2
 	w, h := g.W, g.H
-	// Horizontal pass.
+	// Horizontal pass: the interior columns [r, w-r) of each row, then
+	// the border columns.
 	tmp := New(w, h)
 	for y := 0; y < h; y++ {
 		row := g.Pix[y*w : (y+1)*w]
 		dst := tmp.Pix[y*w : (y+1)*w]
+		if w > 2*r {
+			in := dst[r : w-r] // New zeroes it: every sum starts at +0
+			for i, kv := range k {
+				taps := row[i : i+len(in)]
+				for x, t := range taps {
+					in[x] += kv * t
+				}
+			}
+		}
 		for x := range dst {
-			var s float64
 			if x >= r && x+r < w {
-				taps := row[x-r : x+r+1]
-				for i, kv := range k {
-					s += kv * taps[i]
-				}
-			} else {
-				for i := -r; i <= r; i++ {
-					s += k[i+r] * g.AtClamp(x+i, y)
-				}
+				continue
+			}
+			var s float64
+			for i := -r; i <= r; i++ {
+				s += k[i+r] * g.AtClamp(x+i, y)
 			}
 			dst[x] = s
 		}
 	}
-	// Vertical pass.
+	// Vertical pass: interior rows take each tap's source row across the
+	// whole row; border rows clamp.
 	out := New(w, h)
-	rows := make([][]float64, len(k))
 	for y := 0; y < h; y++ {
 		dst := out.Pix[y*w : (y+1)*w]
 		if y < r || y+r >= h {
@@ -69,15 +76,11 @@ func GaussianBlur(g *Gray, sigma float64) *Gray {
 			}
 			continue
 		}
-		for i := range rows {
-			rows[i] = tmp.Pix[(y-r+i)*w : (y-r+i+1)*w]
-		}
-		for x := range dst {
-			var s float64
-			for i, kv := range k {
-				s += kv * rows[i][x]
+		for i, kv := range k {
+			src := tmp.Pix[(y-r+i)*w : (y-r+i+1)*w]
+			for x, t := range src {
+				dst[x] += kv * t
 			}
-			dst[x] = s
 		}
 	}
 	return out

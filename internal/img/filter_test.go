@@ -115,7 +115,7 @@ func zeroInput(w, h int, seed int64) *Gray {
 	return g
 }
 
-// The filters' fast paths (direct Pix taps inside the image, the
+// The filters' fast paths (the blur's tap-outer interior loops, the
 // insertion-sorted median window, the column-sorted radius-1 median)
 // must reproduce the clamped reference loops bit for bit: odd sizes,
 // images smaller than the stencil, rows wider than 64, the identity
@@ -126,8 +126,10 @@ func TestFiltersMatchClampedReference(t *testing.T) {
 	for _, sz := range sizes {
 		seed := int64(sz[0]*100 + sz[1])
 		g := filterInput(sz[0], sz[1], seed, false)
+		z := zeroInput(sz[0], sz[1], seed)
 		for _, sigma := range []float64{0, 0.7, 1.5, 4} {
 			sameBits(t, "GaussianBlur", GaussianBlur(g, sigma), refGaussianBlur(g, sigma))
+			sameBits(t, "GaussianBlur signed zeros", GaussianBlur(z, sigma), refGaussianBlur(z, sigma))
 		}
 		inputs := []struct {
 			name string
@@ -144,4 +146,16 @@ func TestFiltersMatchClampedReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// BenchmarkGaussianBlur blurs a slice of the fast profile's geometry
+// (701x39 px) at the SEM's 0.7 px beam sigma, and reports ns/px.
+func BenchmarkGaussianBlur(b *testing.B) {
+	g := filterInput(701, 39, 7, false)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		GaussianBlur(g, 0.7)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(g.Pix)), "ns/px")
 }

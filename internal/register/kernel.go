@@ -144,7 +144,7 @@ func newMIKernel(fixed, moving *img.Gray, nx, ny, margin, bins int) *miKernel {
 		k.fixedRuns.n = append(k.fixedRuns.n, n)
 		k.minFixedRuns = min(k.minFixedRuns, n)
 	}
-	buildRuns(&k.fixedRuns, k.fixedBins, width, width, 1) // a moving row has a run
+	buildRuns(&k.fixedRuns, k.fixedBins, width, 0, width, width, 1) // a moving row has a run
 	w := moving.W
 	for _, buf := range []*[]float64{&k.coreMin, &k.coreMax, &k.colMin, &k.colMax,
 		&k.preMin, &k.preMax, &k.sufMin, &k.sufMax} {
@@ -208,21 +208,24 @@ func (k *miKernel) bindCands(cands []Shift) {
 }
 
 // binTab is one batch slot: the moving image binned under one extrema
-// pair (pix) and, when hasRuns is set, its rows in run form, in image
-// columns, where a row has few enough runs to qualify against the fixed
-// row with the fewest.
+// pair (pix, image-sized, binned only over the rectangle the pair's
+// candidates read) and, when hasRuns is set, the rectangle's rows in run
+// form, in image columns, where a row has few enough runs to qualify
+// against the fixed row with the fewest. runs row r is image row r0+r.
 type binTab struct {
 	pix     []uint8
 	hasRuns bool
+	r0      int
 	runs    rowRuns
 }
 
-// binTable bins the whole moving image under pair t's extrema into its
-// batch slot. The expression is the manual img.BinIndex inline the
-// joint-histogram loop has always used: window pixels get the exact
-// reference index, and out-of-window pixels are never read by a
-// candidate whose extrema differ.
-func (k *miKernel) binTable(t int) {
+// binTable bins the moving image under pair t's extrema into its batch
+// slot, over the rows and columns that the pair's candidates (cands
+// indexed by byTable) read: their moving windows' union. The expression
+// is the manual img.BinIndex inline the joint-histogram loop has always
+// used: window pixels get the exact reference index, and the pixels
+// left unbinned are read by no candidate of the pair.
+func (k *miKernel) binTable(t int, cands []Shift) {
 	tab := &k.tables[t%maxTables]
 	buf := resized(tab.pix, len(k.moving.Pix))
 	tab.pix = buf
@@ -230,14 +233,24 @@ func (k *miKernel) binTable(t int) {
 	mlo, mhi := k.keys[t][0], k.keys[t][1]
 	scale := float64(bins)
 	w, width := k.moving.W, k.x1-k.x0
-	tab.hasRuns = k.first[t+1]-k.first[t] >= minRunCands
-	tab.runs.n = resized(tab.runs.n, k.moving.H)[:0]
-	for y := 0; y < k.moving.H; y++ {
-		row := buf[y*w : (y+1)*w]
+	mine := k.byTable[k.first[t]:k.first[t+1]]
+	lo, hi := cands[mine[0]], cands[mine[0]]
+	for _, i := range mine[1:] {
+		c := cands[i]
+		lo = Shift{min(lo.DX, c.DX), min(lo.DY, c.DY)}
+		hi = Shift{max(hi.DX, c.DX), max(hi.DY, c.DY)}
+	}
+	r0, r1 := k.y0-hi.DY, k.y1-lo.DY
+	c0, c1 := k.x0-hi.DX, k.x1-lo.DX
+	tab.r0 = r0
+	tab.hasRuns = len(mine) >= minRunCands
+	tab.runs.n = resized(tab.runs.n, r1-r0)[:0]
+	for y := r0; y < r1; y++ {
+		row := buf[y*w+c0 : y*w+c1]
 		if mhi <= mlo {
 			clear(row)
 		} else {
-			for x, v := range k.moving.Pix[y*w : (y+1)*w] {
+			for x, v := range k.moving.Pix[y*w+c0 : y*w+c1] {
 				kb := int(scale * (v - mlo) / (mhi - mlo))
 				if kb < 0 {
 					kb = 0
@@ -252,7 +265,7 @@ func (k *miKernel) binTable(t int) {
 		}
 	}
 	if tab.hasRuns {
-		buildRuns(&tab.runs, buf, w, width, k.minFixedRuns)
+		buildRuns(&tab.runs, buf[r0*w:], w, c0, c1, width, k.minFixedRuns)
 	}
 }
 
@@ -307,12 +320,13 @@ func runsFit(runs int32, width int) bool {
 	return int(runs)*runCost < width
 }
 
-// buildRuns puts the rows of pix (each rowLen long, their run counts in
-// r.n) in run form where they can take countRuns in a window of the
-// given width, other being the fewest runs the rows they pair with can
-// have; rows of noisy, short-dwell slices never qualify and cost only
-// their count. The storage holds exactly the runs kept and is reused.
-func buildRuns[T uint8 | uint16](r *rowRuns, pix []T, rowLen, width int, other int32) {
+// buildRuns puts the rows of pix (row y is pix[y*stride+c0 : y*stride+c1],
+// its run count in r.n[y]) in run form, with run ends in pix's columns,
+// where they can take countRuns in a window of the given width, other
+// being the fewest runs the rows they pair with can have; rows of noisy,
+// short-dwell slices never qualify and cost only their count. The
+// storage holds exactly the runs kept and is reused.
+func buildRuns[T uint8 | uint16](r *rowRuns, pix []T, stride, c0, c1, width int, other int32) {
 	total := 0
 	for _, n := range r.n {
 		if runsFit(n+other, width) {
@@ -326,14 +340,14 @@ func buildRuns[T uint8 | uint16](r *rowRuns, pix []T, rowLen, width int, other i
 		if runsFit(n+other, width) {
 			// Write run i's end at every column and step i past it only
 			// where the next run starts: no data-dependent branch.
-			row := pix[y*rowLen : (y+1)*rowLen]
+			row := pix[y*stride+c0 : y*stride+c1]
 			end, bin := r.end[o:o+n], r.bin[o:o+n]
 			i := int32(0)
 			for x := 1; x < len(row); x++ {
-				end[i], bin[i] = int32(x), uint16(row[x-1])
+				end[i], bin[i] = int32(c0+x), uint16(row[x-1])
 				i += isNew(int(row[x]), int(row[x-1]))
 			}
-			end[n-1], bin[n-1] = int32(len(row)), uint16(row[len(row)-1])
+			end[n-1], bin[n-1] = int32(c1), uint16(row[len(row)-1])
 			o += n
 		}
 		r.off = append(r.off, o)
@@ -462,15 +476,17 @@ func max2(a, b float64) float64 {
 }
 
 // miScratch is one worker's reusable evaluation state: four interleaved
-// joint histograms, the joint probabilities and the marginal
-// accumulators. An eval reinitializes the histograms and marginals and
-// writes p for every non-empty bin before reading it (empty bins are
-// never read), so sharing a scratch across candidates (but never across
-// concurrent workers) cannot perturb results.
+// joint histograms, the joint probabilities, the marginal accumulators
+// and the list of non-empty bins (each as its bin index << 8 | its row).
+// An eval reinitializes the histograms and marginals and writes every p
+// and the list before reading them, so sharing a scratch across
+// candidates (but never across concurrent workers) cannot perturb
+// results.
 type miScratch struct {
 	joint  []int32
 	p      []float64
 	pa, pb []float64
+	nz     []uint32
 }
 
 // scratchPool recycles scratch across searches: a search needs one
@@ -488,6 +504,7 @@ func (k *miKernel) getScratch() *miScratch {
 	s.p = resized(s.p, k.bins*k.bins)
 	s.pa = resized(s.pa, k.bins)
 	s.pb = resized(s.pb, k.bins)
+	s.nz = resized(s.nz, k.bins*k.bins)
 	return s
 }
 
@@ -509,9 +526,9 @@ func (k *miKernel) eval(dx, dy int, tab *binTab, s *miScratch) float64 {
 	s0 := k.x0 - dx // the moving window's first column
 	for y := k.y0; y < k.y1; y++ {
 		r, my := y-k.y0, y-dy
-		if tab.hasRuns && runsFit(k.fixedRuns.n[r]+tab.runs.n[my], width) {
+		if tab.hasRuns && runsFit(k.fixedRuns.n[r]+tab.runs.n[my-tab.r0], width) {
 			fe, fb := k.fixedRuns.runs(r)
-			me, mb := tab.runs.runs(my)
+			me, mb := tab.runs.runs(my - tab.r0)
 			countRuns(j, fe, fb, me, mb, int32(s0))
 			continue
 		}
@@ -521,39 +538,39 @@ func (k *miKernel) eval(dx, dy int, tab *binTab, s *miScratch) float64 {
 	// below b have already read. Then marginals and MI in the reference
 	// accumulation order: pa[i] sums over ascending j, pb[j] over
 	// ascending i, and the MI terms add in the same row-major histogram
-	// order. Each non-empty bin's p = count/n is divided once, into s.p.
-	// An empty bin's p is +0: the marginals start at +0 and every term is
-	// >= +0, so adding +0 never changes them, and the reference adds no
-	// MI term for it. A non-empty bin has p > 0, hence pa[i] > 0 and
-	// pb[j] > 0, so every one of them adds its term.
-	joint := j[:bins*bins]
+	// order. Every bin's p = count/n is divided, into s.p: an empty bin's
+	// p is +0, the marginals start at +0 and every term is >= +0, so
+	// adding +0 never changes them. The non-empty bins are recorded
+	// without a branch (a slot is always written, and kept only when the
+	// count is nonzero), and the MI loop runs over them in ascending
+	// order: the reference adds no term for an empty bin, and a
+	// non-empty bin has p > 0, hence pa[i] > 0 and pb[j] > 0, so each
+	// of them adds its term.
 	p := s.p[:bins*bins]
 	pa, pb := s.pa[:bins], s.pb[:bins]
+	nz := s.nz[:bins*bins]
 	clear(pb)
+	m := 0
 	for i := range pa {
 		var ra float64
-		for b := i * bins; b < (i+1)*bins; b++ {
-			l := j[4*b : 4*b+4]
+		row := i * bins
+		for jb := range pb {
+			l := j[4*(row+jb) : 4*(row+jb)+4]
 			c := l[0] + l[1] + l[2] + l[3]
-			joint[b] = c
-			if c != 0 {
-				v := float64(c) / k.n
-				p[b] = v
-				ra += v
-				pb[b-i*bins] += v
-			}
+			v := float64(c) / k.n
+			p[row+jb] = v
+			ra += v
+			pb[jb] += v
+			nz[m] = uint32(row+jb)<<8 | uint32(i)
+			m += int(isNew(int(c), 0))
 		}
 		pa[i] = ra
 	}
 	var mi float64
-	for i, ra := range pa {
-		row := i * bins
-		for jb, rb := range pb {
-			if joint[row+jb] != 0 {
-				v := p[row+jb]
-				mi += v * math.Log(v/(ra*rb))
-			}
-		}
+	for _, e := range nz[:m] {
+		b, i := int(e>>8), int(e&0xff)
+		v := p[b]
+		mi += v * math.Log(v/(pa[i]*pb[b-i*bins]))
 	}
 	return mi
 }

@@ -159,7 +159,7 @@ func TestMIKernelAllocFree(t *testing.T) {
 	cands := []Shift{{-1, 1}, {1, -1}}
 	k.bindCands(cands)
 	for t := range k.keys {
-		k.binTable(t)
+		k.binTable(t, cands)
 	}
 	s := k.getScratch()
 	i := 0

@@ -28,7 +28,7 @@ func forcedRuns[T uint8 | uint16](rows [][]T) *rowRuns {
 		r.n = append(r.n, n)
 		pix = append(pix, row...)
 	}
-	buildRuns(r, pix, len(rows[0]), 1<<30, 0)
+	buildRuns(r, pix, len(rows[0]), 0, len(rows[0]), 1<<30, 0)
 	return r
 }
 
@@ -173,7 +173,7 @@ func TestRunFormMatchesPixelsB4(t *testing.T) {
 	for t0 := 0; t0 < len(k.keys); t0 += maxTables {
 		t1 := min(t0+maxTables, len(k.keys))
 		for tb := t0; tb < t1; tb++ {
-			k.binTable(tb)
+			k.binTable(tb, cands)
 		}
 		for _, i := range k.byTable[k.first[t0]:k.first[t1]] {
 			c := cands[i]
@@ -187,7 +187,7 @@ func TestRunFormMatchesPixelsB4(t *testing.T) {
 			s := k.x0 - c.DX
 			for y := k.y0; y < k.y1; y++ {
 				r, my := y-k.y0, y-c.DY
-				if tab.hasRuns && runsFit(k.fixedRuns.n[r]+tab.runs.n[my], width) {
+				if tab.hasRuns && runsFit(k.fixedRuns.n[r]+tab.runs.n[my-tab.r0], width) {
 					runRows++
 				} else {
 					pixRows++
